@@ -9,7 +9,7 @@ BENCH_BASELINE ?= $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -1)
 # >50% worse fails the build.
 BENCH_THRESHOLD ?= 0.5
 
-.PHONY: build test test-nommap test-nosendfile bench bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build test test-nommap test-nosendfile bench benchmark bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
@@ -33,7 +33,13 @@ test-nosendfile:
 
 ## bench: one-iteration benchmark smoke run (perf code must keep compiling and running)
 bench:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
+
+## benchmark: the repository benchmark declared in BENCHMARK.json — four
+## workloads against the deployed stack, every reply checked; where
+## latency and throughput figures come from (see benchmark/README.md)
+benchmark:
+	$(GO) run ./benchmark
 
 ## bench-smoke: run the system-path experiments end to end (E9 scaled
 ## DSP, E10 gateway, E11 delta re-publish, E12 durable WAL store,
@@ -77,12 +83,15 @@ bench-chain:
 gateway-soak:
 	$(GO) test -race -count=2 -run 'TestGatewayd' ./internal/gateway/
 
-## fuzz-smoke: short fuzz runs over the decrypt surfaces (stored blocks
-## and sealed blobs on arbitrary/mutated inputs); CI runs this on every
-## push, longer runs stay manual
+## fuzz-smoke: short fuzz runs over the decoders of bytes that arrive
+## from outside (stored blocks and sealed blobs, the card's record
+## stream cut at arbitrary points) and the serializer's round trip; CI
+## runs this on every push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlob -fuzztime=10s ./internal/secure/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/proxy/
+	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
 
 ## fmt: fail if any file needs gofmt
 fmt:

@@ -100,11 +100,12 @@ default -
 }
 
 func summarize(res *proxy.Result) {
-	if res.Tree == nil {
+	tree := res.Tree()
+	if tree == nil {
 		fmt.Println("(nothing visible)")
 		return
 	}
 	fmt.Printf("visible: %d patients, %d visits, %d diagnoses, %d ssn\n",
-		len(res.Tree.Find("patient")), len(res.Tree.Find("visit")),
-		len(res.Tree.Find("diagnosis")), len(res.Tree.Find("ssn")))
+		len(tree.Find("patient")), len(tree.Find("visit")),
+		len(tree.Find("diagnosis")), len(tree.Find("ssn")))
 }

@@ -118,7 +118,8 @@ func (t *Terminal) Query(subject, docID, query string) (*xmlstream.Node, error) 
 	if err := t.simple(Command{CLA: AppletCLA, INS: INSEnd}); err != nil {
 		return nil, err
 	}
-	return col.Result()
+	view, err := col.View()
+	return view.Tree(), err
 }
 
 // recordStream reassembles records split across APDU response chunks.

@@ -74,8 +74,8 @@ func E6PendingBuffer() []*Table {
 				panic(fmt.Sprintf("E6: %v", err))
 			}
 			delivered := int64(0)
-			if res.Tree != nil {
-				delivered = int64(len(res.Tree.TextContent()))
+			if tree := res.Tree(); tree != nil {
+				delivered = int64(len(tree.TextContent()))
 			}
 			t.AddRow(
 				fmt.Sprintf("%.0f%%", posFrac*100),

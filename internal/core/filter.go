@@ -25,6 +25,13 @@ func Filter(evs []xmlstream.Event, rules *accessrule.RuleSet, query *xpath.Path)
 // FilterGauge is Filter with explicit secure-memory accounting, used by
 // the memory-footprint experiments.
 func FilterGauge(evs []xmlstream.Event, rules *accessrule.RuleSet, query *xpath.Path, gauge mem.Gauge) (*xmlstream.Node, Stats, error) {
+	view, stats, err := filterView(evs, rules, query, gauge)
+	return view.Tree(), stats, err
+}
+
+// filterView runs the evaluator into an Assembler and returns the view
+// in its compact form.
+func filterView(evs []xmlstream.Event, rules *accessrule.RuleSet, query *xpath.Path, gauge mem.Gauge) (*View, Stats, error) {
 	dict, err := DictFromEvents(evs)
 	if err != nil {
 		return nil, Stats{}, err
@@ -60,8 +67,8 @@ func FilterGauge(evs []xmlstream.Event, rules *accessrule.RuleSet, query *xpath.
 	if err := ev.Finish(); err != nil {
 		return nil, ev.Stats(), err
 	}
-	tree, err := asm.Result()
-	return tree, ev.Stats(), err
+	view, err := asm.Finish()
+	return view, ev.Stats(), err
 }
 
 // DictFromEvents builds a frequency-ordered tag dictionary from an event

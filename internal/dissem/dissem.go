@@ -71,7 +71,10 @@ func (s *Subscriber) begin(subject, docID string, hdrBytes []byte, numBlocks int
 		return err
 	}
 	s.sess = sess
-	s.col = proxy.NewCollector()
+	if s.col == nil {
+		s.col = proxy.NewCollector()
+	}
+	s.col.Reset()
 	s.BlocksOffered, s.BlocksForwarded = 0, 0
 	s.lastForwarded = make([]bool, numBlocks)
 	s.lastReception = nil
@@ -122,13 +125,13 @@ func (s *Subscriber) finish() (*Reception, error) {
 	if !s.sess.Done() {
 		return nil, fmt.Errorf("stream ended but the session is not done")
 	}
-	tree, err := s.col.Result()
+	view, err := s.col.View()
 	if err != nil {
 		return nil, err
 	}
 	r := &Reception{
 		Subscriber:      s.Name,
-		Tree:            tree,
+		Tree:            view.Tree(),
 		BlocksOffered:   s.BlocksOffered,
 		BlocksForwarded: s.BlocksForwarded,
 		Session:         s.sess.Stats(),

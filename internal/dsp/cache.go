@@ -50,6 +50,15 @@ type Cache struct {
 	// ids never grow the map.
 	gens sync.Map
 
+	// versions remembers the header version each document's resident
+	// blocks belong to (docID → *atomic.Uint32), as observed by Header.
+	// Writes that pass through this cache invalidate on their own; a
+	// document re-published behind it — another client of the same
+	// remote store — shows only as a header that moved, and every query
+	// fetches the header first. Entries exist only for documents the
+	// backing store returned a header for.
+	versions sync.Map
+
 	// updDocs maps in-flight update tokens to their document id, so a
 	// commit knows which document to invalidate.
 	updDocs sync.Map
@@ -217,9 +226,31 @@ func (c *Cache) PutDocument(con *docenc.Container) error {
 	return nil
 }
 
-// Header implements Store (pass-through).
+// Header implements Store: passed through, and watched. When a document
+// answers with another version than the one its resident blocks were
+// filled under, they are ciphertext of a superseded version and would
+// fail every later query's integrity check; the observer that wins the
+// swap retires them. A document seen for the first time is purged too,
+// since nothing says which version blocks read before belong to.
 func (c *Cache) Header(docID string) (docenc.Header, error) {
-	return c.store.Header(docID)
+	h, err := c.store.Header(docID)
+	if err != nil {
+		return h, err
+	}
+	v, seen := c.versions.Load(docID)
+	if !seen {
+		fresh := new(atomic.Uint32)
+		fresh.Store(h.Version)
+		if v, seen = c.versions.LoadOrStore(docID, fresh); !seen {
+			c.invalidate(docID)
+			return h, nil
+		}
+	}
+	was := v.(*atomic.Uint32)
+	if old := was.Load(); old != h.Version && was.CompareAndSwap(old, h.Version) {
+		c.invalidate(docID)
+	}
+	return h, nil
 }
 
 // ReadBlock implements Store through the cache.

@@ -330,6 +330,21 @@ func (g *Gateway) Query(subject, docID, query string) (*proxy.Result, error) {
 	return res, nil
 }
 
+// CountError books a failure the caller met after Query returned a
+// result it then could not deliver (the wire server, serializing it), so
+// the subject's Errors stays the count of queries that came to nothing.
+func (g *Gateway) CountError(subject string) {
+	g.mu.Lock()
+	sp := g.pools[subject]
+	g.mu.Unlock()
+	if sp == nil {
+		return
+	}
+	sp.mu.Lock()
+	sp.stats.Errors++
+	sp.mu.Unlock()
+}
+
 // runOn provisions the checked-out session for docID if needed, catches
 // it up with any rule refresh it missed, and runs the query.
 func (g *Gateway) runOn(sp *subjectPool, ses *pooledSession, subject, docID, query string) (*proxy.Result, error) {

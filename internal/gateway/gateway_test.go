@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/secure"
 	"repro/internal/workload"
+	"repro/internal/xmlstream"
 )
 
 const testDoc = "gw-folder"
@@ -35,8 +37,11 @@ var ruleTemplates = []string{
 // store side of the full deployment: gatewayd's fleet pulls blocks over
 // real TCP through the pooled frame path.
 type world struct {
-	store    *dsp.MemStore
-	key      secure.DocKey
+	store *dsp.MemStore
+	key   secure.DocKey
+	// keys is what the daemon's fleet may provision: testDoc's key, and
+	// whatever else a test publishes before calling gatewayd.
+	keys     map[string]secure.DocKey
 	dspAddr  string
 	dspSrv   *dsp.Server
 	dspCache *dsp.Cache
@@ -55,6 +60,7 @@ func templateOf(i int) int { return i % len(ruleTemplates) }
 func newWorld(t *testing.T, n int) *world {
 	t.Helper()
 	w := &world{store: dsp.NewMemStore(), key: secure.KeyFromSeed(testDoc)}
+	w.keys = map[string]secure.DocKey{testDoc: w.key}
 	doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 77, Patients: 5, VisitsPerPatient: 2})
 	pub := &proxy.Publisher{Store: w.store}
 	if _, err := pub.PublishDocument(doc, docenc.EncodeOptions{
@@ -116,7 +122,7 @@ func (w *world) gatewayd(t *testing.T, fcfg fleet.Config) (*Server, string) {
 	}
 	t.Cleanup(func() { _ = pool.Close() })
 	fcfg.Store = pool
-	fcfg.Keys = fleet.FixedKeys(map[string]secure.DocKey{testDoc: w.key})
+	fcfg.Keys = fleet.FixedKeys(w.keys)
 	if fcfg.Prefetch == 0 {
 		fcfg.Prefetch = proxy.DefaultPrefetch
 	}
@@ -439,5 +445,58 @@ func TestGatewaydWireErrors(t *testing.T) {
 	}
 	if err := sess.Close(); err == nil {
 		t.Error("double session close must refuse")
+	}
+}
+
+// TestGatewaydUnserializableResult: a view that has no XML form — here
+// a document published with an attribute after its element's text —
+// must come back as a server error and be counted, not travel under
+// status OK as a diagnostic the client takes for the document.
+func TestGatewaydUnserializableResult(t *testing.T) {
+	const badDoc = "attr-after-content"
+	w := newWorld(t, 1)
+	key := secure.KeyFromSeed(badDoc)
+	w.keys[badDoc] = key
+	pub := &proxy.Publisher{Store: w.store}
+	doc := &xmlstream.Node{Name: "a", Children: []*xmlstream.Node{
+		{Text: "content first"},
+		{Name: "@late", Children: []*xmlstream.Node{{Text: "v"}}},
+	}}
+	if _, err := pub.PublishDocument(doc, docenc.EncodeOptions{DocID: badDoc, Key: key}); err != nil {
+		t.Fatal(err)
+	}
+	rs := workload.MustParseRules("subject T\ndefault +")
+	rs.Subject, rs.DocID = subjectName(0), badDoc
+	if err := pub.GrantRules(key, rs); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := w.gatewayd(t, fleet.Config{})
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Open(subjectName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Query(badDoc, "")
+	var serr ServerError
+	if !errors.As(err, &serr) {
+		t.Fatalf("unserializable view came back as (%+v, %v), want a ServerError", res, err)
+	}
+	if !strings.Contains(string(serr), "cannot be serialized") {
+		t.Errorf("error does not say what failed: %v", serr)
+	}
+	snap := srv.Snapshot()
+	if snap.Pool.Errors != 1 || snap.Queries != 0 {
+		t.Errorf("after one failed query: pool errors %d, wire queries %d; want 1 and 0", snap.Pool.Errors, snap.Queries)
+	}
+	// The connection and the pooled session both survived.
+	if res, err := sess.Query(testDoc, ""); err != nil {
+		t.Fatalf("healthy query after the failure: %v", err)
+	} else if res.XML != w.oracle[0] {
+		t.Error("result diverges from the oracle")
 	}
 }

@@ -309,11 +309,19 @@ func (s *Server) dispatch(cs *connState, req []byte) []byte {
 		if err != nil {
 			return fail(err)
 		}
-		s.queries.Add(1)
 		resp = binary.AppendUvarint(resp, uint64(res.Version))
 		resp = binary.AppendUvarint(resp, uint64(res.Stats.BlocksFetched))
 		resp = binary.AppendUvarint(resp, uint64(res.Stats.BlocksWasted))
-		return append(resp, res.XML()...)
+		// The view renders straight into the response frame. One that has
+		// no XML form is a failed query, not a reply: the client must not
+		// receive a diagnostic in place of a document under status OK.
+		resp, err = res.AppendXML(resp)
+		if err != nil {
+			s.fl.CountError(subject)
+			return fail(fmt.Errorf("gateway: result of %s cannot be serialized: %w", docID, err))
+		}
+		s.queries.Add(1)
+		return resp
 	case opClose:
 		sid := r.uvarint()
 		if r.err != nil {

@@ -73,8 +73,10 @@ type ResultStats struct {
 
 // Result is the outcome of a pull query.
 type Result struct {
-	// Tree is the authorized result (nil when nothing is visible).
-	Tree *xmlstream.Node
+	// view is the authorized result (nil when nothing is visible): an
+	// immutable compact copy, independent of the session that produced
+	// it, so the session goes back to its pool while the result renders.
+	view *core.View
 	// Version is the document version the query was served from (the
 	// authenticated header's version) — what lets a gateway detect that
 	// a document moved underneath its fleet.
@@ -83,16 +85,32 @@ type Result struct {
 	Stats ResultStats
 }
 
-// XML renders the result tree (indented), or "" when empty.
+// xmlFormat is the one rendering of a result: indented by two spaces.
+var xmlFormat = xmlstream.WriterOptions{Indent: "  "}
+
+// AppendXML appends the result's XML to dst in one walk over the view —
+// what a server does with its response frame. Nothing is appended for
+// an empty result. A view that has no XML form (an attribute that
+// arrives after content) is an error, and dst then holds a torso the
+// caller must drop.
+func (r *Result) AppendXML(dst []byte) ([]byte, error) {
+	return r.view.AppendXML(dst, xmlFormat)
+}
+
+// XML renders the result (indented), or "" when empty. For display: a
+// caller that must tell a failed rendering from a result uses AppendXML.
 func (r *Result) XML() string {
-	if r.Tree == nil {
-		return ""
-	}
-	s, err := xmlstream.Serialize(r.Tree.Events(), xmlstream.WriterOptions{Indent: "  "})
+	s, err := r.view.XML(xmlFormat)
 	if err != nil {
 		return fmt.Sprintf("<!-- unserializable result: %v -->", err)
 	}
 	return s
+}
+
+// Tree materializes the result as a DOM (nil when nothing is visible),
+// for callers that navigate it; each call builds a fresh tree.
+func (r *Result) Tree() *xmlstream.Node {
+	return r.view.Tree()
 }
 
 // Query runs a pull request: fetch, decrypt-on-card, filter, reassemble.
@@ -139,24 +157,41 @@ func (t *Terminal) InstallRules(subject, docID string) error {
 }
 
 // Collector is the terminal-side record sink: it grows a name table from
-// the card's lazy bindings and feeds the document-order assembler.
+// the card's lazy bindings and feeds the document-order assembler. Reset
+// makes it ready for another card session with its storage kept, which
+// is how a pooled Session and a standing Subscriber use it.
 type Collector struct {
-	names map[tagdict.Code]string
-	asm   *core.Assembler
-	done  bool
+	// names holds this session's bindings by code; interned keeps every
+	// name ever bound, so that rebinding the same tags query after query
+	// allocates nothing.
+	names    []string
+	interned map[string]string
+	asm      *core.Assembler
+	done     bool
 }
+
+// maxInterned bounds the names a long-lived collector remembers across
+// documents; past it the table starts over.
+const maxInterned = 4 * tagdict.MaxTags
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	c := &Collector{names: make(map[tagdict.Code]string)}
+	c := &Collector{interned: make(map[string]string)}
 	c.asm = core.NewAssembler(c)
 	return c
 }
 
+// Reset empties the collector for the next card session.
+func (c *Collector) Reset() {
+	clear(c.names)
+	c.asm.Reset()
+	c.done = false
+}
+
 // Name implements core.NameResolver over the learned bindings.
 func (c *Collector) Name(code tagdict.Code) string {
-	if n, ok := c.names[code]; ok {
-		return n
+	if int(code) < len(c.names) && c.names[code] != "" {
+		return c.names[code]
 	}
 	// Unreachable when the card keeps its binding contract; keep the
 	// output well-formed regardless.
@@ -164,8 +199,19 @@ func (c *Collector) Name(code tagdict.Code) string {
 }
 
 // Bind implements soe.RecordSink.
-func (c *Collector) Bind(code tagdict.Code, name string) error {
-	c.names[code] = name
+func (c *Collector) Bind(code tagdict.Code, name []byte) error {
+	s, ok := c.interned[string(name)]
+	if !ok {
+		if len(c.interned) >= maxInterned {
+			clear(c.interned)
+		}
+		s = string(name)
+		c.interned[s] = s
+	}
+	if int(code) >= len(c.names) {
+		c.names = append(c.names, make([]string, int(code)+1-len(c.names))...)
+	}
+	c.names[code] = s
 	return nil
 }
 
@@ -175,8 +221,8 @@ func (c *Collector) Open(code tagdict.Code, mode core.Mode, group core.GroupID) 
 }
 
 // Value implements soe.RecordSink.
-func (c *Collector) Value(text string, mode core.Mode, group core.GroupID) error {
-	return c.asm.EmitValue(text, mode, group)
+func (c *Collector) Value(text []byte, mode core.Mode, group core.GroupID) error {
+	return c.asm.EmitValueBytes(text, mode, group)
 }
 
 // Close implements soe.RecordSink.
@@ -201,11 +247,11 @@ func (c *Collector) PendingLoad() (int, int64) {
 	return c.asm.PendingLoad()
 }
 
-// Result finalizes the assembly; it fails if the card never signalled
-// completion.
-func (c *Collector) Result() (*xmlstream.Node, error) {
+// View finalizes the assembly into the authorized view (nil when nothing
+// is visible); it fails if the card never signalled completion.
+func (c *Collector) View() (*core.View, error) {
 	if !c.done {
 		return nil, fmt.Errorf("proxy: card session ended without a done record")
 	}
-	return c.asm.Result()
+	return c.asm.Finish()
 }

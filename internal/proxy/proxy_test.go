@@ -29,7 +29,7 @@ type rig struct {
 
 // newRig publishes the document under docID and provisions the card for
 // every rule set given (rule sets must carry DocID=docID).
-func newRig(t *testing.T, doc *xmlstream.Node, docID string, profile card.Profile, encOpts docenc.EncodeOptions, rulesets ...*accessrule.RuleSet) *rig {
+func newRig(t testing.TB, doc *xmlstream.Node, docID string, profile card.Profile, encOpts docenc.EncodeOptions, rulesets ...*accessrule.RuleSet) *rig {
 	t.Helper()
 	r := &rig{
 		store: dsp.NewMemStore(),
@@ -74,9 +74,9 @@ default -
 		t.Fatal(err)
 	}
 	want := accessrule.ApplyTree(doc, rs)
-	if !res.Tree.Equal(want) {
+	if !res.Tree().Equal(want) {
 		t.Fatalf("end-to-end result diverges from oracle:\ngot:  %s\nwant: %s",
-			render(res.Tree), render(want))
+			render(res.Tree()), render(want))
 	}
 	if res.Stats.BlocksFetched == 0 || res.Stats.Session.Core.Opens == 0 {
 		t.Errorf("implausible stats: %+v", res.Stats)
@@ -140,9 +140,9 @@ func TestEndToEndDifferential(t *testing.T) {
 				q = xpath.MustParse(query)
 			}
 			want := accessrule.ApplyTreeQuery(doc, rs, q)
-			if !res.Tree.Equal(want) {
+			if !res.Tree().Equal(want) {
 				t.Fatalf("diverges from oracle\nrules:\n%s\nquery: %s\ngot:  %s\nwant: %s",
-					rs, query, render(res.Tree), render(want))
+					rs, query, render(res.Tree()), render(want))
 			}
 
 			// The skip path must agree with the no-skip path bit for bit.
@@ -151,7 +151,7 @@ func TestEndToEndDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no-skip query: %v", err)
 			}
-			if !res2.Tree.Equal(res.Tree) {
+			if !res2.Tree().Equal(res.Tree()) {
 				t.Fatalf("skip and no-skip paths disagree")
 			}
 			if res2.Stats.BlocksFetched < res.Stats.BlocksFetched {
@@ -179,13 +179,13 @@ default -
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tree == nil {
+	if res.Tree() == nil {
 		t.Fatal("expected a non-empty result")
 	}
-	if len(res.Tree.Find("emergency")) == 0 || len(res.Tree.Find("name")) == 0 {
-		t.Fatalf("result lacks granted content: %s", render(res.Tree))
+	if len(res.Tree().Find("emergency")) == 0 || len(res.Tree().Find("name")) == 0 {
+		t.Fatalf("result lacks granted content: %s", render(res.Tree()))
 	}
-	if got := len(res.Tree.Find("diagnosis")); got != 0 {
+	if got := len(res.Tree().Find("diagnosis")); got != 0 {
 		t.Fatalf("result leaks %d diagnosis elements", got)
 	}
 	if res.Stats.Session.Core.SkippedSubtrees == 0 {
@@ -206,7 +206,7 @@ default -
 		t.Errorf("no-index baseline fetched %d of %d blocks",
 			res2.Stats.BlocksFetched, res2.Stats.BlocksTotal)
 	}
-	if !res2.Tree.Equal(res.Tree) {
+	if !res2.Tree().Equal(res.Tree()) {
 		t.Error("skip and no-skip results differ")
 	}
 }
@@ -228,8 +228,8 @@ default -
 		t.Fatal(err)
 	}
 	want := accessrule.ApplyTree(doc, rs)
-	if !res.Tree.Equal(want) {
-		t.Fatalf("result diverges from oracle:\ngot:  %s\nwant: %s", render(res.Tree), render(want))
+	if !res.Tree().Equal(want) {
+		t.Fatalf("result diverges from oracle:\ngot:  %s\nwant: %s", render(res.Tree()), render(want))
 	}
 	if res.Stats.Session.Core.SkippedSubtrees == 0 {
 		t.Error("attribute fail-fast produced no skips")
@@ -248,7 +248,7 @@ func TestQuerySkipIrrelevantSubtrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := accessrule.ApplyTreeQuery(doc, rs, xpath.MustParse("//emergency"))
-	if !res.Tree.Equal(want) {
+	if !res.Tree().Equal(want) {
 		t.Fatalf("query result diverges from oracle")
 	}
 	if res.Stats.Session.Core.SkippedSubtrees == 0 {
@@ -281,13 +281,13 @@ func TestAblationCombinations(t *testing.T) {
 			t.Fatalf("combo %d: %v", i, err)
 		}
 		if i == 0 {
-			baseline = res.Tree
+			baseline = res.Tree()
 			if res.Stats.Session.Core.CopiedEvents == 0 {
 				t.Error("copy-through never engaged on a mostly-authorized view")
 			}
 			continue
 		}
-		if !res.Tree.Equal(baseline) {
+		if !res.Tree().Equal(baseline) {
 			t.Fatalf("combo %d produced a different result", i)
 		}
 	}
@@ -304,7 +304,7 @@ func TestIndexFreeContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := accessrule.ApplyTree(doc, rs)
-	if !res.Tree.Equal(want) {
+	if !res.Tree().Equal(want) {
 		t.Fatal("index-free container diverges from oracle")
 	}
 	if res.Stats.Session.Core.SkippedSubtrees != 0 {
@@ -419,8 +419,8 @@ func TestQueryThroughCard(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := accessrule.ApplyTreeQuery(doc, rs, xpath.MustParse(`//visit[diagnosis = "asthma"]`))
-	if !res.Tree.Equal(want) {
-		t.Fatalf("query result diverges:\ngot:  %s\nwant: %s", render(res.Tree), render(want))
+	if !res.Tree().Equal(want) {
+		t.Fatalf("query result diverges:\ngot:  %s\nwant: %s", render(res.Tree()), render(want))
 	}
 }
 
@@ -476,10 +476,10 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prefetch=%d: %v", k, err)
 				}
-				if (piped.Tree == nil) != (serial.Tree == nil) ||
-					(piped.Tree != nil && !piped.Tree.Equal(serial.Tree)) {
+				if (piped.Tree() == nil) != (serial.Tree() == nil) ||
+					(piped.Tree() != nil && !piped.Tree().Equal(serial.Tree())) {
 					t.Fatalf("prefetch=%d result diverges from serial:\ngot:  %s\nwant: %s",
-						k, render(piped.Tree), render(serial.Tree))
+						k, render(piped.Tree()), render(serial.Tree()))
 				}
 				if piped.Stats.Meter != serial.Stats.Meter {
 					t.Errorf("prefetch=%d card meter diverges:\ngot:  %+v\nwant: %+v",

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"net"
 	"testing"
 
 	"repro/internal/card"
@@ -153,6 +154,59 @@ func TestRepublishFallbackStore(t *testing.T) {
 	}
 	if res.Version != ri.Version {
 		t.Fatalf("fallback left version %d, want %d", res.Version, ri.Version)
+	}
+}
+
+// TestCacheFollowsOutOfBandRepublish: a block cache in front of a remote
+// store — gatewayd's default — sees nothing of a re-publication another
+// client commits on a connection of its own. It must notice the header
+// moved and drop the superseded ciphertext, or every later query of the
+// document fails its integrity check for as long as the blocks stay
+// resident.
+func TestCacheFollowsOutOfBandRepublish(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := dsp.NewServer(dsp.NewMemStore())
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	dial := func() *dsp.Pool {
+		pool, err := dsp.DialPool(l.Addr().String(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = pool.Close() })
+		return pool
+	}
+	poolA, poolB := dial(), dial()
+
+	cfg := workload.AgendaConfig{Seed: 9, Members: 5, EventsPerMember: 3}
+	w := newRepublishWorld(t, poolA, workload.Agenda(cfg), "agenda", "subject m\ndefault +")
+	cache := dsp.NewCache(poolB, 1<<20)
+	reader := &Terminal{Store: cache, Card: w.term.Card, Prefetch: DefaultPrefetch}
+	before, err := reader.Query("m", "agenda", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Stats().Blocks == 0 {
+		t.Fatal("the query did not warm the cache")
+	}
+
+	mutated := mutateTexts(workload.Agenda(cfg), 6)
+	ri, err := w.pub.Republish(mutated, docenc.EncodeOptions{DocID: "agenda", Key: w.key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := reader.Query("m", "agenda", "")
+	if err != nil {
+		t.Fatalf("query through the cache after an out-of-band re-publish: %v", err)
+	}
+	if after.Version != ri.Version || after.Version == before.Version {
+		t.Fatalf("served version %d, want %d (was %d)", after.Version, ri.Version, before.Version)
+	}
+	if !after.Tree().Equal(mutated.Canonicalize()) {
+		t.Fatal("the view is not the re-published document")
 	}
 }
 

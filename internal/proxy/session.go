@@ -37,6 +37,11 @@ type Session struct {
 	busy    bool
 	closed  bool
 	queries int64
+
+	// col is the record sink every query of this session assembles its
+	// view in, owned by the query that holds busy. Keeping it keeps its
+	// arena, sized by the queries before.
+	col *Collector
 }
 
 // NewSession builds a reusable session over a store lease and a card.
@@ -169,7 +174,11 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 		return nil, err
 	}
 
-	col := NewCollector()
+	if s.col == nil {
+		s.col = NewCollector()
+	}
+	col := s.col
+	col.Reset()
 	stats := ResultStats{BlocksTotal: header.NumBlocks()}
 	if s.prefetch > 0 {
 		err = s.runPipelined(sess, docID, header.NumBlocks(), col, &stats)
@@ -182,7 +191,7 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	if !sess.Done() {
 		return nil, fmt.Errorf("proxy: stream ended but session is not done")
 	}
-	tree, err := col.Result()
+	view, err := col.View()
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +200,7 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	stats.Meter = s.card.Meter.Sub(meterBefore)
 	stats.Time = stats.Meter.Price(s.card.Profile)
 	stats.PendingEvents, stats.PendingBytes = col.PendingLoad()
-	return &Result{Tree: tree, Version: header.Version, Stats: stats}, nil
+	return &Result{view: view, Version: header.Version, Stats: stats}, nil
 }
 
 // runSerial is the historical pull loop: one store round trip per block

@@ -32,7 +32,7 @@ func TestValueStreamingThroughTinyRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Tree.TextContent()); got != 2*6*1024+3 {
+	if got := len(res.Tree().TextContent()); got != 2*6*1024+3 {
 		t.Fatalf("delivered %d text bytes, want %d", got, 2*6*1024+3)
 	}
 	if res.Stats.Session.RAMPeak > card.EGate.RAMBudget {
@@ -52,8 +52,8 @@ func TestValueSkippingAvoidsDeniedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(res.XML(), "xxx") && len(res.Tree.Find("secret")) > 0 {
-		if res.Tree.Find("secret")[0].TextContent() != "" {
+	if strings.Contains(res.XML(), "xxx") && len(res.Tree().Find("secret")) > 0 {
+		if res.Tree().Find("secret")[0].TextContent() != "" {
 			t.Fatal("denied text delivered")
 		}
 	}
@@ -66,7 +66,7 @@ func TestValueSkippingAvoidsDeniedBytes(t *testing.T) {
 		t.Errorf("value skipping fetched every block (%d/%d)",
 			res.Stats.BlocksFetched, res.Stats.BlocksTotal)
 	}
-	if got := res.Tree.Find("tail")[0].TextContent(); got != "end" {
+	if got := res.Tree().Find("tail")[0].TextContent(); got != "end" {
 		t.Fatalf("content after the skipped value corrupted: %q", got)
 	}
 }

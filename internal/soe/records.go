@@ -92,15 +92,21 @@ func (e *recordEmitter) ResolveGroup(group core.GroupID, deliver bool) error {
 	return nil
 }
 
-// RecordSink receives decoded records on the terminal side.
+// RecordSink receives decoded records on the terminal side. The name and
+// text slices alias the decoder's input: a sink keeps what it needs by
+// copying before it returns.
 type RecordSink interface {
-	Bind(code tagdict.Code, name string) error
+	Bind(code tagdict.Code, name []byte) error
 	Open(code tagdict.Code, mode core.Mode, group core.GroupID) error
-	Value(text string, mode core.Mode, group core.GroupID) error
+	Value(text []byte, mode core.Mode, group core.GroupID) error
 	Close(mode core.Mode, group core.GroupID) error
 	Resolve(group core.GroupID, deliver bool) error
 	Done() error
 }
+
+// maxRecordField bounds a record's name or text field. A card emits
+// values in chunks of at most a block, far below this.
+const maxRecordField = 1 << 30
 
 // errTruncated marks a record cut short at the end of a chunk: the caller
 // must retry once more bytes arrive.
@@ -144,6 +150,26 @@ func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 		pos++
 		return b, nil
 	}
+	// readBytes reads a length-prefixed field. The length is compared as
+	// a uint64 against what is left: a hostile length of 2^63 or more
+	// must not wrap negative and slip past the bound. One that cannot
+	// fit any record the protocol's users produce is malformed, not
+	// merely incomplete — waiting for more input would never end.
+	readBytes := func() ([]byte, error) {
+		l, err := readUvarint()
+		if err != nil {
+			return nil, err
+		}
+		if l > maxRecordField {
+			return nil, fmt.Errorf("soe: record field of %d bytes exceeds limit at offset %d", l, pos)
+		}
+		if l > uint64(len(data)-pos) {
+			return nil, errTruncated
+		}
+		b := data[pos : pos+int(l)]
+		pos += int(l)
+		return b, nil
+	}
 	consumed := 0
 	for pos < len(data) {
 		op, _ := readByte()
@@ -154,15 +180,10 @@ func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 				if err != nil {
 					return err
 				}
-				l, err := readUvarint()
+				name, err := readBytes()
 				if err != nil {
 					return err
 				}
-				if pos+int(l) > len(data) {
-					return errTruncated
-				}
-				name := string(data[pos : pos+int(l)])
-				pos += int(l)
 				return sink.Bind(tagdict.Code(code), name)
 			case recOpen:
 				code, err := readUvarint()
@@ -187,15 +208,10 @@ func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 				if err != nil {
 					return err
 				}
-				l, err := readUvarint()
+				text, err := readBytes()
 				if err != nil {
 					return err
 				}
-				if pos+int(l) > len(data) {
-					return errTruncated
-				}
-				text := string(data[pos : pos+int(l)])
-				pos += int(l)
 				return sink.Value(text, core.Mode(mode), core.GroupID(group))
 			case recClose:
 				mode, err := readByte()

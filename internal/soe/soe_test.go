@@ -1,6 +1,7 @@
 package soe
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -58,11 +59,11 @@ func runSession(t *testing.T, c *card.Card, container *docenc.Container, subject
 	if !sess.Done() {
 		t.Fatal("session never finished")
 	}
-	tree, err := sink.asm.Result()
+	view, err := sink.asm.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree
+	return view.Tree()
 }
 
 // testSink adapts RecordSink onto a core.Assembler with a name table.
@@ -79,15 +80,15 @@ func newTestSink() *testSink {
 }
 
 func (s *testSink) Name(c tagdict.Code) string { return s.names[c] }
-func (s *testSink) Bind(c tagdict.Code, n string) error {
-	s.names[c] = n
+func (s *testSink) Bind(c tagdict.Code, n []byte) error {
+	s.names[c] = string(n)
 	return nil
 }
 func (s *testSink) Open(c tagdict.Code, m core.Mode, g core.GroupID) error {
 	return s.asm.EmitOpen(c, m, g)
 }
-func (s *testSink) Value(text string, m core.Mode, g core.GroupID) error {
-	return s.asm.EmitValue(text, m, g)
+func (s *testSink) Value(text []byte, m core.Mode, g core.GroupID) error {
+	return s.asm.EmitValueBytes(text, m, g)
 }
 func (s *testSink) Close(m core.Mode, g core.GroupID) error {
 	return s.asm.EmitClose(m, g)
@@ -273,6 +274,27 @@ func TestRecordsPartialDecode(t *testing.T) {
 	}
 	if total != len(blob) || len(buf) != 0 {
 		t.Errorf("consumed %d of %d bytes (%d left)", total, len(blob), len(buf))
+	}
+}
+
+// TestRecordsHostileLength: a name or text length that as an int is
+// negative (2^63 and up) once passed the bound check and panicked in the
+// slice expression. It is an error; a length that is merely longer than
+// the chunk still means "wait for more".
+func TestRecordsHostileLength(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<63+5)
+	for name, rec := range map[string][]byte{
+		"value": append([]byte{recValue, byte(core.ModeDeliver), 0}, huge...),
+		"bind":  append([]byte{recBind, 0}, huge...),
+	} {
+		n, err := DecodeRecordsPartial(append(rec, "payload"...), newTestSink())
+		if err == nil || n != 0 {
+			t.Errorf("%s record with a 2^63+5 byte field: consumed %d, err %v", name, n, err)
+		}
+	}
+	long := append([]byte{recValue, byte(core.ModeDeliver), 0}, binary.AppendUvarint(nil, 4096)...)
+	if n, err := DecodeRecordsPartial(append(long, "only the start"...), newTestSink()); err != nil || n != 0 {
+		t.Errorf("value record cut short: consumed %d, err %v; want 0, nil", n, err)
 	}
 }
 

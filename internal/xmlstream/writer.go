@@ -1,9 +1,6 @@
 package xmlstream
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // WriterOptions tunes the serializer.
 type WriterOptions struct {
@@ -14,143 +11,70 @@ type WriterOptions struct {
 
 // Writer serializes an event stream back into XML text. Leading '@'
 // pseudo-element triples after an Open are folded back into attributes of
-// that element, reversing the parser's convention.
+// that element, reversing the parser's convention. The format itself is
+// the Encoder's; the Writer adds what an event stream needs on top: the
+// name stack that checks every Close against its Open.
 type Writer struct {
-	b    strings.Builder
-	opts WriterOptions
-
-	depth int
-	// pendingOpen holds an element whose '>' has not been emitted yet,
-	// because attributes may still arrive.
-	pendingOpen string
-	pendingAttr string // attribute currently open ("" if none)
-	attrValue   strings.Builder
-	// hadChild tracks, per depth, whether the open element produced child
-	// output (to decide between <a/> and <a></a> and indentation).
-	hadChild []bool
-	lastVal  bool
+	enc Encoder
+	buf []byte
+	// open holds the names of the unterminated elements, innermost last,
+	// and attr the attribute being written ("" if none).
+	open []string
+	attr string
 }
 
 // NewWriter returns a Writer with the given options.
 func NewWriter(opts WriterOptions) *Writer {
-	return &Writer{opts: opts}
+	return &Writer{enc: NewEncoder(opts, 0)}
 }
 
 // WriteEvent appends one event to the output.
-func (w *Writer) WriteEvent(ev Event) error {
+func (w *Writer) WriteEvent(ev Event) (err error) {
 	switch ev.Kind {
 	case Open:
 		if ev.IsAttribute() {
-			if w.pendingOpen == "" {
-				return fmt.Errorf("xmlstream: attribute %s outside an opening tag", ev.Name)
+			if w.buf, err = w.enc.OpenAttr(w.buf, ev.Name); err == nil {
+				w.attr = ev.Name
 			}
-			if w.pendingAttr != "" {
-				return fmt.Errorf("xmlstream: nested attribute %s inside %s", ev.Name, w.pendingAttr)
-			}
-			w.pendingAttr = ev.Name
-			w.attrValue.Reset()
-			return nil
+			return err
 		}
-		w.flushOpen(false)
-		w.newlineIndent()
-		// Emit "<name" now; the closing '>' (or "/>") is deferred until
-		// we know whether attributes or content follow.
-		w.b.WriteString("<" + ev.Name)
-		w.pendingOpen = ev.Name
-		w.markChild()
-		w.depth++
-		w.hadChild = append(w.hadChild, false)
-		w.lastVal = false
-		return nil
+		if w.buf, err = w.enc.Open(w.buf, ev.Name); err == nil {
+			w.open = append(w.open, ev.Name)
+		}
+		return err
 	case Value:
-		if w.pendingAttr != "" {
-			w.attrValue.WriteString(ev.Text)
-			return nil
-		}
-		w.flushOpen(false)
-		if w.depth == 0 {
-			return fmt.Errorf("xmlstream: value %q outside root element", truncate(ev.Text))
-		}
-		w.markChild()
-		w.b.WriteString(escapeText(ev.Text))
-		w.lastVal = true
-		return nil
+		w.buf, err = w.enc.TextString(w.buf, ev.Text)
+		return err
 	case Close:
 		if ev.IsAttribute() {
-			if w.pendingAttr != ev.Name {
-				return fmt.Errorf("xmlstream: close of attribute %s does not match open %s", ev.Name, w.pendingAttr)
+			if w.attr != ev.Name {
+				return fmt.Errorf("xmlstream: close of attribute %s does not match open %s", ev.Name, w.attr)
 			}
-			w.b.WriteString(" " + w.pendingAttr[1:] + `="` + escapeAttr(w.attrValue.String()) + `"`)
-			w.pendingAttr = ""
-			return nil
+			w.attr = ""
+			w.buf, err = w.enc.CloseAttr(w.buf)
+			return err
 		}
-		if w.depth == 0 {
-			return fmt.Errorf("xmlstream: close of </%s> with no open element", ev.Name)
+		if n := len(w.open); n > 0 && w.open[n-1] != ev.Name {
+			return fmt.Errorf("xmlstream: close </%s> does not match open <%s>", ev.Name, w.open[n-1])
 		}
-		if w.pendingOpen != "" {
-			// Empty element.
-			if w.pendingOpen != ev.Name {
-				return fmt.Errorf("xmlstream: close </%s> does not match open <%s>", ev.Name, w.pendingOpen)
-			}
-			w.flushOpen(true)
-			w.depth--
-			w.hadChild = w.hadChild[:len(w.hadChild)-1]
-			w.lastVal = false
-			return nil
+		if w.buf, err = w.enc.Close(w.buf, ev.Name); err == nil {
+			w.open = w.open[:len(w.open)-1]
 		}
-		had := w.hadChild[len(w.hadChild)-1]
-		w.depth--
-		w.hadChild = w.hadChild[:len(w.hadChild)-1]
-		if had && !w.lastVal {
-			w.newlineIndent()
-		}
-		w.b.WriteString("</" + ev.Name + ">")
-		w.lastVal = false
-		return nil
+		return err
 	default:
 		return fmt.Errorf("xmlstream: unknown event kind %d", ev.Kind)
 	}
 }
 
-// flushOpen terminates a deferred opening tag. selfClose renders "/>".
-func (w *Writer) flushOpen(selfClose bool) {
-	if w.pendingOpen == "" {
-		return
-	}
-	if selfClose {
-		w.b.WriteString("/>")
-	} else {
-		w.b.WriteString(">")
-	}
-	w.pendingOpen = ""
-}
-
-func (w *Writer) markChild() {
-	if len(w.hadChild) > 0 {
-		w.hadChild[len(w.hadChild)-1] = true
-	}
-}
-
-func (w *Writer) newlineIndent() {
-	if w.opts.Indent == "" || w.b.Len() == 0 {
-		return
-	}
-	w.b.WriteString("\n")
-	w.b.WriteString(strings.Repeat(w.opts.Indent, w.depth))
-}
-
 // String returns the XML accumulated so far. It is an error to call it
 // with unterminated elements; the partial output is returned regardless.
 func (w *Writer) String() string {
-	return w.b.String()
+	return string(w.buf)
 }
 
 // Err reports whether the stream terminated cleanly.
 func (w *Writer) Err() error {
-	if w.depth != 0 || w.pendingOpen != "" || w.pendingAttr != "" {
-		return fmt.Errorf("xmlstream: serializer finished with unterminated markup (depth %d)", w.depth)
-	}
-	return nil
+	return w.enc.Err()
 }
 
 // Serialize renders an event slice as XML text.
@@ -165,14 +89,4 @@ func Serialize(evs []Event, opts WriterOptions) (string, error) {
 		return "", err
 	}
 	return w.String(), nil
-}
-
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
-
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

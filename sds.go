@@ -125,7 +125,9 @@ type (
 	// re-publish: the atomic begin/put-blocks/commit handshake.
 	// MemStore, Cache, Client and Pool all implement it.
 	StoreUpdater = dsp.DocUpdater
-	// Result is a query outcome with its cost statistics.
+	// Result is a query outcome with its cost statistics: XML() and
+	// AppendXML render the authorized view in one pass, Tree()
+	// materializes it as a DOM.
 	Result = proxy.Result
 	// Gateway is the card-fleet tier: it serves concurrent pull queries
 	// for many subjects over one shared store, provisioning one card

@@ -94,7 +94,7 @@ func TestFullCardPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Tree.Equal(libView) {
+	if !res.Tree().Equal(libView) {
 		t.Error("card and library paths disagree")
 	}
 }
