@@ -9,7 +9,7 @@ BENCH_BASELINE ?= $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -1)
 # >50% worse fails the build.
 BENCH_THRESHOLD ?= 0.5
 
-.PHONY: build test test-nommap test-nosendfile bench benchmark bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build test test-nommap test-nosendfile test-rearm bench benchmark bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
@@ -30,6 +30,13 @@ test-nommap:
 test-nosendfile:
 	$(GO) test -tags nosendfile ./internal/dsp/
 	$(GO) test -tags nommap,nosendfile ./internal/dsp/
+
+## test-rearm: the differential tests of reused card state — a re-armed
+## session, a pooled terminal session and a standing subscriber against
+## fresh ones, after other evaluations and after aborts at every block;
+## the golden cost-model values — repeated under the race detector
+test-rearm:
+	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh' ./internal/soe/ ./internal/proxy/ ./internal/dissem/
 
 ## bench: one-iteration benchmark smoke run (perf code must keep compiling and running)
 bench:
@@ -84,12 +91,14 @@ gateway-soak:
 	$(GO) test -race -count=2 -run 'TestGatewayd' ./internal/gateway/
 
 ## fuzz-smoke: short fuzz runs over the decoders of bytes that arrive
-## from outside (stored blocks and sealed blobs, the card's record
-## stream cut at arbitrary points) and the serializer's round trip; CI
-## runs this on every push, longer runs stay manual
+## from outside (stored blocks and sealed blobs, the document payload
+## decoded block by block through the card's input window, the card's
+## record stream cut at arbitrary points) and the serializer's round
+## trip; CI runs this on every push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlob -fuzztime=10s ./internal/secure/
+	$(GO) test -run=NONE -fuzz=FuzzDecoderChunked -fuzztime=10s ./internal/soe/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/proxy/
 	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
 
@@ -113,4 +122,4 @@ staticcheck:
 	fi
 
 ## ci: exactly what .github/workflows/ci.yml runs
-ci: fmt vet staticcheck build test test-nommap test-nosendfile gateway-soak fuzz-smoke bench bench-compare bench-chain
+ci: fmt vet staticcheck build test test-nommap test-nosendfile test-rearm gateway-soak fuzz-smoke bench bench-compare bench-chain

@@ -30,7 +30,7 @@ type EngineRun struct {
 // parses records; the evaluator ignores them) — the E1 suspension
 // ablation.
 func RunEngine(payload []byte, rs *accessrule.RuleSet, query *xpath.Path, disableSkip bool) (*EngineRun, error) {
-	dict, dec, err := docenc.ParsePayload(payload, 0)
+	dict, dec, err := docenc.ParsePayload(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func RunEngine(payload []byte, rs *accessrule.RuleSet, query *xpath.Path, disabl
 			valueBuf = append(valueBuf, it.Text...)
 			if it.Last {
 				events++
-				if err := eval.Value(string(valueBuf)); err != nil {
+				if err := eval.Value(valueBuf); err != nil {
 					return nil, err
 				}
 			}

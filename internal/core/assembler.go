@@ -121,19 +121,9 @@ func (a *Assembler) EmitOpen(code tagdict.Code, mode Mode, group GroupID) error 
 	return nil
 }
 
-// EmitValue implements Emitter.
-func (a *Assembler) EmitValue(text string, mode Mode, group GroupID) error {
-	return emitValue(a, text, mode, group)
-}
-
-// EmitValueBytes is EmitValue for a caller that holds the text as bytes
-// (the record decoder hands out slices of its input); text is copied
-// into the arena before the call returns.
-func (a *Assembler) EmitValueBytes(text []byte, mode Mode, group GroupID) error {
-	return emitValue(a, text, mode, group)
-}
-
-func emitValue[T string | []byte](a *Assembler, text T, mode Mode, group GroupID) error {
+// EmitValue implements Emitter; text is copied into the arena before the
+// call returns.
+func (a *Assembler) EmitValue(text []byte, mode Mode, group GroupID) error {
 	if a.err != nil {
 		return a.err
 	}

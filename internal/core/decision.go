@@ -66,7 +66,8 @@ type token struct {
 	// cands holds conditional satisfactions: a predicate chain that
 	// completed while itself depending on nested predicate instances
 	// (e.g. [a[b]/c]) records the nested tokens here; the token turns
-	// true when any candidate set is fully true.
+	// true when any candidate set is fully true. Emptied by truncation:
+	// the backing array stays with the slot for the next evaluation.
 	cands [][]TokenID
 	// live counts the active NFA entries carrying this token. When it
 	// drops to zero with no candidates, no future event can satisfy the
@@ -99,6 +100,13 @@ type decision struct {
 	negCands [][]TokenID
 	posCands [][]TokenID
 	parent   *decision
+}
+
+// settle makes the decision definite. Its candidate lists are emptied by
+// truncation: the backing arrays stay with the slot (see slab).
+func (d *decision) settle(sign accessrule.Sign) {
+	d.definite, d.sign, d.parent = true, sign, nil
+	d.negCands, d.posCands = d.negCands[:0], d.posCands[:0]
 }
 
 // decisionMem is the logical base charge of a pending decision.
@@ -139,10 +147,66 @@ type outGroup struct {
 // groupMem is the logical per-group secure-memory charge.
 const groupMem = 8
 
+// slab hands out slots of T whose addresses stay put (frames, groups and
+// pending lists point at decisions and query matches) and takes them all
+// back at once on reset. A slot comes back as its last user left it: the
+// taker overwrites every field, truncating rather than dropping slices so
+// that their backing arrays are reused too.
+type slab[T any] struct {
+	chunks [][]T
+	n      int // slots handed out since the last reset
+}
+
+// slabChunk is the number of slots a slab grows by.
+const slabChunk = 32
+
+func (s *slab[T]) next() *T {
+	ci, i := s.n/slabChunk, s.n%slabChunk
+	if ci == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, slabChunk))
+	}
+	s.n++
+	return &s.chunks[ci][i]
+}
+
+func (s *slab[T]) reset() { s.n = 0 }
+
+// condSlab is the bump allocator of condition lists. A list is built once
+// (capacity exactly what its builder asked for) and then only read, by
+// frame entries, pending decisions and token candidates alike, until the
+// next evaluation resets the slab.
+type condSlab struct {
+	chunks [][]TokenID
+	ci     int // chunk being filled
+}
+
+// condChunk is the number of tokens a condSlab grows by.
+const condChunk = 256
+
+// list returns an empty list with room for n tokens.
+func (s *condSlab) list(n int) []TokenID {
+	for ; s.ci < len(s.chunks); s.ci++ {
+		if c := s.chunks[s.ci]; cap(c)-len(c) >= n {
+			s.chunks[s.ci] = c[:len(c)+n]
+			return c[len(c) : len(c) : len(c)+n]
+		}
+	}
+	c := make([]TokenID, n, max(n, condChunk))
+	s.chunks = append(s.chunks, c)
+	return c[0:0:n]
+}
+
+func (s *condSlab) reset() {
+	for i := range s.chunks {
+		s.chunks[i] = s.chunks[i][:0]
+	}
+	s.ci = 0
+}
+
 // resolver owns tokens, pending decisions/qmatches/groups, and runs
 // resolution to fixpoint after every token event.
 type resolver struct {
-	tokens []token // index 0 reserved
+	tokens []token // index 0 reserved; slots past len keep their cands backing
 
 	pendingTokens    []TokenID // tokens with conditional candidates
 	pendingDecisions []*decision
@@ -154,14 +218,30 @@ type resolver struct {
 	resolved int
 }
 
-func newResolver() *resolver {
-	return &resolver{tokens: make([]token, 1)} // slot 0 reserved
+// reset empties the resolver for another evaluation, keeping its storage.
+func (r *resolver) reset() {
+	if len(r.tokens) == 0 {
+		r.tokens = append(r.tokens, token{})
+	}
+	r.tokens = r.tokens[:1] // slot 0 reserved
+	r.pendingTokens = r.pendingTokens[:0]
+	r.pendingDecisions = r.pendingDecisions[:0]
+	r.pendingQMatches = r.pendingQMatches[:0]
+	r.pendingGroups = r.pendingGroups[:0]
+	r.resolved = 0
 }
 
-// newToken issues a fresh unresolved token.
+// newToken issues a fresh unresolved token, in the slot (and with the
+// candidate list backing) an earlier evaluation left if there is one.
 func (r *resolver) newToken() TokenID {
-	r.tokens = append(r.tokens, token{})
-	return TokenID(len(r.tokens) - 1)
+	n := len(r.tokens)
+	if n < cap(r.tokens) {
+		r.tokens = r.tokens[:n+1]
+		r.tokens[n] = token{cands: r.tokens[n].cands[:0]}
+	} else {
+		r.tokens = append(r.tokens, token{})
+	}
+	return TokenID(n)
 }
 
 func (r *resolver) tokenResolved(t TokenID) bool {
@@ -187,10 +267,9 @@ func (r *resolver) satisfy(t TokenID, cond []TokenID) {
 	if anyFalse(r, cond) {
 		return // this candidate can never materialize
 	}
-	// Defensive copy: cond aliases a frame entry's condition slice.
-	c := make([]TokenID, len(cond))
-	copy(c, cond)
-	tok.cands = append(tok.cands, c)
+	// No copy: condition lists live in the evaluator's slab, immutable
+	// until the next evaluation.
+	tok.cands = append(tok.cands, cond)
 	r.pendingTokens = append(r.pendingTokens, t)
 }
 
@@ -198,7 +277,7 @@ func (r *resolver) satisfy(t TokenID, cond []TokenID) {
 func (r *resolver) fail(t TokenID) {
 	if r.tokens[t].state == tokenUnresolved {
 		r.tokens[t].state = tokenFalse
-		r.tokens[t].cands = nil
+		r.tokens[t].cands = r.tokens[t].cands[:0]
 		r.resolved++
 	}
 }
@@ -238,7 +317,7 @@ func (r *resolver) propagate() {
 			for _, cand := range tok.cands {
 				if allTrue(r, cand) {
 					tok.state = tokenTrue
-					tok.cands = nil
+					tok.cands = tok.cands[:0]
 					r.resolved++
 					settled = true
 					changed = true

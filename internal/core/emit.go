@@ -45,7 +45,9 @@ type Emitter interface {
 	// only for ModePending.
 	EmitOpen(code tagdict.Code, mode Mode, group GroupID) error
 	// EmitValue reports character data. Never called with ModeStructure.
-	EmitValue(text string, mode Mode, group GroupID) error
+	// text is only valid during the call (it is a view of the card's
+	// input window): an emitter keeps what it needs by copying.
+	EmitValue(text []byte, mode Mode, group GroupID) error
 	// EmitClose reports the closing of the innermost open element,
 	// mirroring the mode and group of its open. The terminal tracks the
 	// element stack itself, so no code is transmitted (the card protocol
@@ -64,7 +66,7 @@ type Discard struct{}
 func (Discard) EmitOpen(tagdict.Code, Mode, GroupID) error { return nil }
 
 // EmitValue implements Emitter.
-func (Discard) EmitValue(string, Mode, GroupID) error { return nil }
+func (Discard) EmitValue([]byte, Mode, GroupID) error { return nil }
 
 // EmitClose implements Emitter.
 func (Discard) EmitClose(Mode, GroupID) error { return nil }

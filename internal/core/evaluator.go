@@ -53,6 +53,10 @@ const entryMem = 8
 // state set (token stack level), the node's decision (sign stack level),
 // its query status, its output routing and the predicate instances
 // anchored at it.
+//
+// Frames live in slots of Evaluator.frames that survive the pop: the
+// backing arrays of entries and anchored are reused by the next element
+// opened at that depth.
 type frame struct {
 	entries  []entry
 	code     tagdict.Code
@@ -86,10 +90,20 @@ type Evaluator struct {
 	attrMask skipindex.Set
 	emit     Emitter
 	gauge    mem.Gauge
-	res      *resolver
+	res      resolver
 
 	frames   []frame
 	groupSeq GroupID
+
+	// Storage that outlives one evaluation (see Reset): the slabs pending
+	// state is drawn from, and Open's scratch lists.
+	decisions  slab[decision]
+	qmatches   slab[qmatch]
+	groups     slab[outGroup]
+	conds      condSlab
+	direct     []instanceRec
+	queryFired [][]TokenID
+	negC, posC [][]TokenID
 
 	// copyDepth > 0 means the evaluator is inside a copy-through region:
 	// a definitively authorized, query-covered subtree where no automaton
@@ -111,37 +125,55 @@ type Evaluator struct {
 // SOE performs once per (document, subject) pair; its memory cost is
 // charged to the gauge.
 func NewEvaluator(cfg Config) (*Evaluator, error) {
+	e := &Evaluator{}
+	if err := e.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Reset re-arms the evaluator for another document under cfg, exactly as
+// NewEvaluator would build it, but inside the storage the evaluations
+// before have grown: frame slots, token and decision slabs, condition
+// lists. An evaluator whose Reset failed must be Reset again before use.
+func (e *Evaluator) Reset(cfg Config) error {
 	if cfg.Rules == nil {
-		return nil, fmt.Errorf("core: Config.Rules is required")
+		return fmt.Errorf("core: Config.Rules is required")
 	}
 	if cfg.Dict == nil {
-		return nil, fmt.Errorf("core: Config.Dict is required")
+		return fmt.Errorf("core: Config.Dict is required")
 	}
 	if cfg.Emitter == nil {
-		return nil, fmt.Errorf("core: Config.Emitter is required")
+		return fmt.Errorf("core: Config.Emitter is required")
 	}
 	if err := cfg.Rules.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	gauge := cfg.Gauge
 	if gauge == nil {
 		gauge = mem.Nop{}
 	}
 
-	e := &Evaluator{
-		queryIdx:    -1,
-		defaultSign: cfg.Rules.DefaultSign,
-		emit:        cfg.Emitter,
-		gauge:       gauge,
-		res:         newResolver(),
-		skipEnabled: !cfg.DisableSkip,
-		copyEnabled: !cfg.DisableCopy,
-	}
+	e.machines, e.signs = e.machines[:0], e.signs[:0]
+	e.queryIdx = -1
+	e.defaultSign = cfg.Rules.DefaultSign
+	e.emit, e.gauge = cfg.Emitter, gauge
+	e.skipEnabled, e.copyEnabled = !cfg.DisableSkip, !cfg.DisableCopy
+	e.res.reset()
+	e.frames = e.frames[:0]
+	e.groupSeq, e.copyDepth = 0, 0
+	e.decisions.reset()
+	e.qmatches.reset()
+	e.groups.reset()
+	e.conds.reset()
+	e.entriesLive, e.tokensFreed = 0, 0
+	e.stats = Stats{}
+	e.finished, e.emitErr = false, nil
 
 	for _, r := range cfg.Rules.Rules {
 		m, err := automaton.Compile(r.Object, cfg.Dict)
 		if err != nil {
-			return nil, fmt.Errorf("core: rule %q: %w", r.ID, err)
+			return fmt.Errorf("core: rule %q: %w", r.ID, err)
 		}
 		e.machines = append(e.machines, m)
 		e.signs = append(e.signs, r.Sign)
@@ -149,7 +181,7 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	if cfg.Query != nil {
 		m, err := automaton.Compile(cfg.Query, cfg.Dict)
 		if err != nil {
-			return nil, fmt.Errorf("core: query: %w", err)
+			return fmt.Errorf("core: query: %w", err)
 		}
 		e.queryIdx = len(e.machines)
 		e.machines = append(e.machines, m)
@@ -158,7 +190,7 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 
 	for _, m := range e.machines {
 		if err := gauge.Alloc(m.MemBytes()); err != nil {
-			return nil, fmt.Errorf("core: loading automata: %w", err)
+			return fmt.Errorf("core: loading automata: %w", err)
 		}
 	}
 
@@ -169,16 +201,15 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 		}
 	}
 	if err := gauge.Alloc(e.attrMask.MemBytes()); err != nil {
-		return nil, fmt.Errorf("core: attribute mask: %w", err)
+		return fmt.Errorf("core: attribute mask: %w", err)
 	}
 
 	// Frame 0: the virtual document node. Its decision is the set's
 	// default sign; its query status is "in" when there is no query.
-	root := frame{
-		ac:   &decision{definite: true, sign: e.defaultSign},
-		q:    qIn,
-		mode: ModeStructure,
-	}
+	root := e.nextFrame()
+	root.ac = e.definite(e.defaultSign)
+	root.q = qIn
+	root.mode = ModeStructure
 	if e.queryIdx >= 0 {
 		root.q = qOut
 	}
@@ -187,11 +218,34 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	}
 	root.memBytes = frameMem + entryMem*len(root.entries)
 	if err := gauge.Alloc(root.memBytes); err != nil {
-		return nil, fmt.Errorf("core: root frame: %w", err)
+		return fmt.Errorf("core: root frame: %w", err)
 	}
 	e.entriesLive = len(root.entries)
-	e.frames = append(e.frames, root)
-	return e, nil
+	e.frames = e.frames[:1]
+	return nil
+}
+
+// nextFrame returns the slot just past the frame stack, emptied, without
+// pushing it: Open builds the new element's frame there and pushes it
+// (e.frames[:len+1]) only once it knows the element is not skipped. It
+// may move the stack, so pointers into e.frames are taken after it.
+func (e *Evaluator) nextFrame() *frame {
+	n := len(e.frames)
+	if n == cap(e.frames) {
+		e.frames = append(e.frames, frame{})[:n]
+	}
+	f := &e.frames[:n+1][n]
+	*f = frame{entries: f.entries[:0], anchored: f.anchored[:0]}
+	return f
+}
+
+// definite returns a fresh settled decision. Fresh, not shared: routeNode
+// tells "same decision as the parent's" by identity, and a node with a
+// direct rule has its own even when the sign is the parent's.
+func (e *Evaluator) definite(sign accessrule.Sign) *decision {
+	d := e.decisions.next()
+	d.settle(sign)
+	return d
 }
 
 // instanceRec is a rule instance fired at the current node.
@@ -220,13 +274,13 @@ func (e *Evaluator) Open(code tagdict.Code, meta *skipindex.NodeMeta) (skip int,
 		return 0, e.emit.EmitOpen(code, ModeDeliver, 0)
 	}
 
+	nf := e.nextFrame()
 	top := &e.frames[len(e.frames)-1]
 	if !e.attrMask.Has(code) {
 		e.endAttrPhase(top)
 	}
-	nf := frame{code: code, attrPhase: true}
-	var direct []instanceRec
-	var queryFired [][]TokenID
+	nf.code, nf.attrPhase = code, true
+	direct, queryFired := e.direct[:0], e.queryFired[:0]
 	var sawQueryDef bool
 
 	for i := range top.entries {
@@ -251,7 +305,7 @@ func (e *Evaluator) Open(code tagdict.Code, meta *skipindex.NodeMeta) (skip int,
 			tstate := &e.machines[en.m].States[tr.Target]
 			cond := en.cond
 			if len(tstate.StartPreds) > 0 {
-				cond = append(make([]TokenID, 0, len(en.cond)+len(tstate.StartPreds)), en.cond...)
+				cond = append(e.conds.list(len(en.cond)+len(tstate.StartPreds)), en.cond...)
 				for _, ps := range tstate.StartPreds {
 					t := e.newToken()
 					nf.anchored = append(nf.anchored, t)
@@ -294,8 +348,9 @@ func (e *Evaluator) Open(code tagdict.Code, meta *skipindex.NodeMeta) (skip int,
 	// remaining chain needs tags the subtree lacks is dead — drop it.
 	// Predicate instances losing their last entry fail right here, which
 	// is what settles decisions early enough to skip whole subtrees.
+	e.direct, e.queryFired = direct, queryFired // keep what the lists grew to
 	if e.skipEnabled && meta != nil {
-		e.cullDead(&nf, meta)
+		e.cullDead(nf, meta)
 	}
 
 	nf.ac = e.decideNode(top, direct)
@@ -350,7 +405,7 @@ func (e *Evaluator) Open(code tagdict.Code, meta *skipindex.NodeMeta) (skip int,
 	if e.entriesLive > e.stats.EntriesPeak {
 		e.stats.EntriesPeak = e.entriesLive
 	}
-	e.frames = append(e.frames, nf)
+	e.frames = e.frames[:len(e.frames)+1] // push nf
 	if d := len(e.frames) - 1; d > e.stats.MaxDepth {
 		e.stats.MaxDepth = d
 	}
@@ -369,7 +424,7 @@ func (e *Evaluator) Open(code tagdict.Code, meta *skipindex.NodeMeta) (skip int,
 	// a negative rule nor a predicate chain can fire, the automata are
 	// idle; forward events directly.
 	if e.copyEnabled && meta != nil && nf.mode == ModeDeliver &&
-		e.canPrune(e.frames[len(e.frames)-1].entries, meta, func(m int) bool {
+		e.canPrune(nf.entries, meta, func(m int) bool {
 			return m != e.queryIdx && e.signs[m] == accessrule.Deny
 		}) {
 		e.copyDepth = 1
@@ -377,8 +432,9 @@ func (e *Evaluator) Open(code tagdict.Code, meta *skipindex.NodeMeta) (skip int,
 	return 0, nil
 }
 
-// Value processes a text event.
-func (e *Evaluator) Value(text string) error {
+// Value processes a text event. text is read during the call only (and
+// handed to the emitter under the same terms).
+func (e *Evaluator) Value(text []byte) error {
 	if e.finished {
 		return fmt.Errorf("core: Value after Finish")
 	}
@@ -408,9 +464,9 @@ func (e *Evaluator) Value(text string) error {
 		match := false
 		switch st.Cmp {
 		case xpath.Eq:
-			match = text == st.CmpValue
+			match = string(text) == st.CmpValue
 		case xpath.Neq:
-			match = text != st.CmpValue
+			match = string(text) != st.CmpValue
 		}
 		if match {
 			e.res.satisfy(en.tok, en.cond)
@@ -570,12 +626,12 @@ func (e *Evaluator) decideNode(parent *frame, direct []instanceRec) *decision {
 	if len(direct) == 0 {
 		return parent.ac
 	}
-	var negC, posC [][]TokenID
+	negC, posC := e.negC[:0], e.posC[:0]
 	defPos := false
 	for _, in := range direct {
 		if in.sign == accessrule.Deny {
 			if len(in.cond) == 0 {
-				return &decision{definite: true, sign: accessrule.Deny}
+				return e.definite(accessrule.Deny)
 			}
 			negC = append(negC, in.cond)
 		} else {
@@ -587,14 +643,19 @@ func (e *Evaluator) decideNode(parent *frame, direct []instanceRec) *decision {
 		}
 	}
 	if len(negC) == 0 && defPos {
-		return &decision{definite: true, sign: accessrule.Permit}
+		return e.definite(accessrule.Permit)
 	}
 	if defPos {
 		posC = append(posC, nil) // an always-true positive candidate
 	}
-	d := &decision{negCands: negC, posCands: posC, parent: parent.ac}
+	e.negC, e.posC = negC, posC
+	d := e.decisions.next()
+	d.definite, d.sign, d.parent = false, 0, parent.ac
+	d.negCands = append(d.negCands[:0], negC...)
+	d.posCands = append(d.posCands[:0], posC...)
 	if sign, ok := e.res.evalDecision(d); ok {
-		return &decision{definite: true, sign: sign}
+		d.settle(sign) // at birth: the slot just taken is the definite decision
+		return d
 	}
 	e.res.pendingDecisions = append(e.res.pendingDecisions, d)
 	_ = e.gauge.Alloc(decisionMem) // budget failures surface on frames
@@ -615,13 +676,16 @@ func (e *Evaluator) decideQuery(parent *frame, fired [][]TokenID, def bool) *qma
 	if len(fired) == 0 {
 		return parent.q
 	}
-	q := &qmatch{cands: fired, parent: parent.q}
-	if in, ok := e.res.evalQMatch(q); ok {
+	probe := qmatch{cands: fired, parent: parent.q}
+	if in, ok := e.res.evalQMatch(&probe); ok {
 		if in {
 			return qIn
 		}
 		return qOut
 	}
+	q := e.qmatches.next()
+	q.definite, q.in, q.parent = false, false, parent.q
+	q.cands = append(q.cands[:0], fired...)
 	e.res.pendingQMatches = append(e.res.pendingQMatches, q)
 	_ = e.gauge.Alloc(decisionMem)
 	return q
@@ -649,7 +713,8 @@ func (e *Evaluator) routeNode(parent *frame, ac *decision, q *qmatch) (Mode, *ou
 		return ModePending, parent.group
 	}
 	e.groupSeq++
-	g := &outGroup{id: e.groupSeq, ac: ac, q: q}
+	g := e.groups.next()
+	*g = outGroup{id: e.groupSeq, ac: ac, q: q}
 	e.res.pendingGroups = append(e.res.pendingGroups, g)
 	e.stats.GroupsCreated++
 	_ = e.gauge.Alloc(groupMem)
@@ -804,9 +869,7 @@ func (e *Evaluator) settle() {
 	keptD := e.res.pendingDecisions[:0]
 	for _, d := range e.res.pendingDecisions {
 		if sign, ok := e.res.evalDecision(d); ok {
-			d.definite = true
-			d.sign = sign
-			d.negCands, d.posCands, d.parent = nil, nil, nil
+			d.settle(sign)
 			e.gauge.Free(decisionMem)
 		} else {
 			keptD = append(keptD, d)
@@ -819,7 +882,7 @@ func (e *Evaluator) settle() {
 		if in, ok := e.res.evalQMatch(q); ok {
 			q.definite = true
 			q.in = in
-			q.cands, q.parent = nil, nil
+			q.cands, q.parent = q.cands[:0], nil
 			e.gauge.Free(decisionMem)
 		} else {
 			keptQ = append(keptQ, q)

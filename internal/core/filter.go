@@ -47,6 +47,7 @@ func filterView(evs []xmlstream.Event, rules *accessrule.RuleSet, query *xpath.P
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	var text []byte // one buffer for every value: the evaluator keeps none
 	for i, e := range evs {
 		switch e.Kind {
 		case xmlstream.Open:
@@ -55,7 +56,8 @@ func filterView(evs []xmlstream.Event, rules *accessrule.RuleSet, query *xpath.P
 				return nil, ev.Stats(), fmt.Errorf("core: event %d: %w", i, err)
 			}
 		case xmlstream.Value:
-			if err := ev.Value(e.Text); err != nil {
+			text = append(text[:0], e.Text...)
+			if err := ev.Value(text); err != nil {
 				return nil, ev.Stats(), fmt.Errorf("core: event %d: %w", i, err)
 			}
 		case xmlstream.Close:

@@ -355,10 +355,7 @@ func TestAssemblerPruning(t *testing.T) {
 		return func(asm *Assembler) error { return asm.EmitOpen(c, m, g) }
 	}
 	val := func(s string, m Mode, g GroupID) step {
-		return func(asm *Assembler) error { return asm.EmitValue(s, m, g) }
-	}
-	bytesVal := func(s string, m Mode, g GroupID) step {
-		return func(asm *Assembler) error { return asm.EmitValueBytes([]byte(s), m, g) }
+		return func(asm *Assembler) error { return asm.EmitValue([]byte(s), m, g) }
 	}
 	cl := func(asm *Assembler) error { return asm.EmitClose(ModeDeliver, 0) }
 	resolve := func(g GroupID, deliver bool) step {
@@ -389,7 +386,7 @@ func TestAssemblerPruning(t *testing.T) {
 			[]step{open(r, ModeStructure, 0), resolve(2, true), open(a, ModePending, 2), cl, cl},
 			el("r", el("a"))},
 		{"chunks of one value merge",
-			[]step{open(r, ModeDeliver, 0), val("ab", ModeDeliver, 0), bytesVal("cd", ModeDeliver, 0), val("", ModeDeliver, 0), cl},
+			[]step{open(r, ModeDeliver, 0), val("ab", ModeDeliver, 0), val("cd", ModeDeliver, 0), val("", ModeDeliver, 0), cl},
 			el("r", txt("abcd"))},
 		{"adjacent text of different groups, both delivered",
 			[]step{open(r, ModeDeliver, 0), val("x", ModePending, 1), val("y", ModePending, 2), val("z", ModeDeliver, 0), cl, resolve(1, true), resolve(2, true)},
@@ -441,7 +438,7 @@ func TestAssemblerRejectsProtocolViolations(t *testing.T) {
 	dict := tagdict.New()
 	r, _ := dict.Add("r")
 	cases := map[string]func(*Assembler) error{
-		"value outside any element": func(a *Assembler) error { return a.EmitValue("x", ModeDeliver, 0) },
+		"value outside any element": func(a *Assembler) error { return a.EmitValue([]byte("x"), ModeDeliver, 0) },
 		"unbalanced close":          func(a *Assembler) error { return a.EmitClose(ModeDeliver, 0) },
 		"second root": func(a *Assembler) error {
 			_ = a.EmitOpen(r, ModeDeliver, 0)

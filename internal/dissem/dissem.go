@@ -27,7 +27,9 @@ import (
 )
 
 // Subscriber is one receiving device: a provisioned card plus its
-// terminal-side collector.
+// terminal-side collector. Both the card session and the collector stand
+// from one stream to the next, re-armed at each header, so a standing
+// subscriber receives in the memory its earlier receptions grew.
 type Subscriber struct {
 	Name    string
 	Card    *card.Card
@@ -36,6 +38,7 @@ type Subscriber struct {
 	Query *xpath.Path
 
 	sess        *soe.Session
+	sessOptions soe.Options // what sess was opened with
 	col         *proxy.Collector
 	meterBefore card.Meter
 
@@ -63,20 +66,26 @@ func NewSubscriber(name string, c *card.Card, query *xpath.Path, opts soe.Option
 // begin opens the card session when the stream header arrives.
 func (s *Subscriber) begin(subject, docID string, hdrBytes []byte, numBlocks int) error {
 	s.meterBefore = s.Card.Meter
-	sess, err := soe.NewSession(s.Card, docID, subject, s.Query, s.Options)
-	if err != nil {
+	if s.sess != nil && s.sessOptions == s.Options {
+		if err := s.sess.Restart(docID, subject, s.Query); err != nil {
+			return err
+		}
+	} else {
+		sess, err := soe.NewSession(s.Card, docID, subject, s.Query, s.Options)
+		if err != nil {
+			return err
+		}
+		s.sess, s.sessOptions = sess, s.Options
+	}
+	if err := s.sess.LoadHeader(hdrBytes); err != nil {
 		return err
 	}
-	if err := sess.LoadHeader(hdrBytes); err != nil {
-		return err
-	}
-	s.sess = sess
 	if s.col == nil {
 		s.col = proxy.NewCollector()
 	}
 	s.col.Reset()
 	s.BlocksOffered, s.BlocksForwarded = 0, 0
-	s.lastForwarded = make([]bool, numBlocks)
+	s.lastForwarded = append(s.lastForwarded[:0], make([]bool, numBlocks)...)
 	s.lastReception = nil
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // subscriberFor provisions a card and wraps it in a subscriber.
-func subscriberFor(t *testing.T, name, docID, rules string, key secure.DocKey, query *xpath.Path) *Subscriber {
+func subscriberFor(t testing.TB, name, docID, rules string, key secure.DocKey, query *xpath.Path) *Subscriber {
 	t.Helper()
 	c := card.New(card.Modern)
 	if err := c.PutKey(docID, key); err != nil {

@@ -1,6 +1,7 @@
 package docenc
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -17,15 +18,28 @@ import (
 type Source interface {
 	// ReadByte returns the next payload byte, io.EOF past the end.
 	ReadByte() (byte, error)
-	// Read fills p entirely or fails.
-	Read(p []byte) error
+	// Take returns the next n payload bytes as a view of the source's own
+	// buffer, or fails without consuming anything. The view is valid until
+	// the next call on the source; the decoder hands it out as Item.Text.
+	Take(n int) ([]byte, error)
 	// Skip advances n bytes without delivering them.
 	Skip(n int) error
 	// Offset reports the current plaintext offset.
 	Offset() int
 	// Avail reports how many bytes can be read without new input.
 	Avail() int
+	// Remaining reports how many bytes lie between the current offset and
+	// the end of the payload, buffered or not: the bound every length the
+	// payload declares is checked against.
+	Remaining() int
 }
+
+// ErrNeedMore is what a Source fed piece by piece returns when the bytes
+// asked for have not arrived yet. The decoder passes it on as is (no
+// wrapping: it is the per-block signal of the card's feed loop, not a
+// failure) and has changed no state of its own, so the caller rewinds the
+// source to the start of the item, feeds more input and calls Next again.
+var ErrNeedMore = errors.New("docenc: source needs more input")
 
 // ItemKind discriminates decoded stream items.
 type ItemKind uint8
@@ -57,8 +71,9 @@ type Item struct {
 	Code tagdict.Code
 	// Meta is the skip-index record of an indexed open, nil otherwise.
 	Meta *skipindex.NodeMeta
-	// Text is the character data of ItemValue/ItemValueChunk.
-	Text string
+	// Text is the character data of ItemValue/ItemValueChunk: a view of
+	// the source's buffer, valid until the next call to the decoder.
+	Text []byte
 	// Size is the total value length for ItemValueStart.
 	Size int
 	// Last marks the final chunk of a streamed value.
@@ -74,14 +89,17 @@ const ValueChunkSize = 256
 
 // Decoder incrementally parses the structure stream. Its own memory use
 // is bounded regardless of input: large values stream through in
-// ValueChunkSize pieces.
+// ValueChunkSize pieces, and the tag set of each nesting depth is decoded
+// into a slot that survives the pop, so a decoder allocates only while
+// it meets a depth for the first time.
 type Decoder struct {
 	src Source
 	// dictLen bounds valid tag codes.
 	dictLen int
 
 	// parents holds the content tag sets of enclosing indexed nodes;
-	// parents[0] is the full dictionary universe.
+	// parents[0] is the full dictionary universe. Slots past len keep
+	// their sets for the next indexed open at that depth.
 	parents []skipindex.Set
 	// hadMeta records, per open element, whether it pushed onto parents.
 	hadMeta []bool
@@ -93,19 +111,31 @@ type Decoder struct {
 }
 
 // NewDecoder returns a Decoder positioned at the root node record (after
-// the dictionary). The maxValue argument is retained for compatibility
-// and ignored: streaming bounds decoder memory unconditionally.
-func NewDecoder(src Source, dict *tagdict.Dict, maxValue int) *Decoder {
-	universe := skipindex.NewSet(dict.Len())
-	for i := 0; i < dict.Len(); i++ {
-		universe.Add(tagdict.Code(i))
+// the dictionary).
+func NewDecoder(src Source, dict *tagdict.Dict) *Decoder {
+	d := &Decoder{}
+	d.Reset(src, dict)
+	return d
+}
+
+// Reset points the decoder at the root node record of another payload,
+// keeping the storage it has grown.
+func (d *Decoder) Reset(src Source, dict *tagdict.Dict) {
+	n := dict.Len()
+	if len(d.parents) == 0 {
+		d.parents = append(d.parents, skipindex.Set{})
 	}
-	_ = maxValue
-	return &Decoder{
-		src:     src,
-		dictLen: dict.Len(),
-		parents: []skipindex.Set{universe},
+	if d.parents[0].Universe() != n {
+		universe := skipindex.NewSet(n)
+		for i := 0; i < n; i++ {
+			universe.Add(tagdict.Code(i))
+		}
+		d.parents[0] = universe
 	}
+	d.src, d.dictLen = src, n
+	d.parents = d.parents[:1]
+	d.hadMeta = d.hadMeta[:0]
+	d.valueRemaining, d.done = 0, false
 }
 
 // Depth reports the number of currently open elements.
@@ -137,20 +167,18 @@ func (d *Decoder) Next() (Item, error) {
 	case opOpenMeta, opOpenPlain:
 		code, err := d.uvarint()
 		if err != nil {
-			return Item{}, fmt.Errorf("docenc: tag code: %w", err)
+			return Item{}, srcErr("tag code", err)
 		}
 		if code >= uint64(d.dictLen) {
 			return Item{}, fmt.Errorf("docenc: tag code %d outside the %d-entry dictionary", code, d.dictLen)
 		}
 		it := Item{Kind: ItemOpen, Code: tagdict.Code(code)}
 		if op == opOpenMeta {
-			meta, err := d.readMeta()
-			if err != nil {
+			if err := d.readMeta(); err != nil {
 				return Item{}, err
 			}
-			d.meta = meta
 			it.Meta = &d.meta
-			d.parents = append(d.parents, meta.Tags)
+			d.parents = d.parents[:len(d.parents)+1] // the slot readMeta filled
 			d.hadMeta = append(d.hadMeta, true)
 		} else {
 			d.hadMeta = append(d.hadMeta, false)
@@ -165,17 +193,22 @@ func (d *Decoder) Next() (Item, error) {
 	case opValue:
 		l, err := d.uvarint()
 		if err != nil {
-			return Item{}, fmt.Errorf("docenc: value length: %w", err)
+			return Item{}, srcErr("value length", err)
 		}
 		if len(d.hadMeta) == 0 {
 			return Item{}, fmt.Errorf("docenc: value outside the root element")
 		}
+		// Compared as uint64: a declared length of 2^63 or more must not
+		// wrap negative on its way to an int.
+		if l > uint64(d.src.Remaining()) {
+			return Item{}, fmt.Errorf("docenc: malformed payload: a %d-byte value with %d bytes left", l, d.src.Remaining())
+		}
 		if l <= InlineValueLimit {
-			buf := make([]byte, l)
-			if err := d.src.Read(buf); err != nil {
-				return Item{}, fmt.Errorf("docenc: value body: %w", err)
+			text, err := d.src.Take(int(l))
+			if err != nil {
+				return Item{}, srcErr("value body", err)
 			}
-			return Item{Kind: ItemValue, Text: string(buf)}, nil
+			return Item{Kind: ItemValue, Text: text}, nil
 		}
 		d.valueRemaining = int(l)
 		return Item{Kind: ItemValueStart, Size: int(l)}, nil
@@ -205,12 +238,12 @@ func (d *Decoder) nextChunk() (Item, error) {
 	if n > ValueChunkSize {
 		n = ValueChunkSize
 	}
-	buf := make([]byte, n)
-	if err := d.src.Read(buf); err != nil {
-		return Item{}, fmt.Errorf("docenc: value chunk: %w", err)
+	text, err := d.src.Take(n)
+	if err != nil {
+		return Item{}, srcErr("value chunk", err)
 	}
 	d.valueRemaining -= n
-	return Item{Kind: ItemValueChunk, Text: string(buf), Last: d.valueRemaining == 0}, nil
+	return Item{Kind: ItemValueChunk, Text: text, Last: d.valueRemaining == 0}, nil
 }
 
 // SkipValue jumps over the unread remainder of a streamed value (after
@@ -250,22 +283,46 @@ func (d *Decoder) pop() {
 	d.hadMeta = d.hadMeta[:len(d.hadMeta)-1]
 }
 
-// readMeta decodes a skip-index record against the innermost parent set.
-func (d *Decoder) readMeta() (skipindex.NodeMeta, error) {
-	parent := d.parents[len(d.parents)-1]
-	bm := make([]byte, skipindex.RelSize(parent))
-	if err := d.src.Read(bm); err != nil {
-		return skipindex.NodeMeta{}, fmt.Errorf("docenc: index bitmap: %w", err)
-	}
-	tags, _, err := skipindex.DecodeRel(bm, parent)
+// readMeta decodes a skip-index record against the innermost parent set
+// into d.meta; its tag set lands in the slot just past the parents stack,
+// which the caller pushes.
+func (d *Decoder) readMeta() error {
+	depth := len(d.parents)
+	parent := d.parents[depth-1]
+	bm, err := d.src.Take(skipindex.RelSize(parent))
 	if err != nil {
-		return skipindex.NodeMeta{}, err
+		return srcErr("index bitmap", err)
+	}
+	if depth == cap(d.parents) {
+		d.parents = append(d.parents, skipindex.Set{})[:depth]
+	}
+	// The slot is new, or was left by a payload with another dictionary.
+	slot := &d.parents[:depth+1][depth]
+	if slot.Universe() != d.dictLen {
+		*slot = skipindex.NewSet(d.dictLen)
+	}
+	tags := *slot
+	if _, err := skipindex.DecodeRelInto(tags, bm, parent); err != nil {
+		return err
 	}
 	size, err := d.uvarint()
 	if err != nil {
-		return skipindex.NodeMeta{}, fmt.Errorf("docenc: content size: %w", err)
+		return srcErr("content size", err)
 	}
-	return skipindex.NodeMeta{Tags: tags, ContentSize: int(size)}, nil
+	if size > uint64(d.src.Remaining()) {
+		return fmt.Errorf("docenc: malformed payload: element content of %d bytes with %d bytes left", size, d.src.Remaining())
+	}
+	d.meta = skipindex.NodeMeta{Tags: tags, ContentSize: int(size)}
+	return nil
+}
+
+// srcErr names what the decoder was reading when its source failed. The
+// need-more signal stays bare (see ErrNeedMore).
+func srcErr(what string, err error) error {
+	if err == ErrNeedMore {
+		return err
+	}
+	return fmt.Errorf("docenc: %s: %w", what, err)
 }
 
 func (d *Decoder) uvarint() (uint64, error) {
@@ -304,19 +361,19 @@ func (s *BytesSource) ReadByte() (byte, error) {
 	return b, nil
 }
 
-// Read implements Source.
-func (s *BytesSource) Read(p []byte) error {
-	if s.off+len(p) > len(s.data) {
-		return io.ErrUnexpectedEOF
+// Take implements Source.
+func (s *BytesSource) Take(n int) ([]byte, error) {
+	if n < 0 || n > len(s.data)-s.off {
+		return nil, io.ErrUnexpectedEOF
 	}
-	copy(p, s.data[s.off:])
-	s.off += len(p)
-	return nil
+	b := s.data[s.off : s.off+n : s.off+n]
+	s.off += n
+	return b, nil
 }
 
 // Skip implements Source.
 func (s *BytesSource) Skip(n int) error {
-	if n < 0 || s.off+n > len(s.data) {
+	if n < 0 || n > len(s.data)-s.off {
 		return fmt.Errorf("docenc: skip of %d bytes at offset %d overruns payload of %d",
 			n, s.off, len(s.data))
 	}
@@ -330,9 +387,12 @@ func (s *BytesSource) Offset() int { return s.off }
 // Avail implements Source.
 func (s *BytesSource) Avail() int { return len(s.data) - s.off }
 
+// Remaining implements Source.
+func (s *BytesSource) Remaining() int { return len(s.data) - s.off }
+
 // ParsePayload splits a decrypted payload into its dictionary and a
 // decoder over the structure stream.
-func ParsePayload(payload []byte, maxValue int) (*tagdict.Dict, *Decoder, error) {
+func ParsePayload(payload []byte) (*tagdict.Dict, *Decoder, error) {
 	dict, n, err := tagdict.UnmarshalBinary(payload)
 	if err != nil {
 		return nil, nil, err
@@ -341,7 +401,7 @@ func ParsePayload(payload []byte, maxValue int) (*tagdict.Dict, *Decoder, error)
 	if err := src.Skip(n); err != nil {
 		return nil, nil, err
 	}
-	return dict, NewDecoder(src, dict, maxValue), nil
+	return dict, NewDecoder(src, dict), nil
 }
 
 // DecodeDocument decrypts a container entirely and rebuilds the document
@@ -352,7 +412,7 @@ func DecodeDocument(c *Container, key secure.DocKey) (*xmlstream.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	dict, dec, err := ParsePayload(payload, 0)
+	dict, dec, err := ParsePayload(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +441,7 @@ func DecodeDocument(c *Container, key secure.DocKey) (*xmlstream.Node, error) {
 				return nil, fmt.Errorf("docenc: value outside root")
 			}
 			p := stack[len(stack)-1]
-			p.Children = append(p.Children, &xmlstream.Node{Text: it.Text})
+			p.Children = append(p.Children, &xmlstream.Node{Text: string(it.Text)})
 		case ItemValueStart:
 			valueBuf = valueBuf[:0]
 		case ItemValueChunk:

@@ -208,7 +208,7 @@ func TestDecoderSkipContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict, dec, err := ParsePayload(payload, 0)
+	dict, dec, err := ParsePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDecoderValueStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err := ParsePayload(payload, 0)
+	_, dec, err := ParsePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestDecoderRejectsGarbage(t *testing.T) {
 	payload, _, _ := EncodePayload(doc, EncodeOptions{})
 	// Corrupt the structure opcode.
 	payload[len(payload)-2] = 0x7F
-	_, dec, err := ParsePayload(payload, 0)
+	_, dec, err := ParsePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package docenc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/secure"
@@ -33,7 +36,7 @@ func TestDecoderNeverPanicsOnCorruptPayload(t *testing.T) {
 					t.Fatalf("trial %d: decoder panicked: %v", trial, r)
 				}
 			}()
-			dict, dec, err := ParsePayload(mutated, 0)
+			dict, dec, err := ParsePayload(mutated)
 			if err != nil {
 				return // rejected at the dictionary: fine
 			}
@@ -67,7 +70,7 @@ func TestDecoderNeverPanicsOnRandomBytes(t *testing.T) {
 					t.Fatalf("trial %d: panicked on noise: %v", trial, r)
 				}
 			}()
-			_, dec, err := ParsePayload(junk, 0)
+			_, dec, err := ParsePayload(junk)
 			if err != nil {
 				return
 			}
@@ -89,7 +92,7 @@ func TestSkipOverrunRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err := ParsePayload(payload, 0)
+	_, dec, err := ParsePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +111,70 @@ func TestSkipOverrunRejected(t *testing.T) {
 				t.Fatal("overrunning skip accepted")
 			}
 			return
+		}
+	}
+}
+
+// TestDeclaredLengthsBoundedByPayload: a value length and a skip-index
+// content size are compared, as uint64, with the bytes the payload still
+// has. A length of 2^63 once became a negative int: the value item came
+// out with Size -9223372036854775808, no chunk followed, and the payload
+// decoded cleanly to EOF with the text node dropped.
+func TestDeclaredLengthsBoundedByPayload(t *testing.T) {
+	dict, err := tagdict.FromTags([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// An indexed root over a two-tag dictionary carries a one-byte bitmap.
+	for name, tc := range map[string]struct {
+		payload []byte
+		items   int // items decoded before the failure
+	}{
+		"value of 2^63 bytes":             {cat([]byte{opOpenPlain, 0, opValue}, uvarint(1<<63), []byte{opClose}), 1},
+		"value of 2^64-1 bytes":           {cat([]byte{opOpenPlain, 0, opValue}, uvarint(1<<64-1), []byte{opClose}), 1},
+		"value one byte past the payload": {cat([]byte{opOpenPlain, 0, opValue}, uvarint(3), []byte("xy")), 1},
+		"streamed value one byte past":    {cat([]byte{opOpenPlain, 0, opValue}, uvarint(101), bytes.Repeat([]byte("x"), 100)), 1},
+		"content of 2^63 bytes":           {cat([]byte{opOpenMeta, 0, 0x00}, uvarint(1<<63), []byte{opClose}), 0},
+		"content of 2^64-1 bytes":         {cat([]byte{opOpenMeta, 0, 0x00}, uvarint(1<<64-1), []byte{opClose}), 0},
+		"content one byte past":           {cat([]byte{opOpenMeta, 0, 0x00}, uvarint(2), []byte{opClose}), 0},
+	} {
+		dec := NewDecoder(NewBytesSource(tc.payload), dict)
+		items := 0
+		var err error
+		for err == nil {
+			var it Item
+			if it, err = dec.Next(); err == nil {
+				if it.Kind == ItemEOF {
+					t.Errorf("%s: decoded cleanly to EOF", name)
+					break
+				}
+				if it.Size < 0 || it.Meta != nil && it.Meta.ContentSize < 0 {
+					t.Errorf("%s: item with a negative length: %+v", name, it)
+				}
+				items++
+			}
+		}
+		if err != nil && (!strings.Contains(err.Error(), "malformed") || items != tc.items) {
+			t.Errorf("%s: failed after %d item(s) with %q; want a malformed-payload error after %d", name, items, err, tc.items)
+		}
+	}
+	// The lengths that just fit are not errors.
+	for name, payload := range map[string][]byte{
+		"value":   cat([]byte{opOpenPlain, 0, opValue}, uvarint(2), []byte("xy"), []byte{opClose}),
+		"content": cat([]byte{opOpenMeta, 0, 0x00}, uvarint(1), []byte{opClose}),
+	} {
+		dec := NewDecoder(NewBytesSource(payload), dict)
+		for {
+			it, err := dec.Next()
+			if err != nil {
+				t.Errorf("%s that exactly fits: %v", name, err)
+				break
+			}
+			if it.Kind == ItemEOF {
+				break
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // sendfileRig is a checkpointed FileStore corpus behind a real TCP
@@ -53,6 +54,22 @@ func newSendfileRig(t testing.TB, opts FileStoreOptions, docID string, nBlocks, 
 		_ = store.Close()
 	})
 	return &sendfileRig{store: store, srv: srv, addr: l.Addr().String()}
+}
+
+// settledStats returns the store's counters once the cold response the
+// caller has just received is accounted for. The connection's writer
+// bumps the sendfile counters after the bytes are on the wire, so a
+// client can be back before them.
+func (r *sendfileRig) settledStats(t testing.TB) FileStoreStats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := r.store.Stats()
+		if st.SendfileReads+st.SendfileFallbacks > 0 || !SendfileCapable() || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // framedReadBlocksReq encodes one opReadBlocks request as a full frame.
@@ -134,7 +151,7 @@ func TestSendfileServesColdRun(t *testing.T) {
 		}
 	}
 
-	st := rig.store.Stats()
+	st := rig.settledStats(t)
 	if st.SendfileReads == 0 {
 		t.Fatalf("cold run did not use sendfile: %+v", st)
 	}
@@ -371,6 +388,7 @@ func TestSendfileStatsLockstep(t *testing.T) {
 	if _, err := c.ReadBlocks("lockstep", 0, nBlocks); err != nil {
 		t.Fatal(err)
 	}
+	rig.settledStats(t)
 
 	remote, err := c.StoreStats()
 	if err != nil {

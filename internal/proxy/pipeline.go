@@ -33,7 +33,9 @@ import (
 // The buffer is bounded by construction: one run held by the consumer,
 // one in the channel, one in flight at the prefetcher. Runs own pooled
 // resources (plaintext run buffers, client frames), so every path that
-// drops a run — stale generation, redirect, shutdown — must Release it.
+// drops a run — stale generation, redirect, shutdown — must Release it,
+// exactly once: a released run returns to the card session that prepared
+// it and is filled again by that session's next PrepareRun.
 
 // fetchRun is one speculative batch pulled from the store and decrypted
 // ahead of demand.
@@ -155,16 +157,17 @@ func (s *Session) runPipelined(sess *soe.Session, docID string, numBlocks int, c
 				continue
 			}
 			// No run yet, a stale run was dropped, or idx is exactly the
-			// next contiguous block: take the next run.
-			if have {
-				cur.prep.Release() // fully consumed predecessor
-			}
+			// next contiguous block: take the next run. A released run
+			// goes back to the card session, which may hand it to the
+			// prefetcher at once, so it is forgotten here before anything
+			// else happens.
+			cur.prep.Release() // fully consumed predecessor, if any
+			cur, have = fetchRun{}, false
 			r := <-runCh
 			if r.gen != gen {
 				// A stale-generation run is discarded speculation; its
 				// blocks stay counted in totals and therefore in the waste.
 				r.prep.Release()
-				cur, have = fetchRun{}, false
 				continue
 			}
 			if r.err != nil {

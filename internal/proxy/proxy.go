@@ -222,7 +222,7 @@ func (c *Collector) Open(code tagdict.Code, mode core.Mode, group core.GroupID) 
 
 // Value implements soe.RecordSink.
 func (c *Collector) Value(text []byte, mode core.Mode, group core.GroupID) error {
-	return c.asm.EmitValueBytes(text, mode, group)
+	return c.asm.EmitValue(text, mode, group)
 }
 
 // Close implements soe.RecordSink.

@@ -39,9 +39,12 @@ type Session struct {
 	queries int64
 
 	// col is the record sink every query of this session assembles its
-	// view in, owned by the query that holds busy. Keeping it keeps its
-	// arena, sized by the queries before.
-	col *Collector
+	// view in, and sess the card session every query is evaluated by;
+	// both are owned by the query that holds busy. Keeping them keeps the
+	// arena, the card session's buffers and slabs, and its prepared runs,
+	// all sized by the queries before.
+	col  *Collector
+	sess *soe.Session
 }
 
 // NewSession builds a reusable session over a store lease and a card.
@@ -156,7 +159,7 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 
 	meterBefore := s.card.Meter
 
-	sess, err := soe.NewSession(s.card, docID, subject, q, s.opts)
+	sess, err := s.cardSession(docID, subject, q)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +204,20 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	stats.Time = stats.Meter.Price(s.card.Profile)
 	stats.PendingEvents, stats.PendingBytes = col.PendingLoad()
 	return &Result{view: view, Version: header.Version, Stats: stats}, nil
+}
+
+// cardSession opens the card session of one query: the session's own,
+// re-armed, once a first query has built it.
+func (s *Session) cardSession(docID, subject string, q *xpath.Path) (*soe.Session, error) {
+	if s.sess != nil {
+		return s.sess, s.sess.Restart(docID, subject, q)
+	}
+	sess, err := soe.NewSession(s.card, docID, subject, q, s.opts)
+	if err != nil {
+		return nil, err
+	}
+	s.sess = sess
+	return sess, nil
 }
 
 // runSerial is the historical pull loop: one store round trip per block

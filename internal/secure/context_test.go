@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // oracleEncrypt is an independent reimplementation of the stored-block
@@ -268,6 +270,10 @@ func TestDecryptAllocsFlatAcrossRunLengths(t *testing.T) {
 		return allocs / float64(run)
 	}
 	small, large := perBlock(4), perBlock(32)
+	if race.Enabled {
+		t.Logf("race detector on: allocation counts not asserted (run=4 %.2f, run=32 %.2f per block)", small, large)
+		return
+	}
 	// One allocation per run (the [][]byte header) is expected; per
 	// block it must shrink, not grow, as runs lengthen.
 	if large > small+0.5 {

@@ -81,23 +81,36 @@ func RelSize(parent Set) int { return (parent.Count() + 7) / 8 }
 // DecodeRel decodes an EncodeRel image against the parent set and returns
 // the bytes consumed.
 func DecodeRel(data []byte, parent Set) (Set, int, error) {
+	s := NewSet(parent.n)
+	n, err := DecodeRelInto(s, data, parent)
+	if err != nil {
+		return Set{}, 0, err
+	}
+	return s, n, nil
+}
+
+// DecodeRelInto is DecodeRel into a set the caller owns (same universe
+// as parent; whatever it held is overwritten), so a streaming decoder
+// can keep one set per nesting depth instead of making one per record.
+func DecodeRelInto(dst Set, data []byte, parent Set) (int, error) {
+	if dst.n != parent.n {
+		return 0, fmt.Errorf("skipindex: decoding into a set over %d codes against a parent over %d", dst.n, parent.n)
+	}
 	need := RelSize(parent)
 	if len(data) < need {
-		return Set{}, 0, fmt.Errorf("skipindex: truncated relative bitmap (need %d bytes, have %d)", need, len(data))
+		return 0, fmt.Errorf("skipindex: truncated relative bitmap (need %d bytes, have %d)", need, len(data))
 	}
-	s := NewSet(parent.n)
+	clear(dst.words)
 	bit := 0
-	for i := 0; i < parent.n; i++ {
-		c := codeAt(i)
-		if !parent.Has(c) {
-			continue
+	for wi, w := range parent.words {
+		for ; w != 0; w &= w - 1 {
+			if data[bit>>3]&(1<<(uint(bit)&7)) != 0 {
+				dst.words[wi] |= w & -w
+			}
+			bit++
 		}
-		if data[bit>>3]&(1<<(uint(bit)&7)) != 0 {
-			s.Add(c)
-		}
-		bit++
 	}
-	return s, need, nil
+	return need, nil
 }
 
 // AppendMeta appends the encoded NodeMeta (relative bitmap + varint

@@ -1,10 +1,11 @@
 package soe
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/secure"
 )
@@ -17,14 +18,28 @@ import (
 // actually fed (FeedPrepared), so a speculatively prepared block the
 // evaluator skips past costs the simulated card nothing, exactly as in
 // the serial path.
+//
+// A run belongs to the session that prepared it: Release hands it back,
+// and the session's next PrepareRun fills it again, slices, plaintext
+// buffer and all.
 type PreparedRun struct {
+	sess       *Session
 	start      int
 	storedLens []int    // stored sizes, for feed-time link accounting
 	plains     [][]byte // decrypted payloads (views into buf or the frame)
 	errs       []error  // deferred per-block decrypt failures
-	buf        []byte   // pooled contiguous plaintext (nil when in place)
+	buf        []byte   // contiguous plaintext (unused when in place)
 	release    func()   // frame release when the ciphertext was borrowed
 	fed        int      // blocks consumed so far (monotonic offset)
+	live       bool     // prepared and not yet released
+	helper     func()   // decryptHelper, bound once: go helper() allocates nothing
+
+	// What the decrypt workers share while PrepareRun runs.
+	stored  [][]byte
+	offsets []int // where each block's plaintext starts in buf
+	owned   bool
+	next    atomic.Int32 // next block to claim
+	wg      sync.WaitGroup
 }
 
 // Start is the absolute index of the run's first block.
@@ -33,22 +48,30 @@ func (r *PreparedRun) Start() int { return r.start }
 // Len is the number of blocks in the run.
 func (r *PreparedRun) Len() int { return len(r.plains) }
 
-// Release returns the run's plaintext buffer to the pool and releases
-// the ciphertext frame, if any. The run must not be fed afterwards;
-// Release is idempotent.
+// maxRunBuffer bounds the plaintext buffer a released run keeps.
+const maxRunBuffer = 1 << 20
+
+// Release releases the ciphertext frame, if any, and hands the run back
+// to its session. The run must not be touched afterwards; releasing nil,
+// or a run twice before its session reuses it, does nothing.
 func (r *PreparedRun) Release() {
-	if r == nil {
+	if r == nil || !r.live {
 		return
 	}
-	if r.buf != nil {
-		secure.PutRunBuffer(r.buf)
-		r.buf = nil
-	}
+	r.live = false
 	if r.release != nil {
 		r.release()
 		r.release = nil
 	}
-	r.plains = nil
+	clear(r.plains) // views of the frame just given back
+	r.plains = r.plains[:0]
+	if cap(r.buf) > maxRunBuffer {
+		r.buf = nil
+	}
+	select {
+	case r.sess.runs <- r:
+	default: // more runs than the pipeline ever holds: let this one go
+	}
 }
 
 // prepWorkers is the fan-out of the run decryptor: MAC verify and CTR
@@ -75,7 +98,7 @@ func prepWorkers(blocks int) int {
 // When owned is true the caller guarantees the stored slices are its own
 // (a dsp.BlockFrame it will release via the run) and decryption happens
 // in place — zero copies. Otherwise the plaintexts are decrypted into
-// one pooled contiguous buffer and the stored slices are left untouched.
+// the run's own contiguous buffer and the stored slices are left untouched.
 // release, if non-nil, is invoked by PreparedRun.Release.
 //
 // Per-block failures (tampered or truncated blocks) are recorded, not
@@ -86,82 +109,83 @@ func (s *Session) PrepareRun(start int, stored [][]byte, owned bool, release fun
 	if s.ctx == nil {
 		return nil, fmt.Errorf("soe: PrepareRun before LoadHeader")
 	}
-	n := len(stored)
-	r := &PreparedRun{
-		start:      start,
-		storedLens: make([]int, n),
-		plains:     make([][]byte, n),
-		errs:       make([]error, n),
-		release:    release,
+	var r *PreparedRun
+	select {
+	case r = <-s.runs:
+	default:
+		r = &PreparedRun{sess: s}
+		r.helper = r.decryptHelper
 	}
+	n := len(stored)
+	r.start, r.fed, r.live = start, 0, true
+	r.release = release
+	// Lengths only: every element is overwritten just below.
+	r.storedLens = slices.Grow(r.storedLens[:0], n)[:n]
+	r.plains = slices.Grow(r.plains[:0], n)[:n]
+	r.errs = slices.Grow(r.errs[:0], n)[:n]
+	r.offsets = slices.Grow(r.offsets[:0], n)[:n]
 	total := 0
 	for i, b := range stored {
 		r.storedLens[i] = len(b)
+		r.plains[i], r.errs[i] = nil, nil
+		r.offsets[i] = total
 		if len(b) >= secure.MACLen {
 			total += len(b) - secure.MACLen
 		}
 	}
 	if !owned {
-		buf := secure.GetRunBuffer()
-		if cap(buf) < total {
-			buf = make([]byte, total)
-		}
-		r.buf = buf[:total]
+		r.buf = slices.Grow(r.buf[:0], total)[:total]
 	}
 
-	docID, hdr := s.header.DocID, &s.header
-	at := 0
-	offsets := make([]int, n)
-	for i, b := range stored {
-		offsets[i] = at
-		if len(b) >= secure.MACLen {
-			at += len(b) - secure.MACLen
+	// The caller is one of the workers; the others exit with it.
+	r.stored, r.owned = stored, owned
+	r.next.Store(0)
+	helpers := prepWorkers(n) - 1
+	if helpers > 0 {
+		r.wg.Add(helpers)
+		for k := 0; k < helpers; k++ {
+			go r.helper()
 		}
 	}
-	decryptOne := func(i int) {
-		b := stored[i]
-		idx := start + i
+	r.decrypt()
+	r.wg.Wait()
+	r.stored = nil
+	return r, nil
+}
+
+func (r *PreparedRun) decryptHelper() {
+	defer r.wg.Done()
+	r.decrypt()
+}
+
+// decrypt claims blocks of the run until none is left, verifying and
+// decrypting each. Workers write disjoint elements of plains and errs.
+func (r *PreparedRun) decrypt() {
+	s := r.sess
+	docID, hdr := s.header.DocID, &s.header
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.stored) {
+			return
+		}
+		b := r.stored[i]
+		idx := r.start + i
 		if len(b) < secure.MACLen {
 			r.errs[i] = fmt.Errorf("%w: block %d shorter than its tag", secure.ErrIntegrity, idx)
-			return
+			continue
 		}
 		gen := hdr.BlockGen(idx)
-		if owned {
-			plain, err := s.ctx.DecryptBlockInPlace(docID, gen, uint32(idx), b)
-			r.plains[i], r.errs[i] = plain, err
-			return
+		if r.owned {
+			r.plains[i], r.errs[i] = s.ctx.DecryptBlockInPlace(docID, gen, uint32(idx), b)
+			continue
 		}
-		dst := r.buf[offsets[i] : offsets[i]+len(b)-secure.MACLen]
+		dst := r.buf[r.offsets[i] : r.offsets[i]+len(b)-secure.MACLen]
 		if err := s.ctx.DecryptBlockInto(dst, docID, gen, uint32(idx), b); err != nil {
 			r.errs[i] = err
-			return
+			continue
 		}
 		r.plains[i] = dst
 	}
-
-	if w := prepWorkers(n); w <= 1 {
-		for i := range stored {
-			decryptOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int, n)
-		for i := range stored {
-			next <- i
-		}
-		close(next)
-		wg.Add(w)
-		for k := 0; k < w; k++ {
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					decryptOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return r, nil
 }
 
 // FeedPrepared pushes one block of a prepared run into the card. It is
@@ -172,11 +196,8 @@ func (s *Session) PrepareRun(start int, stored [][]byte, owned bool, release fun
 // the last block fed from it (the gap being blocks the evaluator
 // skipped, which are charged to no meter — they were speculation).
 func (s *Session) FeedPrepared(r *PreparedRun, blockIdx int) ([]byte, error) {
-	if s.phase != phaseDict && s.phase != phaseStream {
-		return nil, fmt.Errorf("soe: session not accepting blocks (phase %d)", s.phase)
-	}
-	if want := s.NeedBlock(); blockIdx != want {
-		return nil, fmt.Errorf("soe: fed block %d, card wants %d", blockIdx, want)
+	if err := s.accepts(blockIdx); err != nil {
+		return nil, err
 	}
 	off := blockIdx - r.start
 	if off < 0 || off >= len(r.plains) {
@@ -196,38 +217,5 @@ func (s *Session) FeedPrepared(r *PreparedRun, blockIdx int) ([]byte, error) {
 	if err := r.errs[off]; err != nil {
 		return nil, s.abort(err)
 	}
-	plain := r.plains[off]
-	s.card.Meter.CryptoBytes += int64(len(plain))
-	s.card.Meter.MACBytes += int64(len(plain))
-
-	expect := int(s.header.BlockPlain)
-	if blockIdx == s.header.NumBlocks()-1 {
-		expect = int(s.header.PayloadLen) - blockIdx*int(s.header.BlockPlain)
-	}
-	if len(plain) != expect {
-		return nil, s.abort(fmt.Errorf("%w: block %d has %d plaintext bytes, geometry says %d",
-			secure.ErrIntegrity, blockIdx, len(plain), expect))
-	}
-
-	if err := s.src.feed(blockIdx, plain); err != nil {
-		return nil, s.abort(err)
-	}
-
-	if s.phase == phaseDict {
-		if err := s.tryFinishDict(); err != nil {
-			if errors.Is(err, errNeedMore) {
-				return s.drainOut(), nil
-			}
-			return nil, s.abort(err)
-		}
-	}
-	if s.phase == phaseStream {
-		if err := s.pump(); err != nil {
-			if errors.Is(err, errNeedMore) {
-				return s.drainOut(), nil
-			}
-			return nil, s.abort(err)
-		}
-	}
-	return s.drainOut(), nil
+	return s.feedPlain(blockIdx, r.plains[off])
 }

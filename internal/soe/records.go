@@ -22,15 +22,11 @@ const (
 	recDone    = 0x06
 )
 
-// recordWriter accumulates encoded records between Feed calls.
+// recordWriter accumulates encoded records between Feed calls. The buffer
+// stays with the session: each Feed truncates it and returns it filled,
+// so a Feed result is valid until the next Feed.
 type recordWriter struct {
 	buf []byte
-}
-
-func (w *recordWriter) take() []byte {
-	out := w.buf
-	w.buf = nil
-	return out
 }
 
 func (w *recordWriter) done() {
@@ -43,6 +39,12 @@ type recordEmitter struct {
 	w         *recordWriter
 	dict      *tagdict.Dict
 	announced []bool
+}
+
+// reset starts a document over: no name of dict has crossed the link yet.
+func (e *recordEmitter) reset(dict *tagdict.Dict) {
+	e.dict = dict
+	e.announced = append(e.announced[:0], make([]bool, dict.Len())...)
 }
 
 // EmitOpen implements core.Emitter.
@@ -63,7 +65,7 @@ func (e *recordEmitter) EmitOpen(code tagdict.Code, mode core.Mode, group core.G
 }
 
 // EmitValue implements core.Emitter.
-func (e *recordEmitter) EmitValue(text string, mode core.Mode, group core.GroupID) error {
+func (e *recordEmitter) EmitValue(text []byte, mode core.Mode, group core.GroupID) error {
 	e.w.buf = append(e.w.buf, recValue)
 	e.w.buf = append(e.w.buf, byte(mode))
 	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(group))

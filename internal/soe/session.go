@@ -17,8 +17,8 @@
 package soe
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/card"
 	"repro/internal/core"
@@ -28,11 +28,6 @@ import (
 	"repro/internal/tagdict"
 	"repro/internal/xpath"
 )
-
-// errNeedMore signals that the decoder ran out of buffered plaintext
-// mid-item; the session rolls back to the item start and asks the
-// terminal for the next block.
-var errNeedMore = errors.New("soe: need more input")
 
 // Options tunes a session.
 type Options struct {
@@ -55,7 +50,12 @@ const (
 	phaseAborted
 )
 
-// Session is one (document, subject[, query]) evaluation.
+// Session is one (document, subject[, query]) evaluation at a time. The
+// object outlives the evaluation: Restart re-arms it for the next one in
+// the memory it already owns — source window, record buffer, block
+// buffer, decoder and evaluator with their slabs — which is how a
+// terminal that serves query after query on one card (proxy.Session,
+// dissem.Subscriber) keeps the per-event loop off the allocator.
 type Session struct {
 	card *card.Card
 	opts Options
@@ -67,14 +67,26 @@ type Session struct {
 	key    secure.DocKey
 	ctx    *secure.BlockContext // card-cached cipher state; immutable once set
 	header docenc.Header
+	// valueLimit bounds a text node that must be buffered whole
+	// (Options.MaxValue, or its default for this header's geometry).
+	valueLimit int
 
-	ram        *mem.Scope
+	ram        mem.Scope
 	dict       *tagdict.Dict
 	dictEEPROM int // session-scoped stable storage, reclaimed at end
-	dec        *docenc.Decoder
-	eval       *core.Evaluator
-	src        *blockSource
-	out        *recordWriter
+	dec        docenc.Decoder
+	eval       core.Evaluator
+	evalArmed  bool // eval belongs to this evaluation (dictionary phase done)
+	src        blockSource
+	out        recordWriter
+	emit       recordEmitter
+	block      []byte // Feed decrypts into it
+
+	// runs recycles PreparedRuns between the prefetch stage that fills
+	// them and the consumer that releases them. Capacity 3: the most the
+	// terminal's pipeline has in flight (one being fed, one queued, one
+	// being prepared).
+	runs chan *PreparedRun
 
 	phase     sessionPhase
 	lastStats core.Stats
@@ -93,21 +105,38 @@ type Session struct {
 // subject's rule set must already be installed (see card.PutKey and
 // card.PutSealedRuleSet).
 func NewSession(c *card.Card, docID, subject string, query *xpath.Path, opts Options) (*Session, error) {
-	if _, err := c.Key(docID); err != nil {
+	s := &Session{card: c, opts: opts, runs: make(chan *PreparedRun, 3)}
+	s.emit.w = &s.out
+	if err := s.Restart(docID, subject, query); err != nil {
 		return nil, err
 	}
-	if _, err := c.RuleSet(subject, docID); err != nil {
-		return nil, err
+	return s, nil
+}
+
+// Restart re-arms the session for another evaluation on the same card
+// under the same options, as NewSession would open it: an evaluation
+// still in progress is aborted, and the session then waits for the
+// header. Nothing of the evaluation before shows in the next one's
+// output, meters or statistics; only its buffers are kept. Every run
+// prepared for the evaluation before must have been released.
+func (s *Session) Restart(docID, subject string, query *xpath.Path) error {
+	s.Abort()
+	if _, err := s.card.Key(docID); err != nil {
+		return err
 	}
-	return &Session{
-		card:    c,
-		opts:    opts,
-		docID:   docID,
-		subject: subject,
-		query:   query,
-		ram:     mem.NewScope(c.RAM),
-		phase:   phaseHeader,
-	}, nil
+	if _, err := s.card.RuleSet(subject, docID); err != nil {
+		return err
+	}
+	s.docID, s.subject, s.query = docID, subject, query
+	s.ctx, s.dict = nil, nil
+	s.ram = mem.Scope{Parent: s.card.RAM}
+	s.evalArmed = false
+	s.lastStats = core.Stats{}
+	s.out.buf = s.out.buf[:0]
+	s.value.active, s.value.chunkable = false, false
+	s.value.buf, s.value.charged = s.value.buf[:0], 0
+	s.phase = phaseHeader
+	return nil
 }
 
 // LoadHeader installs and authenticates the container header.
@@ -138,11 +167,11 @@ func (s *Session) LoadHeader(hdrBytes []byte) error {
 	s.key = key
 	s.ctx = ctx
 	s.header = h
-	if s.opts.MaxValue <= 0 {
-		s.opts.MaxValue = 8 * int(h.BlockPlain)
+	s.valueLimit = s.opts.MaxValue
+	if s.valueLimit <= 0 {
+		s.valueLimit = 8 * int(h.BlockPlain)
 	}
-	s.src = newBlockSource(&s.header, s.ram)
-	s.out = &recordWriter{}
+	s.src.reset(&s.header, &s.ram)
 	s.phase = phaseDict
 	return nil
 }
@@ -193,13 +222,11 @@ func (s *Session) NeedRun() (next, sure int) {
 func (s *Session) Done() bool { return s.phase == phaseDone }
 
 // Feed pushes one stored block into the card and returns the output
-// records produced. The block must be the one NeedBlock asked for.
+// records produced, valid until the next Feed. The block must be the one
+// NeedBlock asked for.
 func (s *Session) Feed(blockIdx int, stored []byte) ([]byte, error) {
-	if s.phase != phaseDict && s.phase != phaseStream {
-		return nil, fmt.Errorf("soe: session not accepting blocks (phase %d)", s.phase)
-	}
-	if want := s.NeedBlock(); blockIdx != want {
-		return nil, fmt.Errorf("soe: fed block %d, card wants %d", blockIdx, want)
+	if err := s.accepts(blockIdx); err != nil {
+		return nil, err
 	}
 
 	// Link accounting: the block crosses the terminal->card link in
@@ -211,10 +238,31 @@ func (s *Session) Feed(blockIdx int, stored []byte) ([]byte, error) {
 	// the untouched blocks keep the ciphertext (and version binding) of
 	// the publication that last wrote them; the MAC'd header vouches for
 	// the generation vector.
-	plain, err := s.ctx.DecryptBlock(s.header.DocID, s.header.BlockGen(blockIdx), uint32(blockIdx), stored)
-	if err != nil {
+	n := max(len(stored)-secure.MACLen, 0) // a block shorter than its tag fails in the decrypt
+	s.block = slices.Grow(s.block[:0], n)[:n]
+	plain := s.block
+	if err := s.ctx.DecryptBlockInto(plain, s.header.DocID, s.header.BlockGen(blockIdx), uint32(blockIdx), stored); err != nil {
 		return nil, s.abort(err)
 	}
+	return s.feedPlain(blockIdx, plain)
+}
+
+// accepts checks that the session is taking blocks and that blockIdx is
+// the one it wants.
+func (s *Session) accepts(blockIdx int) error {
+	if s.phase != phaseDict && s.phase != phaseStream {
+		return fmt.Errorf("soe: session not accepting blocks (phase %d)", s.phase)
+	}
+	if want := s.NeedBlock(); blockIdx != want {
+		return fmt.Errorf("soe: fed block %d, card wants %d", blockIdx, want)
+	}
+	return nil
+}
+
+// feedPlain is the part of feeding a block that follows its decryption,
+// by Feed just now or by PrepareRun ahead of demand: charge the card for
+// the crypto, validate the geometry, evaluate what the block completes.
+func (s *Session) feedPlain(blockIdx int, plain []byte) ([]byte, error) {
 	s.card.Meter.CryptoBytes += int64(len(plain))
 	s.card.Meter.MACBytes += int64(len(plain))
 
@@ -232,19 +280,14 @@ func (s *Session) Feed(blockIdx int, stored []byte) ([]byte, error) {
 		return nil, s.abort(err)
 	}
 
+	s.out.buf = s.out.buf[:0]
 	if s.phase == phaseDict {
-		if err := s.tryFinishDict(); err != nil {
-			if errors.Is(err, errNeedMore) {
-				return s.drainOut(), nil
-			}
+		if err := s.tryFinishDict(); err != nil && err != docenc.ErrNeedMore {
 			return nil, s.abort(err)
 		}
 	}
 	if s.phase == phaseStream {
-		if err := s.pump(); err != nil {
-			if errors.Is(err, errNeedMore) {
-				return s.drainOut(), nil
-			}
+		if err := s.pump(); err != nil && err != docenc.ErrNeedMore {
 			return nil, s.abort(err)
 		}
 	}
@@ -258,7 +301,7 @@ func (s *Session) tryFinishDict() error {
 	dict, n, err := tagdict.UnmarshalBinary(window)
 	if err != nil {
 		if s.src.windowEnd() < int(s.header.PayloadLen) {
-			return errNeedMore // likely truncated: wait for more payload
+			return docenc.ErrNeedMore // likely truncated: wait for more payload
 		}
 		return fmt.Errorf("soe: dictionary: %w", err)
 	}
@@ -280,21 +323,21 @@ func (s *Session) tryFinishDict() error {
 	if err != nil {
 		return err
 	}
-	emit := &recordEmitter{w: s.out, dict: dict, announced: make([]bool, dict.Len())}
-	eval, err := core.NewEvaluator(core.Config{
+	s.emit.reset(dict)
+	err = s.eval.Reset(core.Config{
 		Rules:       rules,
 		Query:       s.query,
 		Dict:        dict,
-		Emitter:     emit,
-		Gauge:       s.ram,
+		Emitter:     &s.emit,
+		Gauge:       &s.ram,
 		DisableSkip: s.opts.DisableSkip,
 		DisableCopy: s.opts.DisableCopy,
 	})
 	if err != nil {
 		return err
 	}
-	s.eval = eval
-	s.dec = docenc.NewDecoder(s.src, dict, s.opts.MaxValue)
+	s.evalArmed = true
+	s.dec.Reset(&s.src, dict)
 	s.phase = phaseStream
 	return nil
 }
@@ -307,9 +350,8 @@ func (s *Session) pump() error {
 		s.src.mark()
 		it, err := s.dec.Next()
 		if err != nil {
-			if errors.Is(err, errNeedMore) {
+			if err == docenc.ErrNeedMore {
 				s.src.rollback()
-				return errNeedMore
 			}
 			return err
 		}
@@ -345,9 +387,9 @@ func (s *Session) pump() error {
 			s.value.active = true
 			s.value.chunkable = s.eval.CanChunkValues()
 			s.value.buf = s.value.buf[:0]
-			if !s.value.chunkable && it.Size > s.opts.MaxValue {
+			if !s.value.chunkable && it.Size > s.valueLimit {
 				return fmt.Errorf("soe: a %d-byte value under an unresolved comparison exceeds the %d-byte secure buffer",
-					it.Size, s.opts.MaxValue)
+					it.Size, s.valueLimit)
 			}
 		case docenc.ItemValueChunk:
 			if !s.value.active {
@@ -366,7 +408,7 @@ func (s *Session) pump() error {
 				s.value.charged += len(it.Text)
 				s.value.buf = append(s.value.buf, it.Text...)
 				if it.Last {
-					err := s.eval.Value(string(s.value.buf))
+					err := s.eval.Value(s.value.buf)
 					s.ram.Free(s.value.charged)
 					s.value.charged = 0
 					s.value.buf = s.value.buf[:0]
@@ -396,10 +438,10 @@ func (s *Session) pump() error {
 	}
 }
 
-// drainOut takes the pending output records and accounts for their trip
-// over the link.
+// drainOut returns the output records of this Feed and accounts for their
+// trip over the link.
 func (s *Session) drainOut() []byte {
-	out := s.out.take()
+	out := s.out.buf
 	if len(out) > 0 {
 		s.card.Meter.BytesFromCard += int64(len(out))
 		// Responses piggyback on the command APDU; only overflow beyond
@@ -415,9 +457,6 @@ func (s *Session) drainOut() []byte {
 // syncMeter folds the evaluator's work counters into the card meter
 // (delta since the previous sync).
 func (s *Session) syncMeter() {
-	if s.eval == nil {
-		return
-	}
 	cur := s.eval.Stats()
 	d := &s.card.Meter
 	d.Events += int64(cur.Opens-s.lastStats.Opens) +
@@ -446,7 +485,7 @@ func (s *Session) releaseEEPROM() {
 // Abort terminates the session, releasing its memory.
 func (s *Session) Abort() {
 	if s.phase != phaseDone && s.phase != phaseAborted {
-		_ = s.abort(fmt.Errorf("soe: aborted by terminal"))
+		_ = s.abort(nil)
 	}
 }
 
@@ -467,7 +506,7 @@ type Stats struct {
 // Stats returns the session statistics collected so far.
 func (s *Session) Stats() Stats {
 	st := Stats{RAMPeak: s.ram.Peak()}
-	if s.eval != nil {
+	if s.evalArmed {
 		st.Core = s.eval.Stats()
 	}
 	return st

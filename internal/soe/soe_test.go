@@ -88,7 +88,7 @@ func (s *testSink) Open(c tagdict.Code, m core.Mode, g core.GroupID) error {
 	return s.asm.EmitOpen(c, m, g)
 }
 func (s *testSink) Value(text []byte, m core.Mode, g core.GroupID) error {
-	return s.asm.EmitValueBytes(text, m, g)
+	return s.asm.EmitValue(text, m, g)
 }
 func (s *testSink) Close(m core.Mode, g core.GroupID) error {
 	return s.asm.EmitClose(m, g)
@@ -229,13 +229,14 @@ func TestSessionTamperedBlock(t *testing.T) {
 func TestRecordsRoundTrip(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"a", "b"})
 	w := &recordWriter{}
-	e := &recordEmitter{w: w, dict: dict, announced: make([]bool, dict.Len())}
+	e := &recordEmitter{w: w}
+	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
-	_ = e.EmitValue("hello", core.ModePending, 3)
+	_ = e.EmitValue([]byte("hello"), core.ModePending, 3)
 	_ = e.EmitClose(core.ModeDeliver, 0)
 	_ = e.ResolveGroup(3, true)
 	w.done()
-	blob := w.take()
+	blob := w.buf
 
 	sink := newTestSink()
 	if err := DecodeRecords(blob, sink); err != nil {
@@ -252,11 +253,12 @@ func TestRecordsRoundTrip(t *testing.T) {
 func TestRecordsPartialDecode(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"tagname"})
 	w := &recordWriter{}
-	e := &recordEmitter{w: w, dict: dict, announced: make([]bool, 1)}
+	e := &recordEmitter{w: w}
+	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
-	_ = e.EmitValue("some text content", core.ModeDeliver, 0)
+	_ = e.EmitValue([]byte("some text content"), core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	blob := w.take()
+	blob := w.buf
 
 	// Feeding byte by byte must never error and must consume exactly the
 	// whole stream.
@@ -301,13 +303,15 @@ func TestRecordsHostileLength(t *testing.T) {
 func TestLazyBindingOncePerCode(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"x"})
 	w := &recordWriter{}
-	e := &recordEmitter{w: w, dict: dict, announced: make([]bool, 1)}
+	e := &recordEmitter{w: w}
+	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	first := len(w.take())
+	first := len(w.buf)
+	w.buf = w.buf[:0]
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	second := len(w.take())
+	second := len(w.buf)
 	if second >= first {
 		t.Errorf("second emission (%dB) must be smaller than the first (%dB): binding must not repeat", second, first)
 	}

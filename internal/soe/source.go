@@ -14,23 +14,31 @@ import (
 // into a jump of the wanted offset — the mechanism that converts
 // evaluator skip decisions into blocks never requested from the DSP.
 //
+// The window is logical: consuming an item only advances its start. The
+// bytes are moved once per fed block, when the unconsumed carry goes to
+// the front of the buffer to make room — so what Take hands out stays
+// put until the next feed.
+//
 // RAM accounting: one block's worth of window rides in the card's
 // hardware I/O buffer (the APDU buffer exists independently of applet
 // RAM on the target hardware), so only the carry beyond one block is
-// charged to the applet's gauge.
+// charged to the applet's gauge — from the logical window, whatever the
+// host's buffer still holds in front of it.
 type blockSource struct {
 	header *docenc.Header
 	gauge  mem.Gauge
 
-	buf      []byte // plaintext window
-	bufStart int    // absolute payload offset of buf[0]
-	pos      int    // absolute offset of the next byte to deliver
-	markPos  int    // rollback point (start of the in-flight item)
-	charged  int    // carry bytes currently charged
+	buf     []byte // buffered plaintext; the window is its tail from start on
+	base    int    // absolute payload offset of buf[0]
+	start   int    // absolute offset of the window's first byte
+	pos     int    // absolute offset of the next byte to deliver
+	markPos int    // rollback point (start of the in-flight item)
+	charged int    // carry bytes currently charged
 }
 
-func newBlockSource(h *docenc.Header, g mem.Gauge) *blockSource {
-	return &blockSource{header: h, gauge: g}
+// reset empties the source for another payload, keeping its buffer.
+func (s *blockSource) reset(h *docenc.Header, g mem.Gauge) {
+	*s = blockSource{header: h, gauge: g, buf: s.buf[:0]}
 }
 
 // wantOffset is the absolute payload offset of the first byte the source
@@ -43,10 +51,10 @@ func (s *blockSource) wantOffset() int {
 }
 
 // windowEnd is the absolute offset just past the buffered window.
-func (s *blockSource) windowEnd() int { return s.bufStart + len(s.buf) }
+func (s *blockSource) windowEnd() int { return s.base + len(s.buf) }
 
 // window exposes the unconsumed buffered bytes (dictionary parsing).
-func (s *blockSource) window() []byte { return s.buf[s.pos-s.bufStart:] }
+func (s *blockSource) window() []byte { return s.buf[s.pos-s.base:] }
 
 // feed appends a decrypted block's usable bytes to the window.
 func (s *blockSource) feed(blockIdx int, plain []byte) error {
@@ -55,18 +63,21 @@ func (s *blockSource) feed(blockIdx int, plain []byte) error {
 	switch {
 	case s.pos > s.windowEnd():
 		return fmt.Errorf("soe: source position %d beyond window end %d", s.pos, s.windowEnd())
-	case len(s.buf) == 0:
+	case s.start == s.windowEnd():
 		// Empty window: the block must contain pos.
 		if s.pos < blockStart || s.pos >= blockStart+len(plain) {
 			return fmt.Errorf("soe: fed block %d does not contain offset %d", blockIdx, s.pos)
 		}
-		s.bufStart = s.pos
+		s.buf = s.buf[:0]
+		s.base, s.start = s.pos, s.pos
 		usableFrom = s.pos - blockStart
 	default:
 		// Carry present: the block must extend the window contiguously.
 		if blockStart != s.windowEnd() {
 			return fmt.Errorf("soe: fed block %d not contiguous with window end %d", blockIdx, s.windowEnd())
 		}
+		s.buf = s.buf[:copy(s.buf, s.buf[s.start-s.base:])]
+		s.base = s.start
 	}
 	s.buf = append(s.buf, plain[usableFrom:]...)
 	return s.updateCharge()
@@ -75,7 +86,7 @@ func (s *blockSource) feed(blockIdx int, plain []byte) error {
 // updateCharge reconciles the gauge with the current carry size (window
 // bytes beyond one hardware block buffer).
 func (s *blockSource) updateCharge() error {
-	want := len(s.buf) - int(s.header.BlockPlain)
+	want := s.windowEnd() - s.start - int(s.header.BlockPlain)
 	if want < 0 {
 		want = 0
 	}
@@ -98,7 +109,7 @@ func (s *blockSource) mark() { s.markPos = s.pos }
 func (s *blockSource) rollback() { s.pos = s.markPos }
 
 // consume advances past n bytes that were inspected via window() rather
-// than Read (dictionary phase).
+// than Take (dictionary phase).
 func (s *blockSource) consume(n int) error {
 	if s.pos+n > s.windowEnd() {
 		return fmt.Errorf("soe: consume(%d) beyond window", n)
@@ -111,16 +122,10 @@ func (s *blockSource) consume(n int) error {
 // charge. Called between items, never mid-item (rollback must stay
 // possible while an item is in flight).
 func (s *blockSource) compact() error {
-	drop := s.pos - s.bufStart
-	if drop <= 0 {
+	if s.pos <= s.start {
 		return nil
 	}
-	if drop >= len(s.buf) {
-		s.buf = s.buf[:0]
-	} else {
-		s.buf = append(s.buf[:0], s.buf[drop:]...)
-	}
-	s.bufStart = s.pos
+	s.start = s.pos
 	return s.updateCharge()
 }
 
@@ -129,25 +134,25 @@ func (s *blockSource) ReadByte() (byte, error) {
 	if uint64(s.pos) >= s.header.PayloadLen {
 		return 0, io.EOF
 	}
-	if s.pos >= s.windowEnd() || s.pos < s.bufStart {
-		return 0, errNeedMore
+	if s.pos >= s.windowEnd() || s.pos < s.start {
+		return 0, docenc.ErrNeedMore
 	}
-	b := s.buf[s.pos-s.bufStart]
+	b := s.buf[s.pos-s.base]
 	s.pos++
 	return b, nil
 }
 
-// Read implements docenc.Source.
-func (s *blockSource) Read(p []byte) error {
-	if uint64(s.pos+len(p)) > s.header.PayloadLen {
-		return fmt.Errorf("%w: read past payload end", io.ErrUnexpectedEOF)
+// Take implements docenc.Source.
+func (s *blockSource) Take(n int) ([]byte, error) {
+	if n < 0 || uint64(s.pos)+uint64(n) > s.header.PayloadLen {
+		return nil, fmt.Errorf("%w: read past payload end", io.ErrUnexpectedEOF)
 	}
-	if s.pos < s.bufStart || s.pos+len(p) > s.windowEnd() {
-		return errNeedMore
+	if s.pos < s.start || s.pos+n > s.windowEnd() {
+		return nil, docenc.ErrNeedMore
 	}
-	copy(p, s.buf[s.pos-s.bufStart:])
-	s.pos += len(p)
-	return nil
+	i := s.pos - s.base
+	s.pos += n
+	return s.buf[i : i+n : i+n], nil
 }
 
 // Skip implements docenc.Source: the skip may jump far beyond the window,
@@ -157,14 +162,14 @@ func (s *blockSource) Skip(n int) error {
 	if n < 0 {
 		return fmt.Errorf("soe: negative skip %d", n)
 	}
-	if uint64(s.pos+n) > s.header.PayloadLen {
+	if uint64(s.pos)+uint64(n) > s.header.PayloadLen {
 		return fmt.Errorf("soe: skip of %d bytes overruns payload (offset %d, length %d)",
 			n, s.pos, s.header.PayloadLen)
 	}
 	s.pos += n
 	if s.pos >= s.windowEnd() {
 		s.buf = s.buf[:0]
-		s.bufStart = s.pos
+		s.base, s.start = s.pos, s.pos
 		if err := s.updateCharge(); err != nil {
 			return err
 		}
@@ -186,3 +191,6 @@ func (s *blockSource) Avail() int {
 	}
 	return a
 }
+
+// Remaining implements docenc.Source.
+func (s *blockSource) Remaining() int { return int(s.header.PayloadLen) - s.pos }

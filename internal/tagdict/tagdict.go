@@ -148,7 +148,9 @@ func UnmarshalBinary(data []byte) (*Dict, int, error) {
 			return nil, 0, fmt.Errorf("tagdict: truncated length of tag %d", i)
 		}
 		pos += n
-		if pos+int(l) > len(data) {
+		// Compared as uint64: a declared length of 2^63 or more must not
+		// wrap negative and slip past the bound.
+		if l > uint64(len(data)-pos) {
 			return nil, 0, fmt.Errorf("tagdict: truncated name of tag %d", i)
 		}
 		if _, err := d.Add(string(data[pos : pos+int(l)])); err != nil {

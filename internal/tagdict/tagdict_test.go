@@ -94,6 +94,9 @@ func TestUnmarshalErrors(t *testing.T) {
 		{2, 3, 'a'},        // truncated names
 		{2, 1, 'a'},        // second name missing
 		{0xFF, 0xFF, 0xFF}, // huge count varint (truncated)
+		// A name length of 2^63: negative as an int, it once passed the
+		// bound check and panicked in the slice expression.
+		{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'},
 	}
 	for i, data := range cases {
 		if _, _, err := UnmarshalBinary(data); err == nil {
