@@ -9,7 +9,7 @@ BENCH_BASELINE ?= $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -1)
 # >50% worse fails the build.
 BENCH_THRESHOLD ?= 0.5
 
-.PHONY: build test test-nommap test-nosendfile test-rearm bench benchmark bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build test test-nommap test-nosendfile test-rearm test-republish bench benchmark bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
@@ -37,6 +37,15 @@ test-nosendfile:
 ## the golden cost-model values — repeated under the race detector
 test-rearm:
 	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh' ./internal/soe/ ./internal/proxy/ ./internal/dissem/
+
+## test-republish: the re-publication path — a long-lived publisher's
+## retained diff base against a fresh publisher per commit, a foreign
+## commit in between, a store that fails the commit before and after
+## applying it, a rolled-back header, two re-publications of one document
+## at once, retention past its byte bound; the encoder's golden bytes and
+## the store-side handshake tests — repeated under the race detector
+test-republish:
+	$(GO) test -race -count=5 -run 'TestRepublish|TestDiffEncode|TestEncoderMatchesGolden' ./internal/docenc/ ./internal/proxy/ ./internal/dsp/ .
 
 ## bench: one-iteration benchmark smoke run (perf code must keep compiling and running)
 bench:
@@ -91,11 +100,13 @@ gateway-soak:
 	$(GO) test -race -count=2 -run 'TestGatewayd' ./internal/gateway/
 
 ## fuzz-smoke: short fuzz runs over the decoders of bytes that arrive
-## from outside (stored blocks and sealed blobs, the document payload
-## decoded block by block through the card's input window, the card's
-## record stream cut at arbitrary points) and the serializer's round
-## trip; CI runs this on every push, longer runs stay manual
+## from outside (stored blocks and sealed blobs, the container header,
+## the document payload decoded block by block through the card's input
+## window, the card's record stream cut at arbitrary points) and the
+## serializer's round trip; CI runs this on every push, longer runs stay
+## manual
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshalHeader -fuzztime=10s ./internal/docenc/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlob -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecoderChunked -fuzztime=10s ./internal/soe/
@@ -122,4 +133,4 @@ staticcheck:
 	fi
 
 ## ci: exactly what .github/workflows/ci.yml runs
-ci: fmt vet staticcheck build test test-nommap test-nosendfile test-rearm gateway-soak fuzz-smoke bench bench-compare bench-chain
+ci: fmt vet staticcheck build test test-nommap test-nosendfile test-rearm test-republish gateway-soak fuzz-smoke bench bench-compare bench-chain

@@ -7,6 +7,7 @@ package sds
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/accessrule"
@@ -259,6 +260,55 @@ func BenchmarkE11DeltaRepublish(b *testing.B) {
 		ratio = 100 * float64(deltaBytes) / float64(fullBytes)
 	}
 	b.ReportMetric(ratio, "delta-bytes-%")
+}
+
+// benchFolder is the repository benchmark's folder shape and encoding
+// (benchmark/corpus.go): 30 patients × 4 visits, ≈ 35 KB in 132 blocks.
+func benchFolder() (*Document, EncodeOptions) {
+	doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 1000, Patients: 30, VisitsPerPatient: 4})
+	return doc, EncodeOptions{DocID: "folder-00", Version: 1, Key: KeyFromSeed("folder-00"), BlockPlain: 256, MinSkipBytes: 32}
+}
+
+// BenchmarkEncode measures a full encoding of the benchmark folder:
+// sizing pass, emit and the encryption of every block.
+func BenchmarkEncode(b *testing.B) {
+	doc, opts := benchFolder()
+	var stored int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, info, err := docenc.Encode(doc, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stored = info.StoredBytes
+	}
+	b.ReportMetric(float64(stored), "stored-bytes")
+}
+
+// BenchmarkRepublish measures what a collaborator's edit costs its
+// publisher: a long-lived Publisher re-publishing seeded one-field edits
+// of the benchmark folder to an in-process store.
+func BenchmarkRepublish(b *testing.B) {
+	doc, opts := benchFolder()
+	pub := &Publisher{Store: NewMemStore()}
+	if _, err := pub.PublishDocument(doc, opts); err != nil {
+		b.Fatal(err)
+	}
+	contacts := doc.Find("contact")
+	rng := rand.New(rand.NewSource(1))
+	var changed int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		contacts[rng.Intn(len(contacts))].Children[0].Text = fmt.Sprintf("+33 1 %08d", rng.Intn(100_000_000))
+		info, err := pub.Republish(doc, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		changed += info.ChangedBlocks
+	}
+	b.ReportMetric(float64(changed)/float64(b.N), "blocks/commit")
 }
 
 // BenchmarkE12DurableRepublish measures 1-block delta commits against

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/card"
 	"repro/internal/docenc"
@@ -188,16 +189,15 @@ func broadcast(container *docenc.Container, subs []*Subscriber, subjectFor func(
 
 	out := make([]*Reception, len(subs))
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
+	// failed is firstErr != nil for the workers, which ask before every
+	// block and must not queue on a lock to do it.
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
+		failed   atomic.Bool
 	)
-	cancelled := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
+	cancelled := failed.Load
 	for i, s := range subs {
 		wg.Add(1)
 		go func(i int, s *Subscriber) {
@@ -212,6 +212,7 @@ func broadcast(container *docenc.Container, subs []*Subscriber, subjectFor func(
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
+					failed.Store(true)
 				}
 				mu.Unlock()
 				return

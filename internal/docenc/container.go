@@ -3,6 +3,8 @@ package docenc
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/secure"
 )
@@ -49,12 +51,21 @@ func (h *Header) BlockGen(idx int) uint32 {
 	return h.Version
 }
 
+// Equal reports whether o is the same header field for field, MAC
+// included — the two marshal to the same bytes.
+func (h *Header) Equal(o *Header) bool {
+	return h.DocID == o.DocID && h.Version == o.Version && h.BlockPlain == o.BlockPlain &&
+		h.PayloadLen == o.PayloadLen && h.MAC == o.MAC && slices.Equal(h.GenRuns, o.GenRuns)
+}
+
 // magic identifies the container format.
 var magic = [4]byte{'S', 'D', 'S', '2'}
 
 // canonical serializes the MAC'd fields.
 func (h *Header) canonical() []byte {
-	var b []byte
+	// Room for the MAC too: MarshalBinary appends it.
+	b := make([]byte, 0, len(magic)+len(h.DocID)+secure.HeaderMACLen+
+		binary.MaxVarintLen64*(5+2*len(h.GenRuns)))
 	b = append(b, magic[:]...)
 	b = binary.AppendUvarint(b, uint64(len(h.DocID)))
 	b = append(b, h.DocID...)
@@ -81,29 +92,37 @@ func UnmarshalHeader(data []byte) (Header, int, error) {
 		return h, 0, fmt.Errorf("docenc: bad container magic")
 	}
 	pos := 4
-	l, n := binary.Uvarint(data[pos:])
+	l, n := uvarint(data[pos:])
 	if n <= 0 {
 		return h, 0, fmt.Errorf("docenc: truncated header")
 	}
 	pos += n
-	if pos+int(l) > len(data) {
+	// Compared as uint64: a declared length of 2^63 or more must not wrap
+	// negative and slip past the bound into the slice expression.
+	if l > uint64(len(data)-pos) {
 		return h, 0, fmt.Errorf("docenc: truncated doc id")
 	}
 	h.DocID = string(data[pos : pos+int(l)])
 	pos += int(l)
-	v, n := binary.Uvarint(data[pos:])
+	v, n := uvarint(data[pos:])
 	if n <= 0 {
 		return h, 0, fmt.Errorf("docenc: truncated version")
 	}
+	if v > math.MaxUint32 {
+		return h, 0, fmt.Errorf("docenc: version %d does not fit 32 bits", v)
+	}
 	h.Version = uint32(v)
 	pos += n
-	bp, n := binary.Uvarint(data[pos:])
+	bp, n := uvarint(data[pos:])
 	if n <= 0 {
 		return h, 0, fmt.Errorf("docenc: truncated block size")
 	}
+	if bp > math.MaxUint32 {
+		return h, 0, fmt.Errorf("docenc: block size %d does not fit 32 bits", bp)
+	}
 	h.BlockPlain = uint32(bp)
 	pos += n
-	pl, n := binary.Uvarint(data[pos:])
+	pl, n := uvarint(data[pos:])
 	if n <= 0 {
 		return h, 0, fmt.Errorf("docenc: truncated payload length")
 	}
@@ -112,7 +131,7 @@ func UnmarshalHeader(data []byte) (Header, int, error) {
 	if h.BlockPlain == 0 {
 		return h, 0, fmt.Errorf("docenc: zero block size")
 	}
-	nRuns, n := binary.Uvarint(data[pos:])
+	nRuns, n := uvarint(data[pos:])
 	if n <= 0 {
 		return h, 0, fmt.Errorf("docenc: truncated generation runs")
 	}
@@ -125,12 +144,12 @@ func UnmarshalHeader(data []byte) (Header, int, error) {
 	}
 	var covered uint64
 	for i := uint64(0); i < nRuns; i++ {
-		count, n := binary.Uvarint(data[pos:])
+		count, n := uvarint(data[pos:])
 		if n <= 0 {
 			return h, 0, fmt.Errorf("docenc: truncated generation run count")
 		}
 		pos += n
-		gen, n := binary.Uvarint(data[pos:])
+		gen, n := uvarint(data[pos:])
 		if n <= 0 {
 			return h, 0, fmt.Errorf("docenc: truncated generation")
 		}
@@ -155,6 +174,16 @@ func UnmarshalHeader(data []byte) (Header, int, error) {
 	copy(h.MAC[:], data[pos:pos+secure.HeaderMACLen])
 	pos += secure.HeaderMACLen
 	return h, pos, nil
+}
+
+// uvarint reads a uvarint and refuses (n == 0) one padded with zero
+// groups: a header has exactly one encoding, the one it marshals to.
+func uvarint(data []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(data)
+	if n > 1 && data[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // Verify checks the header tag against the document key.
@@ -275,17 +304,25 @@ func (c *Container) DecryptPayload(key secure.DocKey) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, c.Header.PayloadLen)
+	// Every block is decrypted where it belongs in one buffer the size the
+	// (authenticated) header announces.
+	h := &c.Header
+	if len(c.Blocks) != h.NumBlocks() {
+		return nil, fmt.Errorf("%w: container has %d blocks, header announces %d",
+			secure.ErrIntegrity, len(c.Blocks), h.NumBlocks())
+	}
+	out := make([]byte, h.PayloadLen)
+	off := 0
 	for i, blk := range c.Blocks {
-		plain, err := sctx.DecryptBlock(c.Header.DocID, c.Header.BlockGen(i), uint32(i), blk)
-		if err != nil {
+		n := h.BlockPlainLen(i)
+		if len(blk) != n+secure.MACLen {
+			return nil, fmt.Errorf("%w: block %d is %d bytes, the geometry says %d",
+				secure.ErrIntegrity, i, len(blk), n+secure.MACLen)
+		}
+		if err := sctx.DecryptBlockInto(out[off:off+n], h.DocID, h.BlockGen(i), uint32(i), blk); err != nil {
 			return nil, err
 		}
-		out = append(out, plain...)
-	}
-	if uint64(len(out)) != c.Header.PayloadLen {
-		return nil, fmt.Errorf("%w: payload length %d does not match header %d",
-			secure.ErrIntegrity, len(out), c.Header.PayloadLen)
+		off += n
 	}
 	return out, nil
 }

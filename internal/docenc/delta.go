@@ -3,6 +3,7 @@ package docenc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/secure"
 	"repro/internal/xmlstream"
@@ -103,10 +104,7 @@ func (d *DeltaUpdate) ChangedRuns() []BlockRun {
 // old's plus one, unchanged blocks keep old ciphertext and generation,
 // and only changed blocks are re-encrypted. The old container is
 // authenticated (header MAC, block tags) before it is trusted as the
-// diff base. The encoding pass streams: each plaintext block is compared
-// against the old payload as it is produced and either dropped (reuse)
-// or encrypted into the delta, so resident memory is the old payload
-// plus the changed blocks.
+// diff base; the diff itself is DiffEncodePayload's.
 //
 // opts.Version is ignored (the successor version is negotiated from
 // old); opts.DocID and opts.BlockPlain, when set, must match old — the
@@ -115,39 +113,60 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 	if old == nil {
 		return nil, nil, fmt.Errorf("docenc: delta needs a base container")
 	}
-	if opts.DocID != "" && opts.DocID != old.Header.DocID {
-		return nil, nil, fmt.Errorf("docenc: delta DocID %q does not match base %q",
-			opts.DocID, old.Header.DocID)
-	}
-	if opts.BlockPlain != 0 && opts.BlockPlain != int(old.Header.BlockPlain) {
-		return nil, nil, fmt.Errorf("docenc: delta block size %d does not match base %d",
-			opts.BlockPlain, old.Header.BlockPlain)
-	}
-	opts.DocID = old.Header.DocID
-	opts.BlockPlain = int(old.Header.BlockPlain)
-	opts.Version = old.Header.Version + 1
-
 	oldPayload, err := old.DecryptPayload(opts.Key)
 	if err != nil {
 		return nil, nil, fmt.Errorf("docenc: authenticating the delta base: %w", err)
 	}
+	d, info, _, err := DiffEncodePayload(root, opts, &old.Header, oldPayload, nil)
+	return d, info, err
+}
+
+// DiffEncodePayload is the diff against a base the caller vouches for:
+// base is the header of the version being succeeded and basePayload its
+// plaintext payload, either just authenticated (DiffEncode) or produced
+// by the caller's own previous encoding. The encoding pass streams: each
+// plaintext block is compared against the base as it is produced and
+// either dropped (reuse) or encrypted into the delta. The new version's
+// plaintext payload is appended to dst[:0] and returned, so a publisher
+// that keeps it has the base of its next diff without asking the store;
+// dst must not overlap basePayload. A wrong base cannot damage the new
+// version — every block is encoded from root — only make the delta
+// carry too few or too many blocks.
+func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, base *Header, basePayload, dst []byte) (*DeltaUpdate, *EncodeInfo, []byte, error) {
+	if opts.DocID != "" && opts.DocID != base.DocID {
+		return nil, nil, nil, fmt.Errorf("docenc: delta DocID %q does not match base %q",
+			opts.DocID, base.DocID)
+	}
+	if opts.BlockPlain != 0 && opts.BlockPlain != int(base.BlockPlain) {
+		return nil, nil, nil, fmt.Errorf("docenc: delta block size %d does not match base %d",
+			opts.BlockPlain, base.BlockPlain)
+	}
+	if uint64(len(basePayload)) != base.PayloadLen {
+		return nil, nil, nil, fmt.Errorf("docenc: delta base payload is %d bytes, its header says %d",
+			len(basePayload), base.PayloadLen)
+	}
+	opts.DocID = base.DocID
+	opts.BlockPlain = int(base.BlockPlain)
+	opts.Version = base.Version + 1
 
 	enc, err := NewEncoder(root, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	d := &DeltaUpdate{
-		BaseVersion: old.Header.Version,
+		BaseVersion: base.Version,
 		TotalBlocks: enc.NumBlocks(),
 	}
 	sctx, err := secure.NewBlockContext(opts.Key)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	payload := slices.Grow(dst[:0], enc.plan.payloadLen)
 	gens := make([]uint32, 0, enc.NumBlocks())
 	err = enc.runPlain(func(idx int, plain []byte) error {
-		if blockEqual(blockAt(oldPayload, opts.BlockPlain, idx), plain) {
-			gens = append(gens, old.Header.BlockGen(idx))
+		payload = append(payload, plain...)
+		if blockEqual(blockAt(basePayload, opts.BlockPlain, idx), plain) {
+			gens = append(gens, base.BlockGen(idx))
 			return nil
 		}
 		stored, err := sctx.EncryptBlock(opts.DocID, opts.Version, uint32(idx), plain)
@@ -165,7 +184,7 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	// Re-seal the header with the generation vector (the encoder MAC'd a
@@ -174,27 +193,27 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 	h.GenRuns = compressGens(gens, h.Version)
 	h.MAC = secure.HeaderMAC(opts.Key, h.canonical())
 	d.Header = h
-	return d, enc.Info(), nil
+	return d, enc.Info(), payload, nil
 }
 
 // compressGens run-length encodes the generation vector; a vector that
 // is uniformly the current version collapses to nil (the header's
 // compact full-publish form).
 func compressGens(gens []uint32, version uint32) []GenRun {
-	uniform := true
-	for _, g := range gens {
-		if g != version {
-			uniform = false
-			break
+	uniform, n := true, 0
+	for i, g := range gens {
+		uniform = uniform && g == version
+		if i == 0 || g != gens[i-1] {
+			n++
 		}
 	}
 	if uniform {
 		return nil
 	}
-	var runs []GenRun
-	for _, g := range gens {
-		if n := len(runs); n > 0 && runs[n-1].Gen == g {
-			runs[n-1].Count++
+	runs := make([]GenRun, 0, n)
+	for i, g := range gens {
+		if i > 0 && g == gens[i-1] {
+			runs[len(runs)-1].Count++
 		} else {
 			runs = append(runs, GenRun{Count: 1, Gen: g})
 		}

@@ -27,12 +27,14 @@
 // its parent's, index-free subtrees are contiguous and the decoder's
 // parent-set stack stays consistent.
 //
-// Encoding is a streaming two-phase pass: a sizing walk annotates every
-// node with its content tag set and exact encoded size (sizes, not
-// bytes), after which the emitter produces the payload front to back in
-// one pass, encrypting and handing off each block as it fills. No
-// payload or container image is ever materialized — the resident state
-// is the per-node annotations plus one plaintext block.
+// Encoding is a streaming two-phase pass: a counting walk sizes two
+// slabs, a sizing walk fills them with every element's content tag set
+// and exact encoded size (sizes, not bytes), after which the emitter
+// produces the payload front to back in one pass, encrypting and handing
+// off each block as it fills. No payload or container image is ever
+// materialized — the resident state is the two slabs plus one plaintext
+// block, and the number of allocations does not depend on the size of
+// the document (the stored blocks handed to the caller aside).
 package docenc
 
 import (
@@ -120,7 +122,7 @@ func Encode(root *xmlstream.Node, opts EncodeOptions) (*Container, *EncodeInfo, 
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &Container{Header: enc.Header()}
+	c := &Container{Header: enc.Header(), Blocks: make([][]byte, 0, enc.NumBlocks())}
 	if err := enc.Run(func(idx int, stored []byte) error {
 		c.Blocks = append(c.Blocks, stored)
 		return nil
@@ -143,16 +145,21 @@ func EncodePayload(root *xmlstream.Node, opts EncodeOptions) ([]byte, *EncodeInf
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]byte, 0, p.payloadLen)
-	if err := p.emit(func(b []byte) error {
-		out = append(out, b...)
-		return nil
-	}); err != nil {
+	// The payload is one block as long as itself.
+	var out []byte
+	bb := &blockBuilder{
+		buf:  make([]byte, 0, p.payloadLen),
+		emit: func(_ int, plain []byte) error { out = plain; return nil },
+	}
+	if err := p.emit(bb); err != nil {
 		return nil, nil, err
 	}
-	if len(out) != p.payloadLen {
+	if err := bb.flush(); err != nil {
+		return nil, nil, err
+	}
+	if len(out) != p.payloadLen || bb.idx != 1 {
 		return nil, nil, fmt.Errorf("docenc: emitted %d payload bytes, sizing pass computed %d",
-			len(out), p.payloadLen)
+			bb.total, p.payloadLen)
 	}
 	return out, p.info, nil
 }
@@ -192,22 +199,19 @@ func Seal(payload []byte, opts EncodeOptions) (*Container, error) {
 	return c, nil
 }
 
-// nodeInfo is the annotation tree of the two-phase encoder: the sizing
-// walk computes content tag sets and exact encoded sizes bottom-up; the
-// emitter then writes bytes top-down (child records are compressed
-// against the parent set, which is only known once all children are
-// annotated).
+// nodeInfo is one element's annotation from the sizing walk. The
+// annotations live in one slab in document (preorder) order, so the
+// emitter, which visits elements in the same order, reads them with a
+// cursor; element i's content tag set is window i of the plan's tag
+// slab.
 type nodeInfo struct {
-	node     *xmlstream.Node
-	code     tagdict.Code
-	tags     skipindex.Set // codes strictly below the node
-	children []*nodeInfo   // parallel to element children; nil for text
+	code tagdict.Code
+	// indexed records the sizing walk's decision to attach a skip record.
+	indexed bool
 	// contentSize is the exact byte size of the node's encoded content
 	// (children records, values, closing opcode) — the skip record's
 	// jump distance, known before a single byte is emitted.
 	contentSize int
-	// indexed records the sizing walk's decision to attach a skip record.
-	indexed bool
 }
 
 // plan is the outcome of the sizing pass: everything the emitter needs
@@ -216,12 +220,32 @@ type plan struct {
 	opts      EncodeOptions
 	dict      *tagdict.Dict
 	info      *EncodeInfo
-	root      *nodeInfo
-	universe  skipindex.Set
+	root      *xmlstream.Node
 	dictImage []byte
+	// nodes and tagWords are the two slabs of the sizing walk, sized by
+	// the counting walk: one nodeInfo and setWords words per element.
+	nodes    []nodeInfo
+	tagWords []uint64
+	setWords int
+	// cursor is the next slab slot: the sizing walk hands slots out, the
+	// emitter reads them back in the same order.
+	cursor int
 	// payloadLen is the exact total payload size, known up front — what
 	// lets the streaming encoder MAC the header before emitting blocks.
 	payloadLen int
+}
+
+// countTags is the counting walk: how many elements the tree has and how
+// often each tag occurs, which is all the dictionary and the slabs need.
+func countTags(n *xmlstream.Node, counts map[string]int) int {
+	counts[n.Name]++
+	elements := 1
+	for _, c := range n.Children {
+		if !c.IsText() {
+			elements += countTags(c, counts)
+		}
+	}
+	return elements
 }
 
 // newPlan runs the sizing pass.
@@ -232,88 +256,100 @@ func newPlan(root *xmlstream.Node, opts EncodeOptions) (*plan, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	stats := xmlstream.CollectStats(root.Events())
-	dict, err := tagdict.FromCounts(stats.TagCounts)
+	counts := make(map[string]int)
+	elements := countTags(root, counts)
+	dict, err := tagdict.FromCounts(counts)
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{opts: opts, dict: dict, info: &EncodeInfo{Dict: dict}}
-	ni, err := p.annotate(root)
-	if err != nil {
+	p := &plan{opts: opts, dict: dict, info: &EncodeInfo{Dict: dict, Nodes: elements}, root: root}
+	p.setWords = skipindex.SetWords(dict.Len())
+	p.nodes = make([]nodeInfo, elements)
+	// One extra window at the end holds the root's parent set: every code.
+	p.tagWords = make([]uint64, (elements+1)*p.setWords)
+	if _, err := p.annotate(root); err != nil {
 		return nil, err
 	}
-	p.root = ni
 	p.dictImage, err = dict.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	p.info.DictBytes = len(p.dictImage)
-	p.universe = skipindex.NewSet(dict.Len())
+	universe := p.universe()
 	for i := 0; i < dict.Len(); i++ {
-		p.universe.Add(tagdict.Code(i))
+		universe.Add(tagdict.Code(i))
 	}
-	p.payloadLen = len(p.dictImage) + p.recordSize(ni, p.universe)
+	p.payloadLen = len(p.dictImage) + p.recordSize(&p.nodes[0], skipindex.RelSize(universe))
 	return p, nil
 }
 
-// annotate computes tag sets and exact sizes bottom-up.
-func (p *plan) annotate(n *xmlstream.Node) (*nodeInfo, error) {
+// tags is the content tag set of element i (codes strictly below it).
+func (p *plan) tags(i int) skipindex.Set {
+	return skipindex.SetOver(p.tagWords[i*p.setWords:(i+1)*p.setWords], p.dict.Len())
+}
+
+// universe is the root's parent set, every code of the dictionary: the
+// window after the last element's.
+func (p *plan) universe() skipindex.Set { return p.tags(len(p.nodes)) }
+
+// annotate computes tag sets and exact sizes bottom-up and returns the
+// slab slot it gave n.
+func (p *plan) annotate(n *xmlstream.Node) (int, error) {
 	code := p.dict.Code(n.Name)
 	if code == tagdict.NoCode {
-		return nil, fmt.Errorf("docenc: tag %q missing from dictionary", n.Name)
+		return 0, fmt.Errorf("docenc: tag %q missing from dictionary", n.Name)
 	}
-	info := &nodeInfo{node: n, code: code, tags: skipindex.NewSet(p.dict.Len())}
-	p.info.Nodes++
+	slot := p.cursor
+	p.cursor++
+	info, tags := &p.nodes[slot], p.tags(slot)
+	info.code = code
+	// A child's record is measured against this node's complete tag set
+	// (the recursive compression of the paper), which is only known after
+	// the last child: sum what does not depend on it, count the bitmaps.
+	size, bitmaps := 1, 0 // the closing opcode
 	for _, c := range n.Children {
-		if c.IsText() {
-			info.children = append(info.children, nil)
-			continue
-		}
-		ci, err := p.annotate(c)
-		if err != nil {
-			return nil, err
-		}
-		info.children = append(info.children, ci)
-		info.tags.Add(ci.code)
-		info.tags.UnionWith(ci.tags)
-	}
-	// Child record sizes are measured against this node's now-complete
-	// tag set (the recursive compression of the paper).
-	size := 0
-	for i, c := range n.Children {
 		if c.IsText() {
 			size += 1 + uvarintLen(uint64(len(c.Text))) + len(c.Text)
 			continue
 		}
-		size += p.recordSize(info.children[i], info.tags)
+		ci, err := p.annotate(c)
+		if err != nil {
+			return 0, err
+		}
+		child := &p.nodes[ci]
+		tags.Add(child.code)
+		tags.UnionWith(p.tags(ci))
+		size += p.recordSize(child, 0)
+		if child.indexed {
+			bitmaps++
+		}
 	}
-	size++ // closing opcode
+	size += bitmaps * skipindex.RelSize(tags)
 	info.contentSize = size
 	info.indexed = !p.opts.DisableIndex && size >= p.opts.MinSkipBytes
-	return info, nil
+	return slot, nil
 }
 
 // recordSize is the exact encoded size of a node's record (open through
-// close) when emitted under parentTags.
-func (p *plan) recordSize(info *nodeInfo, parentTags skipindex.Set) int {
+// close) when its skip record's bitmap, if it has one, takes relSize
+// bytes — the size of a bitmap relative to the parent's tag set.
+func (p *plan) recordSize(info *nodeInfo, relSize int) int {
 	n := 1 + uvarintLen(uint64(info.code)) + info.contentSize
 	if info.indexed {
-		n += skipindex.MetaSize(skipindex.NodeMeta{
-			Tags:        info.tags,
-			ContentSize: info.contentSize,
-		}, parentTags)
+		n += skipindex.MetaSize(relSize, info.contentSize)
 	}
 	return n
 }
 
-// emit streams the payload (dictionary, then the structure stream) to
-// write, front to back, filling in the byte-level EncodeInfo counters.
-func (p *plan) emit(write func([]byte) error) error {
-	if err := write(p.dictImage); err != nil {
+// emit streams the payload (dictionary, then the structure stream) into
+// bb, front to back, filling in the byte-level EncodeInfo counters.
+func (p *plan) emit(bb *blockBuilder) error {
+	if err := fillBlocks(bb, p.dictImage); err != nil {
 		return err
 	}
+	p.cursor = 0
 	var scratch []byte
-	if err := p.emitNode(write, &scratch, p.root, p.universe); err != nil {
+	if err := p.emitNode(bb, &scratch, p.root, p.universe()); err != nil {
 		return err
 	}
 	p.info.PayloadBytes = p.payloadLen
@@ -323,14 +359,17 @@ func (p *plan) emit(write func([]byte) error) error {
 // emitNode writes one node's record. scratch is a reused staging buffer
 // for the record header (opcodes, varints, index record); values stream
 // through unstaged.
-func (p *plan) emitNode(write func([]byte) error, scratch *[]byte, info *nodeInfo, parentTags skipindex.Set) error {
+func (p *plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, parentTags skipindex.Set) error {
+	slot := p.cursor
+	p.cursor++
+	info, tags := &p.nodes[slot], p.tags(slot)
 	b := (*scratch)[:0]
 	if info.indexed {
 		b = append(b, opOpenMeta)
 		b = binary.AppendUvarint(b, uint64(info.code))
 		before := len(b)
 		b = skipindex.AppendMeta(b, skipindex.NodeMeta{
-			Tags:        info.tags,
+			Tags:        tags,
 			ContentSize: info.contentSize,
 		}, parentTags)
 		p.info.IndexBytes += len(b) - before
@@ -342,29 +381,29 @@ func (p *plan) emitNode(write func([]byte) error, scratch *[]byte, info *nodeInf
 	}
 	p.info.StructureBytes += 1 + uvarintLen(uint64(info.code)) + 1 // open, code, close
 	*scratch = b
-	if err := write(b); err != nil {
+	if err := fillBlocks(bb, b); err != nil {
 		return err
 	}
-	for i, c := range info.node.Children {
+	for _, c := range n.Children {
 		if c.IsText() {
 			b = (*scratch)[:0]
 			b = append(b, opValue)
 			b = binary.AppendUvarint(b, uint64(len(c.Text)))
 			*scratch = b
-			if err := write(b); err != nil {
+			if err := fillBlocks(bb, b); err != nil {
 				return err
 			}
-			if err := write([]byte(c.Text)); err != nil {
+			if err := fillBlocks(bb, c.Text); err != nil {
 				return err
 			}
-			p.info.TextBytes += 1 + uvarintLen(uint64(len(c.Text))) + len(c.Text)
+			p.info.TextBytes += len(b) + len(c.Text)
 			continue
 		}
-		if err := p.emitNode(write, scratch, info.children[i], info.tags); err != nil {
+		if err := p.emitNode(bb, scratch, c, tags); err != nil {
 			return err
 		}
 	}
-	return write(closeOp)
+	return fillBlocks(bb, closeOp)
 }
 
 // closeOp is the shared one-byte close record.
@@ -447,7 +486,7 @@ func (e *Encoder) runPlain(emit func(idx int, plain []byte) error) error {
 		buf:  make([]byte, 0, e.plan.opts.BlockPlain),
 		emit: emit,
 	}
-	if err := e.plan.emit(bb.write); err != nil {
+	if err := e.plan.emit(bb); err != nil {
 		return err
 	}
 	if err := bb.flush(); err != nil {
@@ -468,7 +507,9 @@ type blockBuilder struct {
 	emit  func(idx int, plain []byte) error
 }
 
-func (b *blockBuilder) write(p []byte) error {
+// fillBlocks appends p to the stream. A value still in its tree node is
+// passed as the string it is: its bytes are copied once, into the block.
+func fillBlocks[T []byte | string](b *blockBuilder, p T) error {
 	for len(p) > 0 {
 		n := copy(b.buf[len(b.buf):cap(b.buf)], p)
 		b.buf = b.buf[:len(b.buf)+n]

@@ -256,6 +256,86 @@ func TestUnmarshalHeaderBitFlips(t *testing.T) {
 	}
 }
 
+// TestUnmarshalHeaderHostileLengths: the doc-id length is compared with
+// the bytes left as an unsigned number — 2^63 and up used to wrap
+// negative, pass the bound and panic in the slice expression, on bytes
+// any peer can send — and a version or block size that does not fit its
+// 32-bit field is refused, not truncated.
+func TestUnmarshalHeaderHostileLengths(t *testing.T) {
+	field := func(vs ...uint64) []byte {
+		b := append([]byte(nil), magic[:]...)
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	tail := func(b []byte, s string) []byte { return append(b, s...) }
+	valid, err := (&Header{DocID: "abc", Version: 1, BlockPlain: 128, PayloadLen: 10}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		img  []byte
+	}{
+		{"doc id of 2^63 bytes", tail(field(1<<63), "abc")},
+		{"doc id of 2^64-1 bytes", tail(field(1<<64-1), "abc")},
+		{"doc id one past the end", tail(field(4), "abc")},
+		{"doc id of 2^31 bytes", tail(field(1<<31), "abc")},
+		{"version 2^32", append(tail(field(3), "abc"), field(1<<32, 128, 10, 0)[4:]...)},
+		{"block size 2^32", append(tail(field(3), "abc"), field(1, 1<<32, 10, 0)[4:]...)},
+		{"block size 2^63", append(tail(field(3), "abc"), field(1, 1<<63, 10, 0)[4:]...)},
+		{"padded varint", append(tail(field(3), "abc"), append([]byte{0x81, 0x00}, valid[9:]...)...)},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: parser panicked: %v", c.name, r)
+				}
+			}()
+			if h, n, err := UnmarshalHeader(append(c.img, make([]byte, secure.HeaderMACLen)...)); err == nil {
+				t.Errorf("%s: accepted as %+v (%d bytes)", c.name, h, n)
+			}
+		}()
+	}
+	if h, n, err := UnmarshalHeader(valid); err != nil || n != len(valid) || h.DocID != "abc" {
+		t.Fatalf("the valid image the cases are cut from: %+v, %d, %v", h, n, err)
+	}
+}
+
+// FuzzUnmarshalHeader: the header decoder runs on bytes a store, a
+// gateway or a publisher's peer supplies. Whatever they are it returns
+// or refuses, never panics; and a header it accepts marshals back to
+// exactly the bytes it consumed.
+func FuzzUnmarshalHeader(f *testing.F) {
+	valid, err := (&Header{DocID: "robust-doc", Version: 9, BlockPlain: 128, PayloadLen: 1000,
+		GenRuns: []GenRun{{Count: 2, Gen: 3}, {Count: 5, Gen: 9}, {Count: 1, Gen: 7}}}).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(append(binary.AppendUvarint(append([]byte(nil), magic[:]...), 1<<63), "abc"...))
+	f.Add([]byte("SDS2"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, n, err := UnmarshalHeader(data)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		back, err := h.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data[:n]) {
+			t.Fatalf("decoded %x\n      as %+v,\nwhich marshals to %x", data[:n], h, back)
+		}
+	})
+}
+
 // TestUnmarshalHeaderHostileRunCount: a generation-run count far beyond
 // the geometry must be rejected before any allocation is attempted.
 func TestUnmarshalHeaderHostileRunCount(t *testing.T) {

@@ -1,9 +1,11 @@
 package proxy
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/accessrule"
 	"repro/internal/card"
@@ -24,8 +26,18 @@ import (
 //   - Republish: the delta path — encode the new tree as the successor
 //     of the stored version and upload only the changed block runs,
 //     atomically, with the version negotiated from the store.
+//
+// A Publisher that lives across re-publications keeps, under a fixed
+// byte bound, the diff base of each document it re-published (see
+// Republish); the zero value with a Store is ready to use, and it is
+// safe for concurrent use.
 type Publisher struct {
 	Store dsp.Store
+
+	mu       sync.Mutex
+	bases    map[string]*list.Element // of *diffBase, by document
+	lru      list.List                // most recently used first
+	retained int                      // bytes, Σ size() over bases
 }
 
 // streamBatchBlocks bounds one PutBlocks round trip of the streaming
@@ -155,26 +167,135 @@ type RepublishInfo struct {
 	Fallback bool
 }
 
+// diffBase is what a re-publication diffs against: a version's header
+// and the plaintext payload it encodes, plus the buffer the previous
+// base occupied, which the next diff writes the next payload into.
+// Every byte of it was either authenticated under key when it was
+// fetched or produced by this publisher's own encoder.
+type diffBase struct {
+	docID   string
+	key     secure.DocKey
+	header  docenc.Header
+	payload []byte
+	spare   []byte
+}
+
+func (b *diffBase) size() int { return cap(b.payload) + cap(b.spare) }
+
+// retainedBaseBytes bounds the payload bytes a Publisher keeps between
+// re-publications, both buffers of every base counted.
+const retainedBaseBytes = 8 << 20
+
+// checkout takes the retained base of docID out of the retention: for
+// the length of a Republish it belongs to that call alone, and a
+// concurrent re-publication of the same document finds none.
+func (p *Publisher) checkout(docID string) *diffBase {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	el := p.bases[docID]
+	if el == nil {
+		return nil
+	}
+	b := p.lru.Remove(el).(*diffBase)
+	delete(p.bases, docID)
+	p.retained -= b.size()
+	return b
+}
+
+// retain puts a base (back) as the most recently used one and evicts
+// from the other end down to the byte bound. Of two bases of one
+// document — a re-publication that lost a race can finish after the
+// winner's successor — the later version stays.
+func (p *Publisher) retain(b *diffBase) {
+	if b.size() > retainedBaseBytes {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if el := p.bases[b.docID]; el != nil {
+		if el.Value.(*diffBase).header.Version >= b.header.Version {
+			return
+		}
+		p.retained -= p.lru.Remove(el).(*diffBase).size()
+	}
+	if p.bases == nil {
+		p.bases = make(map[string]*list.Element)
+	}
+	p.bases[b.docID] = p.lru.PushFront(b)
+	p.retained += b.size()
+	for p.retained > retainedBaseBytes {
+		old := p.lru.Remove(p.lru.Back()).(*diffBase)
+		delete(p.bases, old.docID)
+		p.retained -= old.size()
+	}
+}
+
+// fetchBlocks reads every stored block of the version h describes.
+func (p *Publisher) fetchBlocks(h *docenc.Header) ([][]byte, error) {
+	blocks, err := dsp.ReadBlockRange(p.Store, h.DocID, 0, h.NumBlocks())
+	if err != nil {
+		return nil, fmt.Errorf("proxy: republish base: %w", err)
+	}
+	return blocks, nil
+}
+
 // Republish encodes root as the successor of the stored version of
-// opts.DocID and uploads only the changed blocks, atomically. The stored
-// container is fetched and authenticated (under opts.Key) before it is
-// trusted as the diff base, so a tampering store cannot poison the new
-// version; the version is negotiated: stored version plus one.
+// opts.DocID and uploads only the changed blocks, atomically; the
+// version is negotiated: stored version plus one.
+//
+// The diff base is the stored version's plaintext. The store is asked
+// for its current header every time. When that is, byte for byte, the
+// header this Publisher retained from its own last acknowledged commit
+// of the document (or from its last fetch), the retained payload is the
+// base; otherwise the stored container is fetched and authenticated
+// under opts.Key — header MAC and every block tag — before it is
+// trusted, so a tampering store cannot poison the new version. A store
+// that answers with a version at or below the retained one, under
+// another header, has rolled the document back: that is an integrity
+// error, not a base.
 func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (*RepublishInfo, error) {
 	if opts.DocID == "" {
 		return nil, fmt.Errorf("proxy: republish needs a DocID")
 	}
+	// The base is checked out before the store is asked, so that the
+	// header it is compared with is no older than the base itself; keep
+	// is what goes back into the retention when the call returns.
+	b := p.checkout(opts.DocID)
+	if b != nil && b.key != opts.Key {
+		b = nil // authenticated under another key: not this caller's base
+	}
+	keep := b
+	defer func() {
+		if keep != nil {
+			p.retain(keep)
+		}
+	}()
 	h, err := p.Store.Header(opts.DocID)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: republish base: %w", err)
 	}
-	blocks, err := dsp.ReadBlockRange(p.Store, opts.DocID, 0, h.NumBlocks())
-	if err != nil {
-		return nil, fmt.Errorf("proxy: republish base: %w", err)
+	if b != nil && !b.header.Equal(&h) {
+		if h.Version <= b.header.Version {
+			return nil, fmt.Errorf("proxy: republish base: %w: the store answers version %d of %q after acknowledging version %d",
+				secure.ErrIntegrity, h.Version, opts.DocID, b.header.Version)
+		}
+		b, keep = nil, nil // someone else committed since
 	}
-	old := &docenc.Container{Header: h, Blocks: blocks}
+	// blocks are the stored blocks of the base, once they have been read.
+	var blocks [][]byte
+	if b == nil {
+		if blocks, err = p.fetchBlocks(&h); err != nil {
+			return nil, err
+		}
+		payload, err := (&docenc.Container{Header: h, Blocks: blocks}).DecryptPayload(opts.Key)
+		if err != nil {
+			return nil, fmt.Errorf("proxy: authenticating the republish base: %w", err)
+		}
+		b = &diffBase{docID: opts.DocID, key: opts.Key, header: h, payload: payload}
+		keep = b
+	}
 
-	delta, info, err := docenc.DiffEncode(root, opts, old)
+	delta, info, next, err := docenc.DiffEncodePayload(root, opts, &b.header, b.payload, b.spare)
 	if err != nil {
 		return nil, err
 	}
@@ -186,11 +307,18 @@ func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (
 		ChangedRuns:   len(delta.Runs),
 		BytesUploaded: delta.BytesChanged,
 	}
+	// A commit that fails drops the base: what the store holds afterwards
+	// is for the next call's fetch to find out.
+	keep = nil
 	switch err := dsp.ApplyDelta(p.Store, delta); {
 	case err == nil:
-		return ri, nil
 	case updateUnsupported(err):
-		applied, err := delta.Apply(old)
+		if blocks == nil {
+			if blocks, err = p.fetchBlocks(&b.header); err != nil {
+				return nil, err
+			}
+		}
+		applied, err := delta.Apply(&docenc.Container{Header: b.header, Blocks: blocks})
 		if err != nil {
 			return nil, err
 		}
@@ -199,10 +327,13 @@ func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (
 		}
 		ri.Fallback = true
 		ri.BytesUploaded = int64(applied.StoredSize())
-		return ri, nil
 	default:
 		return nil, err
 	}
+	b.header = delta.Header
+	b.payload, b.spare = next, b.payload
+	keep = b
+	return ri, nil
 }
 
 // updateUnsupported recognizes dsp.ErrUpdateUnsupported locally and

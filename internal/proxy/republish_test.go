@@ -131,29 +131,40 @@ func TestRepublishDeltaEqualsFull(t *testing.T) {
 }
 
 // TestRepublishFallbackStore: a store without the handshake still ends
-// up at the right version via the whole-container fallback.
+// up at the right version via the whole-container fallback — also the
+// second time, when the publisher diffs against the base it retained and
+// has to read the stored blocks only to send them back.
 func TestRepublishFallbackStore(t *testing.T) {
 	type bare struct{ dsp.Store }
 	inner := dsp.NewMemStore()
-	w := newRepublishWorld(t, bare{inner}, workload.Agenda(workload.AgendaConfig{
-		Seed: 9, Members: 5, EventsPerMember: 3,
-	}), "agenda", "subject m\ndefault +")
-	mutated := mutateTexts(workload.Agenda(workload.AgendaConfig{
-		Seed: 9, Members: 5, EventsPerMember: 3,
-	}), 6)
-	ri, err := w.pub.Republish(mutated, docenc.EncodeOptions{DocID: "agenda", Key: w.key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ri.Fallback {
-		t.Fatal("bare store did not fall back")
-	}
-	res, err := w.term.Query("m", "agenda", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != ri.Version {
-		t.Fatalf("fallback left version %d, want %d", res.Version, ri.Version)
+	cfg := workload.AgendaConfig{Seed: 9, Members: 5, EventsPerMember: 3}
+	w := newRepublishWorld(t, bare{inner}, workload.Agenda(cfg), "agenda", "subject m\ndefault +")
+	for i, every := range []int{6, 4} {
+		mutated := mutateTexts(workload.Agenda(cfg), every)
+		ri, err := w.pub.Republish(mutated, docenc.EncodeOptions{DocID: "agenda", Key: w.key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ri.Fallback {
+			t.Fatal("bare store did not fall back")
+		}
+		res, err := w.term.Query("m", "agenda", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != ri.Version || ri.Version != uint32(i+1) {
+			t.Fatalf("fallback %d left version %d, want %d", i, res.Version, ri.Version)
+		}
+		if !res.Tree().Equal(mutated.Canonicalize()) {
+			t.Fatalf("fallback %d: the view is not the re-published document", i)
+		}
+		// The acknowledged whole-container commit advanced the base too, so
+		// the second pass diffs against it.
+		if b := w.pub.checkout("agenda"); b == nil || b.header.Version != ri.Version {
+			t.Fatalf("fallback %d retained %+v", i, b)
+		} else {
+			w.pub.retain(b)
+		}
 	}
 }
 

@@ -55,23 +55,29 @@ func DecodeRoot(data []byte, n int) (Set, int, error) {
 // EncodeRel panics if child is not a subset of parent, which would be an
 // encoder bug, never a data condition.
 func EncodeRel(child, parent Set) []byte {
+	return appendRel(make([]byte, 0, RelSize(parent)), child, parent)
+}
+
+// appendRel appends EncodeRel's image to dst, written in place one
+// parent word at a time (the walk DecodeRelInto reads it back with).
+func appendRel(dst []byte, child, parent Set) []byte {
 	if !child.SubsetOf(parent) {
 		panic("skipindex: child tag set not a subset of parent's")
 	}
-	k := parent.Count()
-	out := make([]byte, (k+7)/8)
+	start := len(dst)
+	dst = append(dst, make([]byte, RelSize(parent))...)
+	out := dst[start:]
 	bit := 0
-	for i := 0; i < parent.n; i++ {
-		c := codeAt(i)
-		if !parent.Has(c) {
-			continue
+	for wi, w := range parent.words {
+		cw := child.words[wi]
+		for ; w != 0; w &= w - 1 {
+			if cw&(w&-w) != 0 {
+				out[bit>>3] |= 1 << (uint(bit) & 7)
+			}
+			bit++
 		}
-		if child.Has(c) {
-			out[bit>>3] |= 1 << (uint(bit) & 7)
-		}
-		bit++
 	}
-	return out
+	return dst
 }
 
 // RelSize returns the number of bytes EncodeRel produces for the given
@@ -116,14 +122,17 @@ func DecodeRelInto(dst Set, data []byte, parent Set) (int, error) {
 // AppendMeta appends the encoded NodeMeta (relative bitmap + varint
 // content size) to dst, compressing the tag set against the parent set.
 func AppendMeta(dst []byte, meta NodeMeta, parent Set) []byte {
-	dst = append(dst, EncodeRel(meta.Tags, parent)...)
+	dst = appendRel(dst, meta.Tags, parent)
 	dst = binary.AppendUvarint(dst, uint64(meta.ContentSize))
 	return dst
 }
 
-// MetaSize returns the encoded size of a NodeMeta under the given parent.
-func MetaSize(meta NodeMeta, parent Set) int {
-	return RelSize(parent) + uvarintLen(uint64(meta.ContentSize))
+// MetaSize returns the encoded size of a NodeMeta with the given content
+// size whose bitmap takes relSize bytes (RelSize of the parent set). The
+// two are separate because an encoder sizing a document bottom-up knows
+// a node's content size before it knows the parent's complete tag set.
+func MetaSize(relSize, contentSize int) int {
+	return relSize + uvarintLen(uint64(contentSize))
 }
 
 // DecodeMeta decodes a NodeMeta encoded by AppendMeta, given the parent

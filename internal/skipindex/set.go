@@ -33,7 +33,21 @@ type Set struct {
 
 // NewSet returns an empty set over a universe of n codes.
 func NewSet(n int) Set {
-	return Set{words: make([]uint64, (n+63)/64), n: n}
+	return Set{words: make([]uint64, SetWords(n)), n: n}
+}
+
+// SetWords is the number of words a set over n codes occupies.
+func SetWords(n int) int { return (n + 63) / 64 }
+
+// SetOver returns the set over n codes held in words, which the caller
+// owns (SetWords(n) of them; their bits are the members): an encoder
+// annotating every element of a document carves its sets out of one slab
+// instead of making one per element.
+func SetOver(words []uint64, n int) Set {
+	if len(words) != SetWords(n) {
+		panic(fmt.Sprintf("skipindex: %d words for a set over %d codes", len(words), n))
+	}
+	return Set{words: words, n: n}
 }
 
 // Universe returns the universe size the set was created with.

@@ -106,8 +106,8 @@ func TestMetaRoundTrip(t *testing.T) {
 	parent := setOf(64, 1, 2, 3, 10, 20, 63)
 	meta := NodeMeta{Tags: setOf(64, 2, 20), ContentSize: 123456}
 	enc := AppendMeta(nil, meta, parent)
-	if len(enc) != MetaSize(meta, parent) {
-		t.Errorf("MetaSize = %d, encoded %d", MetaSize(meta, parent), len(enc))
+	if len(enc) != MetaSize(RelSize(parent), meta.ContentSize) {
+		t.Errorf("MetaSize = %d, encoded %d", MetaSize(RelSize(parent), meta.ContentSize), len(enc))
 	}
 	back, n, err := DecodeMeta(enc, parent)
 	if err != nil || n != len(enc) {

@@ -73,11 +73,25 @@ func BuildTree(evs []Event) (*Node, error) {
 	return root, nil
 }
 
-// Events flattens the tree back into an event stream.
+// Events flattens the tree back into an event stream, in a slice of
+// exactly its length.
 func (n *Node) Events() []Event {
-	var evs []Event
+	evs := make([]Event, 0, n.countEvents())
 	n.appendEvents(&evs)
 	return evs
+}
+
+// countEvents is len(n.Events()): one event per text node, two per
+// element.
+func (n *Node) countEvents() int {
+	if n.IsText() {
+		return 1
+	}
+	total := 2
+	for _, c := range n.Children {
+		total += c.countEvents()
+	}
+	return total
 }
 
 func (n *Node) appendEvents(evs *[]Event) {

@@ -30,6 +30,48 @@ func TestBuildTreeAndBack(t *testing.T) {
 	}
 }
 
+// TestEventsSizedExactly: Events() allocates the slice once, at its
+// final length, and flattens to what growing it event by event gave.
+func TestEventsSizedExactly(t *testing.T) {
+	var grown func(n *Node, evs []Event) []Event
+	grown = func(n *Node, evs []Event) []Event {
+		if n.IsText() {
+			return append(evs, ValueEvent(n.Text))
+		}
+		evs = append(evs, OpenEvent(n.Name))
+		for _, c := range n.Children {
+			evs = grown(c, evs)
+		}
+		return append(evs, CloseEvent(n.Name))
+	}
+	wide := &Node{Name: "list"}
+	for i := 0; i < 300; i++ {
+		wide.Children = append(wide.Children, &Node{Name: "item", Children: []*Node{{Text: "v"}, {Name: "empty"}, {Text: ""}}})
+	}
+	deep := &Node{Name: "leaf"}
+	for i := 0; i < 40; i++ {
+		deep = &Node{Name: "level", Children: []*Node{{Text: "before"}, deep, {Text: "after"}}}
+	}
+	mixed, err := BuildTree(mustParse(t, `<a x="1"><b>t</b><c><d/></c>tail</a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tree := range map[string]*Node{"single": {Name: "only"}, "wide": wide, "deep": deep, "mixed": mixed} {
+		got, want := tree.Events(), grown(tree, nil)
+		if len(got) != cap(got) {
+			t.Errorf("%s: %d events in a slice of capacity %d", name, len(got), cap(got))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d is %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestBuildTreeErrors(t *testing.T) {
 	bad := [][]Event{
 		{OpenEvent("a")},                  // unclosed

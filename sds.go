@@ -116,7 +116,9 @@ type (
 	// Publisher encodes and uploads documents and rule sets. Besides
 	// the buffered PublishDocument it offers PublishStream (the
 	// bounded-memory io-driven path) and Republish (block-level delta
-	// re-publication: only changed blocks travel).
+	// re-publication: only changed blocks travel). One that is kept
+	// across re-publications diffs against the plaintext it retained
+	// from its own last commit instead of reading the document back.
 	Publisher = proxy.Publisher
 	// RepublishInfo describes a delta re-publication (changed blocks,
 	// uploaded bytes, negotiated version).
@@ -310,7 +312,9 @@ func PublishStream(store Store, doc *Document, docID string, key Key) error {
 // block-level delta: the stored version is read back, authenticated and
 // diffed against the new tree, and only the changed block runs travel to
 // the store — atomically, with the version bumped. The returned info
-// reports how much of the document actually moved.
+// reports how much of the document actually moved. A caller that
+// re-publishes a document repeatedly keeps a Publisher instead, which
+// spares it the read-back.
 func Republish(store Store, doc *Document, docID string, key Key) (*RepublishInfo, error) {
 	p := &Publisher{Store: store}
 	return p.Republish(doc, EncodeOptions{DocID: docID, Key: key})
