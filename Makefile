@@ -34,9 +34,13 @@ test-nosendfile:
 ## test-rearm: the differential tests of reused card state — a re-armed
 ## session, a pooled terminal session and a standing subscriber against
 ## fresh ones, after other evaluations and after aborts at every block;
-## the golden cost-model values — repeated under the race detector
+## the golden cost-model values; a session that delivers to its owner's
+## sink against the record path (and a sink that fails under it); the
+## prefetch pipeline at every readahead depth against the serial pull,
+## its run lengths and its check on what a store answers — repeated
+## under the race detector
 test-rearm:
-	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh' ./internal/soe/ ./internal/proxy/ ./internal/dissem/
+	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestDirectDelivery|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked' ./internal/soe/ ./internal/proxy/ ./internal/dissem/
 
 ## test-republish: the re-publication path — a long-lived publisher's
 ## retained diff base against a fresh publisher per commit, a foreign

@@ -169,7 +169,7 @@ func E10Pipeline(rec *Recorder) []*Table {
 		Columns: []string{"terminal", "queries/s", "blocks fetched", "wasted"},
 		Notes: []string{
 			"serial: one ReadBlock round trip per demanded block",
-			"prefetch=K: batched K-block runs, fetch overlapped with card evaluation",
+			"prefetch=K: batched runs of K blocks at first and after a skip past the buffer, doubling to 8K (64 KiB at most) while the card reads on; fetch overlapped with card evaluation",
 			"wall-clock measurement (real network server); workload is seeded",
 		},
 	}

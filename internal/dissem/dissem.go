@@ -28,9 +28,9 @@ import (
 )
 
 // Subscriber is one receiving device: a provisioned card plus its
-// terminal-side collector. Both the card session and the collector stand
-// from one stream to the next, re-armed at each header, so a standing
-// subscriber receives in the memory its earlier receptions grew.
+// terminal-side collector, which the card session delivers to. Both
+// stand from one stream to the next, re-armed at each header, so a
+// standing subscriber receives in the memory its earlier receptions grew.
 type Subscriber struct {
 	Name    string
 	Card    *card.Card
@@ -76,13 +76,16 @@ func (s *Subscriber) begin(subject, docID string, hdrBytes []byte, numBlocks int
 		if err != nil {
 			return err
 		}
+		if s.col == nil {
+			s.col = proxy.NewCollector()
+		}
+		if err := sess.DeliverTo(s.col); err != nil {
+			return err
+		}
 		s.sess, s.sessOptions = sess, s.Options
 	}
 	if err := s.sess.LoadHeader(hdrBytes); err != nil {
 		return err
-	}
-	if s.col == nil {
-		s.col = proxy.NewCollector()
 	}
 	s.col.Reset()
 	s.BlocksOffered, s.BlocksForwarded = 0, 0
@@ -106,11 +109,8 @@ func (s *Subscriber) offer(idx int, blk []byte) error {
 	if idx < len(s.lastForwarded) {
 		s.lastForwarded[idx] = true
 	}
-	out, err := s.sess.Feed(idx, blk)
-	if err != nil {
-		return err
-	}
-	return soe.DecodeRecords(out, s.col)
+	_, err := s.sess.Feed(idx, blk)
+	return err
 }
 
 // Reception is a subscriber's outcome.

@@ -96,8 +96,9 @@ type Config struct {
 	// IdleTimeout retires pooled sessions idle longer than this; 0
 	// disables the background reaper (ReapIdle can still be called).
 	IdleTimeout time.Duration
-	// Prefetch is the pull-pipeline depth used for fleet sessions
-	// (see proxy.Terminal.Prefetch); 0 keeps the serial pull path.
+	// Prefetch is the first readahead run of the fleet sessions' pull
+	// pipeline (see proxy.Terminal.Prefetch); 0 keeps the serial pull
+	// path.
 	Prefetch int
 	// Options passes ablation switches through to every session.
 	Options soe.Options

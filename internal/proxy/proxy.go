@@ -5,13 +5,13 @@
 //
 // The Terminal orchestrates a pull session end to end: it fetches the
 // container header and the blocks the card asks for from the DSP, feeds
-// them to the SOE session, decodes the output records, buffers pending
-// parts until the card resolves them, and reassembles the authorized
-// result in document order. With Prefetch set, fetching becomes a
-// speculative two-stage pipeline (see pipeline.go) that overlaps
-// batched DSP round trips with card evaluation. The Publisher is the
-// administrative counterpart: it encodes and uploads documents and
-// sealed rule sets.
+// them to the SOE session, whose output goes straight to the session's
+// Collector, buffers pending parts until the card resolves them, and
+// reassembles the authorized result in document order. With Prefetch
+// set, fetching becomes a speculative two-stage pipeline (see
+// pipeline.go) that overlaps batched DSP round trips with card
+// evaluation. The Publisher is the administrative counterpart: it
+// encodes and uploads documents and sealed rule sets.
 package proxy
 
 import (
@@ -32,18 +32,21 @@ type Terminal struct {
 	// Options passes through to the SOE session (ablation switches).
 	Options soe.Options
 	// Prefetch enables the two-stage streaming pipeline: when > 0, a
-	// prefetcher goroutine speculatively fetches runs of up to Prefetch
-	// blocks per store round trip (one batched ReadBlocks call when the
-	// store supports it) into a bounded double buffer, overlapped with
-	// the card's feed/evaluate stage. Speculative blocks the card never
-	// asks for are counted in ResultStats.BlocksWasted. 0 keeps the
-	// historical serial one-block-per-round-trip loop.
+	// prefetcher goroutine speculatively fetches runs of blocks, one
+	// store round trip each (one batched ReadBlocks call when the store
+	// supports it), into a bounded double buffer, overlapped with the
+	// card's feed/evaluate stage. Prefetch is the length of the first
+	// run, and of the first run after every skip that outruns the
+	// buffer; while the card reads on, the runs grow (see pipeline.go).
+	// Speculative blocks the card never asks for are counted in
+	// ResultStats.BlocksWasted. 0 keeps the historical serial
+	// one-block-per-round-trip loop.
 	Prefetch int
 }
 
-// DefaultPrefetch is a good pipeline depth for stores reached over a
-// network: long enough to amortize a round trip, short enough to keep
-// speculation waste small when the card skips.
+// DefaultPrefetch is a good first run for stores reached over a network:
+// long enough to amortize a round trip, short enough to keep speculation
+// waste small when the card skips.
 const DefaultPrefetch = 8
 
 // ResultStats describes the cost of one query.
@@ -126,27 +129,6 @@ func (t *Terminal) Query(subject, docID, query string) (*Result, error) {
 // session builds the single-use Session a facade call runs on.
 func (t *Terminal) session() *Session {
 	return NewSession(t.Store, t.Card, t.Options, t.Prefetch)
-}
-
-// feedBlock pushes one block into the card and routes the output records
-// to the collector — the evaluate stage of the serial pull path.
-func feedBlock(sess *soe.Session, col *Collector, idx int, blk []byte) error {
-	out, err := sess.Feed(idx, blk)
-	if err != nil {
-		return err
-	}
-	return soe.DecodeRecords(out, col)
-}
-
-// feedPrepared is feedBlock for the pipelined path: the block was
-// already decrypted by the prefetch stage, the card charges its meters
-// at feed time.
-func feedPrepared(sess *soe.Session, col *Collector, idx int, prep *soe.PreparedRun) error {
-	out, err := sess.FeedPrepared(prep, idx)
-	if err != nil {
-		return err
-	}
-	return soe.DecodeRecords(out, col)
 }
 
 // InstallRules pulls the subject's sealed rule set from the store and

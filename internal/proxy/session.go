@@ -38,13 +38,15 @@ type Session struct {
 	closed  bool
 	queries int64
 
-	// col is the record sink every query of this session assembles its
-	// view in, and sess the card session every query is evaluated by;
-	// both are owned by the query that holds busy. Keeping them keeps the
-	// arena, the card session's buffers and slabs, and its prepared runs,
-	// all sized by the queries before.
+	// col is the sink every query of this session assembles its view in,
+	// sess the card session every query is evaluated by — told, when it is
+	// built, to deliver to col — and pipe the plumbing of the prefetching
+	// pipeline; all are owned by the query that holds busy. Keeping them
+	// keeps the arena, the card session's buffers and slabs, its prepared
+	// runs and the channels, all sized by the queries before.
 	col  *Collector
 	sess *soe.Session
+	pipe *pipeline
 }
 
 // NewSession builds a reusable session over a store lease and a card.
@@ -177,16 +179,13 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 		return nil, err
 	}
 
-	if s.col == nil {
-		s.col = NewCollector()
-	}
 	col := s.col
 	col.Reset()
 	stats := ResultStats{BlocksTotal: header.NumBlocks()}
 	if s.prefetch > 0 {
-		err = s.runPipelined(sess, docID, header.NumBlocks(), col, &stats)
+		err = s.runPipelined(sess, docID, header.NumBlocks(), int(header.BlockPlain), &stats)
 	} else {
-		err = s.runSerial(sess, docID, col, &stats)
+		err = s.runSerial(sess, docID, &stats)
 	}
 	if err != nil {
 		return nil, err
@@ -207,7 +206,8 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 }
 
 // cardSession opens the card session of one query: the session's own,
-// re-armed, once a first query has built it.
+// re-armed, once a first query has built it and bound it to the
+// session's collector.
 func (s *Session) cardSession(docID, subject string, q *xpath.Path) (*soe.Session, error) {
 	if s.sess != nil {
 		return s.sess, s.sess.Restart(docID, subject, q)
@@ -216,13 +216,17 @@ func (s *Session) cardSession(docID, subject string, q *xpath.Path) (*soe.Sessio
 	if err != nil {
 		return nil, err
 	}
-	s.sess = sess
+	col := NewCollector()
+	if err := sess.DeliverTo(col); err != nil {
+		return nil, err
+	}
+	s.sess, s.col = sess, col
 	return sess, nil
 }
 
 // runSerial is the historical pull loop: one store round trip per block
 // the card demands, nothing speculative.
-func (s *Session) runSerial(sess *soe.Session, docID string, col *Collector, stats *ResultStats) error {
+func (s *Session) runSerial(sess *soe.Session, docID string, stats *ResultStats) error {
 	for {
 		idx := sess.NeedBlock()
 		if idx < 0 {
@@ -234,7 +238,7 @@ func (s *Session) runSerial(sess *soe.Session, docID string, col *Collector, sta
 		}
 		stats.BlocksFetched++
 		stats.BytesFetched += int64(len(blk))
-		if err := feedBlock(sess, col, idx, blk); err != nil {
+		if _, err := sess.Feed(idx, blk); err != nil {
 			return err
 		}
 	}

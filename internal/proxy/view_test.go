@@ -2,10 +2,12 @@ package proxy
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"repro/internal/card"
 	"repro/internal/docenc"
+	"repro/internal/dsp"
 	"repro/internal/soe"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
@@ -124,6 +126,56 @@ func BenchmarkSessionQueryXML(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(frame)))
+}
+
+// countedPool counts the round trips a session makes to a remote store.
+type countedPool struct {
+	*dsp.Pool
+	trips int
+}
+
+func (c *countedPool) Header(docID string) (docenc.Header, error) {
+	c.trips++
+	return c.Pool.Header(docID)
+}
+
+func (c *countedPool) ReadBlocksFrame(docID string, start, count int) (*dsp.BlockFrame, error) {
+	c.trips++
+	return c.Pool.ReadBlocksFrame(docID, start, count)
+}
+
+// BenchmarkSessionQueryRemote is BenchmarkSessionQueryXML with the store
+// behind a loopback connection: a warmed session pulling pooled frames
+// from a dsp.Server, where every run of the prefetcher is a round trip.
+func BenchmarkSessionQueryRemote(b *testing.B) {
+	r := folderRig(b, 30)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := dsp.NewServer(r.store)
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	pool, err := dsp.DialPool(l.Addr().String(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	store := &countedPool{Pool: pool}
+	s := NewSession(store, r.card, soe.Options{}, DefaultPrefetch)
+	var frame []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := s.Query("nurse", "folder", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if frame, err = res.AppendXML(frame[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportMetric(float64(store.trips)/float64(b.N), "roundtrips/op")
 }
 
 // FuzzDecodeRecords feeds arbitrary bytes to the record decoder and a

@@ -3,6 +3,7 @@ package soe
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/tagdict"
@@ -22,24 +23,40 @@ const (
 	recDone    = 0x06
 )
 
-// recordWriter accumulates encoded records between Feed calls. The buffer
-// stays with the session: each Feed truncates it and returns it filled,
-// so a Feed result is valid until the next Feed.
-type recordWriter struct {
-	buf []byte
-}
-
-func (w *recordWriter) done() {
-	w.buf = append(w.buf, recDone)
-}
-
 // recordEmitter adapts the evaluator's Emitter interface onto the record
-// protocol, inserting lazy name bindings.
+// protocol, inserting lazy name bindings. Unbound, it encodes the records
+// into buf, which stays with the session: each Feed truncates it and
+// returns it filled, so a Feed result is valid until the next Feed. Bound
+// to a sink (Session.DeliverTo), it makes the sink's calls itself — the
+// calls DecodeRecords would make from the encoded records — and encodes
+// nothing. Either way size counts the bytes the records take on the
+// card-to-terminal link, from the one set of size functions below, so
+// the link is charged the same whichever way the output leaves.
 type recordEmitter struct {
-	w         *recordWriter
+	buf       []byte
+	sink      RecordSink
+	size      int
 	dict      *tagdict.Dict
 	announced []bool
+	name      []byte // a bound name, as bytes, for the duration of sink.Bind
 }
+
+// Sizes of the records on the link.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func bindSize(code tagdict.Code, name int) int {
+	return 1 + uvarintLen(uint64(code)) + uvarintLen(uint64(name)) + name
+}
+func openSize(code tagdict.Code, group core.GroupID) int {
+	return 2 + uvarintLen(uint64(code)) + uvarintLen(uint64(group))
+}
+func valueSize(text int, group core.GroupID) int {
+	return 2 + uvarintLen(uint64(group)) + uvarintLen(uint64(text)) + text
+}
+func closeSize(group core.GroupID) int   { return 2 + uvarintLen(uint64(group)) }
+func resolveSize(group core.GroupID) int { return 2 + uvarintLen(uint64(group)) }
+
+const doneSize = 1
 
 // reset starts a document over: no name of dict has crossed the link yet.
 func (e *recordEmitter) reset(dict *tagdict.Dict) {
@@ -47,56 +64,96 @@ func (e *recordEmitter) reset(dict *tagdict.Dict) {
 	e.announced = append(e.announced[:0], make([]bool, dict.Len())...)
 }
 
+// begin starts the output of one Feed.
+func (e *recordEmitter) begin() {
+	e.buf, e.size = e.buf[:0], 0
+}
+
 // EmitOpen implements core.Emitter.
 func (e *recordEmitter) EmitOpen(code tagdict.Code, mode core.Mode, group core.GroupID) error {
 	if int(code) < len(e.announced) && !e.announced[code] {
 		e.announced[code] = true
 		name := e.dict.Name(code)
-		e.w.buf = append(e.w.buf, recBind)
-		e.w.buf = binary.AppendUvarint(e.w.buf, uint64(code))
-		e.w.buf = binary.AppendUvarint(e.w.buf, uint64(len(name)))
-		e.w.buf = append(e.w.buf, name...)
+		e.size += bindSize(code, len(name))
+		if e.sink != nil {
+			e.name = append(e.name[:0], name...)
+			if err := e.sink.Bind(code, e.name); err != nil {
+				return err
+			}
+		} else {
+			e.buf = append(e.buf, recBind)
+			e.buf = binary.AppendUvarint(e.buf, uint64(code))
+			e.buf = binary.AppendUvarint(e.buf, uint64(len(name)))
+			e.buf = append(e.buf, name...)
+		}
 	}
-	e.w.buf = append(e.w.buf, recOpen)
-	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(code))
-	e.w.buf = append(e.w.buf, byte(mode))
-	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(group))
+	e.size += openSize(code, group)
+	if e.sink != nil {
+		return e.sink.Open(code, mode, group)
+	}
+	e.buf = append(e.buf, recOpen)
+	e.buf = binary.AppendUvarint(e.buf, uint64(code))
+	e.buf = append(e.buf, byte(mode))
+	e.buf = binary.AppendUvarint(e.buf, uint64(group))
 	return nil
 }
 
 // EmitValue implements core.Emitter.
 func (e *recordEmitter) EmitValue(text []byte, mode core.Mode, group core.GroupID) error {
-	e.w.buf = append(e.w.buf, recValue)
-	e.w.buf = append(e.w.buf, byte(mode))
-	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(group))
-	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(len(text)))
-	e.w.buf = append(e.w.buf, text...)
+	e.size += valueSize(len(text), group)
+	if e.sink != nil {
+		return e.sink.Value(text, mode, group)
+	}
+	e.buf = append(e.buf, recValue)
+	e.buf = append(e.buf, byte(mode))
+	e.buf = binary.AppendUvarint(e.buf, uint64(group))
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(text)))
+	e.buf = append(e.buf, text...)
 	return nil
 }
 
 // EmitClose implements core.Emitter.
 func (e *recordEmitter) EmitClose(mode core.Mode, group core.GroupID) error {
-	e.w.buf = append(e.w.buf, recClose)
-	e.w.buf = append(e.w.buf, byte(mode))
-	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(group))
+	e.size += closeSize(group)
+	if e.sink != nil {
+		return e.sink.Close(mode, group)
+	}
+	e.buf = append(e.buf, recClose)
+	e.buf = append(e.buf, byte(mode))
+	e.buf = binary.AppendUvarint(e.buf, uint64(group))
 	return nil
 }
 
 // ResolveGroup implements core.Emitter.
 func (e *recordEmitter) ResolveGroup(group core.GroupID, deliver bool) error {
-	e.w.buf = append(e.w.buf, recResolve)
-	e.w.buf = binary.AppendUvarint(e.w.buf, uint64(group))
+	e.size += resolveSize(group)
+	if e.sink != nil {
+		return e.sink.Resolve(group, deliver)
+	}
+	e.buf = append(e.buf, recResolve)
+	e.buf = binary.AppendUvarint(e.buf, uint64(group))
 	d := byte(0)
 	if deliver {
 		d = 1
 	}
-	e.w.buf = append(e.w.buf, d)
+	e.buf = append(e.buf, d)
 	return nil
 }
 
-// RecordSink receives decoded records on the terminal side. The name and
-// text slices alias the decoder's input: a sink keeps what it needs by
-// copying before it returns.
+// done ends the record stream of an evaluation.
+func (e *recordEmitter) done() error {
+	e.size += doneSize
+	if e.sink != nil {
+		return e.sink.Done()
+	}
+	e.buf = append(e.buf, recDone)
+	return nil
+}
+
+// RecordSink receives the card's records on the terminal side, decoded
+// (DecodeRecords) or never encoded (Session.DeliverTo). The name and text
+// slices alias the caller's buffers — the decoder's input, the card's
+// input window: a sink keeps what it needs by copying before it returns.
 type RecordSink interface {
 	Bind(code tagdict.Code, name []byte) error
 	Open(code tagdict.Code, mode core.Mode, group core.GroupID) error

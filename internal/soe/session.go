@@ -6,10 +6,12 @@
 //
 // A Session is driven by the terminal proxy: the proxy pushes encrypted
 // blocks one at a time (Feed) and reads back (a) a stream of compact
-// output records carrying the authorized events, and (b) the index of the
-// next block the card wants — which jumps forward whenever the evaluator
-// skips a subtree, turning skip decisions into bytes that are neither
-// transmitted nor decrypted.
+// output records carrying the authorized events — or, having told the
+// session where its output goes (DeliverTo), receives those events as
+// calls on its sink, metered as the records they stand for — and (b) the
+// index of the next block the card wants — which jumps forward whenever
+// the evaluator skips a subtree, turning skip decisions into bytes that
+// are neither transmitted nor decrypted.
 //
 // Everything the session allocates is charged to the card's secure RAM
 // gauge; exhausting the budget aborts the session exactly as a real
@@ -78,7 +80,6 @@ type Session struct {
 	eval       core.Evaluator
 	evalArmed  bool // eval belongs to this evaluation (dictionary phase done)
 	src        blockSource
-	out        recordWriter
 	emit       recordEmitter
 	block      []byte // Feed decrypts into it
 
@@ -106,7 +107,6 @@ type Session struct {
 // card.PutSealedRuleSet).
 func NewSession(c *card.Card, docID, subject string, query *xpath.Path, opts Options) (*Session, error) {
 	s := &Session{card: c, opts: opts, runs: make(chan *PreparedRun, 3)}
-	s.emit.w = &s.out
 	if err := s.Restart(docID, subject, query); err != nil {
 		return nil, err
 	}
@@ -132,10 +132,25 @@ func (s *Session) Restart(docID, subject string, query *xpath.Path) error {
 	s.ram = mem.Scope{Parent: s.card.RAM}
 	s.evalArmed = false
 	s.lastStats = core.Stats{}
-	s.out.buf = s.out.buf[:0]
+	s.emit.begin()
 	s.value.active, s.value.chunkable = false, false
 	s.value.buf, s.value.charged = s.value.buf[:0], 0
 	s.phase = phaseHeader
+	return nil
+}
+
+// DeliverTo tells the session where its output goes, for the rest of its
+// life: from the next evaluation on the evaluator's events reach sink as
+// the calls DecodeRecords would make from the session's records, Feed and
+// FeedPrepared return no records, and an error of the sink aborts the
+// evaluation. The link is charged as if the records had crossed it. This
+// is for an owner whose sink stands as long as the session does (a
+// terminal and its collector); a session never told returns records.
+func (s *Session) DeliverTo(sink RecordSink) error {
+	if s.phase == phaseDict || s.phase == phaseStream {
+		return fmt.Errorf("soe: output redirected in mid-evaluation")
+	}
+	s.emit.sink = sink
 	return nil
 }
 
@@ -222,8 +237,9 @@ func (s *Session) NeedRun() (next, sure int) {
 func (s *Session) Done() bool { return s.phase == phaseDone }
 
 // Feed pushes one stored block into the card and returns the output
-// records produced, valid until the next Feed. The block must be the one
-// NeedBlock asked for.
+// records produced, valid until the next Feed — none when the session
+// delivers to a sink (DeliverTo). The block must be the one NeedBlock
+// asked for.
 func (s *Session) Feed(blockIdx int, stored []byte) ([]byte, error) {
 	if err := s.accepts(blockIdx); err != nil {
 		return nil, err
@@ -280,7 +296,7 @@ func (s *Session) feedPlain(blockIdx int, plain []byte) ([]byte, error) {
 		return nil, s.abort(err)
 	}
 
-	s.out.buf = s.out.buf[:0]
+	s.emit.begin()
 	if s.phase == phaseDict {
 		if err := s.tryFinishDict(); err != nil && err != docenc.ErrNeedMore {
 			return nil, s.abort(err)
@@ -428,7 +444,9 @@ func (s *Session) pump() error {
 			if err := s.eval.Finish(); err != nil {
 				return err
 			}
-			s.out.done()
+			if err := s.emit.done(); err != nil {
+				return err
+			}
 			s.finish()
 			return nil
 		}
@@ -438,20 +456,19 @@ func (s *Session) pump() error {
 	}
 }
 
-// drainOut returns the output records of this Feed and accounts for their
-// trip over the link.
+// drainOut returns the output records of this Feed (none when the output
+// went straight to a sink) and accounts for their trip over the link.
 func (s *Session) drainOut() []byte {
-	out := s.out.buf
-	if len(out) > 0 {
-		s.card.Meter.BytesFromCard += int64(len(out))
+	if n := s.emit.size; n > 0 {
+		s.card.Meter.BytesFromCard += int64(n)
 		// Responses piggyback on the command APDU; only overflow beyond
 		// one response frame costs extra exchanges.
-		extra := apduCount(len(out), 256) - 1
+		extra := apduCount(n, 256) - 1
 		if extra > 0 {
 			s.card.Meter.APDUs += int64(extra)
 		}
 	}
-	return out
+	return s.emit.buf
 }
 
 // syncMeter folds the evaluator's work counters into the card meter

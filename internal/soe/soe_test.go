@@ -228,15 +228,14 @@ func TestSessionTamperedBlock(t *testing.T) {
 
 func TestRecordsRoundTrip(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"a", "b"})
-	w := &recordWriter{}
-	e := &recordEmitter{w: w}
+	e := &recordEmitter{}
 	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitValue([]byte("hello"), core.ModePending, 3)
 	_ = e.EmitClose(core.ModeDeliver, 0)
 	_ = e.ResolveGroup(3, true)
-	w.done()
-	blob := w.buf
+	_ = e.done()
+	blob := e.buf
 
 	sink := newTestSink()
 	if err := DecodeRecords(blob, sink); err != nil {
@@ -252,13 +251,12 @@ func TestRecordsRoundTrip(t *testing.T) {
 
 func TestRecordsPartialDecode(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"tagname"})
-	w := &recordWriter{}
-	e := &recordEmitter{w: w}
+	e := &recordEmitter{}
 	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitValue([]byte("some text content"), core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	blob := w.buf
+	blob := e.buf
 
 	// Feeding byte by byte must never error and must consume exactly the
 	// whole stream.
@@ -302,16 +300,15 @@ func TestRecordsHostileLength(t *testing.T) {
 
 func TestLazyBindingOncePerCode(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"x"})
-	w := &recordWriter{}
-	e := &recordEmitter{w: w}
+	e := &recordEmitter{}
 	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	first := len(w.buf)
-	w.buf = w.buf[:0]
+	first := len(e.buf)
+	e.buf = e.buf[:0]
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	second := len(w.buf)
+	second := len(e.buf)
 	if second >= first {
 		t.Errorf("second emission (%dB) must be smaller than the first (%dB): binding must not repeat", second, first)
 	}
