@@ -46,10 +46,14 @@ test-rearm:
 ## retained diff base against a fresh publisher per commit, a foreign
 ## commit in between, a store that fails the commit before and after
 ## applying it, a rolled-back header, two re-publications of one document
-## at once, retention past its byte bound; the encoder's golden bytes and
-## the store-side handshake tests — repeated under the race detector
+## at once, retention past its byte bound; the one commit frame against
+## the staged handshake and the in-process application on every store
+## tier, readers of a commit parked in its fsync, a kill inside that
+## fsync, racing commits against replay; the context header MAC against
+## the package one, the encoder's golden bytes and the store-side
+## handshake tests — repeated under the race detector
 test-republish:
-	$(GO) test -race -count=5 -run 'TestRepublish|TestDiffEncode|TestEncoderMatchesGolden' ./internal/docenc/ ./internal/proxy/ ./internal/dsp/ .
+	$(GO) test -race -count=5 -run 'TestRepublish|TestDiffEncode|TestEncoderMatchesGolden|TestHeaderMAC' ./internal/docenc/ ./internal/proxy/ ./internal/dsp/ ./internal/secure/ .
 
 ## bench: one-iteration benchmark smoke run (perf code must keep compiling and running)
 bench:
@@ -106,7 +110,8 @@ gateway-soak:
 ## fuzz-smoke: short fuzz runs over the decoders of bytes that arrive
 ## from outside (stored blocks and sealed blobs, the container header,
 ## the document payload decoded block by block through the card's input
-## window, the card's record stream cut at arbitrary points) and the
+## window, the card's record stream cut at arbitrary points, dspd's
+## one-frame commit and the log record recovery replays it from) and the
 ## serializer's round trip; CI runs this on every push, longer runs stay
 ## manual
 fuzz-smoke:
@@ -116,6 +121,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecoderChunked -fuzztime=10s ./internal/soe/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/proxy/
 	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
+	$(GO) test -run=NONE -fuzz=FuzzCommitFrame -fuzztime=10s ./internal/dsp/
+	$(GO) test -run=NONE -fuzz=FuzzCommitRecord -fuzztime=10s ./internal/dsp/
 
 ## fmt: fail if any file needs gofmt
 fmt:

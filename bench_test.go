@@ -8,6 +8,8 @@ package sds
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/accessrule"
@@ -309,6 +311,76 @@ func BenchmarkRepublish(b *testing.B) {
 		changed += info.ChangedBlocks
 	}
 	b.ReportMetric(float64(changed)/float64(b.N), "blocks/commit")
+}
+
+// tripCounter is a store pool that counts its round trips: every call a
+// re-publication can make costs one.
+type tripCounter struct {
+	*StorePool
+	trips atomic.Int64
+}
+
+func (s *tripCounter) Header(docID string) (docenc.Header, error) {
+	s.trips.Add(1)
+	return s.StorePool.Header(docID)
+}
+
+func (s *tripCounter) ReadBlocks(docID string, start, count int) ([][]byte, error) {
+	s.trips.Add(1)
+	return s.StorePool.ReadBlocks(docID, start, count)
+}
+
+func (s *tripCounter) CommitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
+	s.trips.Add(1)
+	return s.StorePool.CommitDelta(d)
+}
+
+// BenchmarkRepublishRemote is BenchmarkRepublish on the deployed write
+// path: the long-lived Publisher talks over a one-connection store pool
+// on loopback to dspd's stack, a block cache in front of a durable
+// FileStore with fsync on. Allocations count both ends of the
+// connection; roundtrips/op is what one re-publication costs in store
+// round trips — the commit frame alone once the base is retained.
+func BenchmarkRepublishRemote(b *testing.B) {
+	doc, opts := benchFolder()
+	fs, err := NewFileStoreOptions(b.TempDir(), FileStoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewStoreServer(NewStoreCache(fs, 0))
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	pool, err := DialStorePool(l.Addr().String(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	store := &tripCounter{StorePool: pool}
+	pub := &Publisher{Store: store}
+	if _, err := pub.PublishDocument(doc, opts); err != nil {
+		b.Fatal(err)
+	}
+	contacts := doc.Find("contact")
+	rng := rand.New(rand.NewSource(1))
+	edit := func() {
+		contacts[rng.Intn(len(contacts))].Children[0].Text = fmt.Sprintf("+33 1 %08d", rng.Intn(100_000_000))
+		if _, err := pub.Republish(doc, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edit() // the first re-publication fetches its base
+	store.trips.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edit()
+	}
+	b.ReportMetric(float64(store.trips.Load())/float64(b.N), "roundtrips/op")
 }
 
 // BenchmarkE12DurableRepublish measures 1-block delta commits against

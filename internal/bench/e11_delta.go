@@ -18,8 +18,7 @@ import (
 // fraction of a published document's values change, what does it cost to
 // bring the DSP to the new version? The historical path re-encodes and
 // re-uploads the whole container; the delta path (streaming encoder +
-// block differ + begin/commit patch handshake) uploads only the changed
-// block runs. Bytes-on-wire are accounted at the client (request payload
+// block differ + one commit frame) uploads only the changed block runs. Bytes-on-wire are accounted at the client (request payload
 // bytes), so the comparison is what actually crossed the network — over
 // real loopback TCP, like E9/E10.
 
@@ -158,7 +157,7 @@ func E11DeltaRepublish(rec *Recorder) []*Table {
 			"full ms", "delta ms"},
 		Notes: []string{
 			"churn: fraction of text values rewritten in place (same length)",
-			"bytes: request payload accounted at the client — headers, handshake and blocks",
+			"bytes: request payload accounted at the client — header probe, base reads and the commit frame with its blocks",
 			"delta also pays reading the old version back for the diff (counted in delta ms, not KB)",
 			"wall-clock measurement (real network server); workload is seeded",
 		},

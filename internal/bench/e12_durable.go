@@ -61,23 +61,20 @@ func e12Publish(s dsp.Store) error {
 	return nil
 }
 
-// e12DeltaRound pushes a 1-block delta (the block-level minimum a real
-// edit produces) to every document, bumping it to version v.
+// e12Delta is the 1-block delta (the block-level minimum a real edit
+// produces) that bumps document d to version v. The synthetic headers
+// carry no MAC, so the base's is zero too.
+func e12Delta(d int, v uint32) *docenc.DeltaUpdate {
+	c := e12Container(fmt.Sprintf("e12-%d", d), v)
+	return &docenc.DeltaUpdate{Header: c.Header, BaseVersion: v - 1,
+		Runs: []docenc.PatchRun{{Start: int(v) % e12NumBlocks, Blocks: c.Blocks[:1]}}}
+}
+
+// e12DeltaRound pushes a 1-block delta to every document, bumping it to
+// version v.
 func e12DeltaRound(s dsp.Store, v uint32) error {
-	up, ok := s.(dsp.DocUpdater)
-	if !ok {
-		return dsp.ErrUpdateUnsupported
-	}
 	for d := 0; d < e12Docs; d++ {
-		c := e12Container(fmt.Sprintf("e12-%d", d), v)
-		token, err := up.BeginUpdate(c.Header, v-1)
-		if err != nil {
-			return err
-		}
-		if err := up.PutBlocks(token, int(v)%e12NumBlocks, c.Blocks[:1]); err != nil {
-			return err
-		}
-		if err := up.CommitUpdate(token); err != nil {
+		if err := dsp.ApplyDelta(s, e12Delta(d, v)); err != nil {
 			return err
 		}
 	}
@@ -102,10 +99,6 @@ func E12CommitRound(s dsp.Store, v uint32) (int64, error) {
 // conflicts), versions [from, from+rounds). This is the shape that lets
 // group commit batch several commits under one fsync barrier.
 func e12ConcurrentDeltas(s dsp.Store, writers, rounds int, from uint32) error {
-	up, ok := s.(dsp.DocUpdater)
-	if !ok {
-		return dsp.ErrUpdateUnsupported
-	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -114,17 +107,7 @@ func e12ConcurrentDeltas(s dsp.Store, writers, rounds int, from uint32) error {
 			defer wg.Done()
 			for v := from; v < from+uint32(rounds); v++ {
 				for d := w; d < e12Docs; d += writers {
-					c := e12Container(fmt.Sprintf("e12-%d", d), v)
-					token, err := up.BeginUpdate(c.Header, v-1)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if err := up.PutBlocks(token, int(v)%e12NumBlocks, c.Blocks[:1]); err != nil {
-						errCh <- err
-						return
-					}
-					if err := up.CommitUpdate(token); err != nil {
+					if err := dsp.ApplyDelta(s, e12Delta(d, v)); err != nil {
 						errCh <- err
 						return
 					}

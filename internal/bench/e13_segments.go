@@ -81,27 +81,18 @@ func e13Publish(s dsp.Store) error {
 	return nil
 }
 
-// e13Delta pushes one 1-block delta commit, bumping docID to version v.
-func e13Delta(up dsp.DocUpdater, docID string, v uint32) error {
+// e13Delta pushes one 1-block delta commit, bumping docID to version v
+// (the synthetic headers carry no MAC, so the base's is zero too).
+func e13Delta(s dsp.Store, docID string, v uint32) error {
 	c := e13Container(docID, v)
-	token, err := up.BeginUpdate(c.Header, v-1)
-	if err != nil {
-		return err
-	}
-	if err := up.PutBlocks(token, int(v)%e13NumBlocks, c.Blocks[:1]); err != nil {
-		return err
-	}
-	return up.CommitUpdate(token)
+	return dsp.ApplyDelta(s, &docenc.DeltaUpdate{Header: c.Header, BaseVersion: v - 1,
+		Runs: []docenc.PatchRun{{Start: int(v) % e13NumBlocks, Blocks: c.Blocks[:1]}}})
 }
 
 // e13ConcurrentDeltas drives 1-block delta commits from `writers`
 // goroutines (each owning its own documents, so no version conflicts),
 // versions [from, from+rounds), and returns the total commits.
 func e13ConcurrentDeltas(s dsp.Store, writers, rounds int, from uint32) (int64, error) {
-	up, ok := s.(dsp.DocUpdater)
-	if !ok {
-		return 0, dsp.ErrUpdateUnsupported
-	}
 	var commits int64
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
@@ -111,7 +102,7 @@ func e13ConcurrentDeltas(s dsp.Store, writers, rounds int, from uint32) (int64, 
 			defer wg.Done()
 			for v := from; v < from+uint32(rounds); v++ {
 				for d := w; d < e13Docs; d += writers {
-					if err := e13Delta(up, e13DocID(d), v); err != nil {
+					if err := e13Delta(s, e13DocID(d), v); err != nil {
 						errCh <- err
 						return
 					}
@@ -254,7 +245,6 @@ func E13CheckpointLatency(rec *Recorder) (*Table, error) {
 		},
 	}
 	measure := func(fs *dsp.FileStore, from uint32) ([]time.Duration, error) {
-		up := dsp.DocUpdater(fs)
 		lat := make([]time.Duration, 0, commits)
 		for i := 0; i < commits; i++ {
 			d := i % e13LatDocs
@@ -263,18 +253,11 @@ func E13CheckpointLatency(rec *Recorder) (*Table, error) {
 				PayloadLen: e13LatBlockPlain * e13LatNumBlocks}
 			blk := bytes.Repeat([]byte{byte(v)}, e13LatBlockPlain+secure.MACLen)
 			binary.BigEndian.PutUint32(blk, v)
-			// Time the whole handshake: begin and put-blocks queue on the
-			// same segment log mutex a compaction holds, so the stall
-			// lands on whichever op reaches it first.
+			// The commit queues on the segment log mutex a compaction
+			// holds, so a stall lands on it.
 			start := time.Now()
-			token, err := up.BeginUpdate(h, v-1)
-			if err != nil {
-				return nil, err
-			}
-			if err := up.PutBlocks(token, int(v)%e13LatNumBlocks, [][]byte{blk}); err != nil {
-				return nil, err
-			}
-			if err := up.CommitUpdate(token); err != nil {
+			if _, err := fs.CommitDelta(&docenc.DeltaUpdate{Header: h, BaseVersion: v - 1,
+				Runs: []docenc.PatchRun{{Start: int(v) % e13LatNumBlocks, Blocks: [][]byte{blk}}}}); err != nil {
 				return nil, err
 			}
 			lat = append(lat, time.Since(start))

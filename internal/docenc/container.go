@@ -64,8 +64,12 @@ var magic = [4]byte{'S', 'D', 'S', '2'}
 // canonical serializes the MAC'd fields.
 func (h *Header) canonical() []byte {
 	// Room for the MAC too: MarshalBinary appends it.
-	b := make([]byte, 0, len(magic)+len(h.DocID)+secure.HeaderMACLen+
-		binary.MaxVarintLen64*(5+2*len(h.GenRuns)))
+	return h.appendCanonical(make([]byte, 0, len(magic)+len(h.DocID)+secure.HeaderMACLen+
+		binary.MaxVarintLen64*(5+2*len(h.GenRuns))))
+}
+
+// appendCanonical appends the MAC'd fields to b.
+func (h *Header) appendCanonical(b []byte) []byte {
 	b = append(b, magic[:]...)
 	b = binary.AppendUvarint(b, uint64(len(h.DocID)))
 	b = append(b, h.DocID...)
@@ -83,6 +87,12 @@ func (h *Header) canonical() []byte {
 // MarshalBinary serializes the header (canonical fields + MAC).
 func (h *Header) MarshalBinary() ([]byte, error) {
 	return append(h.canonical(), h.MAC[:]...), nil
+}
+
+// AppendBinary appends the serialized header to b: MarshalBinary without
+// a buffer of its own, for callers framing the header into a message.
+func (h *Header) AppendBinary(b []byte) ([]byte, error) {
+	return append(h.appendCanonical(b), h.MAC[:]...), nil
 }
 
 // UnmarshalHeader decodes a header and returns the bytes consumed.

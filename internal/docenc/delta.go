@@ -80,8 +80,11 @@ type DeltaUpdate struct {
 	// Header is the successor header: Version bumped, GenRuns recording
 	// which generation each block of the new geometry is encrypted under.
 	Header Header
-	// BaseVersion is the version this delta applies on top of.
+	// BaseVersion is the version this delta applies on top of, and
+	// BaseMAC that version's header MAC: together they name the one
+	// stored version whose unchanged blocks the new header vouches for.
 	BaseVersion uint32
+	BaseMAC     [secure.HeaderMACLen]byte
 	// Runs are the changed runs in ascending block order.
 	Runs []PatchRun
 	// TotalBlocks and ChangedBlocks summarize the delta's size.
@@ -117,7 +120,7 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 	if err != nil {
 		return nil, nil, fmt.Errorf("docenc: authenticating the delta base: %w", err)
 	}
-	d, info, _, err := DiffEncodePayload(root, opts, &old.Header, oldPayload, nil)
+	d, info, _, err := DiffEncodePayload(root, opts, nil, &old.Header, oldPayload, nil)
 	return d, info, err
 }
 
@@ -129,10 +132,12 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 // either dropped (reuse) or encrypted into the delta. The new version's
 // plaintext payload is appended to dst[:0] and returned, so a publisher
 // that keeps it has the base of its next diff without asking the store;
-// dst must not overlap basePayload. A wrong base cannot damage the new
-// version — every block is encoded from root — only make the delta
-// carry too few or too many blocks.
-func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, base *Header, basePayload, dst []byte) (*DeltaUpdate, *EncodeInfo, []byte, error) {
+// dst must not overlap basePayload. sctx, when not nil, is a context for
+// opts.Key that the caller keeps across diffs; the blocks and the header
+// are sealed through it. A wrong base cannot damage the new version —
+// every block is encoded from root — only make the delta carry too few
+// or too many blocks.
+func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.BlockContext, base *Header, basePayload, dst []byte) (*DeltaUpdate, *EncodeInfo, []byte, error) {
 	if opts.DocID != "" && opts.DocID != base.DocID {
 		return nil, nil, nil, fmt.Errorf("docenc: delta DocID %q does not match base %q",
 			opts.DocID, base.DocID)
@@ -149,17 +154,25 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, base *Header, b
 	opts.BlockPlain = int(base.BlockPlain)
 	opts.Version = base.Version + 1
 
-	enc, err := NewEncoder(root, opts)
+	switch {
+	case sctx == nil:
+		var err error
+		if sctx, err = secure.NewBlockContext(opts.Key); err != nil {
+			return nil, nil, nil, err
+		}
+	case sctx.Key() != opts.Key:
+		return nil, nil, nil, fmt.Errorf("docenc: delta context is for another key")
+	}
+	// The header is sealed once, below, when the generation vector is
+	// known: the encoder's own gen-free seal would be overwritten.
+	enc, err := newEncoder(root, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	d := &DeltaUpdate{
 		BaseVersion: base.Version,
+		BaseMAC:     base.MAC,
 		TotalBlocks: enc.NumBlocks(),
-	}
-	sctx, err := secure.NewBlockContext(opts.Key)
-	if err != nil {
-		return nil, nil, nil, err
 	}
 	payload := slices.Grow(dst[:0], enc.plan.payloadLen)
 	gens := make([]uint32, 0, enc.NumBlocks())
@@ -187,11 +200,9 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, base *Header, b
 		return nil, nil, nil, err
 	}
 
-	// Re-seal the header with the generation vector (the encoder MAC'd a
-	// gen-free header before the diff outcome was known).
 	h := enc.Header()
 	h.GenRuns = compressGens(gens, h.Version)
-	h.MAC = secure.HeaderMAC(opts.Key, h.canonical())
+	h.MAC = sctx.HeaderMAC(h.canonical())
 	d.Header = h
 	return d, enc.Info(), payload, nil
 }

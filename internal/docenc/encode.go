@@ -423,6 +423,16 @@ type Encoder struct {
 
 // NewEncoder runs the sizing pass and seals the header.
 func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
+	e, err := newEncoder(root, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.header.MAC = secure.HeaderMAC(e.plan.opts.Key, e.header.canonical())
+	return e, nil
+}
+
+// newEncoder is NewEncoder with the header left unsealed.
+func newEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
 	if opts.DocID == "" {
 		return nil, fmt.Errorf("docenc: DocID is required")
 	}
@@ -430,14 +440,12 @@ func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := Header{
+	return &Encoder{plan: p, header: Header{
 		DocID:      p.opts.DocID,
 		Version:    p.opts.Version,
 		BlockPlain: uint32(p.opts.BlockPlain),
 		PayloadLen: uint64(p.payloadLen),
-	}
-	h.MAC = secure.HeaderMAC(p.opts.Key, h.canonical())
-	return &Encoder{plan: p, header: h}, nil
+	}}, nil
 }
 
 // Header returns the sealed container header (valid before Run: the

@@ -252,7 +252,7 @@ func TestEncodeAllocsFlatAcrossDocumentSize(t *testing.T) {
 		var changed int
 		spare := make([]byte, 0, len(payload))
 		diff := testing.AllocsPerRun(20, func() {
-			d, _, _, err := DiffEncodePayload(tree, opts, &c.Header, payload, spare)
+			d, _, _, err := DiffEncodePayload(tree, opts, nil, &c.Header, payload, spare)
 			if err != nil {
 				t.Fatal(err)
 			}

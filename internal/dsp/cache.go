@@ -388,6 +388,22 @@ func (c *Cache) readBlocks(docID string, start, count int, pins *[]BlockPin, run
 	return out, nil
 }
 
+// CommitDelta implements DeltaCommitter when the backing store does:
+// passed through, and once the backing store has switched versions the
+// document's resident blocks are retired by generation, as a
+// whole-document re-put retires them.
+func (c *Cache) CommitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
+	dc, ok := c.store.(DeltaCommitter)
+	if !ok {
+		return docenc.Header{}, ErrUpdateUnsupported
+	}
+	h, err := dc.CommitDelta(d)
+	if err == nil {
+		c.invalidate(d.Header.DocID)
+	}
+	return h, err
+}
+
 // BeginUpdate implements DocUpdater when the backing store does. The
 // token's document is remembered so the commit can invalidate it.
 func (c *Cache) BeginUpdate(h docenc.Header, baseVersion uint32) (uint64, error) {
@@ -468,6 +484,7 @@ var (
 	_ Store             = (*Cache)(nil)
 	_ BlockRangeReader  = (*Cache)(nil)
 	_ DocUpdater        = (*Cache)(nil)
+	_ DeltaCommitter    = (*Cache)(nil)
 	_ PinnedBlockReader = (*Cache)(nil)
 	_ wireBlockReader   = (*Cache)(nil)
 )

@@ -164,6 +164,26 @@ func errNegativeRange(start, count int) error {
 	return fmt.Errorf("dsp: negative block range [%d,+%d)", start, count)
 }
 
+// CommitDelta implements DeltaCommitter: the whole delta in one frame,
+// and the header the store holds afterwards in the reply.
+func (c *Client) CommitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
+	resp, err := c.roundTrip(appendDelta([]byte{opCommitDelta}, d))
+	if err == nil && (len(resp) == 0 || resp[0] > 1) {
+		err = fmt.Errorf("dsp: malformed commit reply")
+	}
+	if err != nil {
+		return docenc.Header{}, err
+	}
+	h, n, err := docenc.UnmarshalHeader(resp[1:])
+	switch {
+	case err == nil && n != len(resp)-1:
+		err = fmt.Errorf("dsp: %d trailing bytes after the commit reply", len(resp)-1-n)
+	case err == nil && resp[0] == 1:
+		err = fmt.Errorf("%w: the store holds version %d of %q", ErrBaseMoved, h.Version, h.DocID)
+	}
+	return h, err
+}
+
 // BeginUpdate implements DocUpdater against a remote server.
 func (c *Client) BeginUpdate(h docenc.Header, baseVersion uint32) (uint64, error) {
 	hb, err := h.MarshalBinary()
@@ -235,10 +255,9 @@ func (c *Client) ListDocuments() ([]string, error) {
 		return nil, err
 	}
 	r := &wireReader{data: resp}
-	n := r.uvarint()
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.string())
+	out := make([]string, r.readUvarintBounded(1, maxFrame))
+	for i := range out {
+		out[i] = r.string()
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -250,4 +269,5 @@ var (
 	_ Store            = (*Client)(nil)
 	_ BlockRangeReader = (*Client)(nil)
 	_ DocUpdater       = (*Client)(nil)
+	_ DeltaCommitter   = (*Client)(nil)
 )

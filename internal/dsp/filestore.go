@@ -4,18 +4,20 @@ package dsp
 // write-ahead logging. Reads are served from the sharded in-memory
 // store at memory speed; every acknowledged mutation is a WAL record
 // first, so a crash at any instant restarts on exactly the prefix of
-// history that was made durable. The delta handshake logs typed
-// begin/put-blocks/commit records — a delta re-publish appends
-// O(changed bytes), where the pre-WAL file store rewrote the whole
-// image per commit.
+// history that was made durable. A mutation is logged first, made
+// durable second (the group commit's barrier) and published to readers
+// third: a reader can never be served a version a crash would lose. A
+// delta re-publish is one record — base, new header and every changed
+// block — so it appends O(changed bytes), where the pre-WAL file store
+// rewrote the whole image per commit.
 //
 // Layout: the on-disk store is segmented to match the in-memory shards.
 // A directory holds one `wal-NNN.log` + `checkpoint-NNN` pair per
 // shard, a `store.meta` file pinning the segment count the store was
 // created with, and a `LOCK` file (flock) so two processes can never
 // interleave appends into one log. Every record of a document — its
-// puts, its rule sets, its whole update handshake — lives in the
-// segment its id hashes to, so writers to different documents append
+// puts, its rule sets, its delta commits — lives in the segment its id
+// hashes to, so writers to different documents append
 // under different log mutexes and fsync through different group-commit
 // batchers: the write path scales with segments instead of serializing
 // on one log lock.
@@ -23,8 +25,8 @@ package dsp
 // Checkpoints are per-segment and streaming: a segment's image is
 // written document by document through a buffered writer straight to
 // its temp file (never materialized whole in memory), then published by
-// atomic rename, after which that segment's log is truncated and its
-// still-staged updates re-logged. A segment crossing its share of
+// atomic rename, after which that segment's log is truncated. A
+// segment crossing its share of
 // Options.CheckpointBytes is checkpointed by a background goroutine —
 // the writer that tripped the threshold is never charged the
 // compaction, and only writers to the compacting segment wait on it.
@@ -34,7 +36,7 @@ package dsp
 // history lives in one segment, so segments replay independently).
 // Each segment stops at — and truncates — its own torn tail (kill -9
 // mid append); a record that no longer applies (a checkpoint superseded
-// it, or its staged update never committed) is skipped, not fatal.
+// it) is skipped, not fatal.
 // A directory in the PR 4 single-file layout (`wal.log` + `checkpoint`)
 // is migrated to segments, exactly once, on open.
 
@@ -46,7 +48,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -178,9 +179,18 @@ type segment struct {
 	// prefixes); the open rewrites it once. Written single-threaded
 	// during recovery.
 	needRewrite bool
+
+	// pending holds, per document, the mutation that is logged but not
+	// yet published: a channel closed once it is published (or given
+	// up). The next mutation of the document waits for it, so the order
+	// mutations apply in is their log order. Guarded by the shard lock
+	// of the same index, which the publishing committer takes without
+	// the log mutex — a checkpoint holds that while it waits them out.
+	pending map[string]chan struct{}
 }
 
-// FileStore implements Store, BlockRangeReader and DocUpdater on disk.
+// FileStore implements Store, BlockRangeReader, DeltaCommitter and
+// DocUpdater on disk.
 type FileStore struct {
 	mem  *MemStore
 	dir  string
@@ -424,7 +434,7 @@ func (s *FileStore) openDir() error {
 func (s *FileStore) makeSegments(n int) {
 	s.segs = make([]*segment, n)
 	for i := range s.segs {
-		s.segs[i] = &segment{idx: i}
+		s.segs[i] = &segment{idx: i, pending: make(map[string]chan struct{})}
 	}
 }
 
@@ -498,10 +508,9 @@ type segRecovery struct {
 
 // recoverSegments loads every segment's checkpoint and replays its log,
 // fanned out over RecoveryParallelism workers. Segments are independent
-// by construction — a document's whole history (including its update
-// handshakes) lives in the segment its id hashes to — so the only
-// shared state is the MemStore, whose shard locks and update mutex
-// fence the concurrent applies.
+// by construction — a document's whole history lives in the segment its
+// id hashes to — so the only shared state is the MemStore, whose shard
+// locks fence the concurrent applies.
 func (s *FileStore) recoverSegments() error {
 	workers := s.opts.RecoveryParallelism
 	if workers <= 0 {
@@ -510,11 +519,6 @@ func (s *FileStore) recoverSegments() error {
 	if workers > len(s.segs) {
 		workers = len(s.segs)
 	}
-	// Capacity eviction is order-sensitive; parallel replay must not
-	// reproduce it (see MemStore.noEvict). Set before the workers start,
-	// cleared after they join.
-	s.mem.noEvict = true
-	defer func() { s.mem.noEvict = false }()
 
 	recs := make([]segRecovery, len(s.segs))
 	errs := make([]error, len(s.segs))
@@ -549,9 +553,8 @@ func (s *FileStore) recoverSegments() error {
 }
 
 // recoverSegment restores one segment: checkpoint image, then log
-// replay, then eviction of staged updates whose commit never made the
-// log (their tokens died with the old process — nobody can ever commit
-// them; replay needed them only to serve commits later in the log).
+// replay. Staged updates were never logged, so a handshake a crash
+// interrupted leaves nothing behind.
 //
 // With the mmap tier on, a footered image is mapped and its documents
 // installed as views into the mapping — recovery reads the index
@@ -582,15 +585,11 @@ func (s *FileStore) recoverSegment(i int, rec *segRecovery) error {
 			s.segs[i].needRewrite = true
 		}
 	}
-	tokens := make(map[uint64]uint64) // logged token → live token
 	size, torn, err := replayWal(s.segWalPath(i), func(body []byte) error {
-		return s.applyRecord(body, tokens, rec)
+		return s.applyRecord(body, rec)
 	})
 	if err != nil {
 		return err
-	}
-	for _, token := range tokens {
-		_ = s.mem.AbortUpdate(token)
 	}
 	rec.torn = torn
 	w, err := openWalWriter(s.segWalPath(i), size, s.opts.NoSync)
@@ -622,15 +621,11 @@ func (s *FileStore) migrateLegacy() error {
 		return err
 	}
 	var rec segRecovery
-	tokens := make(map[uint64]uint64)
 	_, torn, err := replayWal(filepath.Join(s.dir, walFileName), func(body []byte) error {
-		return s.applyRecord(body, tokens, &rec)
+		return s.applyRecord(body, &rec)
 	})
 	if err != nil {
 		return fmt.Errorf("dsp: migrating %s: %w", s.dir, err)
-	}
-	for _, token := range tokens {
-		_ = s.mem.AbortUpdate(token)
 	}
 	s.replayed, s.skipped, s.tornTail = rec.replayed, rec.skipped, torn
 
@@ -706,10 +701,9 @@ func (s *FileStore) Stats() FileStoreStats {
 		st.SyncWaits, st.SyncRounds = s.gc.statsSnapshot()
 	}
 	for _, seg := range s.segs {
-		// Per-segment counters land in one lock pass per writer, not as
-		// independent atomic reads — Records, AppendedBytes and WALBytes
-		// of one segment are a point-in-time triple, never torn around an
-		// in-flight append.
+		// Read without the log mutex (a checkpoint may hold it for a
+		// whole image write), in an order that never counts a record
+		// without its bytes.
 		rec, app, syn, size := seg.wal.statsSnapshot()
 		st.Records += rec
 		st.AppendedBytes += app
@@ -770,71 +764,93 @@ func (s *FileStore) failed() error {
 	return nil
 }
 
-// logged runs a store mutation and its WAL append as one atomic step
-// under the document's segment log mutex, so log order always equals
-// apply order for that document (writers to other segments proceed in
-// parallel). It returns the durability offset for syncTo (0 when apply
-// failed).
-func (s *FileStore) logged(seg *segment, apply func() error, record func() []byte) (int64, error) {
-	if err := s.failed(); err != nil {
-		return 0, err
+// commit logs one mutation of docID and publishes it once it is
+// durable. prepare checks the mutation against the published state and
+// returns the step that installs it; it runs under the segment's log
+// mutex and the shard lock, with no other mutation of docID logged and
+// unpublished, so apply order equals log order for the document while
+// writers to other documents share the segment's fsync rounds. Until
+// the barrier returns, readers see the version before it. A record too
+// large for the log is refused first: the caller gets a plain
+// validation error, not a store latched read-only over its own input.
+func (s *FileStore) commit(docID string, record []byte, prepare func(sh *memShard) (func(), error)) error {
+	if len(record) > maxWalRecord {
+		return fmt.Errorf("dsp: mutation of %d bytes exceeds the %d-byte wal record limit", len(record), maxWalRecord)
 	}
+	seg := s.seg(docID)
+	sh := &s.mem.shards[seg.idx]
 	seg.wal.mu.Lock()
-	defer seg.wal.mu.Unlock()
-	if err := apply(); err != nil {
-		return 0, err
+	sh.mu.Lock()
+	for wait := seg.pending[docID]; wait != nil; wait = seg.pending[docID] {
+		sh.mu.Unlock()
+		seg.wal.mu.Unlock()
+		<-wait
+		seg.wal.mu.Lock()
+		sh.mu.Lock()
 	}
-	off, err := seg.wal.append(record())
+	err := s.failed()
+	var publish func()
+	if err == nil {
+		publish, err = prepare(sh)
+	}
 	if err != nil {
-		return 0, s.fail(err)
+		sh.mu.Unlock()
+		seg.wal.mu.Unlock()
+		return err
 	}
-	return off, nil
-}
-
-// durable waits for offset off of the segment's log to hit the disk —
-// through the group committer, so concurrent commits across segments
-// share fsync rounds — then checks the segment's checkpoint trigger.
-func (s *FileStore) durable(seg *segment, off int64) error {
-	if err := s.gc.wait(seg.wal, off); err != nil {
+	done := make(chan struct{})
+	seg.pending[docID] = done
+	sh.mu.Unlock()
+	off, err := seg.wal.append(record)
+	seg.wal.mu.Unlock()
+	if err == nil {
+		err = s.gc.wait(seg.wal, off)
+	}
+	sh.mu.Lock()
+	if err == nil {
+		publish()
+	}
+	delete(seg.pending, docID)
+	sh.mu.Unlock()
+	close(done)
+	if err != nil {
 		return s.fail(err)
 	}
 	s.scheduleCheckpoint(seg)
 	return nil
 }
 
-// checkRecordSize rejects a mutation too large for one WAL record
-// before anything is applied: the caller gets a plain validation
-// error, not a store latched read-only over its own input.
-func checkRecordSize(n int) error {
-	if n > maxWalRecord {
-		return fmt.Errorf("dsp: mutation of %d bytes exceeds the %d-byte wal record limit", n, maxWalRecord)
+// drainPending waits until no mutation of the segment is logged and
+// unpublished. The caller holds the log mutex, so none can start.
+func (s *FileStore) drainPending(seg *segment) {
+	sh := &s.mem.shards[seg.idx]
+	sh.mu.RLock()
+	for len(seg.pending) > 0 {
+		var wait chan struct{}
+		for _, wait = range seg.pending {
+			break
+		}
+		sh.mu.RUnlock()
+		<-wait
+		sh.mu.RLock()
 	}
-	return nil
+	sh.mu.RUnlock()
 }
 
-// PutDocument implements Store: logged, then made durable before it is
-// acknowledged.
+// PutDocument implements Store: logged, made durable, then published
+// and acknowledged.
 func (s *FileStore) PutDocument(c *docenc.Container) error {
-	if c == nil {
-		return fmt.Errorf("dsp: nil container")
+	if err := checkContainer(c); err != nil {
+		return err
 	}
 	img, err := c.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	body := append([]byte{recPutDocument}, img...)
-	if err := checkRecordSize(len(body)); err != nil {
-		return err
-	}
-	seg := s.seg(c.Header.DocID)
-	off, err := s.logged(seg,
-		func() error { return s.mem.PutDocument(c) },
-		func() []byte { return body },
-	)
-	if err != nil {
-		return err
-	}
-	return s.durable(seg, off)
+	return s.commit(c.Header.DocID, body, func(sh *memShard) (func(), error) {
+		return func() { sh.docs[c.Header.DocID] = c }, nil
+	})
 }
 
 // PutRuleSet implements Store (durable before acknowledged). Rule sets
@@ -845,18 +861,9 @@ func (s *FileStore) PutRuleSet(docID, subject string, version uint32, sealed []b
 	body = appendString(body, subject)
 	body = appendUvarint(body, uint64(version))
 	body = appendBytes(body, sealed)
-	if err := checkRecordSize(len(body)); err != nil {
-		return err
-	}
-	seg := s.seg(docID)
-	off, err := s.logged(seg,
-		func() error { return s.mem.PutRuleSet(docID, subject, version, sealed) },
-		func() []byte { return body },
-	)
-	if err != nil {
-		return err
-	}
-	return s.durable(seg, off)
+	return s.commit(docID, body, func(sh *memShard) (func(), error) {
+		return sh.putRuleSet(docID, subject, version, sealed)
+	})
 }
 
 // Header implements Store from memory.
@@ -1075,87 +1082,40 @@ func (s *FileStore) RuleSet(docID, subject string) ([]byte, error) {
 // ListDocuments implements Store from memory.
 func (s *FileStore) ListDocuments() ([]string, error) { return s.mem.ListDocuments() }
 
-// BeginUpdate implements DocUpdater. The begin and its staged blocks
-// are appended without an fsync of their own: they only matter if their
-// commit record follows, and the commit's barrier covers everything
-// before it in the segment's log.
-func (s *FileStore) BeginUpdate(h docenc.Header, baseVersion uint32) (uint64, error) {
-	hdr, err := h.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
-	var token uint64
-	_, err = s.logged(s.seg(h.DocID),
-		func() (err error) { token, err = s.mem.BeginUpdate(h, baseVersion); return err },
-		func() []byte { return beginRecord(token, baseVersion, hdr) },
-	)
-	return token, err
+// CommitDelta implements DeltaCommitter: one record — base, header and
+// every changed block — one barrier, shared with concurrent commits
+// (group commit), and only then the new version is published.
+func (s *FileStore) CommitDelta(d *docenc.DeltaUpdate) (h docenc.Header, err error) {
+	err = s.commit(d.Header.DocID, appendDelta([]byte{recCommitDelta}, d), func(sh *memShard) (install func(), err error) {
+		install, h, err = sh.commitDelta(d)
+		return install, err
+	})
+	return h, err
 }
 
-// updateSeg routes an opaque update token to the segment of the
-// document it stages — every record of a handshake must land in one
-// log. An unknown token (already committed, aborted or evicted) is
-// reported with the MemStore's wording so callers see one error shape.
-func (s *FileStore) updateSeg(token uint64) (*segment, error) {
-	docID, ok := s.mem.updateDocID(token)
-	if !ok {
-		return nil, fmt.Errorf("dsp: unknown update token %d", token)
-	}
-	return s.seg(docID), nil
+// BeginUpdate implements DocUpdater. Staged updates live in memory
+// only: nothing reaches the log before the commit, which is one
+// CommitDelta record.
+func (s *FileStore) BeginUpdate(h docenc.Header, base uint32) (uint64, error) {
+	return s.mem.BeginUpdate(h, base)
 }
 
-// PutBlocks implements DocUpdater: one appended record per staged run.
-func (s *FileStore) PutBlocks(token uint64, start int, blocks [][]byte) error {
-	body := putBlocksRecord(token, start, blocks)
-	if err := checkRecordSize(len(body)); err != nil {
-		return err
-	}
-	seg, err := s.updateSeg(token)
-	if err != nil {
-		return err
-	}
-	_, err = s.logged(seg,
-		func() error { return s.mem.PutBlocks(token, start, blocks) },
-		func() []byte { return body },
-	)
-	return err
+// PutBlocks implements DocUpdater (in memory, see BeginUpdate).
+func (s *FileStore) PutBlocks(token uint64, start int, b [][]byte) error {
+	return s.mem.PutBlocks(token, start, b)
 }
 
-// CommitUpdate implements DocUpdater: the commit record's fsync is the
-// one barrier a whole delta re-publish pays, and concurrent commits to
-// the same segment share it (group commit).
+// CommitUpdate implements DocUpdater through CommitDelta.
 func (s *FileStore) CommitUpdate(token uint64) error {
-	seg, err := s.updateSeg(token)
-	if err != nil {
-		return err
+	d, err := s.mem.takeUpdate(token)
+	if err == nil {
+		_, err = s.CommitDelta(d)
 	}
-	off, err := s.logged(seg,
-		func() error { return s.mem.CommitUpdate(token) },
-		func() []byte { return tokenRecord(recCommit, token) },
-	)
-	if err != nil {
-		return err
-	}
-	return s.durable(seg, off)
-}
-
-// AbortUpdate implements DocUpdater. The abort is logged so replay does
-// not resurrect the staged update, but nothing waits on the disk: an
-// abort lost to a crash only leaves a stale staged update, which
-// recovery (and the staging cap) already tolerates.
-func (s *FileStore) AbortUpdate(token uint64) error {
-	seg, err := s.updateSeg(token)
-	if err != nil {
-		return err
-	}
-	_, err = s.logged(seg,
-		func() error { return s.mem.AbortUpdate(token) },
-		func() []byte { return tokenRecord(recAbort, token) },
-	)
 	return err
 }
 
-// record body builders (shared by live appends and checkpoint re-logs).
+// AbortUpdate implements DocUpdater.
+func (s *FileStore) AbortUpdate(token uint64) error { return s.mem.AbortUpdate(token) }
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
@@ -1170,53 +1130,28 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-func beginRecord(token uint64, baseVersion uint32, hdr []byte) []byte {
-	body := []byte{recBeginUpdate}
-	body = appendUvarint(body, token)
-	body = appendUvarint(body, uint64(baseVersion))
-	return append(body, hdr...)
-}
-
-func putBlocksRecord(token uint64, start int, blocks [][]byte) []byte {
-	body := []byte{recPutBlocks}
-	body = appendUvarint(body, token)
-	body = appendUvarint(body, uint64(start))
-	body = appendUvarint(body, uint64(len(blocks)))
-	for _, blk := range blocks {
-		body = appendBytes(body, blk)
-	}
-	return body
-}
-
-func tokenRecord(kind byte, token uint64) []byte {
-	return appendUvarint([]byte{kind}, token)
-}
-
 // applyRecord replays one WAL record during recovery. Parse failures of
 // a CRC-clean record mean real corruption and abort the open; apply
-// failures mean the record was superseded (checkpoint overlap, an
-// update that never committed, a duplicate commit) and are skipped.
-func (s *FileStore) applyRecord(body []byte, tokens map[uint64]uint64, rec *segRecovery) error {
+// failures mean the record was superseded (checkpoint overlap, a
+// duplicate commit) and are skipped. The replay buffer is the whole log,
+// so the blocks a record installs are copied out of it.
+func (s *FileStore) applyRecord(body []byte, rec *segRecovery) error {
 	if len(body) == 0 {
 		return errors.New("empty wal record")
 	}
 	rec.replayed++
 	r := &wireReader{data: body, pos: 1}
+	var err error
 	switch body[0] {
 	case recPutDocument:
-		c, err := docenc.UnmarshalContainer(body[1:])
-		if err != nil {
-			return fmt.Errorf("put-document record: %w", err)
+		c, perr := docenc.UnmarshalContainer(body[1:])
+		if perr != nil {
+			return fmt.Errorf("put-document record: %w", perr)
 		}
-		// The unmarshal aliases the replay buffer; copy the blocks so a
-		// long log is not pinned in memory by the few containers that
-		// survive it.
 		for i := range c.Blocks {
 			c.Blocks[i] = append([]byte(nil), c.Blocks[i]...)
 		}
-		if err := s.mem.PutDocument(c); err != nil {
-			rec.skipped++
-		}
+		err = s.mem.PutDocument(c)
 	case recPutRuleSet:
 		docID := r.string()
 		subject := r.string()
@@ -1225,78 +1160,26 @@ func (s *FileStore) applyRecord(body []byte, tokens map[uint64]uint64, rec *segR
 		if r.err != nil {
 			return fmt.Errorf("put-ruleset record: %w", r.err)
 		}
-		if err := s.mem.PutRuleSet(docID, subject, uint32(version), sealed); err != nil {
-			rec.skipped++
+		err = s.mem.PutRuleSet(docID, subject, uint32(version), sealed)
+	case recCommitDelta:
+		d, perr := r.delta()
+		if perr != nil {
+			return fmt.Errorf("commit record: %w", perr)
 		}
-	case recBeginUpdate:
-		logged := r.uvarint()
-		base := r.uvarint()
-		if r.err != nil {
-			return fmt.Errorf("begin-update record: %w", r.err)
-		}
-		h, _, err := docenc.UnmarshalHeader(r.rest())
-		if err != nil {
-			return fmt.Errorf("begin-update header: %w", err)
-		}
-		token, err := s.mem.BeginUpdate(h, uint32(base))
-		if err != nil {
-			rec.skipped++
-			return nil
-		}
-		tokens[logged] = token
-	case recPutBlocks:
-		logged := r.uvarint()
-		start := r.uvarint()
-		count := r.uvarint()
-		if r.err != nil {
-			return fmt.Errorf("put-blocks record: %w", r.err)
-		}
-		blocks := make([][]byte, 0, count)
-		for i := uint64(0); i < count; i++ {
-			b := r.bytes()
-			if r.err != nil {
-				return fmt.Errorf("put-blocks record: %w", r.err)
+		for _, run := range d.Runs {
+			for i := range run.Blocks {
+				run.Blocks[i] = append([]byte(nil), run.Blocks[i]...)
 			}
-			blocks = append(blocks, append([]byte(nil), b...))
 		}
-		token, ok := tokens[logged]
-		if !ok {
-			rec.skipped++ // its begin was superseded
-			return nil
-		}
-		if err := s.mem.PutBlocks(token, int(start), blocks); err != nil {
-			rec.skipped++
-		}
-	case recCommit:
-		logged := r.uvarint()
-		if r.err != nil {
-			return fmt.Errorf("commit record: %w", r.err)
-		}
-		token, ok := tokens[logged]
-		if !ok {
-			rec.skipped++ // superseded begin, or a duplicate commit
-			return nil
-		}
-		delete(tokens, logged) // commit retires the token either way
-		if err := s.mem.CommitUpdate(token); err != nil {
-			rec.skipped++
-		}
-	case recAbort:
-		logged := r.uvarint()
-		if r.err != nil {
-			return fmt.Errorf("abort record: %w", r.err)
-		}
-		token, ok := tokens[logged]
-		if !ok {
-			rec.skipped++
-			return nil
-		}
-		delete(tokens, logged)
-		if err := s.mem.AbortUpdate(token); err != nil {
-			rec.skipped++
-		}
+		_, err = s.mem.CommitDelta(d)
+	case recRetiredBegin, recRetiredPutBlocks, recRetiredCommit, recRetiredAbort:
+		return fmt.Errorf("wal record type %d is the update handshake's, which stores no longer log; "+
+			"open this directory with the release that wrote it and checkpoint it first", body[0])
 	default:
 		return fmt.Errorf("unknown wal record type %d", body[0])
+	}
+	if err != nil {
+		rec.skipped++
 	}
 	return nil
 }
@@ -1353,10 +1236,9 @@ func (s *FileStore) scheduleCheckpoint(seg *segment) {
 }
 
 // Checkpoint compacts every segment: each image is streamed to disk
-// (temp file, fsync, atomic rename) and the log it absorbs truncated;
-// still-staged updates are re-logged so an in-flight delta handshake
-// survives. Segments checkpoint in parallel and independently — writers
-// to a segment wait only while their segment compacts.
+// (temp file, fsync, atomic rename) and the log it absorbs truncated.
+// Segments checkpoint in parallel and independently — writers to a
+// segment wait only while their segment compacts.
 func (s *FileStore) Checkpoint() error {
 	start := time.Now()
 	errs := make([]error, len(s.segs))
@@ -1378,10 +1260,10 @@ func (s *FileStore) Checkpoint() error {
 	return nil
 }
 
-// checkpointSegment compacts one segment: stream its shard's image,
-// publish it, truncate its log, re-log its staged updates. Only writers
-// to this segment block for the duration; reads and the other segments
-// never notice.
+// checkpointSegment compacts one segment: wait out its logged,
+// unpublished mutations, stream its shard's image, publish it, truncate
+// its log. Only writers to this segment block for the duration; reads
+// and the other segments never notice.
 func (s *FileStore) checkpointSegment(seg *segment) error {
 	return s.checkpointSegmentMode(seg, false)
 }
@@ -1398,15 +1280,19 @@ func (s *FileStore) checkpointSegmentMode(seg *segment, force bool) error {
 	}
 	seg.wal.mu.Lock()
 	defer seg.wal.mu.Unlock()
+	// With the log mutex held no mutation can be logged; once those
+	// already logged are published, the shard state is exactly what the
+	// log says, and stays so until the image is written and the log
+	// truncated.
+	s.drainPending(seg)
 	if s.testCkptGate != nil {
 		s.testCkptGate(seg.idx)
 	}
 	// An empty log means the published image already equals the shard
-	// state (any staged update would have left a re-logged begin
-	// behind): rewriting the image would only burn fsyncs. This is what
+	// state: rewriting the image would only burn fsyncs. This is what
 	// keeps an explicit all-segment Checkpoint — every sdsctl exit,
 	// every dspd shutdown — proportional to churn, not to shard count.
-	if seg.wal.appended == 0 && !force {
+	if seg.wal.size() == 0 && !force {
 		return nil
 	}
 	start := time.Now()
@@ -1414,14 +1300,8 @@ func (s *FileStore) checkpointSegmentMode(seg *segment, force bool) error {
 	if err := s.writeSegmentImage(seg.idx); err != nil {
 		return s.fail(err)
 	}
-	// The image now carries everything this segment's log said; empty
-	// the log and re-log the segment's in-flight handshakes (their
-	// begin/put-blocks records were just absorbed into nothing — the
-	// image has only committed state).
+	// The image now carries everything this segment's log said.
 	if err := seg.wal.reset(); err != nil {
-		return s.fail(err)
-	}
-	if err := s.relogStaged(seg); err != nil {
 		return s.fail(err)
 	}
 	// Tier swap: serve the just-published image via mmap and let the
@@ -1594,64 +1474,6 @@ func (c *countingWriter) WriteString(s string) (int, error) {
 	n, err := c.w.WriteString(s)
 	c.n += int64(n)
 	return n, err
-}
-
-// relogStaged writes the begin/put-blocks records of this segment's
-// still-staged updates into its (fresh) log under their live tokens.
-// No fsync: like a live begin, they become durable with their commit's
-// barrier.
-func (s *FileStore) relogStaged(seg *segment) error {
-	s.mem.updMu.Lock()
-	tokens := make([]uint64, 0, len(s.mem.updates))
-	for t, up := range s.mem.updates {
-		if s.seg(up.header.DocID) == seg {
-			tokens = append(tokens, t)
-		}
-	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
-	type stagedCopy struct {
-		token uint64
-		up    *pendingUpdate
-	}
-	staged := make([]stagedCopy, 0, len(tokens))
-	for _, t := range tokens {
-		staged = append(staged, stagedCopy{t, s.mem.updates[t]})
-	}
-	s.mem.updMu.Unlock()
-
-	for _, sc := range staged {
-		hdr, err := sc.up.header.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if _, err := seg.wal.append(beginRecord(sc.token, sc.up.base, hdr)); err != nil {
-			return err
-		}
-		// Coalesce the staged blocks back into contiguous runs, cut at
-		// a byte budget so the re-log never assembles a record larger
-		// than the live path could have appended.
-		idxs := make([]int, 0, len(sc.up.blocks))
-		for i := range sc.up.blocks {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for lo := 0; lo < len(idxs); {
-			hi, runBytes := lo+1, len(sc.up.blocks[idxs[lo]])
-			for hi < len(idxs) && idxs[hi] == idxs[hi-1]+1 && runBytes < maxPutBatchBytes {
-				runBytes += len(sc.up.blocks[idxs[hi]])
-				hi++
-			}
-			run := make([][]byte, 0, hi-lo)
-			for _, i := range idxs[lo:hi] {
-				run = append(run, sc.up.blocks[i])
-			}
-			if _, err := seg.wal.append(putBlocksRecord(sc.token, idxs[lo], run)); err != nil {
-				return err
-			}
-			lo = hi
-		}
-	}
-	return nil
 }
 
 // loadCheckpointFile reads one checkpoint image (if present) into the
@@ -1863,8 +1685,9 @@ func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
 // — this is the eviction that keeps the MemStore working set bounded:
 // the heap copies those documents held (their WAL-resident deltas
 // included, now absorbed by the image) become garbage the moment the
-// swap commits. The caller holds seg.wal.mu, so the shard cannot gain
-// new committed state between the image write and the swap; the swap
+// swap commits. The caller holds seg.wal.mu with nothing left
+// unpublished, so the shard cannot gain new committed state between the
+// image write and the swap; the swap
 // itself runs under the shard write lock, after which the old region is
 // retired (its munmap deferred until in-flight pinned readers drain).
 func (s *FileStore) installMapping(seg *segment) {
@@ -1951,6 +1774,7 @@ var (
 	_ Store             = (*FileStore)(nil)
 	_ BlockRangeReader  = (*FileStore)(nil)
 	_ DocUpdater        = (*FileStore)(nil)
+	_ DeltaCommitter    = (*FileStore)(nil)
 	_ PinnedBlockReader = (*FileStore)(nil)
 	_ wireBlockReader   = (*FileStore)(nil)
 )

@@ -179,9 +179,10 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestFileStoreDuplicateCommitRecord: a commit record for an already
-// retired token (a crashed writer's duplicate, or a checkpoint-overlap
-// replay) is skipped, never fatal, and changes nothing.
+// TestFileStoreDuplicateCommitRecord: a commit record whose base the
+// document already moved past (a crashed writer's duplicate, or a
+// checkpoint-overlap replay) is skipped, never fatal, and changes
+// nothing.
 func TestFileStoreDuplicateCommitRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := openFileStore(t, dir, FileStoreOptions{})
@@ -191,19 +192,14 @@ func TestFileStoreDuplicateCommitRecord(t *testing.T) {
 	}
 	h2 := c.Header
 	h2.Version++
-	token, err := s.BeginUpdate(h2, c.Header.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutBlocks(token, 0, c.Blocks); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CommitUpdate(token); err != nil {
+	d := &docenc.DeltaUpdate{Header: h2, BaseVersion: c.Header.Version, BaseMAC: c.Header.MAC,
+		Runs: []docenc.PatchRun{{Start: 0, Blocks: c.Blocks}}}
+	if _, err := s.CommitDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	crash(s)
 
-	appendRaw(t, dir, segForDoc("doc", DefaultShards), frame(tokenRecord(recCommit, token)))
+	appendRaw(t, dir, segForDoc("doc", DefaultShards), frame(appendDelta([]byte{recCommitDelta}, d)))
 
 	r := openFileStore(t, dir, FileStoreOptions{})
 	st := r.Stats()
@@ -264,8 +260,8 @@ func TestFileStoreCheckpointCompaction(t *testing.T) {
 }
 
 // TestFileStoreCheckpointPreservesStagedUpdate: an in-flight handshake
-// must survive log compaction — its begin/put-blocks records are
-// re-logged, so a commit after the checkpoint is replayable.
+// survives log compaction — its staged blocks are in memory, not in the
+// log — and its commit after the checkpoint is one replayable record.
 func TestFileStoreCheckpointPreservesStagedUpdate(t *testing.T) {
 	dir := t.TempDir()
 	s := openFileStore(t, dir, FileStoreOptions{})
@@ -299,8 +295,9 @@ func TestFileStoreCheckpointPreservesStagedUpdate(t *testing.T) {
 }
 
 // TestFileStoreAbandonedBeginSurvivesRestartAsEviction: a staged update
-// whose client died uncommitted is evicted by recovery — the document
-// is untouched, the dead token stays dead, and fresh handshakes work.
+// whose client died uncommitted never reached the log, so it dies with
+// the process — the document is untouched, the dead token stays dead,
+// and fresh handshakes work.
 func TestFileStoreAbandonedBeginSurvivesRestartAsEviction(t *testing.T) {
 	dir := t.TempDir()
 	s := openFileStore(t, dir, FileStoreOptions{})

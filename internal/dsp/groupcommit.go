@@ -12,19 +12,27 @@ package dsp
 // arriving committers accumulate into the next round — under load the
 // batch grows and fsyncs-per-commit falls, with no timers and no added
 // latency when the store is idle (a lone committer's round starts
-// immediately).
+// immediately, and a round with one dirty segment is synced on the
+// syncer itself).
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// syncRound is one batch of durability waits: the highest offset needed
-// per writer, and the per-writer outcome once the barriers ran.
+// syncRound is one batch of durability waits: one entry per dirty
+// segment, closed done once every barrier ran.
 type syncRound struct {
-	offs map[*walWriter]int64
-	errs map[*walWriter]error
+	segs []roundSeg
 	done chan struct{}
+}
+
+// roundSeg is the highest offset a round's waiters need durable in one
+// segment's log, and the barrier's outcome.
+type roundSeg struct {
+	w   *walWriter
+	off int64
+	err error
 }
 
 // groupCommitter batches durability barriers across WAL segments.
@@ -77,12 +85,17 @@ func (gc *groupCommitter) wait(w *walWriter, off int64) error {
 	}
 	r := gc.next
 	if r == nil {
-		r = &syncRound{offs: make(map[*walWriter]int64), done: make(chan struct{})}
+		r = &syncRound{done: make(chan struct{})}
 		gc.next = r
 	}
-	if off > r.offs[w] {
-		r.offs[w] = off
+	i := 0
+	for i < len(r.segs) && r.segs[i].w != w {
+		i++
 	}
+	if i == len(r.segs) {
+		r.segs = append(r.segs, roundSeg{w: w})
+	}
+	r.segs[i].off = max(r.segs[i].off, off)
 	gc.waits.Add(1)
 	gc.mu.Unlock()
 	select {
@@ -90,7 +103,7 @@ func (gc *groupCommitter) wait(w *walWriter, off int64) error {
 	default:
 	}
 	<-r.done
-	return r.errs[w]
+	return r.segs[i].err
 }
 
 // run is the syncer: it drains pending rounds until stopped, then
@@ -128,33 +141,23 @@ func (gc *groupCommitter) drain() {
 }
 
 // runRound issues the round's barriers — one syncTo per dirty segment,
-// in parallel since the segments are separate files — and releases the
-// waiters with their writer's outcome.
+// in parallel since the segments are separate files: the first right
+// here, every other on a goroutine of its own — and releases the
+// waiters.
 func (gc *groupCommitter) runRound(r *syncRound) {
 	if gc.testRoundGate != nil {
 		gc.testRoundGate()
 	}
-	type result struct {
-		w   *walWriter
-		err error
-	}
-	results := make([]result, 0, len(r.offs))
-	for w := range r.offs {
-		results = append(results, result{w: w})
-	}
 	var wg sync.WaitGroup
-	for i := range results {
+	for i := 1; i < len(r.segs); i++ {
 		wg.Add(1)
-		go func(res *result) {
+		go func(rs *roundSeg) {
 			defer wg.Done()
-			res.err = res.w.syncTo(r.offs[res.w])
-		}(&results[i])
+			rs.err = rs.w.syncTo(rs.off)
+		}(&r.segs[i])
 	}
+	r.segs[0].err = r.segs[0].w.syncTo(r.segs[0].off)
 	wg.Wait()
-	r.errs = make(map[*walWriter]error, len(results))
-	for _, res := range results {
-		r.errs[res.w] = res.err
-	}
 	close(r.done)
 }
 

@@ -20,8 +20,8 @@ const DefaultPoolSize = 4
 //
 // A connection that suffers a transport failure is dropped and redialed
 // on next use, so a restarted dspd heals the pool lazily. Server-reported
-// errors (ServerError) leave the connection in service — the wire is
-// still synchronized after them.
+// errors (ServerError) and a commit's moved base (ErrBaseMoved) leave the
+// connection in service — the wire is still synchronized after them.
 type Pool struct {
 	addr string
 
@@ -178,7 +178,7 @@ func (p *Pool) withConn(f func(*Client) error) error {
 	}
 	err := f(c)
 	var srvErr ServerError
-	if err != nil && !errors.As(err, &srvErr) {
+	if err != nil && !errors.As(err, &srvErr) && !errors.Is(err, ErrBaseMoved) {
 		// Transport failure: the request/response framing on this
 		// connection can no longer be trusted. Drop it.
 		p.untrack(c)
@@ -241,6 +241,15 @@ func (p *Pool) ReadBlocksFrame(docID string, start, count int) (f *BlockFrame, e
 	return f, err
 }
 
+// CommitDelta implements DeltaCommitter over one borrowed connection.
+func (p *Pool) CommitDelta(d *docenc.DeltaUpdate) (h docenc.Header, err error) {
+	err = p.withConn(func(c *Client) error {
+		h, err = c.CommitDelta(d)
+		return err
+	})
+	return h, err
+}
+
 // BeginUpdate implements DocUpdater. The update token is store-side
 // state, not connection state, so each op of the handshake may travel
 // over a different pooled connection.
@@ -297,4 +306,5 @@ var (
 	_ Store            = (*Pool)(nil)
 	_ BlockRangeReader = (*Pool)(nil)
 	_ DocUpdater       = (*Pool)(nil)
+	_ DeltaCommitter   = (*Pool)(nil)
 )

@@ -342,23 +342,15 @@ func (s *Server) dispatch(req []byte) *response {
 		}
 		token := r.uvarint()
 		start := r.uvarint()
-		count := r.uvarint()
+		blocks := make([][]byte, r.readUvarintBounded(1, maxBatchBlocks))
+		for i := range blocks {
+			blocks[i] = r.bytes()
+		}
 		if r.err != nil {
 			return resp.setErr(r.err)
 		}
-		if count > maxBatchBlocks {
-			return resp.setErr(fmt.Errorf("dsp: batch of %d blocks exceeds limit %d", count, maxBatchBlocks))
-		}
 		if start > 1<<31 {
 			return resp.setErr(fmt.Errorf("dsp: block offset %d out of range", start))
-		}
-		blocks := make([][]byte, 0, count)
-		for i := uint64(0); i < count; i++ {
-			b := r.bytes()
-			if r.err != nil {
-				return resp.setErr(r.err)
-			}
-			blocks = append(blocks, b)
 		}
 		if err := up.PutBlocks(token, int(start), blocks); err != nil {
 			return resp.setErr(err)
@@ -382,6 +374,25 @@ func (s *Server) dispatch(req []byte) *response {
 		if err != nil {
 			return resp.setErr(err)
 		}
+		return resp
+	case opCommitDelta:
+		dc, ok := s.store.(DeltaCommitter)
+		if !ok {
+			return resp.setErr(ErrUpdateUnsupported)
+		}
+		d, err := r.delta()
+		if err != nil {
+			return resp.setErr(err)
+		}
+		h, err := dc.CommitDelta(d)
+		var moved byte
+		if errors.Is(err, ErrBaseMoved) {
+			moved, err = 1, nil
+		}
+		if err != nil {
+			return resp.setErr(err)
+		}
+		resp.head, _ = h.AppendBinary(append(resp.head, moved))
 		return resp
 	case opPutRuleSet:
 		docID := r.string()

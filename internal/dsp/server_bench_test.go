@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/docenc"
 	"repro/internal/secure"
@@ -205,9 +206,14 @@ func BenchmarkWireReadBlocksSendfile(b *testing.B) {
 				f.Release()
 			}
 			b.StopTimer()
-			st := store.Stats()
 			wantSendfile := SendfileCapable() &&
 				shape.run*shape.blockBytes >= sendfileMinRunBytes
+			// The server counts a sendfile when the call returns, which can
+			// be after the client has read every byte of it.
+			st := store.Stats()
+			for deadline := time.Now().Add(time.Second); wantSendfile && st.SendfileReads == 0 && time.Now().Before(deadline); st = store.Stats() {
+				time.Sleep(time.Millisecond)
+			}
 			if wantSendfile && st.SendfileReads == 0 {
 				b.Fatalf("benchmark did not exercise the sendfile tier: %+v", st)
 			}

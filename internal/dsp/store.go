@@ -104,17 +104,7 @@ type MemStore struct {
 	// locks so an in-progress upload never blocks readers.
 	updMu   sync.Mutex
 	updSeq  uint64
-	updates map[uint64]*pendingUpdate
-
-	// noEvict suspends the staged-update capacity eviction. Recovery
-	// sets it while replaying segment logs in parallel: live eviction
-	// order is a property of the interleaved history, which per-segment
-	// replay does not reproduce — evicting during replay could kill a
-	// begin whose commit (which succeeded live) is still ahead in its
-	// log. Replay memory is bounded by the logs themselves, which
-	// recovery already holds. Written only while no replay goroutine is
-	// running (hand-off via goroutine start/join).
-	noEvict bool
+	updates map[uint64]*docenc.DeltaUpdate
 }
 
 type memShard struct {
@@ -139,7 +129,7 @@ func NewMemStoreShards(n int) *MemStore {
 	if n < 1 {
 		n = 1
 	}
-	s := &MemStore{shards: make([]memShard, n), updates: make(map[uint64]*pendingUpdate)}
+	s := &MemStore{shards: make([]memShard, n), updates: make(map[uint64]*docenc.DeltaUpdate)}
 	for i := range s.shards {
 		s.shards[i].docs = make(map[string]*docenc.Container)
 		s.shards[i].rules = make(map[string]ruleEntry)
@@ -167,14 +157,23 @@ func (s *MemStore) shard(docID string) *memShard {
 	return &s.shards[shardHash(docID, 0)%uint32(len(s.shards))]
 }
 
-// PutDocument implements Store.
-func (s *MemStore) PutDocument(c *docenc.Container) error {
+// checkContainer is what the store can check of a container it holds no
+// key for: an id, and one block per block of its geometry.
+func checkContainer(c *docenc.Container) error {
 	if c == nil || c.Header.DocID == "" {
 		return fmt.Errorf("dsp: container without document id")
 	}
 	if len(c.Blocks) != c.Header.NumBlocks() {
 		return fmt.Errorf("dsp: container block count %d does not match geometry %d",
 			len(c.Blocks), c.Header.NumBlocks())
+	}
+	return nil
+}
+
+// PutDocument implements Store.
+func (s *MemStore) PutDocument(c *docenc.Container) error {
+	if err := checkContainer(c); err != nil {
+		return err
 	}
 	sh := s.shard(c.Header.DocID)
 	sh.mu.Lock()
@@ -251,18 +250,29 @@ func (s *MemStore) Snapshot(docID string) (*docenc.Container, error) {
 // has seen; an honest store thereby serves fresh rights, and a malicious
 // one replaying old blobs is caught by the card's version check, not here.
 func (s *MemStore) PutRuleSet(docID, subject string, version uint32, sealed []byte) error {
-	if subject == "" {
-		return fmt.Errorf("dsp: rule set without subject")
-	}
 	sh := s.shard(docID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	install, err := sh.putRuleSet(docID, subject, version, sealed)
+	if err == nil {
+		install()
+	}
+	return err
+}
+
+// putRuleSet checks a rule-set write against the shard and returns the
+// step that installs it. The caller holds the shard lock (for writing
+// when it installs).
+func (sh *memShard) putRuleSet(docID, subject string, version uint32, sealed []byte) (func(), error) {
+	if subject == "" {
+		return nil, fmt.Errorf("dsp: rule set without subject")
+	}
 	k := docID + "\x00" + subject
 	if cur, ok := sh.rules[k]; ok && cur.version > version {
-		return fmt.Errorf("dsp: rule set version %d older than stored %d", version, cur.version)
+		return nil, fmt.Errorf("dsp: rule set version %d older than stored %d", version, cur.version)
 	}
-	sh.rules[k] = ruleEntry{version: version, sealed: append([]byte(nil), sealed...)}
-	return nil
+	e := ruleEntry{version: version, sealed: append([]byte(nil), sealed...)}
+	return func() { sh.rules[k] = e }, nil
 }
 
 // RuleSet implements Store.

@@ -13,11 +13,11 @@ package dsp
 // longest durable prefix and appends continue from a clean boundary.
 //
 // Durability is batched (group commit): appends go to the file under one
-// mutex, but fsync runs under a second mutex outside the first — while
-// one fsync is in flight every other committer keeps appending, and the
-// next fsync covers all of them with a single disk barrier. A committer
-// whose offset an earlier barrier already covered returns without
-// touching the disk at all.
+// mutex, but fsync runs under a second mutex the barrier never leaves
+// for the first — while one fsync is in flight every other committer
+// keeps appending, and the next fsync covers all of them with a single
+// disk barrier. A committer whose offset an earlier barrier already
+// covered returns without touching the disk at all.
 
 import (
 	"encoding/binary"
@@ -29,17 +29,19 @@ import (
 	"sync/atomic"
 )
 
-// WAL record types. Put-document and put-ruleset carry the whole
-// mutation; the begin/put-blocks/commit triple mirrors the DocUpdater
-// handshake so a delta re-publish appends only its changed runs — the
-// commit record is what makes the staged records meaningful on replay.
+// WAL record types. Each record carries one whole mutation: a document,
+// a rule set, or a delta commit — base, new header and every changed
+// block, encoded as appendDelta encodes it for the wire. Types 3–6 were
+// the staged update handshake's begin, put-blocks, commit and abort
+// records; a log holding them is refused at open.
 const (
-	recPutDocument = 1
-	recPutRuleSet  = 2
-	recBeginUpdate = 3
-	recPutBlocks   = 4
-	recCommit      = 5
-	recAbort       = 6
+	recPutDocument      = 1
+	recPutRuleSet       = 2
+	recRetiredBegin     = 3
+	recRetiredPutBlocks = 4
+	recRetiredCommit    = 5
+	recRetiredAbort     = 6
+	recCommitDelta      = 7
 )
 
 // walFrameOverhead is the per-record framing cost (length + CRC).
@@ -56,14 +58,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // walWriter appends framed records to an open log file and tracks which
 // prefix of the file is known durable.
 type walWriter struct {
-	mu       sync.Mutex // serializes appends (and orders them vs. store apply)
+	mu       sync.Mutex // serializes appends (FileStore orders them per document)
 	f        *os.File
-	appended int64 // file size after the last append (guarded by mu)
-	gen      int64 // bumped by reset; offsets are only meaningful within a generation (guarded by mu)
+	appended atomic.Int64 // file size after the last append (written under mu)
 
-	syncMu sync.Mutex   // serializes fsyncs; group commit happens here
-	synced atomic.Int64 // bytes of the current generation known durable
+	syncMu sync.Mutex   // serializes fsyncs and resets; group commit happens here
+	synced atomic.Int64 // bytes of the log known durable
 
+	// The counters are read without locks (statsSnapshot): an append
+	// adds its bytes before its record.
 	syncs         atomic.Int64 // fsync barriers actually issued
 	bytesAppended atomic.Int64 // record bytes appended (frames included)
 	records       atomic.Int64
@@ -82,7 +85,8 @@ func openWalWriter(path string, size int64, noSync bool) (*walWriter, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	w := &walWriter{f: f, appended: size, noSync: noSync}
+	w := &walWriter{f: f, noSync: noSync}
+	w.appended.Store(size)
 	w.synced.Store(size)
 	return w, nil
 }
@@ -97,8 +101,7 @@ func frame(body []byte) []byte {
 
 // append writes one framed record and returns the file offset its last
 // byte ends at — the offset a caller passes to syncTo for durability.
-// The caller must hold w.mu (FileStore holds it across the store apply
-// and the append so log order equals apply order).
+// The caller must hold w.mu.
 func (w *walWriter) append(body []byte) (int64, error) {
 	if len(body) > maxWalRecord {
 		return 0, fmt.Errorf("dsp: wal record of %d bytes exceeds limit", len(body))
@@ -107,54 +110,43 @@ func (w *walWriter) append(body []byte) (int64, error) {
 	if _, err := w.f.Write(fr); err != nil {
 		return 0, err
 	}
-	w.appended += int64(len(fr))
 	w.bytesAppended.Add(int64(len(fr)))
 	w.records.Add(1)
-	return w.appended, nil
+	return w.appended.Add(int64(len(fr))), nil
 }
 
 // syncTo makes everything up to offset off durable. Offsets already
 // covered by a concurrent barrier return immediately — that is the
-// group-commit batching. A reset (checkpoint) racing this call is
-// handled by the generation check: once the log restarted, the
-// caller's records live in the fsynced checkpoint image, and the
-// stale offset must not pollute the new generation's high-water mark.
+// group-commit batching. It never takes the append mutex, which a
+// checkpoint holds while it waits for this barrier's committers.
 func (w *walWriter) syncTo(off int64) error {
 	if w.noSync || w.synced.Load() >= off {
 		return nil
 	}
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	if w.synced.Load() >= off {
-		return nil // an earlier barrier covered us while we queued
-	}
 	// Capture the appended size before the barrier: bytes written after
-	// Sync is entered may not be covered by it.
-	w.mu.Lock()
-	cur, gen := w.appended, w.gen
-	w.mu.Unlock()
-	if off > cur {
-		// The log is shorter than the caller's offset: a checkpoint
-		// reset it since the append, absorbing the record into the
-		// durable image. Nothing left to sync.
+	// Sync is entered may not be covered by it. A log shorter than off
+	// was reset by a checkpoint since the append, whose fsynced image
+	// holds the record.
+	cur := w.appended.Load()
+	if w.synced.Load() >= off || off > cur {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	w.syncs.Add(1)
-	w.mu.Lock()
-	stale := w.gen != gen
-	w.mu.Unlock()
-	if !stale {
-		w.synced.Store(cur)
-	}
+	w.synced.Store(cur)
 	return nil
 }
 
 // reset truncates the log to empty after a checkpoint has absorbed its
-// contents. The caller must hold w.mu (no appends in flight).
+// contents. The caller must hold w.mu (no appends in flight); syncMu
+// keeps a barrier from recording the old log's length as durable.
 func (w *walWriter) reset() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
@@ -167,31 +159,21 @@ func (w *walWriter) reset() error {
 		}
 		w.syncs.Add(1)
 	}
-	w.appended = 0
-	w.gen++
+	w.appended.Store(0)
 	w.synced.Store(0)
 	return nil
 }
 
-func (w *walWriter) size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appended
-}
+func (w *walWriter) size() int64 { return w.appended.Load() }
 
-// statsSnapshot returns (records, appendedBytes, syncs, size) as one
-// consistent point in time. Independent atomic loads could be torn
-// around an in-flight append — Records counted but its bytes not yet —
-// so the snapshot takes both mutexes the counters mutate under: syncMu
-// first, then mu, the same order syncTo acquires them. With both held,
-// no append (mu) and no barrier (syncMu; reset holds mu) can interleave
-// the reads.
+// statsSnapshot returns (records, appendedBytes, syncs, size) without
+// taking a lock — a checkpoint can hold the append mutex for as long as
+// it takes to write an image. Records is read before AppendedBytes,
+// which an append bumps first, so a record is never counted without its
+// bytes.
 func (w *walWriter) statsSnapshot() (records, appendedBytes, syncs, size int64) {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records.Load(), w.bytesAppended.Load(), w.syncs.Load(), w.appended
+	records = w.records.Load()
+	return records, w.bytesAppended.Load(), w.syncs.Load(), w.appended.Load()
 }
 
 func (w *walWriter) close() error { return w.f.Close() }

@@ -7,8 +7,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/docenc"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -124,6 +127,63 @@ func TestDispatchMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestDispatchBoundsCountsByBytes: a frame declaring more blocks or runs
+// than its bytes could hold is refused before the server allocates for
+// the count — a 10-byte put-blocks frame claiming 65 536 blocks used to
+// cost a 1.5 MiB slice first. A maximum-size frame of empty blocks or
+// empty runs — as many items as its bytes can declare — costs no more
+// than maxBatchBlocks entries either: put-blocks refuses any count past
+// that, and a commit refuses the first block or run the geometry rules
+// out after reserving at most that many.
+func TestDispatchBoundsCountsByBytes(t *testing.T) {
+	srv := NewServer(NewMemStore())
+	commitAgainst := func(h docenc.Header) []byte {
+		hb, _ := h.MarshalBinary()
+		return append(append(binary.AppendUvarint([]byte{opCommitDelta}, 1), make([]byte, 16)...), hb...)
+	}
+	commit := commitAgainst(sealedContainer("doc", 2).Header)
+	// A geometry of 2^40 one-byte blocks: it bounds no count.
+	vast := commitAgainst(docenc.Header{DocID: "doc", Version: 2, BlockPlain: 1, PayloadLen: 1 << 40})
+	putBlocks := func(count uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{opPutBlocks}, 1), 0), count)
+	}
+	cases := []struct {
+		name    string
+		req     []byte
+		full    bool // the request is the head of a maxFrame-byte frame of zeros
+		ceiling uint64
+	}{
+		{"put-blocks", putBlocks(1 << 16), false, 64 << 10},
+		{"commit runs", binary.AppendUvarint(append([]byte(nil), commit...), 1<<40), false, 64 << 10},
+		{"commit blocks", binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(append([]byte(nil), commit...), 1), 0), 1<<20), false, 64 << 10},
+		{"put-blocks, full frame of empty blocks", putBlocks(maxFrame - 8), true, 64 << 10},
+		{"put-blocks, the capped count of empty blocks", putBlocks(maxBatchBlocks), true, 2 << 20},
+		{"commit, full frame of empty runs", binary.AppendUvarint(append([]byte(nil), vast...), maxFrame/16), true, 3 << 20},
+		{"commit, full frame of empty blocks", binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(
+			append([]byte(nil), vast...), 1), 0), maxFrame/16), true, 2 << 20},
+	}
+	frame := make([]byte, maxFrame)
+	for _, tc := range cases {
+		req := tc.req
+		if tc.full {
+			req = frame
+			clear(req[:64]) // the previous case's head; the rest stays zero
+			copy(req, tc.req)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := srv.dispatch(req)
+		runtime.ReadMemStats(&after)
+		if len(resp.head) <= 4 || resp.head[4] != statusErr {
+			t.Errorf("%s: dispatch accepted the frame", tc.name)
+		}
+		resp.release()
+		if n := after.TotalAlloc - before.TotalAlloc; n > tc.ceiling {
+			t.Errorf("%s: a %d-byte frame cost %d bytes of allocation, want at most %d", tc.name, len(req), n, tc.ceiling)
+		}
+	}
+}
+
 // TestErrorStatusRoundTrip checks that a server-side error crosses the
 // wire as a typed ServerError carrying the message.
 func TestErrorStatusRoundTrip(t *testing.T) {
@@ -170,6 +230,24 @@ func TestClientRejectsBadStatus(t *testing.T) {
 	_, err := c.ListDocuments()
 	if err == nil || !strings.Contains(err.Error(), "bad response status") {
 		t.Fatalf("bad status accepted: %v", err)
+	}
+}
+
+// TestClientBoundsListCount: a server answering the id list with a count
+// its reply cannot hold gets an error, not an allocation sized by it.
+func TestClientBoundsListCount(t *testing.T) {
+	clientSide, serverSide := net.Pipe()
+	defer serverSide.Close()
+	go func() {
+		if _, err := readFrame(serverSide); err != nil {
+			return
+		}
+		_ = writeFrame(serverSide, binary.AppendUvarint([]byte{statusOK}, 1<<40))
+	}()
+	c := &Client{conn: clientSide}
+	defer c.Close()
+	if ids, err := c.ListDocuments(); err == nil {
+		t.Fatalf("a list of 2^40 ids in 7 bytes accepted: %d ids", len(ids))
 	}
 }
 

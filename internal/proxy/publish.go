@@ -24,8 +24,8 @@ import (
 //     blocks to the store's update handshake as they are produced, so
 //     memory stays bounded regardless of document size.
 //   - Republish: the delta path — encode the new tree as the successor
-//     of the stored version and upload only the changed block runs,
-//     atomically, with the version negotiated from the store.
+//     of the stored version and commit only the changed block runs, in
+//     one frame, atomically, against the version it was diffed from.
 //
 // A Publisher that lives across re-publications keeps, under a fixed
 // byte bound, the diff base of each document it re-published (see
@@ -63,9 +63,13 @@ func (p *Publisher) PublishDocument(root *xmlstream.Node, opts docenc.EncodeOpti
 // PublishStream encodes and uploads a document in a single streaming
 // pass: blocks leave for the store as the encoder produces them, through
 // the begin/commit handshake, so the upload is atomic and nothing larger
-// than one batch is resident. When the document already exists its
-// version is negotiated (opts.Version 0 means "stored version plus
-// one"); a store without the handshake falls back to the buffered path.
+// than one batch is resident here. The store stages the upload in memory
+// and commits it as one delta — one wire frame, one log record — so a
+// streamed document carries at most 64 MiB of stored blocks: the batch
+// that crosses that bound is refused, and the upload aborted. When the
+// document already exists its version is negotiated (opts.Version 0
+// means "stored version plus one"); a store without the handshake falls
+// back to the buffered path.
 func (p *Publisher) PublishStream(root *xmlstream.Node, opts docenc.EncodeOptions) (*docenc.EncodeInfo, error) {
 	base, exists, err := p.currentVersion(opts.DocID)
 	if err != nil {
@@ -156,8 +160,7 @@ type RepublishInfo struct {
 	// TotalBlocks / ChangedBlocks: the delta's shrinkage.
 	TotalBlocks   int
 	ChangedBlocks int
-	// ChangedRuns counts the contiguous runs the changes coalesced into
-	// (one PutBlocks round trip each, batching aside).
+	// ChangedRuns counts the contiguous runs the changes coalesced into.
 	ChangedRuns int
 	// BytesUploaded is the stored block bytes that actually travelled
 	// (the whole container when Fallback).
@@ -169,12 +172,13 @@ type RepublishInfo struct {
 
 // diffBase is what a re-publication diffs against: a version's header
 // and the plaintext payload it encodes, plus the buffer the previous
-// base occupied, which the next diff writes the next payload into.
-// Every byte of it was either authenticated under key when it was
-// fetched or produced by this publisher's own encoder.
+// base occupied, which the next diff writes the next payload into, and
+// the document key's cipher context the diffs seal with. Every byte of
+// it was either authenticated under that key when it was fetched or
+// produced by this publisher's own encoder.
 type diffBase struct {
 	docID   string
-	key     secure.DocKey
+	sctx    *secure.BlockContext
 	header  docenc.Header
 	payload []byte
 	spare   []byte
@@ -239,29 +243,73 @@ func (p *Publisher) fetchBlocks(h *docenc.Header) ([][]byte, error) {
 	return blocks, nil
 }
 
+// fetchBase reads the stored version h describes and authenticates it
+// under key — header MAC and every block tag — before it becomes a diff
+// base. It returns the stored blocks too, for the whole-container
+// fallback.
+func (p *Publisher) fetchBase(h docenc.Header, key secure.DocKey) (*diffBase, [][]byte, error) {
+	blocks, err := p.fetchBlocks(&h)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload, err := (&docenc.Container{Header: h, Blocks: blocks}).DecryptPayload(key)
+	if err != nil {
+		return nil, nil, fmt.Errorf("proxy: authenticating the republish base: %w", err)
+	}
+	sctx, err := secure.NewBlockContext(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &diffBase{docID: h.DocID, sctx: sctx, header: h, payload: payload}, blocks, nil
+}
+
+// commitDelta sends d as the store's one-frame commit. A store without
+// one (or in front of one without it) is asked for its header — the
+// check the frame has the store make — and, if the base is still there,
+// answers ErrUpdateUnsupported.
+func (p *Publisher) commitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
+	if dc, ok := p.Store.(dsp.DeltaCommitter); ok {
+		if h, err := dc.CommitDelta(d); err == nil || !updateUnsupported(err) {
+			return h, err
+		}
+	}
+	h, err := p.Store.Header(d.Header.DocID)
+	switch {
+	case err != nil:
+		return h, err
+	case h.Version != d.BaseVersion || h.MAC != d.BaseMAC:
+		return h, fmt.Errorf("%w: the store holds version %d", dsp.ErrBaseMoved, h.Version)
+	}
+	return h, dsp.ErrUpdateUnsupported
+}
+
 // Republish encodes root as the successor of the stored version of
-// opts.DocID and uploads only the changed blocks, atomically; the
-// version is negotiated: stored version plus one.
+// opts.DocID and commits only the changed blocks, atomically, in one
+// frame; the version is negotiated: stored version plus one.
 //
-// The diff base is the stored version's plaintext. The store is asked
-// for its current header every time. When that is, byte for byte, the
-// header this Publisher retained from its own last acknowledged commit
-// of the document (or from its last fetch), the retained payload is the
-// base; otherwise the stored container is fetched and authenticated
-// under opts.Key — header MAC and every block tag — before it is
-// trusted, so a tampering store cannot poison the new version. A store
-// that answers with a version at or below the retained one, under
-// another header, has rolled the document back: that is an integrity
-// error, not a base.
+// The diff base is the stored version's plaintext. A Publisher that
+// retained the document's base — from its own last acknowledged commit,
+// or its last fetch — diffs against it without asking the store
+// anything: the commit names the base by version and header MAC, and
+// the store refuses it if that is not what it holds, answering with the
+// header it does hold. Otherwise, or when that header is newer (another
+// publisher committed since), the stored container is fetched and
+// authenticated under opts.Key — header MAC and every block tag —
+// before it is trusted, so a tampering store cannot poison the new
+// version. A store that answers with a version at or below the retained
+// one has rolled the document back: that is an integrity error, not a
+// base, and the retained base stays. The base is kept past a commit only
+// if the store acknowledges holding exactly the header this Publisher
+// sealed. The delta travels whole, so to a durable or remote store it
+// carries at most 64 MiB of changed blocks; a larger one is refused
+// before anything is sent or logged.
 func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (*RepublishInfo, error) {
 	if opts.DocID == "" {
 		return nil, fmt.Errorf("proxy: republish needs a DocID")
 	}
-	// The base is checked out before the store is asked, so that the
-	// header it is compared with is no older than the base itself; keep
-	// is what goes back into the retention when the call returns.
+	// keep is what goes back into the retention when the call returns.
 	b := p.checkout(opts.DocID)
-	if b != nil && b.key != opts.Key {
+	if b != nil && b.sctx.Key() != opts.Key {
 		b = nil // authenticated under another key: not this caller's base
 	}
 	keep := b
@@ -270,70 +318,79 @@ func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (
 			p.retain(keep)
 		}
 	}()
-	h, err := p.Store.Header(opts.DocID)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: republish base: %w", err)
-	}
-	if b != nil && !b.header.Equal(&h) {
-		if h.Version <= b.header.Version {
-			return nil, fmt.Errorf("proxy: republish base: %w: the store answers version %d of %q after acknowledging version %d",
-				secure.ErrIntegrity, h.Version, opts.DocID, b.header.Version)
-		}
-		b, keep = nil, nil // someone else committed since
-	}
+	retained := b != nil
 	// blocks are the stored blocks of the base, once they have been read.
 	var blocks [][]byte
-	if b == nil {
-		if blocks, err = p.fetchBlocks(&h); err != nil {
+	if !retained {
+		h, err := p.Store.Header(opts.DocID)
+		if err != nil {
+			return nil, fmt.Errorf("proxy: republish base: %w", err)
+		}
+		if b, blocks, err = p.fetchBase(h, opts.Key); err != nil {
 			return nil, err
 		}
-		payload, err := (&docenc.Container{Header: h, Blocks: blocks}).DecryptPayload(opts.Key)
-		if err != nil {
-			return nil, fmt.Errorf("proxy: authenticating the republish base: %w", err)
-		}
-		b = &diffBase{docID: opts.DocID, key: opts.Key, header: h, payload: payload}
 		keep = b
 	}
-
-	delta, info, next, err := docenc.DiffEncodePayload(root, opts, &b.header, b.payload, b.spare)
-	if err != nil {
-		return nil, err
-	}
-	ri := &RepublishInfo{
-		Info:          info,
-		Version:       delta.Header.Version,
-		TotalBlocks:   delta.TotalBlocks,
-		ChangedBlocks: delta.ChangedBlocks,
-		ChangedRuns:   len(delta.Runs),
-		BytesUploaded: delta.BytesChanged,
-	}
-	// A commit that fails drops the base: what the store holds afterwards
-	// is for the next call's fetch to find out.
-	keep = nil
-	switch err := dsp.ApplyDelta(p.Store, delta); {
-	case err == nil:
-	case updateUnsupported(err):
-		if blocks == nil {
-			if blocks, err = p.fetchBlocks(&b.header); err != nil {
-				return nil, err
-			}
-		}
-		applied, err := delta.Apply(&docenc.Container{Header: b.header, Blocks: blocks})
+	for {
+		delta, info, next, err := docenc.DiffEncodePayload(root, opts, b.sctx, &b.header, b.payload, b.spare)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.Store.PutDocument(applied); err != nil {
+		ri := &RepublishInfo{
+			Info:          info,
+			Version:       delta.Header.Version,
+			TotalBlocks:   delta.TotalBlocks,
+			ChangedBlocks: delta.ChangedBlocks,
+			ChangedRuns:   len(delta.Runs),
+			BytesUploaded: delta.BytesChanged,
+		}
+		// A commit that fails drops the base: what the store holds
+		// afterwards is for the next call's fetch to find out.
+		keep = nil
+		h, err := p.commitDelta(delta)
+		switch {
+		case err == nil:
+			if !h.Equal(&delta.Header) {
+				return nil, fmt.Errorf("proxy: republish: %w: the store acknowledged version %d of %q under another header",
+					secure.ErrIntegrity, h.Version, opts.DocID)
+			}
+		case retained && errors.Is(err, dsp.ErrBaseMoved):
+			if h.Version <= b.header.Version {
+				keep = b
+				return nil, fmt.Errorf("proxy: republish base: %w: the store answers version %d of %q after acknowledging version %d",
+					secure.ErrIntegrity, h.Version, opts.DocID, b.header.Version)
+			}
+			// Someone else committed since: their version, authenticated,
+			// is the base, once.
+			retained = false
+			if b, blocks, err = p.fetchBase(h, opts.Key); err != nil {
+				return nil, err
+			}
+			keep = b
+			continue
+		case updateUnsupported(err):
+			if blocks == nil {
+				if blocks, err = p.fetchBlocks(&b.header); err != nil {
+					return nil, err
+				}
+			}
+			applied, err := delta.Apply(&docenc.Container{Header: b.header, Blocks: blocks})
+			if err != nil {
+				return nil, err
+			}
+			if err := p.Store.PutDocument(applied); err != nil {
+				return nil, err
+			}
+			ri.Fallback = true
+			ri.BytesUploaded = int64(applied.StoredSize())
+		default:
 			return nil, err
 		}
-		ri.Fallback = true
-		ri.BytesUploaded = int64(applied.StoredSize())
-	default:
-		return nil, err
+		b.header = delta.Header
+		b.payload, b.spare = next, b.payload
+		keep = b
+		return ri, nil
 	}
-	b.header = delta.Header
-	b.payload, b.spare = next, b.payload
-	keep = b
-	return ri, nil
 }
 
 // updateUnsupported recognizes dsp.ErrUpdateUnsupported locally and

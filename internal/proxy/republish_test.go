@@ -277,3 +277,38 @@ func TestPublishStreamMatchesBuffered(t *testing.T) {
 		t.Fatalf("streamed re-publish served version %d, want %d", res.Version, got.Version+1)
 	}
 }
+
+// TestRepublishFallbackBehindCacheChecksBase: a block cache in front of
+// a store without the one-frame commit answers that it cannot take one.
+// The whole-container fallback must still go only over the base the
+// publisher diffed: after a foreign commit, the retained base is not
+// pushed back over it.
+func TestRepublishFallbackBehindCacheChecksBase(t *testing.T) {
+	type bare struct{ dsp.Store }
+	inner := dsp.NewMemStore()
+	cfg := workload.AgendaConfig{Seed: 9, Members: 5, EventsPerMember: 3}
+	w := newRepublishWorld(t, dsp.NewCache(bare{inner}, 1<<20), workload.Agenda(cfg), "agenda", "subject m\ndefault +")
+	opts := docenc.EncodeOptions{DocID: "agenda", Key: w.key}
+	if _, err := w.pub.Republish(mutateTexts(workload.Agenda(cfg), 6), opts); err != nil {
+		t.Fatal(err)
+	}
+	foreign := mutateTexts(workload.Agenda(cfg), 5)
+	if _, err := (&Publisher{Store: w.store}).Republish(foreign, opts); err != nil {
+		t.Fatal(err)
+	}
+	mine := mutateTexts(workload.Agenda(cfg), 4)
+	ri, err := w.pub.Republish(mine, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ri.Fallback || ri.Version != 3 {
+		t.Fatalf("re-publication after a foreign commit: %+v", ri)
+	}
+	res, err := w.term.Query("m", "agenda", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != 3 || !res.Tree().Equal(mine.Canonicalize()) {
+		t.Fatalf("the store serves version %d, not the re-publication on top of the foreign commit", res.Version)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/docenc"
@@ -27,18 +28,21 @@ type probeStore struct {
 	*dsp.MemStore
 
 	mu sync.Mutex
-	// updates is every handshake call as one line: the header's bytes, each
-	// staged run's position and digest.
+	// updates is every commit frame the store received as one line: the
+	// base, the header's bytes, each run's position and digest.
 	updates []string
 	// blockReads counts the calls that read stored blocks: a retained base
 	// makes none.
 	blockReads int
-	// answer, when set, rewrites the header the store answers with.
+	// answer, when set, rewrites the header the store holds, as Header
+	// answers it and as a commit checks its base against it.
 	answer func(docenc.Header) docenc.Header
-	// begin, when set, runs before every BeginUpdate.
-	begin func()
-	// commit, when set, replaces CommitUpdate; it is handed the real one.
+	// arrive, when set, runs as every commit frame arrives.
+	arrive func()
+	// commit, when set, replaces the commit; it is handed the real one.
 	commit func(real func() error) error
+	// reply, when set, rewrites the header a commit answers with.
+	reply func(docenc.Header) docenc.Header
 }
 
 func (s *probeStore) note(format string, args ...any) {
@@ -78,36 +82,43 @@ func (s *probeStore) ReadBlocks(docID string, start, count int) ([][]byte, error
 	return s.MemStore.ReadBlocks(docID, start, count)
 }
 
-func (s *probeStore) BeginUpdate(h docenc.Header, base uint32) (uint64, error) {
+func (s *probeStore) CommitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
 	s.mu.Lock()
-	begin := s.begin
+	arrive, answer, commit, reply := s.arrive, s.answer, s.commit, s.reply
 	s.mu.Unlock()
-	if begin != nil {
-		begin()
+	if arrive != nil {
+		arrive()
 	}
-	hb, _ := h.MarshalBinary()
-	s.note("begin base=%d header=%x", base, hb)
-	return s.MemStore.BeginUpdate(h, base)
-}
-
-func (s *probeStore) PutBlocks(token uint64, start int, blocks [][]byte) error {
-	sum := sha256.New()
-	for _, b := range blocks {
-		sum.Write(b)
+	line := fmt.Sprintf("commit base=%d/%x header=%x", d.BaseVersion, d.BaseMAC, mustMarshal(d.Header))
+	for _, r := range d.Runs {
+		sum := sha256.New()
+		for _, b := range r.Blocks {
+			sum.Write(b)
+		}
+		line += fmt.Sprintf(" run %d+%d %x", r.Start, len(r.Blocks), sum.Sum(nil))
 	}
-	s.note("put %d+%d %x", start, len(blocks), sum.Sum(nil))
-	return s.MemStore.PutBlocks(token, start, blocks)
-}
-
-func (s *probeStore) CommitUpdate(token uint64) error {
-	s.mu.Lock()
-	commit := s.commit
-	s.mu.Unlock()
-	real := func() error { return s.MemStore.CommitUpdate(token) }
+	s.note("%s", line)
+	if answer != nil {
+		if held, err := s.Header(d.Header.DocID); err == nil && (held.Version != d.BaseVersion || held.MAC != d.BaseMAC) {
+			return held, fmt.Errorf("%w: probe store holds version %d", dsp.ErrBaseMoved, held.Version)
+		}
+	}
+	var h docenc.Header
+	real := func() (err error) {
+		if h, err = s.MemStore.CommitDelta(d); reply != nil {
+			h = reply(h)
+		}
+		return err
+	}
 	if commit != nil {
-		return commit(real)
+		return h, commit(real)
 	}
-	return real()
+	return h, real()
+}
+
+func mustMarshal(h docenc.Header) []byte {
+	b, _ := h.MarshalBinary()
+	return b
 }
 
 // image is the stored document, byte for byte: header, then blocks.
@@ -241,7 +252,7 @@ func TestRepublishRetainedMatchesFresh(t *testing.T) {
 		geometries[a.TotalBlocks] = true
 	}
 	if strings.Join(kept.updates, "\n") != strings.Join(fresh.updates, "\n") {
-		t.Fatal("the two publishers sent different update handshakes")
+		t.Fatal("the two publishers sent different commit frames")
 	}
 	if len(geometries) < 10 {
 		t.Fatalf("the edits moved the geometry %d times: grow and shrink are not covered", len(geometries))
@@ -357,12 +368,52 @@ func TestRepublishFailedCommitDropsBase(t *testing.T) {
 	}
 }
 
-// TestRepublishRolledBackHeaderRefused: the store answers with an older
-// header than the one it acknowledged to this publisher — an authentic
-// one, MAC and all, since it once was current — or with another header
-// for the same version. Neither is a base: an integrity error, no
-// handshake, and the retained base is still there when the store comes
-// back to its senses.
+// TestRepublishOtherAckDropsBase: the store acknowledges a commit but
+// answers with another header than the one the publisher sealed. The
+// publisher cannot know what the store holds: an integrity error, and
+// the next re-publication fetches and authenticates a base again.
+func TestRepublishOtherAckDropsBase(t *testing.T) {
+	s, tree := newProbeStore(t)
+	pub := &Publisher{Store: s}
+	rng := rand.New(rand.NewSource(19))
+	republish := func() (*RepublishInfo, error) {
+		editTree(rng, tree)
+		return pub.Republish(tree, retainedOpts())
+	}
+	if _, err := republish(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.reply = func(h docenc.Header) docenc.Header {
+		h.MAC[0] ^= 1
+		return h
+	}
+	s.mu.Unlock()
+	if _, err := republish(); !errors.Is(err, secure.ErrIntegrity) {
+		t.Fatalf("an acknowledgement under another header returned %v, want an integrity error", err)
+	}
+	s.mu.Lock()
+	s.reply = nil
+	s.mu.Unlock()
+	reads := s.reads()
+	if _, err := republish(); err != nil {
+		t.Fatal(err)
+	}
+	if s.reads() != reads+1 {
+		t.Fatal("the base survived an acknowledgement of another header")
+	}
+	if !s.stored(t, retainedDoc, retainedKey).Equal(mutateTexts(tree, 0).Canonicalize()) {
+		t.Fatal("the stored version is not the last tree")
+	}
+}
+
+// TestRepublishRolledBackHeaderRefused: the store holds an older header
+// than the one it acknowledged to this publisher — an authentic one, MAC
+// and all, since it once was current — or another header for the same
+// version. The one commit frame names the retained base, so the store
+// refuses it before anything is applied and answers with what it holds;
+// neither is a base: an integrity error, no block read, and the retained
+// base is still there when the store comes back to its senses.
 func TestRepublishRolledBackHeaderRefused(t *testing.T) {
 	s, tree := newProbeStore(t)
 	pub := &Publisher{Store: s}
@@ -389,15 +440,19 @@ func TestRepublishRolledBackHeaderRefused(t *testing.T) {
 		},
 	}
 	for name, answer := range answers {
-		handshakes, reads := len(s.updates), s.reads()
+		frames, reads, image := len(s.updates), s.reads(), s.image(t, retainedDoc)
 		s.mu.Lock()
 		s.answer = answer
 		s.mu.Unlock()
 		if _, err := republish(); !errors.Is(err, secure.ErrIntegrity) {
 			t.Fatalf("%s: re-publication returned %v, want an integrity error", name, err)
 		}
-		if len(s.updates) != handshakes || s.reads() != reads {
-			t.Fatalf("%s: the publisher went on to talk to the store", name)
+		if len(s.updates) != frames+1 || s.reads() != reads {
+			t.Fatalf("%s: the publisher sent %d commit frames and read %d times, want one frame and no read",
+				name, len(s.updates)-frames, s.reads()-reads)
+		}
+		if !bytes.Equal(s.image(t, retainedDoc), image) {
+			t.Fatalf("%s: the refused commit changed the stored document", name)
 		}
 	}
 	s.mu.Lock()
@@ -425,33 +480,42 @@ func TestRepublishOtherKeyIsNotABase(t *testing.T) {
 	}
 	opts := retainedOpts()
 	opts.Key = secure.KeyFromSeed("someone else's")
-	handshakes := len(s.updates)
+	frames := len(s.updates)
 	if _, err := pub.Republish(mutateTexts(tree, 7), opts); !errors.Is(err, secure.ErrIntegrity) {
 		t.Fatalf("re-publication under another key returned %v, want an integrity error", err)
 	}
-	if len(s.updates) != handshakes {
-		t.Fatal("a handshake started under a key the base was never checked with")
+	if len(s.updates) != frames {
+		t.Fatal("a commit was sent under a key the base was never checked with")
 	}
 }
 
 // TestRepublishConcurrentSameDocument: two goroutines re-publish one
-// document through one Publisher, both past the version check before
-// either commits. One of them holds the retained base, the other fetches
-// its own; one commit wins, the other is refused by the store, and the
-// stored version is the winner's tree. Under -race this is also the
-// check that the two never wrote into one buffer.
+// document through one Publisher, and neither commit frame reaches the
+// store before both have been diffed. One of them holds the retained
+// base, the other fetches its own. The first commit wins. The second is
+// refused for a base that moved — and, when it diffed the retained base,
+// the store's newer header sends it to fetch and authenticate the
+// winner's version and commit on top, once. Either way the versions
+// committed are consecutive and the stored version is the last one's
+// tree. Under -race this is also the check that the two never wrote
+// into one buffer.
 func TestRepublishConcurrentSameDocument(t *testing.T) {
 	s, tree := newProbeStore(t)
 	pub := &Publisher{Store: s}
 	var arrived sync.WaitGroup
-	s.begin = func() {
-		arrived.Done()
-		arrived.Wait()
+	var arrivals atomic.Int32
+	s.arrive = func() {
+		if arrivals.Add(1) <= 2 {
+			arrived.Done()
+			arrived.Wait()
+		}
 	}
+	var version uint32
 	for round := 0; round < 25; round++ {
 		trees := [2]*xmlstream.Node{mutateTexts(tree, 3+round), mutateTexts(tree, 40+round)}
 		var infos [2]*RepublishInfo
 		var errs [2]error
+		arrivals.Store(0)
 		arrived.Add(2)
 		var done sync.WaitGroup
 		for g := range trees {
@@ -462,19 +526,27 @@ func TestRepublishConcurrentSameDocument(t *testing.T) {
 			}()
 		}
 		done.Wait()
-		winner := 0
-		switch {
-		case errs[0] == nil && errs[1] != nil:
-		case errs[1] == nil && errs[0] != nil:
-			winner = 1
-		default:
-			t.Fatalf("round %d: want exactly one winner, got errors %v and %v", round, errs[0], errs[1])
+		last := -1
+		for g := range trees {
+			switch {
+			case errs[g] != nil && !errors.Is(errs[g], dsp.ErrBaseMoved):
+				t.Fatalf("round %d: %v", round, errs[g])
+			case errs[g] == nil && (last < 0 || infos[g].Version > infos[last].Version):
+				last = g
+			}
 		}
-		if infos[winner].Version != uint32(round+1) {
-			t.Fatalf("round %d committed version %d", round, infos[winner].Version)
+		if last < 0 {
+			t.Fatalf("round %d: no commit won: %v, %v", round, errs[0], errs[1])
 		}
-		if !s.stored(t, retainedDoc, retainedKey).Equal(trees[winner].Canonicalize()) {
-			t.Fatalf("round %d: the stored version is not the winner's tree", round)
+		won := uint32(1)
+		if errs[0] == nil && errs[1] == nil {
+			won = 2
+		}
+		if version += won; infos[last].Version != version {
+			t.Fatalf("round %d committed up to version %d, want %d", round, infos[last].Version, version)
+		}
+		if !s.stored(t, retainedDoc, retainedKey).Equal(trees[last].Canonicalize()) {
+			t.Fatalf("round %d: the stored version is not the last commit's tree", round)
 		}
 	}
 }

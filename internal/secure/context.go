@@ -129,6 +129,23 @@ func (c *BlockContext) mac(s *blockScratch, docID string, version, blockIdx uint
 	return out
 }
 
+// HeaderMAC is the context form of the package-level HeaderMAC,
+// bit-identical to it: the same HMAC-SHA-256 over "hdr" || headerBytes,
+// from the precomputed pad states instead of a fresh hmac.New.
+func (c *BlockContext) HeaderMAC(headerBytes []byte) [HeaderMACLen]byte {
+	s := c.scratch.Get().(*blockScratch)
+	defer c.scratch.Put(s)
+	restore(s.inner, c.ipad)
+	s.inner.Write([]byte("hdr"))
+	s.inner.Write(headerBytes)
+	innerSum := s.inner.Sum(s.sum[:0])
+	restore(s.outer, c.opad)
+	s.outer.Write(innerSum)
+	var out [HeaderMACLen]byte
+	copy(out[:], s.outer.Sum(s.sum[:0]))
+	return out
+}
+
 // deriveIV computes the CTR start counter into s.iv (same derivation as
 // the package-level path: sha256("sds-iv" || version || blockIdx ||
 // docID), truncated to the AES block size).

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -323,5 +324,29 @@ func TestDecryptBlockIntoSizeMismatch(t *testing.T) {
 	}
 	if err := ctx.DecryptBlockInto(make([]byte, 11), "doc", 1, 0, stored); err == nil {
 		t.Fatal("long destination accepted")
+	}
+}
+
+// TestHeaderMACContextMatchesPackage: a context's header MAC is, bit for
+// bit, the package-level one, for random keys and headers of every
+// length around the SHA-256 block size — reusing one context (and its
+// pooled scratch) across keys' calls included.
+func TestHeaderMACContextMatchesPackage(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 50; k++ {
+		var key DocKey
+		rng.Read(key.Enc[:])
+		rng.Read(key.Mac[:])
+		ctx, err := NewBlockContext(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 55, 56, 63, 64, 65, 119, 128, 200 + rng.Intn(300)} {
+			hdr := make([]byte, n)
+			rng.Read(hdr)
+			if got, want := ctx.HeaderMAC(hdr), HeaderMAC(key, hdr); got != want {
+				t.Fatalf("key %d, %d-byte header: context MAC %x, package MAC %x", k, n, got, want)
+			}
+		}
 	}
 }

@@ -123,9 +123,10 @@ type (
 	// RepublishInfo describes a delta re-publication (changed blocks,
 	// uploaded bytes, negotiated version).
 	RepublishInfo = proxy.RepublishInfo
-	// StoreUpdater is the optional store interface behind delta
-	// re-publish: the atomic begin/put-blocks/commit handshake.
-	// MemStore, Cache, Client and Pool all implement it.
+	// StoreUpdater is the optional store interface behind streaming
+	// publish: the staged begin/put-blocks/commit upload. MemStore,
+	// FileStore, Cache, Client and Pool implement it, and commit a delta
+	// re-publication in one call too (dsp.DeltaCommitter).
 	StoreUpdater = dsp.DocUpdater
 	// Result is a query outcome with its cost statistics: XML() and
 	// AppendXML render the authorized view in one pass, Tree()
@@ -299,8 +300,8 @@ func Publish(store Store, doc *Document, docID string, key Key) error {
 
 // PublishStream is Publish over the streaming pipeline: the document is
 // encoded, indexed and encrypted in one bounded-memory pass, and blocks
-// go to the store as they are produced (atomically, via the update
-// handshake when the store supports it). Re-publishing an existing
+// go to the store as they are produced (atomically, via the staged
+// update when the store supports it). Re-publishing an existing
 // document negotiates the next version automatically.
 func PublishStream(store Store, doc *Document, docID string, key Key) error {
 	p := &Publisher{Store: store}
