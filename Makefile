@@ -1,15 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-# Newest checked-in perf baseline (BENCH_<pr>.json, version-sorted) —
-# what bench-compare gates against. See docs/BENCHMARKS.md.
-BENCH_BASELINE ?= $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -1)
-# CI runners differ wildly from the machines baselines are recorded on,
-# so the compare threshold is generous: only a gated metric that gets
-# >50% worse fails the build.
-BENCH_THRESHOLD ?= 0.5
-
-.PHONY: build test test-nommap test-nosendfile test-rearm test-republish bench benchmark bench-smoke bench-json bench-compare bench-chain gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build test test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
@@ -30,6 +22,19 @@ test-nommap:
 test-nosendfile:
 	$(GO) test -tags nosendfile ./internal/dsp/
 	$(GO) test -tags nommap,nosendfile ./internal/dsp/
+
+## test-stress: the store tier's concurrency and fault tests repeated
+## under the race detector — the sendfile cold serve (run detection,
+## fault injection, byte identity), the durable store with crash
+## injection, the mmap tier with pooled frames and stats snapshots, the
+## segmented store hammer with background checkpoints and mid-run
+## recovery, and the batch decrypt pipeline's shared contexts
+test-stress:
+	$(GO) test -run 'TestSendfile' -race -count=2 ./internal/dsp/
+	$(GO) test -run 'TestFileStore|TestCacheCommit' -race -count=2 ./internal/dsp/
+	$(GO) test -run 'TestFileStoreMmap|TestFileStorePinned|TestFileStoreUnpinned|TestFileStoreFooterMigration|TestFileStoreStatsNeverTorn|TestCacheSkipsMappedFills|TestClientBlockFrame|TestWireReadAllocs' -race -count=2 ./internal/dsp/
+	$(GO) test -run 'TestFileStoreSegmentedHammer|TestFileStoreCheckpointOffRequestPath' -race -count=2 ./internal/dsp/
+	$(GO) test -run 'TestSharedDecryptContextRace|TestContextConcurrentUse|TestGatewayMatchesSerialTerminal|TestMadviseCounter' -race -count=2 ./internal/secure/ ./internal/fleet/ ./internal/dsp/
 
 ## test-rearm: the differential tests of reused card state — a re-armed
 ## session, a pooled terminal session and a standing subscriber against
@@ -65,42 +70,6 @@ bench:
 benchmark:
 	$(GO) run ./benchmark
 
-## bench-smoke: run the system-path experiments end to end (E9 scaled
-## DSP, E10 gateway, E11 delta re-publish, E12 durable WAL store,
-## E13 segmented durable tier, E14 session-pooled gateway daemon)
-bench-smoke:
-	$(GO) run ./cmd/sdsbench E9 E10 E11 E12 E13 E14
-
-## bench-json: run E9-E14 and write the machine-readable result file
-## (bench-run.json, the sds-bench-result/v1 schema of docs/BENCHMARKS.md)
-bench-json:
-	$(GO) run ./cmd/sdsbench -json bench-run.json -label local E9 E10 E11 E12 E13 E14
-
-## bench-compare: run E9-E14 and diff the result against the newest
-## checked-in BENCH_*.json; fails on a gated-metric regression beyond
-## BENCH_THRESHOLD
-bench-compare: bench-json
-	@if [ -z "$(BENCH_BASELINE)" ]; then \
-		echo "no BENCH_*.json baseline checked in; skipping compare"; \
-	else \
-		$(GO) run ./cmd/sdsbench -compare -threshold $(BENCH_THRESHOLD) $(BENCH_BASELINE) bench-run.json; \
-	fi
-
-## bench-chain: verify the checked-in baselines gate against each other
-## in sequence (BENCH_7 -> BENCH_8 and so on): each cut must pass the
-## compare gate against its predecessor, so the trajectory file never
-## hides a regression between two commits
-bench-chain:
-	@set -e; prev=""; \
-	for f in $$(ls BENCH_*.json 2>/dev/null | sort -V); do \
-		if [ -n "$$prev" ]; then \
-			echo "gate: $$prev -> $$f"; \
-			$(GO) run ./cmd/sdsbench -compare -threshold $(BENCH_THRESHOLD) $$prev $$f; \
-		fi; \
-		prev=$$f; \
-	done; \
-	if [ -z "$$prev" ]; then echo "no BENCH_*.json checked in"; fi
-
 ## gateway-soak: hammer gatewayd over loopback TCP under the race
 ## detector — hundreds of subjects churning connect/query/disconnect,
 ## session-pool leak checks, drain-mid-query, both stats surfaces
@@ -111,9 +80,9 @@ gateway-soak:
 ## from outside (stored blocks and sealed blobs, the container header,
 ## the document payload decoded block by block through the card's input
 ## window, the card's record stream cut at arbitrary points, dspd's
-## one-frame commit and the log record recovery replays it from) and the
-## serializer's round trip; CI runs this on every push, longer runs stay
-## manual
+## one-frame commit and the log record recovery replays it from, the
+## sealed rule set's plaintext and the XPath parser) and the serializer's
+## round trip; CI runs this on every push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalHeader -fuzztime=10s ./internal/docenc/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
@@ -123,6 +92,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
 	$(GO) test -run=NONE -fuzz=FuzzCommitFrame -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzCommitRecord -fuzztime=10s ./internal/dsp/
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshalRuleSet -fuzztime=10s ./internal/accessrule/
+	$(GO) test -run=NONE -fuzz=FuzzXPathParse -fuzztime=10s ./internal/xpath/
 
 ## fmt: fail if any file needs gofmt
 fmt:
@@ -144,4 +115,4 @@ staticcheck:
 	fi
 
 ## ci: exactly what .github/workflows/ci.yml runs
-ci: fmt vet staticcheck build test test-nommap test-nosendfile test-rearm test-republish gateway-soak fuzz-smoke bench bench-compare bench-chain
+ci: fmt vet staticcheck build test test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench

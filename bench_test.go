@@ -1,7 +1,7 @@
 package sds
 
-// One testing.B benchmark per experiment of EXPERIMENTS.md (E1–E10). Each
-// measures the experiment's hot kernel and reports the experiment's
+// One testing.B benchmark per paper experiment (E1–E8, internal/bench).
+// Each measures the experiment's hot kernel and reports the experiment's
 // headline quantity as a custom metric; cmd/sdsbench prints the full
 // tables the experiments produce.
 
@@ -215,55 +215,6 @@ func BenchmarkE8DynamicRules(b *testing.B) {
 	b.ReportMetric(ratio, "baseline/ours-bytes")
 }
 
-// BenchmarkE10PipelinedGateway measures the card-fleet gateway with
-// prefetching terminals under 4 concurrent subjects over loopback TCP
-// and reports aggregate queries per second.
-func BenchmarkE10PipelinedGateway(b *testing.B) {
-	rig, err := bench.NewE10Rig()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	const subjects = 4
-	g, pool, err := rig.Gateway(subjects, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	defer g.Close()
-	var qps float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qps, _, _, err = rig.Hammer(g, subjects, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(qps, "queries/s")
-}
-
-// BenchmarkE11DeltaRepublish measures a 10%-churn delta re-publication
-// over loopback TCP and reports the wire bytes as a percentage of what
-// the full re-upload moves.
-func BenchmarkE11DeltaRepublish(b *testing.B) {
-	base := bench.E11BaseDocument()
-	mutated := bench.ChurnDocument(base, 10)
-	fullBytes, _, err := bench.E11FullRepublish(base, mutated)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		deltaBytes, _, _, err := bench.E11DeltaRepublishRun(base, mutated)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = 100 * float64(deltaBytes) / float64(fullBytes)
-	}
-	b.ReportMetric(ratio, "delta-bytes-%")
-}
-
 // benchFolder is the repository benchmark's folder shape and encoding
 // (benchmark/corpus.go): 30 patients × 4 visits, ≈ 35 KB in 132 blocks.
 func benchFolder() (*Document, EncodeOptions) {
@@ -381,83 +332,4 @@ func BenchmarkRepublishRemote(b *testing.B) {
 		edit()
 	}
 	b.ReportMetric(float64(store.trips.Load())/float64(b.N), "roundtrips/op")
-}
-
-// BenchmarkE12DurableRepublish measures 1-block delta commits against
-// the WAL-backed durable store and reports the bytes that hit the disk
-// per commit — the write-amplification axis E12 tables in full.
-func BenchmarkE12DurableRepublish(b *testing.B) {
-	dir := b.TempDir()
-	fs, err := NewFileStoreOptions(dir, FileStoreOptions{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fs.Close()
-	if err := bench.E12Seed(fs); err != nil {
-		b.Fatal(err)
-	}
-	before := fs.Stats()
-	var commits int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := bench.E12CommitRound(fs, uint32(2+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		commits += n
-	}
-	b.StopTimer()
-	st := fs.Stats()
-	if commits > 0 {
-		b.ReportMetric(float64(st.AppendedBytes-before.AppendedBytes)/float64(commits), "disk-bytes/commit")
-	}
-}
-
-// BenchmarkE13SegmentedCommits measures 8 concurrent 1-block delta
-// committers against the segmented durable store — writers to different
-// documents append under different per-shard log mutexes, the scaling
-// axis E13 tables in full.
-func BenchmarkE13SegmentedCommits(b *testing.B) {
-	dir := b.TempDir()
-	fs, err := NewFileStoreOptions(dir, FileStoreOptions{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fs.Close()
-	if err := bench.E13Seed(fs); err != nil {
-		b.Fatal(err)
-	}
-	var commits int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := bench.E13ConcurrentRound(fs, 8, uint32(2+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		commits += n
-	}
-	b.StopTimer()
-	if b.Elapsed() > 0 {
-		b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")
-	}
-}
-
-// BenchmarkE9ConcurrentDSP measures the scaled DSP (sharded store, LRU
-// cache, pipelined server, pooled batched clients) under 4 concurrent
-// clients over loopback TCP and reports aggregate blocks per second.
-func BenchmarkE9ConcurrentDSP(b *testing.B) {
-	rig, err := bench.NewDSPRig(true, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	var rate float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rate, err = rig.Hammer(4, 10, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rate, "blocks/s")
 }

@@ -1,41 +1,24 @@
-// Command sdsbench runs the experiment suite and prints the tables
-// recorded in EXPERIMENTS.md, optionally serializing a machine-readable
-// result file (the perf-trajectory contract — see docs/BENCHMARKS.md).
+// Command sdsbench prints the paper's evaluation tables (E1–E8).
 //
 // Usage:
 //
-//	sdsbench                      # run every experiment
-//	sdsbench E3 E5                # run selected experiments
-//	sdsbench -list                # list experiments
-//	sdsbench -json out.json E9 E10 E11 E12 E13
-//	                              # also write a sds-bench-result file
-//	sdsbench -compare OLD NEW     # diff two result files; exit 1 on
-//	                              # regression beyond -threshold
+//	sdsbench          # run every experiment
+//	sdsbench E3 E5    # run selected experiments
+//	sdsbench -list    # list experiments
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
-	jsonOut := flag.String("json", "", "write a machine-readable result file to this path")
-	label := flag.String("label", "", "label stored in the result file (e.g. PR6, ci)")
-	commit := flag.String("commit", "", "commit hash stored in the result file (default: git HEAD)")
-	compare := flag.Bool("compare", false, "compare two result files (args: OLD NEW); exit 1 on regression")
-	threshold := flag.Float64("threshold", 0.25, "tolerated relative regression for -compare (0.25 = 25%)")
 	flag.Parse()
-
-	if *compare {
-		os.Exit(runCompare(flag.Args(), *threshold))
-	}
 
 	all := bench.All()
 	if *list {
@@ -49,113 +32,19 @@ func main() {
 	for _, a := range flag.Args() {
 		selected[strings.ToUpper(a)] = true
 	}
-
-	result := bench.NewResult(*label, commitHash(*commit))
-	ran, failed := 0, 0
+	ran := 0
 	for _, e := range all {
 		if len(selected) > 0 && !selected[e.ID] {
 			continue
 		}
 		fmt.Printf("== %s: %s ==\n\n", e.ID, e.Name)
-		rec := bench.NewRecorder()
-		start := time.Now()
-		tables, ok := run(e, rec)
-		er := bench.ExperimentResult{
-			ID:      e.ID,
-			Name:    e.Name,
-			WallMS:  float64(time.Since(start)) / float64(time.Millisecond),
-			Failed:  !ok,
-			Metrics: rec.Metrics(),
-		}
-		result.Experiments = append(result.Experiments, er)
-		for _, t := range tables {
+		for _, t := range e.Run() {
 			t.Fprint(os.Stdout)
 		}
 		ran++
-		if !ok {
-			failed++
-		}
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "sdsbench: no experiment matches %v (use -list)\n", flag.Args())
 		os.Exit(1)
 	}
-	if *jsonOut != "" {
-		if err := writeResult(*jsonOut, result); err != nil {
-			fmt.Fprintf(os.Stderr, "sdsbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sdsbench: wrote %s\n", *jsonOut)
-	}
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// run isolates experiment panics so one failure doesn't hide the rest.
-func run(e bench.Experiment, rec *bench.Recorder) (tables []*bench.Table, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "sdsbench: %s failed: %v\n", e.ID, r)
-		}
-	}()
-	return e.Run(rec), true
-}
-
-func writeResult(path string, r *bench.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.EncodeResult(f, r); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// commitHash resolves the hash to stamp into the result file: the
-// explicit flag, the current git HEAD, or empty when neither exists.
-func commitHash(explicit string) string {
-	if explicit != "" {
-		return explicit
-	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// runCompare loads two result files, prints the diff report and returns
-// the process exit code (1 on regression or missing baseline metric).
-func runCompare(args []string, threshold float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "sdsbench: -compare needs exactly two result files: OLD NEW")
-		return 2
-	}
-	load := func(path string) (*bench.Result, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.DecodeResult(f)
-	}
-	old, err := load(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdsbench: %s: %v\n", args[0], err)
-		return 2
-	}
-	cur, err := load(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdsbench: %s: %v\n", args[1], err)
-		return 2
-	}
-	rep := bench.Compare(old, cur, threshold)
-	rep.Fprint(os.Stdout)
-	if rep.Failed() {
-		return 1
-	}
-	return 0
 }

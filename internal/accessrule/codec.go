@@ -117,7 +117,7 @@ func (d *decoder) string() string {
 	if d.err != nil {
 		return ""
 	}
-	if d.pos+int(l) > len(d.data) {
+	if l > uint64(len(d.data)-d.pos) {
 		d.err = fmt.Errorf("accessrule: truncated string at offset %d", d.pos)
 		return ""
 	}

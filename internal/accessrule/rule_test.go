@@ -1,6 +1,8 @@
 package accessrule
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -109,6 +111,44 @@ func TestBinaryCodecErrors(t *testing.T) {
 	if _, err := UnmarshalRuleSet([]byte{99}); err == nil {
 		t.Error("bad version accepted")
 	}
+}
+
+// TestUnmarshalRuleSetHugeStringLength: a string length near 2^64 must
+// be refused as truncated, not wrap the bounds check to a negative end.
+func TestUnmarshalRuleSetHugeStringLength(t *testing.T) {
+	blob := binary.AppendUvarint([]byte{codecVersion}, 1<<63)
+	if _, err := UnmarshalRuleSet(blob); err == nil {
+		t.Fatal("a string longer than the blob was accepted")
+	}
+}
+
+// FuzzUnmarshalRuleSet feeds arbitrary bytes to the rule-set decoder, the
+// plaintext the card gets from a sealed blob the store hands over:
+// decoding never panics, and an accepted rule set re-encodes to bytes
+// that decode to the same encoding again.
+func FuzzUnmarshalRuleSet(f *testing.F) {
+	rs, _ := ParseSet("subject carol\ndoc agenda\ndefault -\n+ //event[visibility = \"public\"]\n- //phone")
+	blob, _ := rs.MarshalBinary()
+	for _, seed := range [][]byte{blob, blob[:len(blob)/2], {codecVersion}, binary.AppendUvarint([]byte{codecVersion}, 1<<63)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := UnmarshalRuleSet(data)
+		if err != nil {
+			return
+		}
+		enc, err := rs.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted rule set does not re-encode: %v", err)
+		}
+		back, err := UnmarshalRuleSet(enc)
+		if err != nil {
+			t.Fatalf("re-encoded rule set does not decode: %v", err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable:\n %x\n %x", enc, again)
+		}
+	})
 }
 
 func mustTree(t *testing.T, src string) *xmlstream.Node {

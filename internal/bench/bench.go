@@ -1,18 +1,12 @@
-// Package bench is the experiment harness: it regenerates, for every
-// claim the demonstration makes, the table or series a paper evaluation
-// would report. EXPERIMENTS.md records the output of cmd/sdsbench, which
-// drives the functions here; bench_test.go wraps the same kernels in
-// testing.B benchmarks.
+// Package bench reproduces the paper's evaluation tables (E1–E8): rule
+// scaling, secure-RAM footprint, skip-index benefit and size, pull
+// latency, pending buffering, dissemination and dynamic rights.
+// cmd/sdsbench prints them; bench_test.go at the repository root wraps
+// the same kernels in testing.B benchmarks.
 //
 // All experiments are deterministic (seeded workloads, simulated card
-// time); wall-clock numbers appear only where explicitly labelled.
-//
-// The system-path experiments (E9-E14) additionally record metrics into
-// a Recorder, from which cmd/sdsbench serializes the machine-readable
-// sds-bench-result/v1 files that track the repo's perf trajectory
-// (BENCH_<pr>.json at the root) and gate CI via Compare. The gated vs
-// informational metric contract is documented in docs/BENCHMARKS.md and
-// in results.go.
+// time); wall-clock numbers appear only where explicitly labelled, and
+// every other cell is pinned by TestPaperTablesGolden.
 package bench
 
 import (
@@ -93,38 +87,23 @@ func kb(n int64) string {
 	return fmt.Sprintf("%.1f", float64(n)/1024)
 }
 
-// Experiment couples an id with its runner. Run renders tables for the
-// human report and, when the Recorder is non-nil, records the same
-// measurements as metrics for the machine-readable result file.
+// Experiment couples an id with the runner that renders its tables.
 type Experiment struct {
 	ID   string
 	Name string
-	Run  func(*Recorder) []*Table
-}
-
-// tablesOnly adapts a runner that has no metrics to record (E1–E8
-// predate the perf-trajectory contract; E9–E14 are the tracked
-// hot-path experiments).
-func tablesOnly(run func() []*Table) func(*Recorder) []*Table {
-	return func(*Recorder) []*Table { return run() }
+	Run  func() []*Table
 }
 
 // All returns the full experiment suite in order.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "evaluator scaling with rule count", tablesOnly(E1RuleScaling)},
-		{"E2", "secure-RAM footprint", tablesOnly(E2MemoryFootprint)},
-		{"E3", "skip-index benefit vs authorized fraction", tablesOnly(E3SkipBenefit)},
-		{"E4", "skip-index compactness", tablesOnly(E4IndexOverhead)},
-		{"E5", "end-to-end pull latency", tablesOnly(E5PullLatency)},
-		{"E6", "pending-predicate buffering", tablesOnly(E6PendingBuffer)},
-		{"E7", "selective dissemination throughput", tablesOnly(E7Dissemination)},
-		{"E8", "dynamic rule changes vs re-encryption", tablesOnly(E8DynamicRules)},
-		{"E9", "concurrent DSP throughput", E9ConcurrentDSP},
-		{"E10", "pipelined pull & card-fleet gateway", E10Pipeline},
-		{"E11", "delta re-publish vs full re-publish", E11DeltaRepublish},
-		{"E12", "durable WAL store: throughput, write amplification, recovery", E12DurableStore},
-		{"E13", "segmented durable tier: parallel commits, background checkpoints, parallel recovery", E13SegmentedStore},
-		{"E14", "session-pooled gateway daemon vs in-process fleet", E14GatewayDaemon},
+		{"E1", "evaluator scaling with rule count", E1RuleScaling},
+		{"E2", "secure-RAM footprint", E2MemoryFootprint},
+		{"E3", "skip-index benefit vs authorized fraction", E3SkipBenefit},
+		{"E4", "skip-index compactness", E4IndexOverhead},
+		{"E5", "end-to-end pull latency", E5PullLatency},
+		{"E6", "pending-predicate buffering", E6PendingBuffer},
+		{"E7", "selective dissemination throughput", E7Dissemination},
+		{"E8", "dynamic rule changes vs re-encryption", E8DynamicRules},
 	}
 }

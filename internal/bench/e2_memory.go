@@ -46,6 +46,7 @@ func E2MemoryFootprint() []*Table {
 					panic(fmt.Sprintf("E2 setup: %v", err))
 				}
 				res, err := rig.Query("bench", "", soe.Options{})
+				rig.Close()
 				switch {
 				case err == nil:
 					s := res.Stats.Session

@@ -92,6 +92,7 @@ func E3SkipBenefit() []*Table {
 			panic(fmt.Sprintf("E3: %v", err))
 		}
 		noIdx, err := rig.Query("bench", "", soe.Options{DisableSkip: true, DisableCopy: true})
+		rig.Close()
 		if err != nil {
 			panic(fmt.Sprintf("E3: %v", err))
 		}
@@ -129,6 +130,7 @@ func E3SkipBenefit() []*Table {
 			panic(err)
 		}
 		noIdx, err := rig.Query("bench", "", soe.Options{DisableSkip: true, DisableCopy: true})
+		rig.Close()
 		if err != nil {
 			panic(fmt.Sprintf("E3b: %v", err))
 		}

@@ -49,6 +49,7 @@ default -
 				panic(err)
 			}
 			noIdx, err := rig.Query("nurse", "", soe.Options{DisableSkip: true, DisableCopy: true})
+			rig.Close()
 			if err != nil {
 				panic(fmt.Sprintf("E5: %v", err))
 			}
@@ -92,6 +93,7 @@ default -
 			panic(err)
 		}
 		noIdx, err := rig.Query("all", "//emergency", soe.Options{DisableSkip: true, DisableCopy: true})
+		rig.Close()
 		if err != nil {
 			panic(fmt.Sprintf("E5b: %v", err))
 		}

@@ -70,6 +70,7 @@ func E6PendingBuffer() []*Table {
 				panic(fmt.Sprintf("E6 setup: %v", err))
 			}
 			res, err := rig.Query("u", "", soe.Options{})
+			rig.Close()
 			if err != nil {
 				panic(fmt.Sprintf("E6: %v", err))
 			}

@@ -102,21 +102,23 @@ func MustPayload(root *xmlstream.Node, opts docenc.EncodeOptions) []byte {
 	return payload
 }
 
-// PullRig is a full publish→provision→query bench fixture.
+// PullRig is a full publish→provision→query bench fixture: one published
+// document, and one card queried through a proxy.Session the rig owns.
 type PullRig struct {
 	Store *dsp.MemStore
-	Card  *card.Card
-	Term  *proxy.Terminal
 	Key   secure.DocKey
 	DocID string
 	Info  *docenc.EncodeInfo
+
+	card *card.Card
+	sess *proxy.Session
+	opts soe.Options
 }
 
 // NewPullRig publishes doc and provisions a card with the given rule set.
 func NewPullRig(doc *xmlstream.Node, docID string, profile card.Profile, encOpts docenc.EncodeOptions, rs *accessrule.RuleSet) (*PullRig, error) {
 	r := &PullRig{
 		Store: dsp.NewMemStore(),
-		Card:  card.New(profile),
 		Key:   secure.KeyFromSeed("bench:" + docID),
 		DocID: docID,
 	}
@@ -128,33 +130,38 @@ func NewPullRig(doc *xmlstream.Node, docID string, profile card.Profile, encOpts
 		return nil, err
 	}
 	r.Info = info
-	if err := r.Card.PutKey(docID, r.Key); err != nil {
-		return nil, err
-	}
-	r.Term = &proxy.Terminal{Store: r.Store, Card: r.Card}
 	rs.DocID = docID
 	if err := pub.GrantRules(r.Key, rs); err != nil {
 		return nil, err
 	}
-	if err := r.Term.InstallRules(rs.Subject, docID); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r, r.FreshCard(profile, rs.Subject)
 }
 
-// Query runs one pull query under the given session options.
+// Query runs one pull query under the given session options. Other
+// options than the previous query's start a new session on the same card.
 func (r *PullRig) Query(subject, query string, opts soe.Options) (*proxy.Result, error) {
-	r.Term.Options = opts
-	return r.Term.Query(subject, r.DocID, query)
+	if opts != r.opts {
+		r.Close()
+		r.sess, r.opts = proxy.NewSession(r.Store, r.card, opts, 0), opts
+	}
+	return r.sess.Query(subject, r.DocID, query)
 }
 
-// FreshCard replaces the rig's card (per-iteration isolation for RAM
-// experiments) and reinstalls the subject's rules.
+// FreshCard replaces the rig's card and session (per-iteration isolation
+// for RAM experiments) and reinstalls the subject's rules.
 func (r *PullRig) FreshCard(profile card.Profile, subject string) error {
-	r.Card = card.New(profile)
-	if err := r.Card.PutKey(r.DocID, r.Key); err != nil {
+	r.Close()
+	r.card = card.New(profile)
+	if err := r.card.PutKey(r.DocID, r.Key); err != nil {
 		return err
 	}
-	r.Term = &proxy.Terminal{Store: r.Store, Card: r.Card}
-	return r.Term.InstallRules(subject, r.DocID)
+	r.sess = proxy.NewSession(r.Store, r.card, r.opts, 0)
+	return r.sess.InstallRules(subject, r.DocID)
+}
+
+// Close retires the rig's session.
+func (r *PullRig) Close() {
+	if r.sess != nil {
+		r.sess.Close()
+	}
 }

@@ -13,7 +13,7 @@
 //   - Card: enforced secure-RAM and EEPROM gauges plus a Meter that
 //     accumulates simulated work and converts it into a simulated time
 //     breakdown (transfer / decrypt+MAC / evaluation), the three cost
-//     drivers every experiment in EXPERIMENTS.md decomposes;
+//     drivers the paper's experiments (internal/bench) decompose;
 //   - the key and rule stores a provisioned card keeps in its secure
 //     stable memory.
 //

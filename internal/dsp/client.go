@@ -28,8 +28,7 @@ type Client struct {
 	// DSP" measure of experiment E3 when running against a real server.
 	bytesRead atomic.Int64
 	// bytesWritten counts request payload bytes: the upload cost of a
-	// publish — what experiment E11 compares between full and delta
-	// re-publication.
+	// publish, full or delta.
 	bytesWritten atomic.Int64
 }
 

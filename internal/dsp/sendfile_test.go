@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/race"
 )
 
 // sendfileRig is a checkpointed FileStore corpus behind a real TCP
@@ -165,6 +168,33 @@ func TestSendfileServesColdRun(t *testing.T) {
 	}
 	if st.SendfileFallbacks != 0 {
 		t.Fatalf("unexpected fallbacks on a healthy connection: %+v", st)
+	}
+
+	// Heap bytes per cold read, both connection ends: the blocks ride the
+	// kernel and a pooled client frame, so a read allocates bookkeeping —
+	// less than one stored block, where the writev path allocates two.
+	if race.Enabled {
+		return
+	}
+	readFrame := func() {
+		f, err := c.ReadBlocksFrame("cold", 0, nBlocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	for i := 0; i < 32; i++ { // warm the response, frame and worker pools
+		readFrame()
+	}
+	const reads = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		readFrame()
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / reads; perRead > blockBytes {
+		t.Errorf("a cold read allocates %d heap bytes, want <= %d", perRead, blockBytes)
 	}
 }
 

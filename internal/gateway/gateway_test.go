@@ -206,6 +206,12 @@ func TestGatewaydChurnHammer(t *testing.T) {
 	if ps.Recycles < wantQueries {
 		t.Errorf("recycles = %d, want >= %d (every successful query recycles)", ps.Recycles, wantQueries)
 	}
+	// Session reuse: each subject's queries run one after another, so only
+	// a subject's first query provisions a card; every later one, across
+	// reconnects, rides the pooled session.
+	if reuse, want := 1-float64(ps.Provisions)/float64(ps.Queries), 1-1.0/(rounds*queries); reuse < want {
+		t.Errorf("session reuse = %.3f (%d provisions for %d queries), want >= %.3f", reuse, ps.Provisions, ps.Queries, want)
+	}
 	snap := srv.Snapshot()
 	if snap.WireSessions != 0 {
 		t.Errorf("%d wire sessions leaked past their connections", snap.WireSessions)

@@ -126,14 +126,23 @@ func (p *Path) text(absolute bool) string {
 			}
 			switch pr.Cmp {
 			case Eq:
-				b.WriteString(" = \"" + pr.Value + "\"")
+				b.WriteString(" = " + quote(pr.Value))
 			case Neq:
-				b.WriteString(" != \"" + pr.Value + "\"")
+				b.WriteString(" != " + quote(pr.Value))
 			}
 			b.WriteString("]")
 		}
 	}
 	return b.String()
+}
+
+// quote renders a literal inside the quote it does not contain; the
+// parser ends a literal at its own quote, so no parsed value holds both.
+func quote(v string) string {
+	if strings.Contains(v, `"`) {
+		return "'" + v + "'"
+	}
+	return `"` + v + `"`
 }
 
 // Equal reports structural equality of two paths.

@@ -25,6 +25,8 @@ func TestParseRoundTrip(t *testing.T) {
 		"/a[b][c]",
 		"/a[b[c]/d]",
 		`//x[@y = "1"]//z`,
+		`/a[b = '"']`,
+		`/a[. != 'say "hi"']`,
 	}
 	for _, expr := range exprs {
 		p, err := Parse(expr)
@@ -143,4 +145,27 @@ func TestWildcardAndAttrFlags(t *testing.T) {
 	if !(Step{Name: "@x"}).Attribute() || (Step{Name: "x"}).Attribute() {
 		t.Error("attribute detection wrong")
 	}
+}
+
+// FuzzXPathParse feeds arbitrary text to the parser of rule objects and
+// queries, both of which arrive from outside (a sealed rule set, a
+// client's query): parsing never panics, and an accepted path prints to
+// text that parses back to an equal path.
+func FuzzXPathParse(f *testing.F) {
+	for _, seed := range []string{"/a", "//b[c]/d", `/a[b = "v"][. != 'w']`, "/a/@*", "//*[b//c]", "/a[", `/a[b='"']`} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		p, err := Parse(expr)
+		if err != nil {
+			return
+		}
+		back, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) prints as %q, which does not parse: %v", expr, p.String(), err)
+		}
+		if !back.Equal(p) {
+			t.Fatalf("Parse(%q) prints as %q, which parses to another path", expr, p.String())
+		}
+	})
 }
