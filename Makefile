@@ -11,17 +11,16 @@ build:
 test:
 	$(GO) test -race ./...
 
-## test-nommap: exercise the portable (heap-copy) checkpoint read path —
-## the fallback non-unix platforms and dspd -mmap=false take
+## test-nommap: exercise the portable (heap-copy) checkpoint read path
+## that non-unix platforms take; with no mmap tier there are no file runs,
+## so this is also the fully portable, writev-only serve path
 test-nommap:
 	$(GO) test -tags nommap ./internal/dsp/
 
-## test-nosendfile: exercise the writev-only cold serve path — what
-## non-linux platforms and dspd -sendfile=false take — plus the fully
-## portable combination (no mmap tier, no sendfile)
+## test-nosendfile: exercise the writev-only cold serve path over mapped
+## checkpoint images that non-linux unix platforms take
 test-nosendfile:
 	$(GO) test -tags nosendfile ./internal/dsp/
-	$(GO) test -tags nommap,nosendfile ./internal/dsp/
 
 ## test-stress: the store tier's concurrency and fault tests repeated
 ## under the race detector — the sendfile cold serve (run detection,
@@ -32,7 +31,7 @@ test-nosendfile:
 test-stress:
 	$(GO) test -run 'TestSendfile' -race -count=2 ./internal/dsp/
 	$(GO) test -run 'TestFileStore|TestCacheCommit' -race -count=2 ./internal/dsp/
-	$(GO) test -run 'TestFileStoreMmap|TestFileStorePinned|TestFileStoreUnpinned|TestFileStoreFooterMigration|TestFileStoreStatsNeverTorn|TestCacheSkipsMappedFills|TestClientBlockFrame|TestWireReadAllocs' -race -count=2 ./internal/dsp/
+	$(GO) test -run 'TestFileStoreMmap|TestFileStorePinned|TestFileStoreUnpinned|TestFileStoreCorruptFooterHeals|TestFileStoreStatsNeverTorn|TestCacheSkipsMappedFills|TestClientBlockFrame|TestWireReadAllocs' -race -count=2 ./internal/dsp/
 	$(GO) test -run 'TestFileStoreSegmentedHammer|TestFileStoreCheckpointOffRequestPath' -race -count=2 ./internal/dsp/
 	$(GO) test -run 'TestSharedDecryptContextRace|TestContextConcurrentUse|TestGatewayMatchesSerialTerminal|TestMadviseCounter' -race -count=2 ./internal/secure/ ./internal/fleet/ ./internal/dsp/
 
@@ -81,7 +80,8 @@ gateway-soak:
 ## the document payload decoded block by block through the card's input
 ## window, the card's record stream cut at arbitrary points, dspd's
 ## one-frame commit and the log record recovery replays it from, the
-## sealed rule set's plaintext and the XPath parser) and the serializer's
+## checkpoint image a store directory is reopened from, the sealed rule
+## set's plaintext and the XPath parser) and the serializer's
 ## round trip; CI runs this on every push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalHeader -fuzztime=10s ./internal/docenc/
@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
 	$(GO) test -run=NONE -fuzz=FuzzCommitFrame -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzCommitRecord -fuzztime=10s ./internal/dsp/
+	$(GO) test -run=NONE -fuzz=FuzzCheckpointImage -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalRuleSet -fuzztime=10s ./internal/accessrule/
 	$(GO) test -run=NONE -fuzz=FuzzXPathParse -fuzztime=10s ./internal/xpath/
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dspd [-addr :7070] [-store DIR] [-shards 16] [-cache-mb 64] [-workers 0] [-depth 0] [-mmap=true] [-sendfile=true]
+//	dspd [-addr :7070] [-store DIR] [-shards 16] [-cache-mb 64] [-workers 0] [-depth 0]
 //
 // Without -store the store is in-memory: sharded by document id,
 // fronted by an LRU block cache, gone on exit. With -store DIR it is
@@ -13,9 +13,12 @@
 // (group-committed fsyncs per segment, background per-shard checkpoint
 // + log compaction), so the daemon can be killed -9 at any instant and
 // restart on the last durable state — segment logs replay in parallel
-// at startup. DIR is flock-protected (two daemons cannot share it) and
-// a PR 4 single-file layout found there is migrated to segments once,
-// automatically. dspd models the honest-but-curious server of the
+// at startup. DIR is flock-protected (two daemons cannot share it); a
+// directory in the retired single-file layout, or holding an image in a
+// retired format, is refused with an error naming it. The read tier is
+// the platform's: on unix checkpoint images are mapped and served as
+// zero-copy views, on linux contiguous cold runs go out with sendfile(2).
+// dspd models the honest-but-curious server of the
 // architecture, whose compromise the client-side access control is
 // designed to survive — scaling it out never weakens the security
 // argument, which is why it is the tier built for fan-out.
@@ -37,7 +40,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7070", "listen address")
-	storeDir := flag.String("store", "", "durable store directory (empty: in-memory only)")
+	storeDir := flag.String("store", "", "durable store directory in the segmented layout; a retired layout or image format is refused, never converted (empty: in-memory only)")
 	shards := flag.Int("shards", dsp.DefaultShards,
 		"store shard count (with -store: fixes the WAL segment count at creation; an existing store keeps its persisted count)")
 	cacheMB := flag.Int("cache-mb", 64, "LRU block cache budget in MiB (0 disables the cache)")
@@ -49,10 +52,6 @@ func main() {
 		"with -store: skip fsync (throughput over durability; a crash can lose acknowledged writes)")
 	recoveryWorkers := flag.Int("recovery-workers", 0,
 		"with -store: parallel segment-recovery workers at startup (0: GOMAXPROCS, 1: sequential)")
-	useMmap := flag.Bool("mmap", true,
-		"with -store: mmap checkpoint images and serve checkpoint-resident blocks as zero-copy views (off: heap-resident tier only)")
-	useSendfile := flag.Bool("sendfile", true,
-		"with -store: serve contiguous checkpoint-resident block runs with sendfile(2) instead of writev (off: always writev)")
 	flag.Parse()
 
 	var store dsp.Store
@@ -64,8 +63,6 @@ func main() {
 			NoSync:              *noSync,
 			CheckpointBytes:     int64(*ckptMB) << 20,
 			RecoveryParallelism: *recoveryWorkers,
-			DisableMmap:         !*useMmap,
-			DisableSendfile:     !*useSendfile,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -77,10 +74,7 @@ func main() {
 			log.Printf("dspd: mmap tier: %d KiB of checkpoint images mapped across %d segments", st.MappedBytes>>10, st.SegmentCount)
 		}
 		if st.FooterMigrations > 0 {
-			log.Printf("dspd: rewrote %d checkpoint images with block-index footers", st.FooterMigrations)
-		}
-		if st.Migrated {
-			log.Printf("dspd: migrated %s from the single-file layout to %d segments", *storeDir, st.SegmentCount)
+			log.Printf("dspd: rewrote %d checkpoint images whose index footer failed validation", st.FooterMigrations)
 		}
 		// An existing store keeps its persisted segment count; echo the
 		// real one, not the flag.

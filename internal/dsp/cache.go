@@ -275,41 +275,31 @@ func (c *Cache) ReadBlock(docID string, idx int) ([]byte, error) {
 // memory and each gap is fetched from the backing store in one batched
 // read (when it supports ranges).
 func (c *Cache) ReadBlocks(docID string, start, count int) ([][]byte, error) {
-	return c.readBlocks(docID, start, count, nil, nil)
+	return c.readRun(docID, start, count, nil, nil)
 }
 
 // ReadBlocksPinned implements PinnedBlockReader: cache hits are ordinary
 // heap blocks, and gap fills pass the pins through to the backing store,
 // so a mostly-cold range still travels mmap → writev without a copy.
 func (c *Cache) ReadBlocksPinned(docID string, start, count int, pins *[]BlockPin) ([][]byte, bool, error) {
-	pre := len(*pins)
-	out, err := c.readBlocks(docID, start, count, pins, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, len(*pins) > pre, nil
+	return readPinned(c, docID, start, count, pins)
 }
 
-// readBlocksWire implements wireBlockReader: cache hits stay heap
-// blocks, and each cold gap forwards the backing store's
-// sendfile-capable runs (shifted to this read's indexing) — so the hot
-// set rides the LRU while a cold run still leaves the box kernel-side.
-func (c *Cache) readBlocksWire(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
-	return c.readBlocks(docID, start, count, pins, runs)
-}
-
-// readBlocks is the shared range read. With pins == nil every gap fill
-// comes back as store-owned heap memory and is inserted into the LRU;
-// with pins set, fills go through the backing store's pinned path, and a
-// fill that came back mapped is served but NOT cached — the views are
-// only valid until the pin releases, while a cache entry would outlive
-// it and serve unmapped memory.
-func (c *Cache) readBlocks(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
+// readRun implements runReader and is the Cache's one range read. Cache
+// hits stay heap blocks. With pins == nil every gap fill comes back as
+// store-owned heap memory and is inserted into the LRU; with pins set,
+// fills go through the backing store's pinned path, and a fill that came
+// back mapped is served but NOT cached — the views are only valid until
+// the pin releases, while a cache entry would outlive it and serve
+// unmapped memory. With runs set, each cold gap also forwards the
+// backing store's file runs (shifted to this read's indexing), so the
+// hot set rides the LRU while a cold run still leaves the box
+// kernel-side.
+func (c *Cache) readRun(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
 	if start < 0 || count < 0 {
 		return nil, fmt.Errorf("dsp: negative block range [%d,+%d)", start, count)
 	}
-	pr, pinnable := c.store.(PinnedBlockReader)
-	wr, wirable := c.store.(wireBlockReader)
+	rr, pinnable := c.store.(runReader)
 	out := make([][]byte, count)
 	missFrom := -1
 	flushGap := func(end int) error {
@@ -321,18 +311,18 @@ func (c *Cache) readBlocks(docID string, start, count int, pins *[]BlockPin, run
 		var mapped bool
 		var err error
 		switch {
-		case pins != nil && runs != nil && wirable:
-			// Forward the backing store's file runs, re-indexed from the
-			// gap's offset to this read's.
-			pre := len(*pins)
-			preRuns := len(*runs)
-			got, err = wr.readBlocksWire(docID, start+missFrom, end-missFrom, pins, runs)
+		case pins != nil && pinnable:
+			// Forward the backing store's file runs, if asked for,
+			// re-indexed from the gap's offset to this read's.
+			pre, preRuns := len(*pins), 0
+			if runs != nil {
+				preRuns = len(*runs)
+			}
+			got, err = rr.readRun(docID, start+missFrom, end-missFrom, pins, runs)
 			mapped = err == nil && len(*pins) > pre
-			for i := preRuns; i < len(*runs); i++ {
+			for i := preRuns; runs != nil && i < len(*runs); i++ {
 				(*runs)[i].Start += missFrom
 			}
-		case pins != nil && pinnable:
-			got, mapped, err = pr.ReadBlocksPinned(docID, start+missFrom, end-missFrom, pins)
 		case pinnable:
 			// Plain fills ride the pinned tier too: a gap served out of a
 			// mapped checkpoint image is copied out of the mapping once
@@ -341,7 +331,7 @@ func (c *Cache) readBlocks(docID string, start, count int, pins *[]BlockPin, run
 			// from the page cache for free, so caching the copies would
 			// evict blocks that are genuinely expensive to refetch.
 			var local []BlockPin
-			got, mapped, err = pr.ReadBlocksPinned(docID, start+missFrom, end-missFrom, &local)
+			got, mapped, err = readPinned(rr, docID, start+missFrom, end-missFrom, &local)
 			if err == nil && mapped {
 				for j, b := range got {
 					got[j] = append(make([]byte, 0, len(b)), b...)
@@ -486,5 +476,5 @@ var (
 	_ DocUpdater        = (*Cache)(nil)
 	_ DeltaCommitter    = (*Cache)(nil)
 	_ PinnedBlockReader = (*Cache)(nil)
-	_ wireBlockReader   = (*Cache)(nil)
+	_ runReader         = (*Cache)(nil)
 )

@@ -1,12 +1,11 @@
 package dsp
 
-// The checkpoint block-index footer. A footered checkpoint image is
-// the body (magic, documents, rules — readable by the heap loader,
-// which never inspects trailing bytes) followed by an index section
-// and a fixed tail. v2 introduced the footer over the v1 body; v3
-// keeps the same footer but stores each block wire-prefixed (uvarint
-// length before the payload — see the segment writer), so footer block
-// refs in a v3 image point at the payload after its prefix:
+// The checkpoint block-index footer. A checkpoint image is the body
+// (magic, documents, rules — readable by the heap loader, which never
+// inspects trailing bytes) followed by an index section and a fixed
+// tail. The body stores each block wire-prefixed (uvarint length before
+// the payload — see the segment writer), so footer block refs point at
+// the payload after its prefix:
 //
 //	index = uvarint nDocs
 //	        per doc: [string docID][uvarint version][uvarint hdrOff]
@@ -18,9 +17,9 @@ package dsp
 // All offsets are absolute file offsets. The body stays the source of
 // truth: the footer only tells the mmap tier where each document's
 // header and blocks live, so recovery can hand out views into the
-// mapping without re-parsing (or heap-copying) full images. A missing
-// or corrupt footer is never fatal — the store falls back to the heap
-// loader and rewrites the image with a fresh footer.
+// mapping without re-parsing (or heap-copying) full images. A footer
+// that fails validation is never fatal — the store falls back to the
+// heap loader and rewrites the image with a fresh footer.
 
 import (
 	"encoding/binary"
@@ -111,26 +110,25 @@ func parseCkptIndex(data []byte) (*ckptIndex, error) {
 		return off >= int64(len(ckptMagic)) && n >= 0 && off <= bodyEnd && n <= bodyEnd-off
 	}
 
+	// Entry sizes floor the counts before they size an allocation: a
+	// document entry is at least five one-byte fields, a block ref two.
 	r := &wireReader{data: idxBytes}
-	nDocs := r.uvarint()
+	nDocs := r.readUvarintBounded(5, len(idxBytes))
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nDocs > uint64(len(idxBytes)) { // each entry costs bytes; cap pre-allocation
-		return nil, fmt.Errorf("dsp: checkpoint index claims %d documents", nDocs)
-	}
 	out := &ckptIndex{docs: make([]ckptDocEntry, 0, nDocs), bodyEnd: bodyEnd}
-	for i := uint64(0); i < nDocs; i++ {
+	for i := 0; i < nDocs; i++ {
 		var d ckptDocEntry
 		d.docID = r.string()
 		version := r.uvarint()
 		hdrOff := r.uvarint()
 		hdrLen := r.uvarint()
-		nBlocks := r.uvarint()
+		nBlocks := r.readUvarintBounded(2, len(idxBytes))
 		if r.err != nil {
 			return nil, fmt.Errorf("dsp: checkpoint index document %d: %w", i, r.err)
 		}
-		if version > 0xFFFFFFFF || nBlocks > uint64(len(idxBytes)) {
+		if version > 0xFFFFFFFF {
 			return nil, fmt.Errorf("dsp: checkpoint index document %d: implausible entry", i)
 		}
 		d.version = uint32(version)
@@ -139,7 +137,7 @@ func parseCkptIndex(data []byte) (*ckptIndex, error) {
 			return nil, fmt.Errorf("dsp: checkpoint index document %d: header outside body", i)
 		}
 		d.blocks = make([]ckptBlockRef, 0, nBlocks)
-		for j := uint64(0); j < nBlocks; j++ {
+		for j := 0; j < nBlocks; j++ {
 			off := r.uvarint()
 			blen := r.uvarint()
 			if r.err != nil {

@@ -37,11 +37,16 @@ package dsp
 // Each segment stops at — and truncates — its own torn tail (kill -9
 // mid append); a record that no longer applies (a checkpoint superseded
 // it) is skipped, not fatal.
-// A directory in the PR 4 single-file layout (`wal.log` + `checkpoint`)
-// is migrated to segments, exactly once, on open.
+//
+// One format is read and written: this segmented layout with v3
+// images. A directory in the retired single-file layout (`wal.log` +
+// `checkpoint`, no `store.meta`) and an image with v1 or v2 magic are
+// refused at open with an error naming the format; nothing is converted,
+// deleted or rewritten.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,17 +81,6 @@ type FileStoreOptions struct {
 	// RecoveryParallelism caps the workers that load checkpoints and
 	// replay segment logs at open (0 = GOMAXPROCS, 1 = sequential).
 	RecoveryParallelism int
-	// DisableMmap forces the heap read tier even where mapping is
-	// supported: checkpoint images are loaded into memory instead of
-	// mapped, exactly like a nommap build. The on-disk format is the
-	// same either way.
-	DisableMmap bool
-	// DisableSendfile keeps the mapped tier but stops resolving
-	// checkpoint runs to (file, offset) spans, so batched reads always
-	// travel the writev path — exactly like a nosendfile build (or a
-	// non-linux platform). Implied by DisableMmap: the sendfile tier
-	// serves out of the mapped images' files.
-	DisableSendfile bool
 }
 
 // DefaultCheckpointBytes bounds the combined log size (and therefore
@@ -119,17 +113,14 @@ type FileStoreStats struct {
 	// creation, read back from store.meta on reopen).
 	SegmentCount int
 	// RecoveryDuration is the wall time the last open spent loading
-	// checkpoints and replaying logs (migration included).
+	// checkpoints and replaying logs (footer heals included).
 	RecoveryDuration time.Duration
 	// LastCheckpointDuration is the wall time of the most recent
 	// checkpoint — one segment for a background trigger, all segments
 	// for an explicit Checkpoint().
 	LastCheckpointDuration time.Duration
-	// Migrated reports that this open converted a PR 4 single-file
-	// layout (wal.log + checkpoint) into segments.
-	Migrated bool
 	// MappedBytes is the total size of the currently mapped checkpoint
-	// images (0 with mmap disabled or unsupported). MmapReads and
+	// images (0 on platforms without mmap). MmapReads and
 	// HeapReads count blocks served from the mapped tier vs. heap
 	// memory — together they show how much of the corpus the store
 	// serves without holding it resident.
@@ -140,9 +131,8 @@ type FileStoreStats struct {
 	// pinned runs, SEQUENTIAL on freshly installed images. Always 0 on
 	// platforms without madvise and under -tags nommap.
 	MadviseCalls int64
-	// FooterMigrations counts segments whose checkpoint image this open
-	// rewrote into the current format — footerless (pre-index) v1 images
-	// and v2 images without wire prefixes alike.
+	// FooterMigrations counts images whose footer failed validation and
+	// were rewritten at open.
 	FooterMigrations int64
 	// SendfileReads counts checkpoint runs fully shipped by the
 	// kernel-resident serve path (sendfile, one count per run);
@@ -150,8 +140,8 @@ type FileStoreStats struct {
 	// SendfileFallbacks counts runs a connection had to push through
 	// writev after the kernel refused sendfile at runtime (ENOSYS,
 	// EINVAL, short transfer) — the output is byte-identical either way.
-	// All zero with the tier disabled (DisableSendfile/DisableMmap, the
-	// nosendfile build tag, non-linux platforms).
+	// All zero where the platform has no sendfile tier (non-linux, no
+	// mmap tier).
 	SendfileReads, SendfileBytes, SendfileFallbacks int64
 }
 
@@ -174,10 +164,9 @@ type segment struct {
 	// same discipline as the shard's documents, whose blocks may point
 	// into it.
 	region *mmapRegion
-	// needRewrite marks a segment whose recovered checkpoint image
-	// predates the current format (v1: no index footer; v2: no wire
-	// prefixes); the open rewrites it once. Written single-threaded
-	// during recovery.
+	// needRewrite marks a segment whose v3 image failed footer
+	// validation and was heap-loaded from its body; the open rewrites it
+	// once. Written single-threaded during recovery.
 	needRewrite bool
 
 	// pending holds, per document, the mutation that is logged but not
@@ -209,15 +198,6 @@ type FileStore struct {
 	checkpoints atomic.Int64
 	lastCkpt    atomic.Int64 // nanoseconds of the most recent checkpoint
 
-	// mmapOn selects the tiered read path: checkpoint-resident blocks
-	// served as views into mapped images, everything newer from heap.
-	// Fixed at open (platform support ∧ !DisableMmap).
-	mmapOn bool
-	// sendfileOn additionally lets batched reads resolve checkpoint
-	// runs to (file, offset) spans the connection writer can ship with
-	// sendfile. Fixed at open (mmapOn ∧ platform support ∧
-	// !DisableSendfile).
-	sendfileOn bool
 	// sf receives the connection writers' sendfile outcomes for runs
 	// this store resolved (each wireRun carries the pointer).
 	sf sendfileStats
@@ -237,7 +217,6 @@ type FileStore struct {
 	broken atomic.Value // error
 
 	recovery          time.Duration
-	migrated          bool
 	replayed, skipped int64
 	tornTail          bool
 
@@ -258,7 +237,7 @@ type FileStore struct {
 }
 
 const (
-	// Legacy (PR 4) single-file layout, migrated on open.
+	// The retired single-file layout, refused on open.
 	walFileName  = "wal.log"
 	ckptFileName = "checkpoint"
 
@@ -273,36 +252,25 @@ func segCkptName(i int) string { return fmt.Sprintf("checkpoint-%03d", i) }
 func (s *FileStore) segWalPath(i int) string  { return filepath.Join(s.dir, segWalName(i)) }
 func (s *FileStore) segCkptPath(i int) string { return filepath.Join(s.dir, segCkptName(i)) }
 
-// checkpoint image magic ("SDSC" + format version). Version 2 appended
-// a block-index footer (see ckptindex.go) after the v1 body. Version 3
-// keeps the footer and changes the body's block layout: every block is
-// written behind its uvarint length prefix — byte for byte the
-// opReadBlocks wire encoding — so a contiguous run of
+// ckptMagic opens every checkpoint image: "SDSC" + format version 3.
+// The body stores every block behind its uvarint length prefix — byte
+// for byte the opReadBlocks wire encoding — so a contiguous run of
 // checkpoint-resident blocks is a wire-exact file span the sendfile
-// serve tier ships with one syscall. Footer block refs still point at
-// the payloads (the offset skips the prefix), so the mapped tier's
-// view machinery is unchanged. Readers accept all three versions;
-// v1/v2 images are heap-loaded (or mapped, for footered v2) and
-// rewritten in the current format once at open.
-var (
-	ckptMagic   = []byte{'S', 'D', 'S', 'C', 3}
-	ckptMagicV2 = []byte{'S', 'D', 'S', 'C', 2}
-	ckptMagicV1 = []byte{'S', 'D', 'S', 'C', 1}
-)
+// serve tier ships with one syscall; a block-index footer (see
+// ckptindex.go) follows the body, its block refs pointing at the
+// payloads past their prefixes.
+var ckptMagic = []byte{'S', 'D', 'S', 'C', 3}
 
-// ckptMagicOK accepts the current and the legacy image versions.
-func ckptMagicOK(data []byte) bool {
-	if len(data) < len(ckptMagic) {
-		return false
+// checkCkptMagic refuses any image but v3. The retired v1 (footerless)
+// and v2 (unprefixed blocks) formats are named in the error.
+func checkCkptMagic(path string, data []byte) error {
+	if bytes.HasPrefix(data, ckptMagic) {
+		return nil
 	}
-	head := string(data[:len(ckptMagic)])
-	return head == string(ckptMagic) || head == string(ckptMagicV2) || head == string(ckptMagicV1)
-}
-
-// ckptWirePrefixed reports a v3 body: blocks stored behind their wire
-// varint prefixes.
-func ckptWirePrefixed(data []byte) bool {
-	return len(data) >= len(ckptMagic) && string(data[:len(ckptMagic)]) == string(ckptMagic)
+	if len(data) >= len(ckptMagic) && bytes.HasPrefix(data, ckptMagic[:4]) && (data[4] == 1 || data[4] == 2) {
+		return fmt.Errorf("dsp: %s: checkpoint image format v%d is retired; only v3 images are read", path, data[4])
+	}
+	return fmt.Errorf("dsp: %s: bad checkpoint magic", path)
 }
 
 // NewFileStore opens (or creates) a durable store in dir with default
@@ -325,6 +293,9 @@ func NewFileStoreOptions(dir string, opts FileStoreOptions) (*FileStore, error) 
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = DefaultCheckpointBytes
 	}
+	if err := refuseSingleFileLayout(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -333,8 +304,6 @@ func NewFileStoreOptions(dir string, opts FileStoreOptions) (*FileStore, error) 
 		return nil, err
 	}
 	s := &FileStore{dir: dir, opts: opts, lock: lock}
-	s.mmapOn = mmapSupported && !opts.DisableMmap
-	s.sendfileOn = s.mmapOn && sendfileSupported && !opts.DisableSendfile
 	start := time.Now()
 	if err := s.openDir(); err != nil {
 		// Release whatever a partial open acquired — the lock, any
@@ -353,18 +322,16 @@ func NewFileStoreOptions(dir string, opts FileStoreOptions) (*FileStore, error) 
 		_ = lock.release()
 		return nil, err
 	}
-	// One-shot format migration: a recovered segment whose image
-	// predates the current format — footerless v1, or footered v2
-	// without wire prefixes — is re-checkpointed now (the image is
-	// rewritten from the just-recovered state and its mapping
-	// installed), so from here on every image on disk is footered,
-	// wire-prefixed and mmap-served. Counted into the recovery time
-	// like the layout migration.
+	// Self-heal: a segment whose image failed footer validation was
+	// heap-loaded from its body; re-checkpoint it now (the image is
+	// rewritten from the just-recovered state and its mapping installed)
+	// so it is served mapped from here on. Counted into the recovery
+	// time.
 	for _, seg := range s.segs {
-		if seg.needRewrite && s.mmapOn {
+		if seg.needRewrite {
 			if err := s.checkpointSegmentMode(seg, true); err != nil {
 				_ = s.Close()
-				return nil, fmt.Errorf("dsp: rewriting legacy checkpoint of segment %d: %w", seg.idx, err)
+				return nil, fmt.Errorf("dsp: rewriting the checkpoint of segment %d: %w", seg.idx, err)
 			}
 			seg.needRewrite = false
 			s.footerMigrations++
@@ -382,14 +349,27 @@ func NewFileStoreOptions(dir string, opts FileStoreOptions) (*FileStore, error) 
 	return s, nil
 }
 
-// openDir decides which layout the directory holds and recovers it. The
-// meta file is authoritative: it is written only after every segment
-// image is durable, so its presence means the segmented layout is
-// complete (any legacy leftovers are sweepings of an interrupted
-// post-migration cleanup).
+// refuseSingleFileLayout fails the open of a directory holding the
+// retired single-file layout (wal.log and/or checkpoint, no store.meta)
+// before anything in it is touched — not even the LOCK file.
+func refuseSingleFileLayout(dir string) error {
+	if fileExists(filepath.Join(dir, metaFileName)) {
+		return nil
+	}
+	for _, name := range []string{walFileName, ckptFileName} {
+		if fileExists(filepath.Join(dir, name)) {
+			return fmt.Errorf("dsp: %s holds a store in the retired single-file layout (%s, %s, no %s); "+
+				"only the segmented layout is read", dir, walFileName, ckptFileName, metaFileName)
+		}
+	}
+	return nil
+}
+
+// openDir recovers the segmented store in the directory, or creates one.
+// The meta file is authoritative: its presence means the segment count
+// is fixed.
 func (s *FileStore) openDir() error {
-	// Sweep temp files a crashed checkpoint, migration or meta write
-	// left behind.
+	// Sweep temp files a crashed checkpoint or meta write left behind.
 	if tmps, err := filepath.Glob(filepath.Join(s.dir, "*.tmp-*")); err == nil {
 		for _, t := range tmps {
 			_ = os.Remove(t)
@@ -399,36 +379,24 @@ func (s *FileStore) openDir() error {
 	if err != nil {
 		return err
 	}
-	legacyWal := fileExists(filepath.Join(s.dir, walFileName))
-	legacyCkpt := fileExists(filepath.Join(s.dir, ckptFileName))
-	switch {
-	case nSeg > 0:
+	if nSeg > 0 {
 		s.mem = NewMemStoreShards(nSeg)
 		s.makeSegments(nSeg)
-		if legacyWal || legacyCkpt {
-			_ = os.Remove(filepath.Join(s.dir, walFileName))
-			_ = os.Remove(filepath.Join(s.dir, ckptFileName))
-		}
 		return s.recoverSegments()
-	case legacyWal || legacyCkpt:
-		s.mem = NewMemStoreShards(s.opts.Shards)
-		s.makeSegments(s.opts.Shards)
-		return s.migrateLegacy()
-	default:
-		s.mem = NewMemStoreShards(s.opts.Shards)
-		s.makeSegments(s.opts.Shards)
-		if err := writeSegmentMeta(s.dir, len(s.segs), s.opts.NoSync); err != nil {
+	}
+	s.mem = NewMemStoreShards(s.opts.Shards)
+	s.makeSegments(s.opts.Shards)
+	if err := writeSegmentMeta(s.dir, len(s.segs), s.opts.NoSync); err != nil {
+		return err
+	}
+	for _, seg := range s.segs {
+		w, err := openWalWriter(s.segWalPath(seg.idx), 0, s.opts.NoSync)
+		if err != nil {
 			return err
 		}
-		for _, seg := range s.segs {
-			w, err := openWalWriter(s.segWalPath(seg.idx), 0, s.opts.NoSync)
-			if err != nil {
-				return err
-			}
-			seg.wal = w
-		}
-		return nil
+		seg.wal = w
 	}
+	return nil
 }
 
 func (s *FileStore) makeSegments(n int) {
@@ -444,7 +412,7 @@ func fileExists(path string) bool {
 }
 
 // readSegmentMeta returns the persisted segment count, or 0 when the
-// directory has no meta file (fresh store or legacy layout).
+// directory has no meta file (a fresh store).
 func readSegmentMeta(dir string) (int, error) {
 	data, err := os.ReadFile(filepath.Join(dir, metaFileName))
 	if os.IsNotExist(err) {
@@ -556,34 +524,25 @@ func (s *FileStore) recoverSegments() error {
 // replay. Staged updates were never logged, so a handshake a crash
 // interrupted leaves nothing behind.
 //
-// With the mmap tier on, a footered image is mapped and its documents
+// With the mmap tier on, the image is mapped and its documents
 // installed as views into the mapping — recovery reads the index
 // footer, not the full image, and the blocks never become heap
-// resident. A footerless (or unparsable-footer) image falls back to
-// the heap loader and is marked for a one-shot footer rewrite.
+// resident. An image whose footer fails validation falls back to the
+// heap loader and is marked for a one-shot rewrite.
 func (s *FileStore) recoverSegment(i int, rec *segRecovery) error {
 	path := s.segCkptPath(i)
 	mapped := false
-	if s.mmapOn {
+	if mmapOn {
 		var err error
-		mapped, err = s.loadCheckpointMapped(s.segs[i])
-		if err != nil {
+		if mapped, err = s.loadCheckpointMapped(s.segs[i]); err != nil {
 			return err
-		}
-		if mapped && !s.segs[i].region.wirePrefixed {
-			// A footered v2 image maps and serves fine, but its blocks
-			// lack wire prefixes, so the sendfile tier cannot coalesce
-			// runs out of it: rewrite it in the current format once.
-			s.segs[i].needRewrite = true
 		}
 	}
 	if !mapped {
 		if err := s.loadCheckpointFile(path); err != nil {
 			return err
 		}
-		if s.mmapOn && fileExists(path) {
-			s.segs[i].needRewrite = true
-		}
+		s.segs[i].needRewrite = mmapOn && fileExists(path)
 	}
 	size, torn, err := replayWal(s.segWalPath(i), func(body []byte) error {
 		return s.applyRecord(body, rec)
@@ -597,70 +556,6 @@ func (s *FileStore) recoverSegment(i int, rec *segRecovery) error {
 		return err
 	}
 	s.segs[i].wal = w
-	return nil
-}
-
-// migrateLegacy converts a PR 4 single-file store (wal.log +
-// checkpoint) into the segmented layout: recover it the old way, write
-// every segment image, publish the meta file, retire the legacy pair.
-// Ordered so that a crash at any point leaves either a complete legacy
-// store (meta absent — migration simply reruns) or a complete segmented
-// store (meta present — stray legacy files are swept on the next open).
-func (s *FileStore) migrateLegacy() error {
-	// Leftover segment files from an interrupted earlier migration
-	// (possibly with a different shard count) are garbage — the legacy
-	// pair is still the store of record.
-	for _, pat := range []string{"wal-*.log", "checkpoint-*"} {
-		if stale, err := filepath.Glob(filepath.Join(s.dir, pat)); err == nil {
-			for _, f := range stale {
-				_ = os.Remove(f)
-			}
-		}
-	}
-	if err := s.loadCheckpointFile(filepath.Join(s.dir, ckptFileName)); err != nil {
-		return err
-	}
-	var rec segRecovery
-	_, torn, err := replayWal(filepath.Join(s.dir, walFileName), func(body []byte) error {
-		return s.applyRecord(body, &rec)
-	})
-	if err != nil {
-		return fmt.Errorf("dsp: migrating %s: %w", s.dir, err)
-	}
-	s.replayed, s.skipped, s.tornTail = rec.replayed, rec.skipped, torn
-
-	// The migration is fsynced even under NoSync: it is about to unlink
-	// the legacy store of record, and NoSync's contract is "a crash may
-	// lose acknowledged writes", not "a crash may lose the whole store
-	// that sync mode already made durable".
-	for _, seg := range s.segs {
-		if err := s.writeSegmentImageSync(seg.idx, true); err != nil {
-			return fmt.Errorf("dsp: migrating %s: %w", s.dir, err)
-		}
-	}
-	if err := writeSegmentMeta(s.dir, len(s.segs), false); err != nil {
-		return err
-	}
-	for _, name := range []string{walFileName, ckptFileName} {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	for _, seg := range s.segs {
-		w, err := openWalWriter(s.segWalPath(seg.idx), 0, s.opts.NoSync)
-		if err != nil {
-			return err
-		}
-		seg.wal = w
-		// The freshly written images already carry index footers; serve
-		// them mapped from the start (single-threaded here, so the
-		// wal.mu discipline installMapping normally relies on is moot).
-		s.installMapping(seg)
-	}
-	s.migrated = true
 	return nil
 }
 
@@ -684,7 +579,6 @@ func (s *FileStore) Stats() FileStoreStats {
 		SegmentCount:           len(s.segs),
 		RecoveryDuration:       s.recovery,
 		LastCheckpointDuration: time.Duration(s.lastCkpt.Load()),
-		Migrated:               s.migrated,
 	}
 	st.MappedBytes = s.mappedBytes.Load()
 	st.MmapReads = s.mmapReads.Load()
@@ -888,13 +782,6 @@ func (s *FileStore) lookupLocked(docID string) (*segment, *memShard, *docenc.Con
 // of the mapping while the shard lock still pins the region; the
 // zero-copy path is ReadBlocksPinned.
 func (s *FileStore) ReadBlock(docID string, idx int) ([]byte, error) {
-	if !s.mmapOn {
-		b, err := s.mem.ReadBlock(docID, idx)
-		if err == nil {
-			s.heapReads.Add(1)
-		}
-		return b, err
-	}
 	seg, sh, c, err := s.lookupLocked(docID)
 	if err != nil {
 		return nil, err
@@ -917,13 +804,6 @@ func (s *FileStore) ReadBlock(docID string, idx int) ([]byte, error) {
 // the Store contract; WAL-resident (heap) blocks are referenced as
 // always.
 func (s *FileStore) ReadBlocks(docID string, start, count int) ([][]byte, error) {
-	if !s.mmapOn {
-		out, err := s.mem.ReadBlocks(docID, start, count)
-		if err == nil {
-			s.heapReads.Add(int64(count))
-		}
-		return out, err
-	}
 	seg, sh, c, err := s.lookupLocked(docID)
 	if err != nil {
 		return nil, err
@@ -960,30 +840,23 @@ func (s *FileStore) ReadBlocks(docID string, start, count int) ([][]byte, error)
 // only path that retires a region) excludes, so a view can never
 // outlive its mapping unpinned.
 func (s *FileStore) ReadBlocksPinned(docID string, start, count int, pins *[]BlockPin) ([][]byte, bool, error) {
-	return s.readPinned(docID, start, count, pins, nil)
+	return readPinned(s, docID, start, count, pins)
 }
 
-// readBlocksWire implements wireBlockReader: ReadBlocksPinned plus
-// sendfile-capable run resolution — contiguous checkpoint-resident
-// stretches of the range come back as (file, offset, span) runs the
-// connection writer ships with one syscall each. The pins keep both the
-// mapping and the underlying file open, so a run outlives an epoch
-// retirement mid-flush.
-func (s *FileStore) readBlocksWire(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
-	out, _, err := s.readPinned(docID, start, count, pins, runs)
-	return out, err
-}
-
-// readPinned is the shared pinned range read; with runs non-nil (and
-// the sendfile tier on) it also resolves wire-exact file runs.
-func (s *FileStore) readPinned(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, bool, error) {
+// readRun implements runReader. With runs non-nil (and the sendfile
+// tier on) contiguous checkpoint-resident stretches of the range also
+// come back as (file, offset, span) runs the connection writer ships
+// with one syscall each. The pin keeps both the mapping and the
+// underlying file open, so a run outlives an epoch retirement
+// mid-flush.
+func (s *FileStore) readRun(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
 	seg, sh, c, err := s.lookupLocked(docID)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer sh.mu.RUnlock()
 	if start < 0 || count < 0 || start > len(c.Blocks) || count > len(c.Blocks)-start {
-		return nil, false, fmt.Errorf("dsp: block range [%d,+%d) out of range [0,%d) for %q",
+		return nil, fmt.Errorf("dsp: block range [%d,+%d) out of range [0,%d) for %q",
 			start, count, len(c.Blocks), docID)
 	}
 	out := make([][]byte, count)
@@ -1012,20 +885,20 @@ func (s *FileStore) readPinned(docID string, start, count int, pins *[]BlockPin,
 					s.madviseCalls.Add(1)
 				}
 			}
-			if runs != nil && s.sendfileOn && reg.wirePrefixed && reg.f != nil {
+			if runs != nil && sendfileOn && reg.f != nil {
 				s.collectWireRuns(reg, out, runs)
 			}
 		}
 	}
 	s.mmapReads.Add(mapped)
 	s.heapReads.Add(int64(count) - mapped)
-	return out, mapped > 0, nil
+	return out, nil
 }
 
 // collectWireRuns walks a pinned read's blocks and appends every
 // contiguous checkpoint span worth a sendfile. A block joins the
 // current run when its wire prefix starts exactly where the previous
-// block's payload ended — the v3 image layout for blocks written
+// block's payload ended — the image layout for blocks written
 // back-to-back — and each prefix is verified to decode to the block's
 // length, so the span is wire-exact by construction, not by trust in
 // the footer. Runs under sendfileMinRunBytes stay on the writev path.
@@ -1119,7 +992,7 @@ func (s *FileStore) AbortUpdate(token uint64) error { return s.mem.AbortUpdate(t
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
-// uvarintLen is the encoded size of v — the wire prefix the v3 image
+// uvarintLen is the encoded size of v — the wire prefix the image
 // stores ahead of each block.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -1269,9 +1142,9 @@ func (s *FileStore) checkpointSegment(seg *segment) error {
 }
 
 // checkpointSegmentMode is checkpointSegment with the empty-log skip
-// explicit: the open-time footer migration forces an image rewrite even
-// when the log is empty (the image content is unchanged — only the
-// footer is new).
+// explicit: the open-time footer heal forces an image rewrite even when
+// the log is empty (the image content is unchanged — only the footer is
+// rebuilt).
 func (s *FileStore) checkpointSegmentMode(seg *segment, force bool) error {
 	seg.ckptMu.Lock()
 	defer seg.ckptMu.Unlock()
@@ -1319,12 +1192,6 @@ func (s *FileStore) checkpointSegmentMode(seg *segment, force bool) error {
 // holds the segment's log mutex, so no mutation of this shard is in
 // flight; the shard read-lock fences the map walk.
 func (s *FileStore) writeSegmentImage(idx int) error {
-	return s.writeSegmentImageSync(idx, !s.opts.NoSync)
-}
-
-// writeSegmentImageSync is writeSegmentImage with the fsync decision
-// explicit — migration forces sync even for NoSync stores.
-func (s *FileStore) writeSegmentImageSync(idx int, sync bool) error {
 	tmp, err := os.CreateTemp(s.dir, segCkptName(idx)+".tmp-*")
 	if err != nil {
 		return err
@@ -1417,8 +1284,8 @@ func (s *FileStore) writeSegmentImageSync(idx int, sync bool) error {
 			}
 		}
 		// The block-index footer: offsets into the body just written,
-		// CRC'd, terminated by its own magic. Readers that predate it
-		// (and the heap fallback) parse the body and never look here.
+		// CRC'd, terminated by its own magic. The heap loader parses the
+		// body and never looks here.
 		_, err := cw.Write(appendCkptIndex(nil, entries, rulesOff))
 		return err
 	}()
@@ -1431,7 +1298,7 @@ func (s *FileStore) writeSegmentImageSync(idx int, sync bool) error {
 	}
 	// The image must be durable before the rename publishes it, or the
 	// rename could survive a crash that the contents did not.
-	if sync {
+	if !s.opts.NoSync {
 		if err := tmp.Sync(); err != nil {
 			return cleanup(err)
 		}
@@ -1448,7 +1315,7 @@ func (s *FileStore) writeSegmentImageSync(idx int, sync bool) error {
 	// after the rename is a durability failure like any other, not a
 	// shrug (filesystems that cannot fsync directories report ENOTSUP,
 	// which syncDir forgives).
-	if sync {
+	if !s.opts.NoSync {
 		if err := syncDir(s.dir); err != nil {
 			return err
 		}
@@ -1476,9 +1343,9 @@ func (c *countingWriter) WriteString(s string) (int, error) {
 	return n, err
 }
 
-// loadCheckpointFile reads one checkpoint image (if present) into the
-// in-memory store. Used per segment during recovery and once for the
-// legacy file during migration — the format is the same.
+// loadCheckpointFile reads one segment's checkpoint image (if present)
+// into the in-memory store: the heap tier of platforms without mmap, and
+// the fallback for an image whose footer fails validation.
 func (s *FileStore) loadCheckpointFile(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -1487,15 +1354,11 @@ func (s *FileStore) loadCheckpointFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if !ckptMagicOK(data) {
-		return fmt.Errorf("dsp: %s: bad checkpoint magic", path)
+	if err := checkCkptMagic(path, data); err != nil {
+		return err
 	}
-	// A footered image carries an index after the body; the body parse
-	// below reads exactly nDocs + nRules entries and leaves the trailing
-	// index untouched, so the heap loader reads every version alike. The
-	// per-document layout differs: v1/v2 store raw back-to-back blocks
-	// (Container.MarshalBinary), v3 wire-prefixed ones.
-	prefixed := ckptWirePrefixed(data)
+	// The body parse reads exactly nDocs + nRules entries and leaves the
+	// trailing index footer untouched.
 	r := &wireReader{data: data, pos: len(ckptMagic)}
 	nDocs := r.uvarint()
 	for i := uint64(0); i < nDocs; i++ {
@@ -1503,13 +1366,7 @@ func (s *FileStore) loadCheckpointFile(path string) error {
 		if r.err != nil {
 			break
 		}
-		var c *docenc.Container
-		var err error
-		if prefixed {
-			c, err = unmarshalWireDoc(img)
-		} else {
-			c, err = docenc.UnmarshalContainer(img)
-		}
+		c, err := unmarshalWireDoc(img)
 		if err != nil {
 			return fmt.Errorf("dsp: checkpoint document %d: %w", i, err)
 		}
@@ -1539,7 +1396,7 @@ func (s *FileStore) loadCheckpointFile(path string) error {
 	return nil
 }
 
-// unmarshalWireDoc parses one v3 per-document image: header bytes, then
+// unmarshalWireDoc parses one per-document image: header bytes, then
 // every block behind its uvarint wire prefix. Each prefix is checked
 // against the header's stored-length geometry — the same
 // cross-validation the mapped tier applies to footer entries — so a
@@ -1600,8 +1457,8 @@ func containerFromEntry(region *mmapRegion, e *ckptDocEntry) (*docenc.Container,
 // its documents as views into the mapping, driven by the index footer —
 // no full-image read, no heap copies of block payloads. It reports
 // false (and no error) whenever the mapping path cannot serve this
-// image — file absent, footerless v1 image, unparsable footer, platform
-// without mmap — and the caller falls back to the heap loader. Runs
+// image — file absent or empty, a footer that fails validation — and
+// the caller falls back to the heap loader. Runs
 // single-threaded per segment during recovery, before the store is
 // visible to any reader.
 func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
@@ -1615,11 +1472,10 @@ func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
 		return false, err
 	}
 	data := region.data
-	if !ckptMagicOK(data) {
+	if err := checkCkptMagic(s.segCkptPath(seg.idx), data); err != nil {
 		region.release()
-		return false, fmt.Errorf("dsp: %s: bad checkpoint magic", s.segCkptPath(seg.idx))
+		return false, err
 	}
-	region.wirePrefixed = ckptWirePrefixed(data)
 	// The footer-driven scan is about to fault the whole image in (index
 	// entries at the tail, geometry validation over the headers): tell
 	// the kernel now so recovery reads ahead instead of faulting page by
@@ -1629,8 +1485,8 @@ func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
 	}
 	idx, err := parseCkptIndex(data)
 	if err != nil {
-		// No footer (v1 image) or a corrupt one: the body is the source
-		// of truth — heap-load it and rewrite the image with a footer.
+		// A corrupt footer: the body is the source of truth — heap-load
+		// it and rewrite the image with a fresh footer.
 		region.release()
 		return false, nil
 	}
@@ -1691,14 +1547,13 @@ func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
 // itself runs under the shard write lock, after which the old region is
 // retired (its munmap deferred until in-flight pinned readers drain).
 func (s *FileStore) installMapping(seg *segment) {
-	if !s.mmapOn {
+	if !mmapOn {
 		return
 	}
 	region, err := mapFile(s.segCkptPath(seg.idx))
 	if err != nil {
 		return // heap keeps serving; the next checkpoint retries
 	}
-	region.wirePrefixed = ckptWirePrefixed(region.data)
 	// Cold reads over a fresh image arrive as forward block runs (the
 	// terminal's batched pulls, streaming re-checkpoints): ask for
 	// sequential readahead over the whole mapping.
@@ -1776,5 +1631,5 @@ var (
 	_ DocUpdater        = (*FileStore)(nil)
 	_ DeltaCommitter    = (*FileStore)(nil)
 	_ PinnedBlockReader = (*FileStore)(nil)
-	_ wireBlockReader   = (*FileStore)(nil)
+	_ runReader         = (*FileStore)(nil)
 )

@@ -3,6 +3,8 @@ package dsp
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/docenc"
@@ -83,5 +85,80 @@ func FuzzCommitRecord(f *testing.F) {
 		_ = s.mem.PutDocument(fuzzContainer(1))
 		var rec segRecovery
 		_ = s.applyRecord(body, &rec)
+	})
+}
+
+// checkpointImageSeeds are checkpoint images the image fuzz target
+// starts from: a real one-document image with a rule set, the same
+// image cut short, with a corrupted footer CRC, and with the retired
+// v1 and v2 magics.
+func checkpointImageSeeds(f *testing.F) [][]byte {
+	dir := f.TempDir()
+	s, err := NewFileStoreOptions(dir, FileStoreOptions{Shards: 1, NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutDocument(fuzzContainer(1)); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutRuleSet("doc", "alice", 1, []byte("sealed")); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	img, err := os.ReadFile(filepath.Join(dir, segCkptName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	badCRC := append([]byte(nil), img...)
+	badCRC[len(badCRC)-ckptFooterTailLen+4] ^= 0xff
+	v1, v2 := append([]byte(nil), img...), append([]byte(nil), img...)
+	v1[len(ckptMagic)-1], v2[len(ckptMagic)-1] = 1, 2
+	return [][]byte{img, img[:len(img)/2], badCRC, v1, v2}
+}
+
+// FuzzCheckpointImage writes arbitrary bytes as the one checkpoint image
+// of a one-segment store directory with a valid store.meta: opening it
+// returns a store or an error, never a panic, and a store it returns
+// serves every block it lists. The heap loader is also fed the image
+// directly, so it is covered on platforms whose open maps images.
+func FuzzCheckpointImage(f *testing.F) {
+	for _, seed := range checkpointImageSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, img []byte) {
+		dir := t.TempDir()
+		if err := writeSegmentMeta(dir, 1, true); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, segCkptName(0))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		heap := &FileStore{mem: NewMemStoreShards(1)}
+		_ = heap.loadCheckpointFile(path)
+
+		s, err := NewFileStoreOptions(dir, FileStoreOptions{NoSync: true, CheckpointBytes: -1})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		ids, err := s.ListDocuments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			h, err := s.Header(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ReadBlocks(id, 0, h.NumBlocks()); err != nil {
+				t.Fatalf("listed document %q unreadable: %v", id, err)
+			}
+		}
 	})
 }

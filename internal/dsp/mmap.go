@@ -64,11 +64,6 @@ type mmapRegion struct {
 	// mapping reads — a rename-replaced checkpoint keeps both alive until
 	// the last pin drops. Closed by unmap; nil on builds without mmap.
 	f *os.File
-	// wirePrefixed reports a v3 image body: every block is stored behind
-	// its uvarint length prefix, exactly the opReadBlocks wire encoding,
-	// so a contiguous block run (prefixes included) is one file span the
-	// writer can hand to a single sendfile call.
-	wirePrefixed bool
 	// refs counts the owner (the segment holding this region as current)
 	// plus every in-flight pin. The munmap runs when it reaches zero.
 	refs atomic.Int64
@@ -155,14 +150,23 @@ type PinnedBlockReader interface {
 	ReadBlocksPinned(docID string, start, count int, pins *[]BlockPin) (blocks [][]byte, mapped bool, err error)
 }
 
-// readBlockRangePinned is ReadBlockRange for callers that can hold pins
-// across their use of the blocks (the server's response writer): stores
-// with a pinned path serve mapped views, everything else falls back to
-// the plain range read.
-func readBlockRangePinned(s Store, docID string, start, count int, pins *[]BlockPin) ([][]byte, error) {
-	if pr, ok := s.(PinnedBlockReader); ok {
-		blocks, _, err := pr.ReadBlocksPinned(docID, start, count, pins)
-		return blocks, err
+// runReader is the one pinned range read inside the package, implemented
+// by FileStore and Cache. Checkpoint-resident blocks come back as views
+// kept valid by pins appended to *pins. With runs non-nil, contiguous
+// checkpoint-file stretches of the range are also appended to *runs
+// (Start relative to the returned slice) for the sendfile tier; the
+// spans, like the blocks, stay valid until the pins release.
+type runReader interface {
+	readRun(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error)
+}
+
+// readPinned is ReadBlocksPinned over a runReader: mapped reports
+// whether the read took a pin.
+func readPinned(r runReader, docID string, start, count int, pins *[]BlockPin) ([][]byte, bool, error) {
+	pre := len(*pins)
+	out, err := r.readRun(docID, start, count, pins, nil)
+	if err != nil {
+		return nil, false, err
 	}
-	return ReadBlockRange(s, docID, start, count)
+	return out, len(*pins) > pre, nil
 }

@@ -2,12 +2,12 @@
 
 package dsp
 
-// Portable fallback: no mapping support. FileStore detects this at open
-// and serves everything from the heap-resident MemStore — the
-// checkpoint format (v2 body + index footer) is identical, only the
-// read tier differs, so a store directory moves freely between builds.
+// Portable fallback: no mapping support. FileStore serves everything
+// from the heap-resident MemStore, loading each checkpoint image's body
+// at open — the image format (v3 body + index footer) is the one every
+// platform writes, so a store directory moves freely between builds.
 
-const mmapSupported = false
+const mmapOn = false
 
 func mapFile(path string) (*mmapRegion, error) { return nil, errMmapUnsupported }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/docenc"
@@ -34,7 +35,7 @@ func mmapTestContainer(docID string, version uint32, nBlocks int) *docenc.Contai
 // without it (nommap tag, non-unix).
 func requireMmap(t *testing.T) {
 	t.Helper()
-	if !mmapSupported {
+	if !mmapOn {
 		t.Skip("mmap not supported in this build")
 	}
 }
@@ -176,18 +177,15 @@ func TestFileStorePinnedViewsSurviveRetirement(t *testing.T) {
 	}
 }
 
-// TestFileStoreFooterMigration: a store whose checkpoint image predates
-// the index footer (v1 magic, no footer) is heap-loaded, rewritten with
-// a footer once, and served mapped from then on — bytes intact.
-func TestFileStoreFooterMigration(t *testing.T) {
-	requireMmap(t)
-	dir := t.TempDir()
+// checkpointedStore writes one document and one rule set into a fresh
+// store in dir, checkpoints it and closes it, leaving one v3 image.
+func checkpointedStore(t *testing.T, dir string, c *docenc.Container) {
+	t.Helper()
 	s := openFileStore(t, dir, FileStoreOptions{Shards: 1})
-	c := mmapTestContainer("legacy-img", 3, 6)
 	if err := s.PutDocument(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRuleSet("legacy-img", "bob", 1, []byte("old-sealed")); err != nil {
+	if err := s.PutRuleSet(c.Header.DocID, "bob", 1, []byte("sealed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -196,185 +194,167 @@ func TestFileStoreFooterMigration(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Rewrite the (single) image as a genuine pre-footer v1: raw
-	// container images, no footer, no wire prefixes.
-	path := filepath.Join(dir, segCkptName(0))
-	cImg, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := append([]byte(nil), ckptMagicV1...)
-	legacy = appendUvarint(legacy, 1)
-	legacy = appendBytes(legacy, cImg)
-	legacy = appendUvarint(legacy, 1)
-	legacy = appendString(legacy, "legacy-img\x00bob")
-	legacy = appendUvarint(legacy, 1)
-	legacy = appendBytes(legacy, []byte("old-sealed"))
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openFileStore(t, dir, FileStoreOptions{})
-	defer r.Close()
-	st := r.Stats()
-	if st.FooterMigrations != 1 {
-		t.Fatalf("FooterMigrations = %d, want 1", st.FooterMigrations)
-	}
-	if st.MappedBytes == 0 {
-		t.Fatal("migrated image not served mapped")
-	}
-	got, err := r.ReadBlocks("legacy-img", 0, 6)
+// requireStoreHolds checks that s serves c's blocks and its rule set
+// byte for byte.
+func requireStoreHolds(t *testing.T, s *FileStore, c *docenc.Container) {
+	t.Helper()
+	got, err := s.ReadBlocks(c.Header.DocID, 0, len(c.Blocks))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
 		if !bytes.Equal(got[i], c.Blocks[i]) {
-			t.Fatalf("block %d differs after footer migration", i)
+			t.Fatalf("block %d differs", i)
 		}
 	}
-	if sealed, err := r.RuleSet("legacy-img", "bob"); err != nil || string(sealed) != "old-sealed" {
-		t.Fatalf("rules lost in footer migration: %q, %v", sealed, err)
-	}
-	// The image on disk is now current-format: footered, wire-prefixed
-	// v3 magic.
-	img2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(img2[:len(ckptMagic)]) != string(ckptMagic) {
-		t.Fatalf("migrated image magic = %q", img2[:len(ckptMagic)])
-	}
-	if _, err := parseCkptIndex(img2); err != nil {
-		t.Fatalf("migrated image has no parsable footer: %v", err)
+	if sealed, err := s.RuleSet(c.Header.DocID, "bob"); err != nil || string(sealed) != "sealed" {
+		t.Fatalf("rules = %q, %v", sealed, err)
 	}
 }
 
-// TestFileStoreV2ImageRewrite: a footered v2 image (raw blocks, no wire
-// prefixes) still maps and serves, but opening it rewrites the image to
-// the wire-prefixed v3 format once, so the sendfile tier can coalesce
-// runs out of every image on disk.
-func TestFileStoreV2ImageRewrite(t *testing.T) {
-	requireMmap(t)
-	dir := t.TempDir()
-	s := openFileStore(t, dir, FileStoreOptions{Shards: 1})
-	c := mmapTestContainer("v2-img", 3, 6)
-	if err := s.PutDocument(c); err != nil {
-		t.Fatal(err)
+// TestFileStoreRefusesOldImageMagic: an image with v1 or v2 magic fails
+// the open with an error naming the format, and every file in the
+// directory is left byte-identical — nothing converted or rewritten.
+func TestFileStoreRefusesOldImageMagic(t *testing.T) {
+	for _, version := range []byte{1, 2} {
+		dir := t.TempDir()
+		checkpointedStore(t, dir, mmapTestContainer("old-img", 3, 6))
+		path := filepath.Join(dir, segCkptName(0))
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[len(ckptMagic)-1] = version
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := snapshotDir(t, dir)
+		s, err := NewFileStore(dir)
+		if err == nil {
+			_ = s.Close()
+			t.Fatalf("opened a v%d image", version)
+		}
+		if want := fmt.Sprintf("format v%d", version); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not name the v%d format: %v", version, err)
+		}
+		requireDirUnchanged(t, dir, before)
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// Rebuild segment 0's image as a genuine v2: raw container bytes in
-	// the body, footer refs at raw payload offsets.
-	raw, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hdrLen, err := docenc.UnmarshalHeader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := append([]byte(nil), ckptMagicV2...)
-	body = appendUvarint(body, 1)
-	imgOff := int64(len(body)) + int64(uvarintLen(uint64(len(raw))))
-	body = appendBytes(body, raw)
-	entry := ckptDocEntry{docID: "v2-img", version: c.Header.Version,
-		hdrOff: imgOff, hdrLen: int64(hdrLen)}
-	off := imgOff + int64(hdrLen)
-	for _, b := range c.Blocks {
-		entry.blocks = append(entry.blocks, ckptBlockRef{off: off, len: int64(len(b))})
-		off += int64(len(b))
-	}
-	rulesOff := int64(len(body))
-	body = appendUvarint(body, 0)
-	img := appendCkptIndex(body, []ckptDocEntry{entry}, rulesOff)
+// TestFileStoreCorruptFooterHeals: a v3 image with one corrupted byte in
+// its footer CRC is heap-loaded from its body and rewritten once at
+// open; from then on it is served mapped, blocks and rules intact, and
+// the next open finds nothing to heal. Without mmap the heap loader
+// never reads the footer, so there is nothing to heal.
+func TestFileStoreCorruptFooterHeals(t *testing.T) {
+	dir := t.TempDir()
+	c := mmapTestContainer("healed", 3, 6)
+	checkpointedStore(t, dir, c)
 	path := filepath.Join(dir, segCkptName(0))
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-ckptFooterTailLen+4] ^= 0xff // first byte of the index CRC
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := parseCkptIndex(img); err == nil {
+		t.Fatal("corrupted footer still validates")
+	}
 
 	r := openFileStore(t, dir, FileStoreOptions{})
-	defer r.Close()
-	st := r.Stats()
-	if st.FooterMigrations != 1 {
-		t.Fatalf("FooterMigrations = %d, want 1 (v2 rewrite)", st.FooterMigrations)
+	wantHeals := int64(0)
+	if mmapOn {
+		wantHeals = 1
 	}
-	if st.MappedBytes == 0 {
-		t.Fatal("rewritten image not served mapped")
+	if st := r.Stats(); st.FooterMigrations != wantHeals || (st.MappedBytes > 0) != mmapOn {
+		t.Fatalf("FooterMigrations = %d, MappedBytes = %d; want %d heals, mapped = %v",
+			st.FooterMigrations, st.MappedBytes, wantHeals, mmapOn)
 	}
-	got, err := r.ReadBlocks("v2-img", 0, 6)
-	if err != nil {
+	requireStoreHolds(t, r, c)
+	if mmapOn && r.Stats().MmapReads == 0 {
+		t.Fatal("healed image not served mapped")
+	}
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if !bytes.Equal(got[i], c.Blocks[i]) {
-			t.Fatalf("block %d differs after v2 rewrite", i)
+	if mmapOn {
+		healed, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseCkptIndex(healed); err != nil {
+			t.Fatalf("rewritten image has no valid footer: %v", err)
 		}
 	}
-	img2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+
+	again := openFileStore(t, dir, FileStoreOptions{})
+	defer again.Close()
+	if n := again.Stats().FooterMigrations; n != 0 {
+		t.Fatalf("healed image rewritten again: %d", n)
 	}
-	if !ckptWirePrefixed(img2) {
-		t.Fatalf("rewritten image magic = %q, want wire-prefixed v3", img2[:len(ckptMagic)])
-	}
-	if _, err := parseCkptIndex(img2); err != nil {
-		t.Fatalf("rewritten image has no parsable footer: %v", err)
-	}
+	requireStoreHolds(t, again, c)
 }
 
-// TestFileStoreDisableMmap: the opt-out serves everything from heap (no
-// mappings, no pins) while writing the identical on-disk format, so a
-// later mmap-enabled open of the same directory maps it.
-func TestFileStoreDisableMmap(t *testing.T) {
+// TestFileStoreHeapTier: blocks outside any mapped image — everything on
+// a platform without mmap, and on every platform what was committed
+// since the last checkpoint — are served from heap with no pins, and
+// the image a checkpoint writes reopens through whichever loader the
+// platform has.
+func TestFileStoreHeapTier(t *testing.T) {
 	dir := t.TempDir()
-	s := openFileStore(t, dir, FileStoreOptions{DisableMmap: true})
-	c := mmapTestContainer("nomap", 1, 5)
+	s := openFileStore(t, dir, FileStoreOptions{})
+	c := mmapTestContainer("heap", 1, 5)
 	if err := s.PutDocument(c); err != nil {
 		t.Fatal(err)
+	}
+	requireHeapPinned := func(when string) {
+		t.Helper()
+		var pins []BlockPin
+		got, mapped, err := s.ReadBlocksPinned("heap", 0, 5, &pins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapped || len(pins) != 0 {
+			t.Fatalf("%s: heap-resident pinned read reported mapped (%d pins)", when, len(pins))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], c.Blocks[i]) {
+				t.Fatalf("%s: block %d differs", when, i)
+			}
+		}
+	}
+	requireHeapPinned("before a checkpoint")
+	if st := s.Stats(); st.MappedBytes != 0 || st.MmapReads != 0 || st.HeapReads == 0 {
+		t.Fatalf("uncheckpointed blocks not served from heap: %+v", st)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.MappedBytes != 0 || st.MmapReads != 0 {
-		t.Fatalf("DisableMmap store mapped anyway: %+v", st)
-	}
-	var pins []BlockPin
-	got, mapped, err := s.ReadBlocksPinned("nomap", 0, 5, &pins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped || len(pins) != 0 {
-		t.Fatalf("DisableMmap pinned read reported mapped (%d pins)", len(pins))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], c.Blocks[i]) {
-			t.Fatalf("block %d differs with mmap disabled", i)
+	if !mmapOn {
+		requireHeapPinned("after a checkpoint")
+		if st := s.Stats(); st.MappedBytes != 0 || st.MmapReads != 0 {
+			t.Fatalf("store without mmap mapped anyway: %+v", st)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !mmapSupported {
-		return
-	}
 	r := openFileStore(t, dir, FileStoreOptions{})
 	defer r.Close()
-	if st := r.Stats(); st.MappedBytes == 0 || st.FooterMigrations != 0 {
-		t.Fatalf("image written by a DisableMmap store did not map cleanly: %+v", st)
+	if st := r.Stats(); (st.MappedBytes > 0) != mmapOn || st.FooterMigrations != 0 {
+		t.Fatalf("checkpointed image did not reopen cleanly: %+v", st)
 	}
-	got2, err := r.ReadBlocks("nomap", 0, 5)
+	got, err := r.ReadBlocks("heap", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got2 {
-		if !bytes.Equal(got2[i], c.Blocks[i]) {
-			t.Fatalf("block %d differs across the tier switch", i)
+	for i := range got {
+		if !bytes.Equal(got[i], c.Blocks[i]) {
+			t.Fatalf("block %d differs after reopen", i)
 		}
 	}
 }

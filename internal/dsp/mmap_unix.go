@@ -7,10 +7,11 @@ import (
 	"syscall"
 )
 
-// mmapSupported selects the tiered read path at store open. The nommap
-// build tag forces the portable fallback on platforms that do have mmap
-// — CI runs the dsp tests both ways.
-const mmapSupported = true
+// mmapOn selects the tiered read path: checkpoint-resident blocks are
+// served as views into mapped images, everything newer from heap. The
+// nommap build tag exists only so CI can compile and test the
+// portable fallback on a platform that has mmap.
+const mmapOn = true
 
 // mapFile maps path read-only in its entirety. The returned region
 // holds its single owner reference; an empty file is reported as

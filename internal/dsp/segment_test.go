@@ -1,15 +1,17 @@
 package dsp
 
-// Tests for the segmented durable layout: the directory lock, the PR 4
-// single-file migration, background (off-request-path) checkpointing,
-// and the concurrent republish + background checkpoint + mid-run
-// recovery hammer the CI -race step runs.
+// Tests for the segmented durable layout: the directory lock, the
+// refusal of the retired single-file layout, background
+// (off-request-path) checkpointing, and the concurrent republish +
+// background checkpoint + mid-run recovery hammer the CI -race step
+// runs.
 
 import (
 	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,95 +39,63 @@ func TestFileStoreStaleLockReclaimed(t *testing.T) {
 	_ = s.Close()
 }
 
-// TestFileStoreMigratesLegacyLayoutOnce: a PR 4 directory (one wal.log
-// + one checkpoint) opens as a segmented store with all its state, the
-// legacy files are retired, and the next open sees a plain segmented
-// store — the migration happens exactly once. The persisted segment
-// count also wins over a mismatched Shards option on reopen.
-func TestFileStoreMigratesLegacyLayoutOnce(t *testing.T) {
-	dir := t.TempDir()
-	cA, cB := testContainer(t, "legacy-a"), testContainer(t, "legacy-b")
-
-	// Legacy checkpoint: document A and version 1 of a rule set. PR 4
-	// wrote raw container images (v1 magic, no wire prefixes).
-	img := append([]byte(nil), ckptMagicV1...)
-	aImg, err := cA.MarshalBinary()
+// snapshotDir reads every file in dir, so a test can show an open left
+// them all byte-identical.
+func snapshotDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img = appendUvarint(img, 1)
-	img = appendBytes(img, aImg)
-	img = appendUvarint(img, 1)
-	img = appendString(img, "legacy-a\x00alice")
-	img = appendUvarint(img, 1)
-	img = appendBytes(img, []byte("r1"))
-	if err := os.WriteFile(filepath.Join(dir, ckptFileName), img, 0o644); err != nil {
-		t.Fatal(err)
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
 	}
+	return out
+}
 
-	// Legacy log: document B and version 2 of the rule set.
-	bImg, err := cB.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+// requireDirUnchanged fails unless dir holds exactly the files of before,
+// byte for byte.
+func requireDirUnchanged(t *testing.T, dir string, before map[string][]byte) {
+	t.Helper()
+	after := snapshotDir(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("directory holds %d files after the refused open, %d before", len(after), len(before))
 	}
-	var wal []byte
-	wal = append(wal, frame(append([]byte{recPutDocument}, bImg...))...)
-	rule := []byte{recPutRuleSet}
-	rule = appendString(rule, "legacy-a")
-	rule = appendString(rule, "alice")
-	rule = appendUvarint(rule, 2)
-	rule = appendBytes(rule, []byte("r2"))
-	wal = append(wal, frame(rule)...)
-	if err := os.WriteFile(filepath.Join(dir, walFileName), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := openFileStore(t, dir, FileStoreOptions{Shards: 4})
-	st := s.Stats()
-	if !st.Migrated || st.SegmentCount != 4 || st.ReplayedRecords != 2 {
-		t.Fatalf("migration stats: %+v", st)
-	}
-	for _, id := range []string{"legacy-a", "legacy-b"} {
-		if _, err := s.Header(id); err != nil {
-			t.Fatalf("%s lost in migration: %v", id, err)
+	for name, data := range before {
+		if got, ok := after[name]; !ok || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed by a refused open", name)
 		}
 	}
-	if sealed, err := s.RuleSet("legacy-a", "alice"); err != nil || string(sealed) != "r2" {
-		t.Fatalf("migrated rules = %q, %v", sealed, err)
-	}
-	for _, name := range []string{walFileName, ckptFileName} {
-		if fileExists(filepath.Join(dir, name)) {
-			t.Fatalf("legacy %s survived the migration", name)
-		}
-	}
-	if n, err := readSegmentMeta(dir); err != nil || n != 4 {
-		t.Fatalf("meta after migration: %d, %v", n, err)
-	}
-	// Post-migration writes land in segment logs and replay from them.
-	if err := s.PutDocument(testContainer(t, "fresh")); err != nil {
-		t.Fatal(err)
-	}
-	crash(s)
+}
 
-	// Second open: no migration, and the persisted 4 segments win over
-	// the requested default (16).
-	r := openFileStore(t, dir, FileStoreOptions{})
-	st = r.Stats()
-	if st.Migrated {
-		t.Fatalf("migration ran twice: %+v", st)
-	}
-	if st.SegmentCount != 4 {
-		t.Fatalf("persisted segment count lost: %+v", st)
-	}
-	for _, id := range []string{"legacy-a", "legacy-b", "fresh"} {
-		if _, err := r.Header(id); err != nil {
-			t.Fatalf("%s lost after migration reopen: %v", id, err)
+// TestFileStoreRefusesSingleFileLayout: a directory in the retired
+// single-file layout (wal.log and/or checkpoint, no store.meta) fails to
+// open with an error naming the layout, and every file in it is left
+// byte-identical — nothing converted, deleted or locked.
+func TestFileStoreRefusesSingleFileLayout(t *testing.T) {
+	for _, files := range [][]string{{walFileName, ckptFileName}, {walFileName}, {ckptFileName}} {
+		dir := t.TempDir()
+		for _, name := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("old store "+name), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
+		before := snapshotDir(t, dir)
+		s, err := NewFileStore(dir)
+		if err == nil {
+			_ = s.Close()
+			t.Fatalf("%v: opened a single-file layout", files)
+		}
+		if !strings.Contains(err.Error(), "single-file layout") {
+			t.Fatalf("%v: error does not name the layout: %v", files, err)
+		}
+		requireDirUnchanged(t, dir, before)
 	}
-	if sealed, err := r.RuleSet("legacy-a", "alice"); err != nil || string(sealed) != "r2" {
-		t.Fatalf("rules after reopen = %q, %v", sealed, err)
-	}
-	_ = r.Close()
 }
 
 // docsInDistinctSegments probes for two document ids living in

@@ -63,29 +63,16 @@ type wireRun struct {
 	Stats *sendfileStats
 }
 
-// wireBlockReader is implemented by stores that can resolve parts of a
-// pinned batched read to sendfile-capable checkpoint-file runs. Runs
-// are appended to *runs with Start relative to the returned slice; the
-// returned blocks (and every span) stay valid until the pins release,
-// exactly like ReadBlocksPinned.
-type wireBlockReader interface {
-	readBlocksWire(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error)
-}
-
-// readBlocksForWire is readBlockRangePinned for the batched-read
-// dispatch path: stores with a sendfile tier also report file runs.
-func readBlocksForWire(s Store, docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
-	if wr, ok := s.(wireBlockReader); ok {
-		return wr.readBlocksWire(docID, start, count, pins, runs)
-	}
-	return readBlockRangePinned(s, docID, start, count, pins)
-}
+// sendfileOn lets batched reads resolve checkpoint runs to (file,
+// offset) spans the connection writer ships with sendfile. The spans
+// are files behind mapped images, so the tier needs the mmap tier too.
+const sendfileOn = mmapOn && sendfileSupported
 
 // SendfileCapable reports whether this build and platform can serve
 // checkpoint runs via sendfile at all (benchmarks gate their sendfile
 // metrics on it; the runtime may still latch individual connections
 // back to writev).
-func SendfileCapable() bool { return sendfileSupported }
+func SendfileCapable() bool { return sendfileOn }
 
 // testSendfileOverride, when non-nil, replaces the sendfile syscall on
 // the write path: it must behave like one — deliver some prefix of span

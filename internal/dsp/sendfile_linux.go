@@ -7,9 +7,9 @@ import (
 	"syscall"
 )
 
-// sendfileSupported selects the kernel-resident cold serve path at
-// store open. The nosendfile build tag forces the portable writev
-// fallback on linux too — CI runs the dsp tests both ways.
+// sendfileSupported lets connections attempt the kernel-resident cold
+// serve path. The nosendfile build tag exists only so CI can compile
+// and test the portable writev fallback on linux.
 const sendfileSupported = true
 
 // sendfileChunk bounds one sendfile syscall (the kernel caps a single

@@ -2,10 +2,11 @@
 
 package dsp
 
-// Portable fallback: no sendfile. The store still builds wire-prefixed
-// v3 images and the response writer still receives file runs as mapped
-// spans — they simply travel the ordinary writev path, byte for byte
-// the same frame. A store directory moves freely between builds.
+// Portable fallback: no sendfile. The store writes the same v3 images
+// and resolves no file runs, so every batched read travels the ordinary
+// writev path — byte for byte the same frame. The nosendfile build tag
+// exists only so CI can compile and test this path on linux. A store
+// directory moves freely between builds.
 
 import (
 	"os"

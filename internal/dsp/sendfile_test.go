@@ -198,18 +198,29 @@ func TestSendfileServesColdRun(t *testing.T) {
 	}
 }
 
-// TestSendfileByteIdentity: the same corpus served with the sendfile
-// tier on, with it disabled, and with a connection latched back to
-// writev mid-stream produces byte-identical response frames.
+// TestSendfileByteIdentity: the same corpus served by a checkpointed
+// FileStore (the sendfile tier, where the platform has one), by a
+// MemStore (no file runs: the writev reference), and by the FileStore
+// over a connection latched back to writev mid-stream produces
+// byte-identical response frames.
 func TestSendfileByteIdentity(t *testing.T) {
-	requireMmap(t)
 	const nBlocks, blockBytes = 64, 4096
 	on := newSendfileRig(t, FileStoreOptions{}, "ident", nBlocks, blockBytes)
-	off := newSendfileRig(t, FileStoreOptions{DisableSendfile: true}, "ident", nBlocks, blockBytes)
+	mem := NewMemStore()
+	if err := mem.PutDocument(benchContainer("ident", nBlocks, blockBytes)); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := NewServer(mem)
+	go func() { _ = off.Serve(l) }()
+	t.Cleanup(func() { _ = off.Close() })
 
 	req := framedReadBlocksReq("ident", 0, nBlocks)
 	fromOn := rawRoundTrip(t, dialRaw(t, on.addr), req)
-	fromOff := rawRoundTrip(t, dialRaw(t, off.addr), req)
+	fromOff := rawRoundTrip(t, dialRaw(t, l.Addr().String()), req)
 	if !bytes.Equal(fromOn, fromOff) {
 		t.Fatalf("sendfile frame (%d bytes) differs from writev frame (%d bytes)",
 			len(fromOn), len(fromOff))
@@ -308,37 +319,39 @@ func TestSendfileFatalErrorReleasesPins(t *testing.T) {
 	}
 }
 
-// TestSendfileDisabledProducesNoRuns: the DisableSendfile opt-out (and
-// the implied opt-out when mmap is off) must keep the dispatch path on
-// plain pinned reads — no file runs reach the response.
+// TestSendfileDisabledProducesNoRuns: where the sendfile tier is off —
+// a platform without sendfile or without mmap (the nosendfile and
+// nommap builds) — the dispatch path stays on plain pinned reads and no
+// file runs reach the response; heap-resident blocks never produce runs
+// on any platform.
 func TestSendfileDisabledProducesNoRuns(t *testing.T) {
-	requireMmap(t)
-	for _, opts := range []FileStoreOptions{
-		{DisableSendfile: true},
-		{DisableMmap: true},
-	} {
-		store, err := NewFileStoreOptions(t.TempDir(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.PutDocument(benchContainer("noruns", 64, 4096)); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+	store, err := NewFileStoreOptions(t.TempDir(), FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.PutDocument(benchContainer("noruns", 64, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	readRuns := func() []wireRun {
 		var pins []BlockPin
 		var runs []wireRun
-		if _, err := store.readBlocksWire("noruns", 0, 64, &pins, &runs); err != nil {
+		if _, err := store.readRun("noruns", 0, 64, &pins, &runs); err != nil {
 			t.Fatal(err)
-		}
-		if len(runs) != 0 {
-			t.Fatalf("opts %+v produced %d file runs", opts, len(runs))
 		}
 		for _, p := range pins {
 			p.Release()
 		}
-		_ = store.Close()
+		return runs
+	}
+	if runs := readRuns(); len(runs) != 0 {
+		t.Fatalf("heap-resident read produced %d file runs", len(runs))
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if runs := readRuns(); (len(runs) > 0) != sendfileOn {
+		t.Fatalf("checkpointed read produced %d file runs with the sendfile tier on = %v", len(runs), sendfileOn)
 	}
 }
 
@@ -362,7 +375,7 @@ func TestSendfileRunDetection(t *testing.T) {
 
 	var pins []BlockPin
 	var runs []wireRun
-	blocks, err := store.readBlocksWire("runs", 0, nBlocks, &pins, &runs)
+	blocks, err := store.readRun("runs", 0, nBlocks, &pins, &runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +407,7 @@ func TestSendfileRunDetection(t *testing.T) {
 	// A sub-threshold read stays off the sendfile path entirely.
 	pins, runs = pins[:len(pins):len(pins)], nil
 	small := sendfileMinRunBytes/blockBytes - 1
-	if _, err := store.readBlocksWire("runs", 0, small, &pins, &runs); err != nil {
+	if _, err := store.readRun("runs", 0, small, &pins, &runs); err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 0 {
@@ -475,7 +488,7 @@ func TestSendfileRetirementKeepsFileAlive(t *testing.T) {
 
 	var pins []BlockPin
 	var runs []wireRun
-	if _, err := store.readBlocksWire("epoch", 0, nBlocks, &pins, &runs); err != nil {
+	if _, err := store.readRun("epoch", 0, nBlocks, &pins, &runs); err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 1 {

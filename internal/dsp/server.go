@@ -286,7 +286,13 @@ func (s *Server) dispatch(req []byte) *response {
 		// additionally reports contiguous checkpoint-file runs; those
 		// ride the response as wire-exact spans the connection writer
 		// may ship kernel-side.
-		blocks, err := readBlocksForWire(s.store, docID, int(start), int(count), &resp.pins, &resp.runs)
+		var blocks [][]byte
+		var err error
+		if rr, ok := s.store.(runReader); ok {
+			blocks, err = rr.readRun(docID, int(start), int(count), &resp.pins, &resp.runs)
+		} else {
+			blocks, err = ReadBlockRange(s.store, docID, int(start), int(count))
+		}
 		if err != nil {
 			return resp.setErr(err)
 		}

@@ -78,6 +78,18 @@ func BenchmarkWireReadBlocks(b *testing.B) {
 	}
 }
 
+// writevListener hands out connections stripped of syscall.Conn, so
+// the response writer ships every file run through writev.
+type writevListener struct{ net.Listener }
+
+func (l writevListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return struct{ net.Conn }{c}, nil
+}
+
 // BenchmarkWireReadBlocksMapped measures the full zero-copy pipeline
 // over a checkpoint-resident corpus: blocks served as pinned views into
 // the mmap'd image, written with one vectored write, decoded into a
@@ -94,9 +106,7 @@ func BenchmarkWireReadBlocksMapped(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("run=%d/block=%d", shape.run, shape.blockBytes), func(b *testing.B) {
 			dir := b.TempDir()
-			// Pin this benchmark to mapped writev: the sendfile variant
-			// below measures the kernel-resident path.
-			store, err := NewFileStoreOptions(dir, FileStoreOptions{DisableSendfile: true})
+			store, err := NewFileStoreOptions(dir, FileStoreOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -113,7 +123,10 @@ func BenchmarkWireReadBlocksMapped(b *testing.B) {
 				b.Fatal(err)
 			}
 			srv := NewServer(store)
-			go func() { _ = srv.Serve(l) }()
+			// Pin this benchmark to mapped writev: connections that are
+			// not a syscall.Conn never attempt sendfile. The sendfile
+			// variant below measures the kernel-resident path.
+			go func() { _ = srv.Serve(writevListener{l}) }()
 			defer srv.Close()
 			c, err := Dial(l.Addr().String())
 			if err != nil {
@@ -139,7 +152,7 @@ func BenchmarkWireReadBlocksMapped(b *testing.B) {
 				f.Release()
 			}
 			b.StopTimer()
-			if st := store.Stats(); mmapSupported && st.MmapReads == 0 {
+			if st := store.Stats(); mmapOn && st.MmapReads == 0 {
 				b.Fatalf("benchmark did not exercise the mapped tier: %+v", st)
 			}
 		})

@@ -76,23 +76,25 @@ type (
 	// alive by per-shard WAL segments (one append mutex and group-commit
 	// batcher per shard), with crash recovery (parallel segment replay,
 	// torn-tail truncation), background streaming per-shard checkpoints,
-	// a directory lock against double-open, and automatic migration of
-	// the older single-file layout. On unix builds checkpoint images are
+	// and a directory lock against double-open. It reads one format (the
+	// segmented layout, v3 images) and refuses retired ones with an
+	// error. The platform picks the read tier: on unix checkpoint images are
 	// mmap'd and checkpoint-resident blocks are served as pinned views
 	// into the mapping — no heap copy between the page cache and the
 	// server's writev — and on linux contiguous cold runs go onto the
 	// wire with sendfile(2), never entering user space at all.
 	FileStore = dsp.FileStore
 	// FileStoreOptions tunes a FileStore (shard/segment count, fsync
-	// policy, checkpoint budget, recovery parallelism, DisableMmap,
-	// DisableSendfile).
+	// policy, checkpoint budget, recovery parallelism); the read tier
+	// is the platform's, not an option.
 	FileStoreOptions = dsp.FileStoreOptions
 	// FileStoreStats snapshots a FileStore's durability counters,
 	// including SegmentCount, RecoveryDuration, LastCheckpointDuration,
 	// the mapped-tier gauges (MappedBytes, MmapReads/HeapReads,
 	// FooterMigrations, MadviseCalls), the sendfile cold-serve counters
-	// (SendfileReads/SendfileBytes/SendfileFallbacks) and whether the
-	// open migrated a legacy single-file layout.
+	// (SendfileReads/SendfileBytes/SendfileFallbacks). FooterMigrations
+	// counts images whose footer failed validation and were rewritten at
+	// open.
 	FileStoreStats = dsp.FileStoreStats
 	// BlockFrame is the pooled response of Client.ReadBlocksFrame: its
 	// Blocks alias one reusable buffer that Release returns to the pool;
