@@ -81,8 +81,10 @@ gateway-soak:
 ## window, the card's record stream cut at arbitrary points, dspd's
 ## one-frame commit and the log record recovery replays it from, the
 ## checkpoint image a store directory is reopened from, the sealed rule
-## set's plaintext and the XPath parser) and the serializer's
-## round trip; CI runs this on every push, longer runs stay manual
+## set's plaintext, the XPath parser, dspd's request dispatch, the
+## client's block-run reply, gatewayd's requests and the card applet's
+## APDU commands) and the serializer's round trip; CI runs this on every
+## push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalHeader -fuzztime=10s ./internal/docenc/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
@@ -95,6 +97,10 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointImage -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalRuleSet -fuzztime=10s ./internal/accessrule/
 	$(GO) test -run=NONE -fuzz=FuzzXPathParse -fuzztime=10s ./internal/xpath/
+	$(GO) test -run=NONE -fuzz=FuzzServerDispatch -fuzztime=10s ./internal/dsp/
+	$(GO) test -run=NONE -fuzz=FuzzParseBlockRun -fuzztime=10s ./internal/dsp/
+	$(GO) test -run=NONE -fuzz=FuzzGatewayDispatch -fuzztime=10s ./internal/gateway/
+	$(GO) test -run=NONE -fuzz=FuzzAppletProcess -fuzztime=10s ./internal/apdu/
 
 ## fmt: fail if any file needs gofmt
 fmt:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/proxy"
 	"repro/internal/secure"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
 )
@@ -72,7 +73,7 @@ func TestResponseFraming(t *testing.T) {
 
 // newAppletRig publishes a document and returns an APDU terminal wired to
 // a fresh applet.
-func newAppletRig(t *testing.T, doc *xmlstream.Node, docID, rules string) (*Terminal, *card.Card, secure.DocKey) {
+func newAppletRig(t testing.TB, doc *xmlstream.Node, docID, rules string) (*Terminal, *card.Card, secure.DocKey) {
 	t.Helper()
 	key := secure.KeyFromSeed("apdu:" + docID)
 	store := dsp.NewMemStore()
@@ -149,9 +150,9 @@ func TestAppletStatusWords(t *testing.T) {
 		}
 	}
 	// Begin for an unprovisioned document.
-	begin := appendStr(nil, "nosuch")
-	begin = appendStr(begin, "u")
-	begin = appendStr(begin, "")
+	begin := wire.AppendString(nil, "nosuch")
+	begin = wire.AppendString(begin, "u")
+	begin = wire.AppendString(begin, "")
 	begin = append(begin, 0)
 	if resp := app.Process(Command{CLA: AppletCLA, INS: INSBegin, Data: begin}); resp.SW != SWConditions {
 		t.Errorf("begin without key: SW %04X", resp.SW)
@@ -159,9 +160,9 @@ func TestAppletStatusWords(t *testing.T) {
 	// Begin with a bad query.
 	_ = c.PutKey("doc", secure.KeyFromSeed("x"))
 	_ = c.PutRuleSet(&accessrule.RuleSet{Subject: "u", DocID: "doc", DefaultSign: accessrule.Permit})
-	begin = appendStr(nil, "doc")
-	begin = appendStr(begin, "u")
-	begin = appendStr(begin, "not-an-xpath")
+	begin = wire.AppendString(nil, "doc")
+	begin = wire.AppendString(begin, "u")
+	begin = wire.AppendString(begin, "not-an-xpath")
 	begin = append(begin, 0)
 	if resp := app.Process(Command{CLA: AppletCLA, INS: INSBegin, Data: begin}); resp.SW != SWWrongData {
 		t.Errorf("bad query: SW %04X", resp.SW)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/secure"
 	"repro/internal/soe"
+	"repro/internal/wire"
 	"repro/internal/xpath"
 )
 
@@ -103,10 +104,10 @@ func (a *Applet) Process(c Command) Response {
 }
 
 func (a *Applet) putKey(c Command) Response {
-	r := &reader{data: c.Data}
-	docID := r.str()
-	keyBytes := r.take(48)
-	if r.err != nil || !r.done() {
+	r := wire.NewReader(c.Data)
+	docID := r.String()
+	keyBytes := r.Take(48)
+	if !r.Done() {
 		return Response{SW: SWWrongData}
 	}
 	key, err := secure.UnmarshalDocKey(keyBytes)
@@ -121,13 +122,13 @@ func (a *Applet) putKey(c Command) Response {
 
 func (a *Applet) putRules(c Command) Response {
 	if !a.rulesIn.armed {
-		r := &reader{data: c.Data}
-		a.rulesID.docID = r.str()
-		a.rulesID.subject = r.str()
-		if r.err != nil {
+		r := wire.NewReader(c.Data)
+		a.rulesID.docID = r.String()
+		a.rulesID.subject = r.String()
+		if r.Err() != nil {
 			return Response{SW: SWWrongData}
 		}
-		a.rulesIn.add(r.rest())
+		a.rulesIn.add(r.Rest())
 	} else {
 		a.rulesIn.add(c.Data)
 	}
@@ -146,12 +147,12 @@ func (a *Applet) begin(c Command) Response {
 		a.sess.Abort()
 		a.sess = nil
 	}
-	r := &reader{data: c.Data}
-	docID := r.str()
-	subject := r.str()
-	queryStr := r.str()
-	flags := r.byte()
-	if r.err != nil || !r.done() {
+	r := wire.NewReader(c.Data)
+	docID := r.String()
+	subject := r.String()
+	queryStr := r.String()
+	flags := r.Byte()
+	if !r.Done() {
 		return Response{SW: SWWrongData}
 	}
 	var query *xpath.Path
@@ -265,58 +266,3 @@ func statusFor(err error) Response {
 		return Response{SW: SWConditions}
 	}
 }
-
-// reader parses command data fields.
-type reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *reader) str() string {
-	l := r.uvarint()
-	b := r.take(int(l))
-	return string(b)
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.err = errors.New("apdu: truncated varint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.data) {
-		r.err = errors.New("apdu: truncated field")
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *reader) byte() byte {
-	b := r.take(1)
-	if len(b) == 1 {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *reader) rest() []byte {
-	b := r.data[r.pos:]
-	r.pos = len(r.data)
-	return b
-}
-
-func (r *reader) done() bool { return r.err == nil && r.pos == len(r.data) }

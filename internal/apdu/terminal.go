@@ -7,6 +7,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/proxy"
 	"repro/internal/soe"
+	"repro/internal/wire"
 	"repro/internal/xmlstream"
 )
 
@@ -44,7 +45,7 @@ type Terminal struct {
 
 // ProvisionKey installs a document key over the channel.
 func (t *Terminal) ProvisionKey(docID string, key []byte) error {
-	data := appendStr(nil, docID)
+	data := wire.AppendString(nil, docID)
 	data = append(data, key...)
 	return t.simple(Command{CLA: AppletCLA, INS: INSPutKey, Data: data})
 }
@@ -56,8 +57,8 @@ func (t *Terminal) InstallRules(subject, docID string) error {
 	if err != nil {
 		return err
 	}
-	first := appendStr(nil, docID)
-	first = appendStr(first, subject)
+	first := wire.AppendString(nil, docID)
+	first = wire.AppendString(first, subject)
 	chunks := chunkPayload(first, sealed)
 	for i, chunk := range chunks {
 		p1 := byte(0)
@@ -74,9 +75,9 @@ func (t *Terminal) InstallRules(subject, docID string) error {
 // Query runs a pull request entirely over APDUs and returns the
 // authorized result tree (nil when nothing is visible).
 func (t *Terminal) Query(subject, docID, query string) (*xmlstream.Node, error) {
-	begin := appendStr(nil, docID)
-	begin = appendStr(begin, subject)
-	begin = appendStr(begin, query)
+	begin := wire.AppendString(nil, docID)
+	begin = wire.AppendString(begin, subject)
+	begin = wire.AppendString(begin, query)
 	begin = append(begin, 0) // flags
 	if err := t.simple(Command{CLA: AppletCLA, INS: INSBegin, Data: begin}); err != nil {
 		return nil, err
@@ -242,9 +243,4 @@ func chunkPayload(first, payload []byte) [][]byte {
 		all = all[n:]
 	}
 	return chunks
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }

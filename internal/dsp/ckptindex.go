@@ -25,6 +25,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/wire"
 )
 
 // ckptFooterMagic terminates a footered image. Distinct from the body
@@ -62,7 +64,7 @@ func appendCkptIndex(buf []byte, docs []ckptDocEntry, rulesOff int64) []byte {
 	idx := binary.AppendUvarint(nil, uint64(len(docs)))
 	for i := range docs {
 		d := &docs[i]
-		idx = appendString(idx, d.docID)
+		idx = wire.AppendString(idx, d.docID)
 		idx = binary.AppendUvarint(idx, uint64(d.version))
 		idx = binary.AppendUvarint(idx, uint64(d.hdrOff))
 		idx = binary.AppendUvarint(idx, uint64(d.hdrLen))
@@ -112,21 +114,21 @@ func parseCkptIndex(data []byte) (*ckptIndex, error) {
 
 	// Entry sizes floor the counts before they size an allocation: a
 	// document entry is at least five one-byte fields, a block ref two.
-	r := &wireReader{data: idxBytes}
-	nDocs := r.readUvarintBounded(5, len(idxBytes))
-	if r.err != nil {
-		return nil, r.err
+	r := wire.NewReader(idxBytes)
+	nDocs := r.ReadUvarintBounded(5, len(idxBytes))
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	out := &ckptIndex{docs: make([]ckptDocEntry, 0, nDocs), bodyEnd: bodyEnd}
 	for i := 0; i < nDocs; i++ {
 		var d ckptDocEntry
-		d.docID = r.string()
-		version := r.uvarint()
-		hdrOff := r.uvarint()
-		hdrLen := r.uvarint()
-		nBlocks := r.readUvarintBounded(2, len(idxBytes))
-		if r.err != nil {
-			return nil, fmt.Errorf("dsp: checkpoint index document %d: %w", i, r.err)
+		d.docID = r.String()
+		version := r.Uvarint()
+		hdrOff := r.Uvarint()
+		hdrLen := r.Uvarint()
+		nBlocks := r.ReadUvarintBounded(2, len(idxBytes))
+		if r.Err() != nil {
+			return nil, fmt.Errorf("dsp: checkpoint index document %d: %w", i, r.Err())
 		}
 		if version > 0xFFFFFFFF {
 			return nil, fmt.Errorf("dsp: checkpoint index document %d: implausible entry", i)
@@ -138,10 +140,10 @@ func parseCkptIndex(data []byte) (*ckptIndex, error) {
 		}
 		d.blocks = make([]ckptBlockRef, 0, nBlocks)
 		for j := 0; j < nBlocks; j++ {
-			off := r.uvarint()
-			blen := r.uvarint()
-			if r.err != nil {
-				return nil, fmt.Errorf("dsp: checkpoint index document %d block %d: %w", i, j, r.err)
+			off := r.Uvarint()
+			blen := r.Uvarint()
+			if r.Err() != nil {
+				return nil, fmt.Errorf("dsp: checkpoint index document %d block %d: %w", i, j, r.Err())
 			}
 			ref := ckptBlockRef{off: int64(off), len: int64(blen)}
 			if !inBody(ref.off, ref.len) {
@@ -151,9 +153,9 @@ func parseCkptIndex(data []byte) (*ckptIndex, error) {
 		}
 		out.docs = append(out.docs, d)
 	}
-	rulesOff := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	rulesOff := r.Uvarint()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if !inBody(int64(rulesOff), 0) {
 		return nil, fmt.Errorf("dsp: checkpoint index rules offset outside body")

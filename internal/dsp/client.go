@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/docenc"
+	"repro/internal/wire"
 )
 
 // ServerError is an error the server reported about a request (unknown
@@ -59,31 +60,23 @@ func (c *Client) roundTrip(req []byte) ([]byte, error) {
 // roundTripInto is roundTrip with a caller-supplied receive buffer: the
 // response lands in buf when it fits (the pooled-frame read path). It
 // returns the response body — aliasing the returned frame buffer — and
-// the frame buffer itself so the caller can park it for reuse.
+// the frame buffer itself so the caller can park it for reuse. req is a
+// wire build buffer; it goes back to the pool.
 func (c *Client) roundTripInto(req, buf []byte) (body, frameBuf []byte, err error) {
+	defer wire.PutBuf(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, req); err != nil {
+	body, frame, err := wire.RoundTrip(c.conn, maxFrame, req, buf, serverError)
+	if frame == nil {
 		return nil, buf, err
 	}
 	c.bytesWritten.Add(int64(len(req)))
-	resp, err := readFrameInto(c.conn, buf[:0:cap(buf)])
-	if err != nil {
-		return nil, buf, err
-	}
-	if len(resp) == 0 {
-		return nil, resp, fmt.Errorf("dsp: empty response")
-	}
-	c.bytesRead.Add(int64(len(resp)))
-	switch resp[0] {
-	case statusOK:
-		return resp[1:], resp, nil
-	case statusErr:
-		return nil, resp, ServerError(resp[1:])
-	default:
-		return nil, resp, fmt.Errorf("dsp: bad response status %d", resp[0])
-	}
+	c.bytesRead.Add(int64(len(frame)))
+	return body, frame, err
 }
+
+// request starts a request in a pooled build buffer.
+func request(op byte) []byte { return append(wire.GetBuf(), op) }
 
 // PutDocument implements Store.
 func (c *Client) PutDocument(container *docenc.Container) error {
@@ -91,13 +84,13 @@ func (c *Client) PutDocument(container *docenc.Container) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(append([]byte{opPutDocument}, body...))
+	_, err = c.roundTrip(append(request(opPutDocument), body...))
 	return err
 }
 
 // Header implements Store.
 func (c *Client) Header(docID string) (docenc.Header, error) {
-	resp, err := c.roundTrip(appendString([]byte{opHeader}, docID))
+	resp, err := c.roundTrip(wire.AppendString(request(opHeader), docID))
 	if err != nil {
 		return docenc.Header{}, err
 	}
@@ -107,7 +100,7 @@ func (c *Client) Header(docID string) (docenc.Header, error) {
 
 // ReadBlock implements Store.
 func (c *Client) ReadBlock(docID string, idx int) ([]byte, error) {
-	req := appendString([]byte{opReadBlock}, docID)
+	req := wire.AppendString(request(opReadBlock), docID)
 	req = binary.AppendUvarint(req, uint64(idx))
 	return c.roundTrip(req)
 }
@@ -130,7 +123,7 @@ func (c *Client) ReadBlocks(docID string, start, count int) ([][]byte, error) {
 
 // readBlocksReq builds the opReadBlocks request frame.
 func readBlocksReq(docID string, start, count int) []byte {
-	req := appendString([]byte{opReadBlocks}, docID)
+	req := wire.AppendString(request(opReadBlocks), docID)
 	req = binary.AppendUvarint(req, uint64(start))
 	return binary.AppendUvarint(req, uint64(count))
 }
@@ -138,23 +131,19 @@ func readBlocksReq(docID string, start, count int) []byte {
 // parseBlockRun decodes an opReadBlocks response body into dst. The
 // returned slices alias resp.
 func parseBlockRun(resp []byte, count int, dst [][]byte) ([][]byte, error) {
-	r := &wireReader{data: resp}
-	n := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n != uint64(count) {
+	r := wire.NewReader(resp)
+	n := r.ReadUvarintBounded(1, count)
+	if r.Err() == nil && n != count {
 		return nil, fmt.Errorf("dsp: batched read returned %d blocks, want %d", n, count)
 	}
-	if cap(dst) < int(n) {
+	if cap(dst) < n {
 		dst = make([][]byte, 0, n)
 	}
-	for i := uint64(0); i < n; i++ {
-		b := r.bytes()
-		if r.err != nil {
-			return nil, r.err
-		}
-		dst = append(dst, b)
+	for r.Err() == nil && len(dst) < n {
+		dst = append(dst, r.Bytes())
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return dst, nil
 }
@@ -166,7 +155,7 @@ func errNegativeRange(start, count int) error {
 // CommitDelta implements DeltaCommitter: the whole delta in one frame,
 // and the header the store holds afterwards in the reply.
 func (c *Client) CommitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
-	resp, err := c.roundTrip(appendDelta([]byte{opCommitDelta}, d))
+	resp, err := c.roundTrip(appendDelta(request(opCommitDelta), d))
 	if err == nil && (len(resp) == 0 || resp[0] > 1) {
 		err = fmt.Errorf("dsp: malformed commit reply")
 	}
@@ -189,18 +178,15 @@ func (c *Client) BeginUpdate(h docenc.Header, baseVersion uint32) (uint64, error
 	if err != nil {
 		return 0, err
 	}
-	req := binary.AppendUvarint([]byte{opBeginUpdate}, uint64(baseVersion))
-	req = appendBytes(req, hb)
+	req := binary.AppendUvarint(request(opBeginUpdate), uint64(baseVersion))
+	req = wire.AppendBytes(req, hb)
 	resp, err := c.roundTrip(req)
 	if err != nil {
 		return 0, err
 	}
-	r := &wireReader{data: resp}
-	token := r.uvarint()
-	if r.err != nil {
-		return 0, r.err
-	}
-	return token, nil
+	r := wire.NewReader(resp)
+	token := r.Uvarint()
+	return token, r.Err()
 }
 
 // PutBlocks implements DocUpdater: one staged run per round trip.
@@ -208,11 +194,11 @@ func (c *Client) PutBlocks(token uint64, start int, blocks [][]byte) error {
 	if start < 0 {
 		return fmt.Errorf("dsp: negative block offset %d", start)
 	}
-	req := binary.AppendUvarint([]byte{opPutBlocks}, token)
+	req := binary.AppendUvarint(request(opPutBlocks), token)
 	req = binary.AppendUvarint(req, uint64(start))
 	req = binary.AppendUvarint(req, uint64(len(blocks)))
 	for _, b := range blocks {
-		req = appendBytes(req, b)
+		req = wire.AppendBytes(req, b)
 	}
 	_, err := c.roundTrip(req)
 	return err
@@ -220,46 +206,46 @@ func (c *Client) PutBlocks(token uint64, start int, blocks [][]byte) error {
 
 // CommitUpdate implements DocUpdater.
 func (c *Client) CommitUpdate(token uint64) error {
-	_, err := c.roundTrip(binary.AppendUvarint([]byte{opCommitUpdate}, token))
+	_, err := c.roundTrip(binary.AppendUvarint(request(opCommitUpdate), token))
 	return err
 }
 
 // AbortUpdate implements DocUpdater.
 func (c *Client) AbortUpdate(token uint64) error {
-	_, err := c.roundTrip(binary.AppendUvarint([]byte{opAbortUpdate}, token))
+	_, err := c.roundTrip(binary.AppendUvarint(request(opAbortUpdate), token))
 	return err
 }
 
 // PutRuleSet implements Store.
 func (c *Client) PutRuleSet(docID, subject string, version uint32, sealed []byte) error {
-	req := appendString([]byte{opPutRuleSet}, docID)
-	req = appendString(req, subject)
+	req := wire.AppendString(request(opPutRuleSet), docID)
+	req = wire.AppendString(req, subject)
 	req = binary.AppendUvarint(req, uint64(version))
-	req = appendBytes(req, sealed)
+	req = wire.AppendBytes(req, sealed)
 	_, err := c.roundTrip(req)
 	return err
 }
 
 // RuleSet implements Store.
 func (c *Client) RuleSet(docID, subject string) ([]byte, error) {
-	req := appendString([]byte{opRuleSet}, docID)
-	req = appendString(req, subject)
+	req := wire.AppendString(request(opRuleSet), docID)
+	req = wire.AppendString(req, subject)
 	return c.roundTrip(req)
 }
 
 // ListDocuments implements Store.
 func (c *Client) ListDocuments() ([]string, error) {
-	resp, err := c.roundTrip([]byte{opList})
+	resp, err := c.roundTrip(request(opList))
 	if err != nil {
 		return nil, err
 	}
-	r := &wireReader{data: resp}
-	out := make([]string, r.readUvarintBounded(1, maxFrame))
+	r := wire.NewReader(resp)
+	out := make([]string, r.ReadUvarintBounded(1, maxFrame))
 	for i := range out {
-		out[i] = r.string()
+		out[i] = r.String()
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return out, nil
 }

@@ -397,7 +397,8 @@ func TestServerCloseWaitsForInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := &slowStore{MemStore: NewMemStore(), started: make(chan struct{})}
-	if err := store.MemStore.PutDocument(testContainer(t, "doc")); err != nil {
+	c := testContainer(t, "doc")
+	if err := store.MemStore.PutDocument(c); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
@@ -408,7 +409,15 @@ func TestServerCloseWaitsForInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	go func() { _, _ = client.ReadBlock("doc", 0) }()
+	type reply struct {
+		b   []byte
+		err error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		b, err := client.ReadBlock("doc", 0)
+		got <- reply{b, err}
+	}()
 
 	<-store.started
 	if err := srv.Close(); err != nil {
@@ -416,6 +425,10 @@ func TestServerCloseWaitsForInflight(t *testing.T) {
 	}
 	if !store.done.Load() {
 		t.Error("Close returned while a request was still executing")
+	}
+	// The drain delivers the in-flight reply before the connection goes.
+	if r := <-got; r.err != nil || string(r.b) != string(c.Blocks[0]) {
+		t.Errorf("in-flight read across Close = %d bytes, %v; want its block", len(r.b), r.err)
 	}
 	// Close must be idempotent.
 	if err := srv.Close(); err != nil {

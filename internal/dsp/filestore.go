@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"repro/internal/docenc"
+	"repro/internal/wire"
 )
 
 // FileStoreOptions tunes a FileStore.
@@ -751,10 +752,10 @@ func (s *FileStore) PutDocument(c *docenc.Container) error {
 // live in their document's segment, like their shard in memory.
 func (s *FileStore) PutRuleSet(docID, subject string, version uint32, sealed []byte) error {
 	body := []byte{recPutRuleSet}
-	body = appendString(body, docID)
-	body = appendString(body, subject)
-	body = appendUvarint(body, uint64(version))
-	body = appendBytes(body, sealed)
+	body = wire.AppendString(body, docID)
+	body = wire.AppendString(body, subject)
+	body = binary.AppendUvarint(body, uint64(version))
+	body = wire.AppendBytes(body, sealed)
 	return s.commit(docID, body, func(sh *memShard) (func(), error) {
 		return sh.putRuleSet(docID, subject, version, sealed)
 	})
@@ -990,8 +991,6 @@ func (s *FileStore) CommitUpdate(token uint64) error {
 // AbortUpdate implements DocUpdater.
 func (s *FileStore) AbortUpdate(token uint64) error { return s.mem.AbortUpdate(token) }
 
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
 // uvarintLen is the encoded size of v — the wire prefix the image
 // stores ahead of each block.
 func uvarintLen(v uint64) int {
@@ -1013,7 +1012,7 @@ func (s *FileStore) applyRecord(body []byte, rec *segRecovery) error {
 		return errors.New("empty wal record")
 	}
 	rec.replayed++
-	r := &wireReader{data: body, pos: 1}
+	r := wire.NewReader(body[1:])
 	var err error
 	switch body[0] {
 	case recPutDocument:
@@ -1026,16 +1025,16 @@ func (s *FileStore) applyRecord(body []byte, rec *segRecovery) error {
 		}
 		err = s.mem.PutDocument(c)
 	case recPutRuleSet:
-		docID := r.string()
-		subject := r.string()
-		version := r.uvarint()
-		sealed := r.bytes()
-		if r.err != nil {
-			return fmt.Errorf("put-ruleset record: %w", r.err)
+		docID := r.String()
+		subject := r.String()
+		version := r.Uvarint()
+		sealed := r.Bytes()
+		if r.Err() != nil {
+			return fmt.Errorf("put-ruleset record: %w", r.Err())
 		}
 		err = s.mem.PutRuleSet(docID, subject, uint32(version), sealed)
 	case recCommitDelta:
-		d, perr := r.delta()
+		d, perr := readDelta(r)
 		if perr != nil {
 			return fmt.Errorf("commit record: %w", perr)
 		}
@@ -1359,11 +1358,11 @@ func (s *FileStore) loadCheckpointFile(path string) error {
 	}
 	// The body parse reads exactly nDocs + nRules entries and leaves the
 	// trailing index footer untouched.
-	r := &wireReader{data: data, pos: len(ckptMagic)}
-	nDocs := r.uvarint()
+	r := wire.NewReader(data[len(ckptMagic):])
+	nDocs := r.Uvarint()
 	for i := uint64(0); i < nDocs; i++ {
-		img := r.bytes()
-		if r.err != nil {
+		img := r.Bytes()
+		if r.Err() != nil {
 			break
 		}
 		c, err := unmarshalWireDoc(img)
@@ -1374,12 +1373,12 @@ func (s *FileStore) loadCheckpointFile(path string) error {
 			return fmt.Errorf("dsp: checkpoint document %d: %w", i, err)
 		}
 	}
-	nRules := r.uvarint()
+	nRules := r.Uvarint()
 	for i := uint64(0); i < nRules; i++ {
-		key := r.string()
-		version := r.uvarint()
-		sealed := r.bytes()
-		if r.err != nil {
+		key := r.String()
+		version := r.Uvarint()
+		sealed := r.Bytes()
+		if r.Err() != nil {
 			break
 		}
 		docID, subject, ok := splitRuleKey(key)
@@ -1390,8 +1389,8 @@ func (s *FileStore) loadCheckpointFile(path string) error {
 			return fmt.Errorf("dsp: checkpoint rule %d: %w", i, err)
 		}
 	}
-	if r.err != nil {
-		return fmt.Errorf("dsp: truncated checkpoint %s: %w", path, r.err)
+	if r.Err() != nil {
+		return fmt.Errorf("dsp: truncated checkpoint %s: %w", path, r.Err())
 	}
 	return nil
 }
@@ -1406,12 +1405,12 @@ func unmarshalWireDoc(img []byte) (*docenc.Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &wireReader{data: img, pos: n}
+	r := wire.NewReader(img[n:])
 	blocks := make([][]byte, 0, h.NumBlocks())
 	for i := 0; i < h.NumBlocks(); i++ {
-		b := r.bytes()
-		if r.err != nil {
-			return nil, fmt.Errorf("dsp: wire-prefixed block %d: %w", i, r.err)
+		b := r.Bytes()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("dsp: wire-prefixed block %d: %w", i, r.Err())
 		}
 		if len(b) != h.BlockStoredLen(i) {
 			return nil, fmt.Errorf("dsp: wire-prefixed block %d: length %d, geometry says %d",
@@ -1419,8 +1418,8 @@ func unmarshalWireDoc(img []byte) (*docenc.Container, error) {
 		}
 		blocks = append(blocks, b)
 	}
-	if r.pos != len(img) {
-		return nil, fmt.Errorf("dsp: %d trailing bytes after wire-prefixed document", len(img)-r.pos)
+	if !r.Done() {
+		return nil, fmt.Errorf("dsp: %d trailing bytes after wire-prefixed document", len(r.Peek()))
 	}
 	return &docenc.Container{Header: h, Blocks: blocks}, nil
 }
@@ -1507,13 +1506,13 @@ func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
 			return false, fmt.Errorf("dsp: mapped checkpoint document %q: %w", c.Header.DocID, err)
 		}
 	}
-	r := &wireReader{data: data[:idx.bodyEnd], pos: int(idx.rulesOff)}
-	nRules := r.uvarint()
+	r := wire.NewReader(data[idx.rulesOff:idx.bodyEnd])
+	nRules := r.Uvarint()
 	for i := uint64(0); i < nRules; i++ {
-		key := r.string()
-		version := r.uvarint()
-		sealed := r.bytes()
-		if r.err != nil {
+		key := r.String()
+		version := r.Uvarint()
+		sealed := r.Bytes()
+		if r.Err() != nil {
 			break
 		}
 		docID, subject, ok := splitRuleKey(key)
@@ -1527,9 +1526,9 @@ func (s *FileStore) loadCheckpointMapped(seg *segment) (bool, error) {
 			return false, fmt.Errorf("dsp: mapped checkpoint rule %d: %w", i, err)
 		}
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		region.release()
-		return false, fmt.Errorf("dsp: truncated mapped checkpoint %s: %w", s.segCkptPath(seg.idx), r.err)
+		return false, fmt.Errorf("dsp: truncated mapped checkpoint %s: %w", s.segCkptPath(seg.idx), r.Err())
 	}
 	seg.region = region
 	s.mappedBytes.Add(int64(len(data)))

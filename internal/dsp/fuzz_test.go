@@ -3,11 +3,13 @@ package dsp
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/docenc"
+	"repro/internal/wire"
 )
 
 // fuzzContainer is a small synthetic version of the fuzzed document —
@@ -55,7 +57,7 @@ func FuzzCommitFrame(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if d, err := (&wireReader{data: body}).delta(); err == nil {
+		if d, err := readDelta(wire.NewReader(body)); err == nil {
 			if re := appendDelta(nil, d); !bytes.Equal(re, body) {
 				t.Fatalf("accepted delta re-encodes to other bytes:\n in  %x\n out %x", body, re)
 			}
@@ -75,7 +77,7 @@ func FuzzCommitRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 0 && body[0] == recCommitDelta {
-			if d, err := (&wireReader{data: body, pos: 1}).delta(); err == nil {
+			if d, err := readDelta(wire.NewReader(body[1:])); err == nil {
 				if re := appendDelta([]byte{recCommitDelta}, d); !bytes.Equal(re, body) {
 					t.Fatalf("accepted record re-encodes to other bytes:\n in  %x\n out %x", body, re)
 				}
@@ -160,5 +162,79 @@ func FuzzCheckpointImage(f *testing.F) {
 				t.Fatalf("listed document %q unreadable: %v", id, err)
 			}
 		}
+	})
+}
+
+// FuzzServerDispatch feeds arbitrary bytes to dispatch as one request
+// over a store holding one document: dispatch never panics, the reply
+// carries a status byte and fits a frame, and it assembles and releases
+// — dropping any pins — like a connection writer would.
+func FuzzServerDispatch(f *testing.F) {
+	for _, tc := range malformedRequests() {
+		f.Add(tc.req)
+	}
+	for _, seed := range commitSeeds() {
+		f.Add(append([]byte{opCommitDelta}, seed...))
+	}
+	f.Add(wire.AppendString([]byte{opHeader}, "doc"))
+	f.Add(binary.AppendUvarint(wire.AppendString([]byte{opReadBlock}, "doc"), 1))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(wire.AppendString([]byte{opReadBlocks}, "doc"), 1), 3))
+	f.Add(wire.AppendBytes(wire.AppendString(wire.AppendString([]byte{opPutRuleSet}, "doc"), "alice"), []byte("sealed")))
+	f.Add(wire.AppendString(wire.AppendString([]byte{opRuleSet}, "doc"), "alice"))
+	f.Add([]byte{opList})
+	f.Add([]byte{opStoreStats})
+	f.Fuzz(func(t *testing.T, req []byte) {
+		store := NewMemStoreShards(1)
+		_ = store.PutDocument(fuzzContainer(1))
+		resp := NewServer(store).dispatch(req)
+		if len(resp.head) < 5 || resp.head[4] > wire.StatusErr {
+			t.Fatalf("reply head %x has no status byte", resp.head)
+		}
+		if n := resp.size(); n > maxFrame {
+			t.Fatalf("reply of %d bytes exceeds the frame limit", n)
+		}
+		if err := resp.writeTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		resp.release()
+	})
+}
+
+// FuzzParseBlockRun feeds arbitrary bytes to the client's opReadBlocks
+// reply decode, plain and into a pooled frame as ReadBlocksFrame does:
+// both agree, never panic, and an accepted reply holds exactly the
+// blocks asked for, each inside the reply.
+func FuzzParseBlockRun(f *testing.F) {
+	run := binary.AppendUvarint(nil, 2)
+	run = wire.AppendBytes(wire.AppendBytes(run, []byte("first")), []byte("second"))
+	for _, seed := range [][]byte{run, run[:len(run)-1], {0}, binary.AppendUvarint(nil, 1<<40),
+		binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<63)} {
+		f.Add(seed, uint16(2))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, count uint16) {
+		plain, err := parseBlockRun(body, int(count), nil)
+		fr := framePool.Get().(*BlockFrame)
+		fr.buf = append(fr.buf[:0], body...)
+		pooled, perr := parseBlockRun(fr.buf, int(count), fr.blocks[:0])
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("plain decode %v, pooled decode %v", err, perr)
+		}
+		if err == nil {
+			if len(plain) != int(count) || len(pooled) != int(count) {
+				t.Fatalf("asked for %d blocks, got %d and %d", count, len(plain), len(pooled))
+			}
+			total := 0
+			for i := range plain {
+				if !bytes.Equal(plain[i], pooled[i]) {
+					t.Fatalf("block %d decodes differently into the pooled frame", i)
+				}
+				total += len(plain[i])
+			}
+			if total > len(body) {
+				t.Fatalf("%d block bytes decoded from a %d-byte reply", total, len(body))
+			}
+			fr.blocks = pooled
+		}
+		fr.Release()
 	})
 }

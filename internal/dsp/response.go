@@ -18,6 +18,8 @@ import (
 	"net"
 	"os"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // fileRun marks one response.blocks entry as sendfile-capable: the
@@ -79,7 +81,7 @@ func newResponse() *response {
 	if r.head == nil {
 		r.head = make([]byte, 0, 512)
 	}
-	r.head = append(r.head[:0], 0, 0, 0, 0, statusOK)
+	r.head = append(r.head[:0], 0, 0, 0, 0, wire.StatusOK)
 	r.blocks = r.blocks[:0]
 	r.cuts = r.cuts[:0]
 	r.blockBytes = 0
@@ -124,7 +126,7 @@ func (r *response) size() int { return len(r.head) - 4 + r.blockBytes }
 
 // setErr rewrites the response, whatever it holds, into an error reply.
 func (r *response) setErr(err error) *response {
-	r.head = append(r.head[:4], statusErr)
+	r.head = append(r.head[:4], wire.StatusErr)
 	r.head = append(r.head, err.Error()...)
 	r.blocks = r.blocks[:0]
 	r.cuts = r.cuts[:0]

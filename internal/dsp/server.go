@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
-	"runtime"
-	"sync"
 
 	"repro/internal/docenc"
+	"repro/internal/wire"
 )
 
 // ServerConfig tunes the concurrent serving machinery.
@@ -25,39 +23,18 @@ type ServerConfig struct {
 	PipelineDepth int
 }
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Workers <= 0 {
-		c.Workers = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 32
-	}
-	return c
-}
-
-// Server exposes a Store over TCP. Each connection pipelines: a reader
-// pulls frames as fast as the client sends them, a bounded worker pool
-// executes them, and a per-connection writer puts responses back on the
-// wire in request order (the protocol has no request ids, so ordering is
-// the correlation).
+// Server exposes a Store over TCP through wire's serve loop: pipelined
+// connections, a bounded worker pool, replies in request order, and a
+// Close that drains in-flight requests within wire.DrainGrace.
 type Server struct {
+	*wire.Server[*response]
+
 	store Store
-	cfg   ServerConfig
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...any)
 	// Stats, when set, serves opStoreStats requests: the daemon wires it
 	// to the cache and durable tiers it assembled around the store. Set
 	// it before Serve; a server without the hook answers with a minimal
 	// snapshot (document count only).
 	Stats func() ServerStats
-
-	workers chan struct{} // worker-pool slots
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	handlers sync.WaitGroup // in-flight connection handlers
 }
 
 // NewServer wraps a store with the default concurrency configuration.
@@ -67,154 +44,26 @@ func NewServer(store Store) *Server {
 
 // NewServerConfig wraps a store with an explicit configuration.
 func NewServerConfig(store Store, cfg ServerConfig) *Server {
-	cfg = cfg.withDefaults()
-	return &Server{
-		store:   store,
-		cfg:     cfg,
-		workers: make(chan struct{}, cfg.Workers),
-		conns:   make(map[net.Conn]struct{}),
-	}
+	s := &Server{store: store}
+	s.Server = wire.NewServer("dsp", maxFrame, cfg.Workers, cfg.PipelineDepth, s.open)
+	return s
 }
 
-// Serve accepts connections until the listener closes. It retains the
-// listener so Close can stop it.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = l.Close()
-		return fmt.Errorf("dsp: server is closed")
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
+// open is one connection's half of the serve loop: replies go out
+// through its connWriter — one vectored write, or sendfile for file
+// runs — and release their pins after.
+func (s *Server) open(conn net.Conn) wire.Conn[*response] {
+	cw := newConnWriter(conn)
+	return wire.Conn[*response]{
+		Dispatch: s.dispatch,
+		Reply: func(resp *response, write bool) (err error) {
+			if write {
+				err = resp.writeToConn(cw)
 			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.handlers.Add(1)
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
-}
-
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Close stops the listener, closes every connection, and waits for all
-// in-flight handlers (and the requests they dispatched) to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.handlers.Wait()
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
-	}
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	s.handlers.Wait()
-	return err
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-// handle owns one connection: it reads frames, fans them out to the
-// worker pool, and hands each request's response slot to the writer in
-// arrival order. It returns (and deregisters the connection exactly once)
-// only after every dispatched request has been answered or abandoned.
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-		s.handlers.Done()
-	}()
-
-	// pending carries, in request order, the channel each in-flight
-	// request will deliver its response on. Its capacity is the pipeline
-	// depth: a client that floods frames blocks the reader, not the pool.
-	pending := make(chan chan *response, s.cfg.PipelineDepth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		cw := newConnWriter(conn)
-		broken := false
-		for ch := range pending {
-			resp := <-ch
-			if broken {
-				resp.release()
-				continue // drain so dispatchers are never abandoned
-			}
-			err := resp.writeToConn(cw)
 			resp.release()
-			if err != nil {
-				if !errors.Is(err, net.ErrClosed) {
-					s.logf("dsp: connection %s: write: %v", remoteAddr(conn), err)
-				}
-				// Stop the reader too: without responses the client is wedged.
-				_ = conn.Close()
-				broken = true
-			}
-		}
-	}()
-
-	for {
-		req, err := readFrame(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("dsp: connection %s: %v", remoteAddr(conn), err)
-			}
-			break
-		}
-		ch := make(chan *response, 1)
-		pending <- ch
-		s.workers <- struct{}{}
-		go func(req []byte, ch chan<- *response) {
-			defer func() { <-s.workers }()
-			ch <- s.dispatch(req)
-		}(req, ch)
+			return err
+		},
 	}
-	close(pending)
-	<-writerDone
-}
-
-// remoteAddr formats a peer address defensively (tests may pass pipes).
-func remoteAddr(conn net.Conn) string {
-	if a := conn.RemoteAddr(); a != nil {
-		return a.String()
-	}
-	return "?"
 }
 
 // dispatch executes one request and builds the response in a pooled
@@ -226,10 +75,10 @@ func (s *Server) dispatch(req []byte) *response {
 		return resp.setErr(fmt.Errorf("dsp: empty request"))
 	}
 	op := req[0]
-	r := &wireReader{data: req, pos: 1}
+	r := wire.NewReader(req[1:])
 	switch op {
 	case opPutDocument:
-		c, err := docenc.UnmarshalContainer(r.rest())
+		c, err := docenc.UnmarshalContainer(r.Rest())
 		if err != nil {
 			return resp.setErr(err)
 		}
@@ -238,9 +87,9 @@ func (s *Server) dispatch(req []byte) *response {
 		}
 		return resp
 	case opHeader:
-		docID := r.string()
-		if r.err != nil {
-			return resp.setErr(r.err)
+		docID := r.String()
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		h, err := s.store.Header(docID)
 		if err != nil {
@@ -253,10 +102,10 @@ func (s *Server) dispatch(req []byte) *response {
 		resp.appendBody(hb)
 		return resp
 	case opReadBlock:
-		docID := r.string()
-		idx := r.uvarint()
-		if r.err != nil {
-			return resp.setErr(r.err)
+		docID := r.String()
+		idx := r.Uvarint()
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		b, err := s.store.ReadBlock(docID, int(idx))
 		if err != nil {
@@ -265,19 +114,11 @@ func (s *Server) dispatch(req []byte) *response {
 		resp.appendRaw(b)
 		return resp
 	case opReadBlocks:
-		docID := r.string()
-		start := r.uvarint()
-		count := r.uvarint()
-		if r.err != nil {
-			return resp.setErr(r.err)
-		}
-		if count > maxBatchBlocks {
-			return resp.setErr(fmt.Errorf("dsp: batch of %d blocks exceeds limit %d", count, maxBatchBlocks))
-		}
-		// No document has anywhere near 2^31 blocks: reject hostile
-		// offsets before they reach int arithmetic.
-		if start > 1<<31 {
-			return resp.setErr(fmt.Errorf("dsp: block offset %d out of range", start))
+		docID := r.String()
+		start := r.ReadUvarintBounded(0, maxBlockOffset)
+		count := r.ReadUvarintBounded(0, maxBatchBlocks)
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		// Pin instead of copy: a store with an mmap tier serves
 		// checkpoint-resident blocks as views into the mapping, held
@@ -289,9 +130,9 @@ func (s *Server) dispatch(req []byte) *response {
 		var blocks [][]byte
 		var err error
 		if rr, ok := s.store.(runReader); ok {
-			blocks, err = rr.readRun(docID, int(start), int(count), &resp.pins, &resp.runs)
+			blocks, err = rr.readRun(docID, start, count, &resp.pins, &resp.runs)
 		} else {
-			blocks, err = ReadBlockRange(s.store, docID, int(start), int(count))
+			blocks, err = ReadBlockRange(s.store, docID, start, count)
 		}
 		if err != nil {
 			return resp.setErr(err)
@@ -321,15 +162,12 @@ func (s *Server) dispatch(req []byte) *response {
 		if !ok {
 			return resp.setErr(ErrUpdateUnsupported)
 		}
-		base := r.uvarint()
-		hb := r.bytes()
-		if r.err != nil {
-			return resp.setErr(r.err)
-		}
 		// Versions are 32-bit; a wider wire value must fail loudly, not
 		// be truncated into a base the client never named.
-		if base > math.MaxUint32 {
-			return resp.setErr(fmt.Errorf("dsp: base version %d out of range", base))
+		base := r.ReadUvarintBounded(0, math.MaxUint32)
+		hb := r.Bytes()
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		h, _, err := docenc.UnmarshalHeader(hb)
 		if err != nil {
@@ -346,19 +184,16 @@ func (s *Server) dispatch(req []byte) *response {
 		if !ok {
 			return resp.setErr(ErrUpdateUnsupported)
 		}
-		token := r.uvarint()
-		start := r.uvarint()
-		blocks := make([][]byte, r.readUvarintBounded(1, maxBatchBlocks))
+		token := r.Uvarint()
+		start := r.ReadUvarintBounded(0, maxBlockOffset)
+		blocks := make([][]byte, r.ReadUvarintBounded(1, maxBatchBlocks))
 		for i := range blocks {
-			blocks[i] = r.bytes()
+			blocks[i] = r.Bytes()
 		}
-		if r.err != nil {
-			return resp.setErr(r.err)
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
-		if start > 1<<31 {
-			return resp.setErr(fmt.Errorf("dsp: block offset %d out of range", start))
-		}
-		if err := up.PutBlocks(token, int(start), blocks); err != nil {
+		if err := up.PutBlocks(token, start, blocks); err != nil {
 			return resp.setErr(err)
 		}
 		return resp
@@ -367,9 +202,9 @@ func (s *Server) dispatch(req []byte) *response {
 		if !ok {
 			return resp.setErr(ErrUpdateUnsupported)
 		}
-		token := r.uvarint()
-		if r.err != nil {
-			return resp.setErr(r.err)
+		token := r.Uvarint()
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		var err error
 		if op == opCommitUpdate {
@@ -386,7 +221,7 @@ func (s *Server) dispatch(req []byte) *response {
 		if !ok {
 			return resp.setErr(ErrUpdateUnsupported)
 		}
-		d, err := r.delta()
+		d, err := readDelta(r)
 		if err != nil {
 			return resp.setErr(err)
 		}
@@ -401,22 +236,22 @@ func (s *Server) dispatch(req []byte) *response {
 		resp.head, _ = h.AppendBinary(append(resp.head, moved))
 		return resp
 	case opPutRuleSet:
-		docID := r.string()
-		subject := r.string()
-		version := r.uvarint()
-		sealed := r.bytes()
-		if r.err != nil {
-			return resp.setErr(r.err)
+		docID := r.String()
+		subject := r.String()
+		version := r.Uvarint()
+		sealed := r.Bytes()
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		if err := s.store.PutRuleSet(docID, subject, uint32(version), sealed); err != nil {
 			return resp.setErr(err)
 		}
 		return resp
 	case opRuleSet:
-		docID := r.string()
-		subject := r.string()
-		if r.err != nil {
-			return resp.setErr(r.err)
+		docID := r.String()
+		subject := r.String()
+		if r.Err() != nil {
+			return resp.setErr(r.Err())
 		}
 		sealed, err := s.store.RuleSet(docID, subject)
 		if err != nil {

@@ -18,7 +18,7 @@ type ServerStats struct {
 
 // StoreStats fetches the remote server's observability snapshot.
 func (c *Client) StoreStats() (*ServerStats, error) {
-	resp, err := c.roundTrip([]byte{opStoreStats})
+	resp, err := c.roundTrip(request(opStoreStats))
 	if err != nil {
 		return nil, err
 	}

@@ -3,19 +3,19 @@ package dsp
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
 	"repro/internal/docenc"
 	"repro/internal/secure"
+	"repro/internal/wire"
 )
 
-// Wire protocol: each message is a uint32 big-endian length followed by
-// the payload. Requests start with an op byte; responses start with a
-// status byte (statusOK/statusErr) followed by the body or an error
-// string. Each op below reads "request → reply body"; strings, blocks
-// and sealed blobs travel behind uvarint lengths.
+// Wire protocol: internal/wire's framing, reader, client round trip and
+// serve loop. This file holds only what is dspd's own — the op codes,
+// the frame limit and the commit frame's delta encoding. Each op below
+// reads "request → reply body"; strings, blocks and sealed blobs travel
+// behind uvarint lengths.
 //
 // opCommitDelta is a delta re-publication in one frame: the store
 // commits it against the base the frame names — version and header MAC —
@@ -45,131 +45,17 @@ const (
 // dispatch, since block sizes vary.)
 const maxBatchBlocks = 1 << 16
 
-const (
-	statusOK  = 0
-	statusErr = 1
-)
-
 // maxFrame bounds a single message (64 MiB: far above any container this
 // system produces, low enough to stop hostile length prefixes).
 const maxFrame = 64 << 20
 
-// writeFrame sends one length-prefixed message.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("dsp: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
+// maxBlockOffset bounds a block index on the wire: no document has
+// anywhere near 2^31 blocks, so a hostile offset is refused before it
+// reaches int arithmetic.
+const maxBlockOffset = 1 << 31
 
-// readFrame receives one length-prefixed message.
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto receives one length-prefixed message into buf when its
-// capacity suffices, allocating only when the frame is larger. The
-// returned slice aliases buf in the reuse case — the caller owns the
-// lifetime either way.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("dsp: frame of %d bytes exceeds limit", n)
-	}
-	if uint32(cap(buf)) >= n {
-		buf = buf[:n]
-	} else {
-		buf = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// wire string/varint helpers.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-type wireReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-// uvarint reads a uvarint in its one minimal encoding: a value padded
-// with zero groups is refused, so that what decodes re-encodes to the
-// same bytes.
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || n > 1 && r.data[r.pos+n-1] == 0 {
-		r.err = fmt.Errorf("dsp: truncated or padded varint at offset %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-// readUvarintBounded reads the count of a list of at most limit items
-// that take at least minItem bytes each, and refuses a count beyond
-// either bound — before the caller sizes an allocation by it.
-func (r *wireReader) readUvarintBounded(minItem, limit int) int {
-	n := r.uvarint()
-	if left := len(r.data) - r.pos; r.err == nil && (n > uint64(left/minItem) || int(n) > limit) {
-		r.err = fmt.Errorf("dsp: count %d at offset %d exceeds the limit %d or the %d bytes left", n, r.pos, limit, left)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) string() string {
-	return string(r.bytes())
-}
-
-func (r *wireReader) bytes() []byte {
-	l := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	// Compare in uint64 space: a hostile length would overflow int and
-	// slip past an int comparison into a slice panic.
-	if l > uint64(len(r.data)-r.pos) {
-		r.err = fmt.Errorf("dsp: truncated field at offset %d", r.pos)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+int(l)]
-	r.pos += int(l)
-	return b
-}
-
-func (r *wireReader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.data[r.pos:]
-	r.pos = len(r.data)
-	return b
-}
+// serverError is the wire.RoundTrip hook that types a StatusErr reply.
+func serverError(msg []byte) error { return ServerError(msg) }
 
 // appendDelta encodes a delta as op 13 carries it and the log records
 // it: base version, base header MAC, the new header, then each run as
@@ -191,7 +77,7 @@ func appendDelta(b []byte, d *docenc.DeltaUpdate) []byte {
 		b = binary.AppendUvarint(b, uint64(r.Start))
 		b = binary.AppendUvarint(b, uint64(len(r.Blocks)))
 		for _, blk := range r.Blocks {
-			b = appendBytes(b, blk)
+			b = wire.AppendBytes(b, blk)
 		}
 	}
 	return b
@@ -201,55 +87,52 @@ func appendDelta(b []byte, d *docenc.DeltaUpdate) []byte {
 // length, one plaintext byte and its tag.
 const minDeltaBlock = 2 + secure.MACLen
 
-// delta decodes the rest of r as appendDelta wrote it; the blocks alias
-// r's data. Only appendDelta's own encoding of a delta that applyDelta
-// could accept passes, byte for byte: runs non-empty, in order without
-// overlap and inside the geometry, every block its stored length. Each
-// count is checked against the geometry and the bytes left before
-// anything is sized by it, and reserves at most maxBatchBlocks entries
-// ahead of the items that follow it, so a frame costs the decoder what
-// a valid delta of its size would.
-func (r *wireReader) delta() (*docenc.DeltaUpdate, error) {
-	base := r.uvarint()
-	if r.err == nil && (base > math.MaxUint32 || len(r.data)-r.pos < secure.HeaderMACLen) {
-		r.err = fmt.Errorf("dsp: base version %d out of range or its MAC cut short", base)
+// readDelta decodes the rest of r as appendDelta wrote it; the blocks
+// alias r's data. Only appendDelta's own encoding of a delta that
+// applyDelta could accept passes, byte for byte: runs non-empty, in order
+// without overlap and inside the geometry, every block its stored
+// length. Each count is checked against the geometry and the bytes left
+// before anything is sized by it, and reserves at most maxBatchBlocks
+// entries ahead of the items that follow it, so a frame costs the
+// decoder what a valid delta of its size would.
+func readDelta(r *wire.Reader) (*docenc.DeltaUpdate, error) {
+	d := &docenc.DeltaUpdate{BaseVersion: uint32(r.ReadUvarintBounded(0, math.MaxUint32))}
+	copy(d.BaseMAC[:], r.Take(secure.HeaderMACLen))
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	d := &docenc.DeltaUpdate{BaseVersion: uint32(base)}
-	r.pos += copy(d.BaseMAC[:], r.data[r.pos:])
-	h, n, err := docenc.UnmarshalHeader(r.data[r.pos:])
+	h, n, err := docenc.UnmarshalHeader(r.Peek())
 	if err != nil {
 		return nil, err
 	}
-	d.Header, r.pos = h, r.pos+n
+	d.Header = h
+	r.Take(n)
 	// A run is at least its start, its count and one block.
 	nb, end := h.NumBlocks(), 0
-	nRuns := r.readUvarintBounded(2+minDeltaBlock, nb)
+	nRuns := r.ReadUvarintBounded(2+minDeltaBlock, nb)
 	d.Runs = make([]docenc.PatchRun, 0, min(nRuns, maxBatchBlocks))
-	for r.err == nil && len(d.Runs) < nRuns {
-		start := r.uvarint()
-		if r.err == nil && (start < uint64(end) || start >= uint64(nb)) {
-			r.err = fmt.Errorf("dsp: block run at %d out of order or outside the %d-block geometry", start, nb)
+	for r.Err() == nil && len(d.Runs) < nRuns {
+		start := r.Uvarint()
+		if r.Err() == nil && (start < uint64(end) || start >= uint64(nb)) {
+			r.Fail(fmt.Errorf("dsp: block run at %d out of order or outside the %d-block geometry", start, nb))
 		}
-		count := r.readUvarintBounded(minDeltaBlock, nb-int(start))
-		if r.err == nil && count == 0 {
-			r.err = fmt.Errorf("dsp: empty block run at %d", start)
+		count := r.ReadUvarintBounded(minDeltaBlock, nb-int(start))
+		if r.Err() == nil && count == 0 {
+			r.Fail(fmt.Errorf("dsp: empty block run at %d", start))
 		}
 		blocks := make([][]byte, 0, min(count, maxBatchBlocks))
-		for r.err == nil && len(blocks) < count {
-			b, want := r.bytes(), h.BlockStoredLen(int(start)+len(blocks))
-			if r.err == nil && len(b) != want {
-				r.err = fmt.Errorf("dsp: block %d has %d bytes, geometry says %d", int(start)+len(blocks), len(b), want)
+		for r.Err() == nil && len(blocks) < count {
+			b, want := r.Bytes(), h.BlockStoredLen(int(start)+len(blocks))
+			if r.Err() == nil && len(b) != want {
+				r.Fail(fmt.Errorf("dsp: block %d has %d bytes, geometry says %d", int(start)+len(blocks), len(b), want))
 			}
 			blocks = append(blocks, b)
 		}
 		end = int(start) + count
 		d.Runs = append(d.Runs, docenc.PatchRun{Start: int(start), Blocks: blocks})
 	}
-	if r.err == nil && r.pos != len(r.data) {
-		r.err = fmt.Errorf("dsp: %d trailing bytes after the delta", len(r.data)-r.pos)
+	if r.Err() == nil && !r.Done() {
+		r.Fail(fmt.Errorf("dsp: %d trailing bytes after the delta", len(r.Peek())))
 	}
-	return d, r.err
+	return d, r.Err()
 }

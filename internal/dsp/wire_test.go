@@ -1,10 +1,8 @@
 package dsp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"net"
 	"runtime"
@@ -12,94 +10,25 @@ import (
 	"testing"
 
 	"repro/internal/docenc"
+	"repro/internal/wire"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello frames")
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("round trip changed payload: %q", got)
-	}
-	// Empty payloads are legal frames.
-	buf.Reset()
-	if err := writeFrame(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := readFrame(&buf); err != nil || len(got) != 0 {
-		t.Errorf("empty frame = %q, %v", got, err)
-	}
-}
-
-func TestWriteFrameRejectsOversize(t *testing.T) {
-	err := writeFrame(io.Discard, make([]byte, maxFrame+1))
-	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("oversized frame written: %v", err)
-	}
-}
-
-func TestReadFrameRejectsHostileLength(t *testing.T) {
-	// A hostile length prefix must be rejected before any allocation.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
-	_, err := readFrame(bytes.NewReader(hdr[:]))
-	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("hostile length accepted: %v", err)
-	}
-}
-
-func TestReadFrameTruncatedHeader(t *testing.T) {
-	_, err := readFrame(bytes.NewReader([]byte{0, 0}))
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated header: %v", err)
-	}
-	_, err = readFrame(bytes.NewReader(nil))
-	if !errors.Is(err, io.EOF) {
-		t.Fatalf("missing header: %v", err)
-	}
-}
-
-func TestReadFrameTruncatedPayload(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 10)
-	_, err := readFrame(bytes.NewReader(append(hdr[:], 1, 2, 3)))
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated payload: %v", err)
-	}
-}
-
-func TestWireReaderTruncation(t *testing.T) {
-	r := &wireReader{data: nil}
-	r.uvarint()
-	if r.err == nil {
-		t.Error("uvarint on empty input succeeded")
-	}
-	// A field whose declared length exceeds the remaining bytes.
-	r = &wireReader{data: binary.AppendUvarint(nil, 100)}
-	r.bytes()
-	if r.err == nil {
-		t.Error("overlong field served")
-	}
-}
-
-func TestDispatchMalformedRequests(t *testing.T) {
-	srv := NewServer(NewMemStore())
-	cases := []struct {
+// malformedRequests are requests dispatch must refuse with an error
+// reply; they also seed FuzzServerDispatch.
+func malformedRequests() []struct {
+	name string
+	req  []byte
+} {
+	return []struct {
 		name string
 		req  []byte
 	}{
 		{"empty request", nil},
 		{"unknown op", []byte{99}},
 		{"truncated header request", []byte{opHeader}},
-		{"truncated read request", appendString([]byte{opReadBlock}, "doc")},
+		{"truncated read request", wire.AppendString([]byte{opReadBlock}, "doc")},
 		{"oversized batch count", func() []byte {
-			req := appendString([]byte{opReadBlocks}, "doc")
+			req := wire.AppendString([]byte{opReadBlocks}, "doc")
 			req = binary.AppendUvarint(req, 0)
 			return binary.AppendUvarint(req, maxBatchBlocks+1)
 		}()},
@@ -111,15 +40,19 @@ func TestDispatchMalformedRequests(t *testing.T) {
 		{"hostile batch offset", func() []byte {
 			// start chosen so that start+count overflows int64: the
 			// bounds check must reject it, not panic on a wrapped slice.
-			req := appendString([]byte{opReadBlocks}, "doc")
+			req := wire.AppendString([]byte{opReadBlocks}, "doc")
 			req = binary.AppendUvarint(req, math.MaxInt64)
 			return binary.AppendUvarint(req, 1)
 		}()},
 	}
-	for _, tc := range cases {
+}
+
+func TestDispatchMalformedRequests(t *testing.T) {
+	srv := NewServer(NewMemStore())
+	for _, tc := range malformedRequests() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := srv.dispatch(tc.req)
-			if len(resp.head) <= 4 || resp.head[4] != statusErr {
+			if len(resp.head) <= 4 || resp.head[4] != wire.StatusErr {
 				t.Errorf("dispatch(%v) = %v, want error status", tc.req, resp.head)
 			}
 			resp.release()
@@ -174,7 +107,7 @@ func TestDispatchBoundsCountsByBytes(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		resp := srv.dispatch(req)
 		runtime.ReadMemStats(&after)
-		if len(resp.head) <= 4 || resp.head[4] != statusErr {
+		if len(resp.head) <= 4 || resp.head[4] != wire.StatusErr {
 			t.Errorf("%s: dispatch accepted the frame", tc.name)
 		}
 		resp.release()
@@ -220,10 +153,10 @@ func TestClientRejectsBadStatus(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	defer serverSide.Close()
 	go func() {
-		if _, err := readFrame(serverSide); err != nil {
+		if _, err := wire.ReadFrameInto(serverSide, nil, maxFrame); err != nil {
 			return
 		}
-		_ = writeFrame(serverSide, []byte{42})
+		_ = wire.WriteFrame(serverSide, []byte{42}, maxFrame)
 	}()
 	c := &Client{conn: clientSide}
 	defer c.Close()
@@ -239,60 +172,14 @@ func TestClientBoundsListCount(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	defer serverSide.Close()
 	go func() {
-		if _, err := readFrame(serverSide); err != nil {
+		if _, err := wire.ReadFrameInto(serverSide, nil, maxFrame); err != nil {
 			return
 		}
-		_ = writeFrame(serverSide, binary.AppendUvarint([]byte{statusOK}, 1<<40))
+		_ = wire.WriteFrame(serverSide, binary.AppendUvarint([]byte{wire.StatusOK}, 1<<40), maxFrame)
 	}()
 	c := &Client{conn: clientSide}
 	defer c.Close()
 	if ids, err := c.ListDocuments(); err == nil {
 		t.Fatalf("a list of 2^40 ids in 7 bytes accepted: %d ids", len(ids))
-	}
-}
-
-// TestPipelinedResponsesStayOrdered sends several raw frames back to back
-// on one connection before reading anything: the server must answer them
-// in request order even though they execute on a worker pool.
-func TestPipelinedResponsesStayOrdered(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewMemStore()
-	c := testContainer(t, "doc")
-	if err := store.PutDocument(c); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerConfig(store, ServerConfig{Workers: 8, PipelineDepth: 16})
-	go func() { _ = srv.Serve(l) }()
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	const n = 10
-	for i := 0; i < n; i++ {
-		req := appendString([]byte{opReadBlock}, "doc")
-		req = binary.AppendUvarint(req, uint64(i%len(c.Blocks)))
-		if err := writeFrame(conn, req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		resp, err := readFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp) == 0 || resp[0] != statusOK {
-			t.Fatalf("response %d: status %v", i, resp[:1])
-		}
-		want := c.Blocks[i%len(c.Blocks)]
-		if !bytes.Equal(resp[1:], want) {
-			t.Fatalf("response %d out of order", i)
-		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // Client talks to a gatewayd server over one connection. Requests are
@@ -35,32 +37,20 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // roundTrip runs one exchange and hands the response body to parse
 // while the connection lock is still held — the body aliases the
-// reusable receive buffer, so parse must copy out what it keeps.
+// reusable receive buffer, so parse must copy out what it keeps. req is
+// a wire build buffer; it goes back to the pool.
 func (c *Client) roundTrip(req []byte, parse func(body []byte) error) error {
+	defer wire.PutBuf(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, req); err != nil {
-		return err
+	body, frame, err := wire.RoundTrip(c.conn, maxFrame, req, c.recv, serverError)
+	if frame != nil {
+		c.recv = frame
 	}
-	resp, err := readFrameInto(c.conn, c.recv[:0:cap(c.recv)])
-	if err != nil {
-		return err
+	if err == nil && parse != nil {
+		err = parse(body)
 	}
-	c.recv = resp
-	if len(resp) == 0 {
-		return fmt.Errorf("gateway: empty response")
-	}
-	switch resp[0] {
-	case statusOK:
-		if parse == nil {
-			return nil
-		}
-		return parse(resp[1:])
-	case statusErr:
-		return ServerError(resp[1:])
-	default:
-		return fmt.Errorf("gateway: bad response status %d", resp[0])
-	}
+	return err
 }
 
 // Session is one subject binding on the wire. The heavyweight state it
@@ -74,16 +64,11 @@ type Session struct {
 
 // Open binds a new wire session to subject.
 func (c *Client) Open(subject string) (*Session, error) {
-	req := appendString(append(getBuf(), opOpen), subject)
-	defer putBuf(req)
 	var id uint64
-	err := c.roundTrip(req, func(body []byte) error {
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
-			return fmt.Errorf("gateway: bad open response")
-		}
-		id = v
-		return nil
+	err := c.roundTrip(wire.AppendString(append(wire.GetBuf(), opOpen), subject), func(body []byte) error {
+		r := wire.NewReader(body)
+		id = r.Uvarint()
+		return r.Err()
 	})
 	if err != nil {
 		return nil, err
@@ -109,19 +94,18 @@ type QueryResult struct {
 // Query runs one pull query. query is an XP{[],*,//} expression, or ""
 // for the full authorized view.
 func (s *Session) Query(docID, query string) (*QueryResult, error) {
-	req := binary.AppendUvarint(append(getBuf(), opQuery), s.id)
-	req = appendString(req, docID)
-	req = appendString(req, query)
-	defer putBuf(req)
+	req := binary.AppendUvarint(append(wire.GetBuf(), opQuery), s.id)
+	req = wire.AppendString(req, docID)
+	req = wire.AppendString(req, query)
 	res := &QueryResult{}
 	err := s.c.roundTrip(req, func(body []byte) error {
-		r := &wireReader{data: body}
-		version := r.uvarint()
-		fetched := r.uvarint()
-		wasted := r.uvarint()
-		xml := r.rest()
-		if r.err != nil {
-			return r.err
+		r := wire.NewReader(body)
+		version := r.Uvarint()
+		fetched := r.Uvarint()
+		wasted := r.Uvarint()
+		xml := r.Rest()
+		if r.Err() != nil {
+			return r.Err()
 		}
 		res.Version = uint32(version)
 		res.BlocksFetched = int(fetched)
@@ -138,17 +122,13 @@ func (s *Session) Query(docID, query string) (*QueryResult, error) {
 // Close releases the wire session; the subject's pooled cards stay warm
 // server-side.
 func (s *Session) Close() error {
-	req := binary.AppendUvarint(append(getBuf(), opClose), s.id)
-	defer putBuf(req)
-	return s.c.roundTrip(req, nil)
+	return s.c.roundTrip(binary.AppendUvarint(append(wire.GetBuf(), opClose), s.id), nil)
 }
 
 // Stats fetches the daemon's observability snapshot.
 func (c *Client) Stats() (*Snapshot, error) {
-	req := append(getBuf(), opStats)
-	defer putBuf(req)
 	var snap Snapshot
-	err := c.roundTrip(req, func(body []byte) error {
+	err := c.roundTrip(append(wire.GetBuf(), opStats), func(body []byte) error {
 		return json.Unmarshal(body, &snap)
 	})
 	if err != nil {

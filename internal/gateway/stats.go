@@ -42,7 +42,7 @@ type Snapshot struct {
 // Snapshot assembles the current observability snapshot.
 func (s *Server) Snapshot() Snapshot {
 	snap := Snapshot{
-		Label:         s.cfg.Label,
+		Label:         s.label,
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		WireSessions:  s.wireSessions.Load(),
 		Queries:       s.queries.Load(),
@@ -72,8 +72,8 @@ func (s *Server) StatsHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s.Snapshot()); err != nil {
-			s.logf("gateway: /stats encode: %v", err)
+		if err := enc.Encode(s.Snapshot()); err != nil && s.Logf != nil {
+			s.Logf("gateway: /stats encode: %v", err)
 		}
 	})
 }

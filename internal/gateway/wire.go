@@ -1,9 +1,11 @@
 // Package gateway exposes a fleet.Gateway over TCP: the network face of
 // the paper's deployment story, where a long-running portal mediates
 // many smart-card subjects against one untrusted store. The protocol is
-// deliberately tiny — open-session / query / close-session / stats,
-// length-prefixed frames, responses correlated by order — and one
-// client multiplexes any number of wire sessions over one connection.
+// deliberately tiny — open-session / query / close-session / stats over
+// internal/wire's length-prefixed frames, responses correlated by order
+// — and one client multiplexes any number of wire sessions over one
+// connection. Serving, draining and framing are wire's, shared with
+// dspd; this package keeps its op codes, their dispatch and its types.
 //
 // A wire session is a cheap binding of a session id to a subject name;
 // the expensive state (provisioned cards, cipher contexts, prefetch
@@ -11,17 +13,9 @@
 // client connecting, querying and disconnecting does not churn cards.
 package gateway
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"sync"
-)
-
-// Wire protocol: each message is a uint32 big-endian length followed by
-// the payload. Requests start with an op byte; responses start with a
-// status byte (statusOK/statusErr) followed by the body or an error
-// string.
+// Wire protocol: internal/wire's framing, reader, client round trip and
+// serve loop; this file holds only the gateway's op codes, its frame
+// limit and its error type.
 const (
 	// opOpen binds a session id to a subject: request is the subject
 	// name; response is the new session id (uvarint).
@@ -38,11 +32,6 @@ const (
 	opStats = 4
 )
 
-const (
-	statusOK  = 0
-	statusErr = 1
-)
-
 // maxFrame bounds a single message: far above any authorized view this
 // system produces, low enough to stop hostile length prefixes.
 const maxFrame = 16 << 20
@@ -54,103 +43,5 @@ type ServerError string
 
 func (e ServerError) Error() string { return "gateway: server: " + string(e) }
 
-// writeFrame sends one length-prefixed message.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("gateway: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrameInto receives one length-prefixed message into buf when its
-// capacity suffices, allocating only when the frame is larger. The
-// returned slice aliases buf in the reuse case.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("gateway: frame of %d bytes exceeds limit", n)
-	}
-	if uint32(cap(buf)) >= n {
-		buf = buf[:n]
-	} else {
-		buf = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// wire string helpers (uvarint length prefix).
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-type wireReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.err = fmt.Errorf("gateway: truncated varint at offset %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *wireReader) string() string {
-	l := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if l > uint64(len(r.data)-r.pos) {
-		r.err = fmt.Errorf("gateway: truncated field at offset %d", r.pos)
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+int(l)])
-	r.pos += int(l)
-	return s
-}
-
-func (r *wireReader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.data[r.pos:]
-	r.pos = len(r.data)
-	return b
-}
-
-// bufPool recycles request/response build buffers across frames — the
-// same discipline the dsp tier applies to its block frames, applied to
-// the gateway's small control messages.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-const maxPooledBuf = 1 << 20
-
-func getBuf() []byte { return (*bufPool.Get().(*[]byte))[:0] }
-
-func putBuf(b []byte) {
-	if cap(b) > maxPooledBuf {
-		return // oversized one-off; let it be collected
-	}
-	bufPool.Put(&b)
-}
+// serverError is the wire.RoundTrip hook that types a StatusErr reply.
+func serverError(msg []byte) error { return ServerError(msg) }
