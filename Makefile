@@ -37,14 +37,16 @@ test-stress:
 
 ## test-rearm: the differential tests of reused card state — a re-armed
 ## session, a pooled terminal session and a standing subscriber against
-## fresh ones, after other evaluations and after aborts at every block;
+## fresh ones, after other evaluations, after aborts at every block and
+## across documents whose dictionaries differ; automata compiled into a
+## machine that held another against fresh ones;
 ## the golden cost-model values; a session that delivers to its owner's
 ## sink against the record path (and a sink that fails under it); the
 ## prefetch pipeline at every readahead depth against the serial pull,
 ## its run lengths and its check on what a store answers — repeated
 ## under the race detector
 test-rearm:
-	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestDirectDelivery|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked' ./internal/soe/ ./internal/proxy/ ./internal/dissem/
+	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestDirectDelivery|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/
 
 ## test-republish: the re-publication path — a long-lived publisher's
 ## retained diff base against a fresh publisher per commit, a foreign
@@ -78,7 +80,8 @@ gateway-soak:
 ## fuzz-smoke: short fuzz runs over the decoders of bytes that arrive
 ## from outside (stored blocks and sealed blobs, the container header,
 ## the document payload decoded block by block through the card's input
-## window, the card's record stream cut at arbitrary points, dspd's
+## window, the tag dictionary decoded into one that held another, the
+## card's record stream cut at arbitrary points, dspd's
 ## one-frame commit and the log record recovery replays it from, the
 ## checkpoint image a store directory is reopened from, the sealed rule
 ## set's plaintext, the XPath parser, dspd's request dispatch, the
@@ -90,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlob -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecoderChunked -fuzztime=10s ./internal/soe/
+	$(GO) test -run=NONE -fuzz=FuzzDictDecodeRearm -fuzztime=10s ./internal/tagdict/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/proxy/
 	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
 	$(GO) test -run=NONE -fuzz=FuzzCommitFrame -fuzztime=10s ./internal/dsp/

@@ -27,6 +27,7 @@ package automaton
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/skipindex"
 	"repro/internal/tagdict"
@@ -168,25 +169,43 @@ type compiler struct {
 
 // Compile builds the machine for an absolute expression against dict.
 func Compile(path *xpath.Path, dict *tagdict.Dict) (*Machine, error) {
+	return CompileInto(new(Machine), path, dict)
+}
+
+// CompileInto builds the machine for path against dict in m, exactly as
+// Compile would, and returns m. Whatever m held before is overwritten,
+// and its storage — the state table, each state's transition, predicate
+// and requirement lists, the requirements' tag sets — is reused, so a
+// card that recompiles its rules at every header allocates nothing once
+// its machines have grown. A machine whose compilation failed must be
+// compiled again before use.
+func CompileInto(m *Machine, path *xpath.Path, dict *tagdict.Dict) (*Machine, error) {
 	if path == nil || len(path.Steps) == 0 {
 		return nil, fmt.Errorf("automaton: empty path")
 	}
-	c := &compiler{
-		m:    &Machine{Source: path, Universe: dict.Len()},
-		dict: dict,
-	}
+	m.Source, m.Universe = path, dict.Len()
+	m.States, m.Preds = m.States[:0], m.Preds[:0]
+	c := compiler{m: m, dict: dict}
 	start := c.newState()
 	if _, err := c.compileChain(start, path.Steps, -1); err != nil {
 		return nil, err
 	}
 	c.computeFireReqs()
-	return c.m, nil
+	return m, nil
 }
 
-// newState appends a fresh state and returns its id.
+// newState appends a fresh state and returns its id. The slot keeps the
+// lists a compilation before left in it, emptied.
 func (c *compiler) newState() StateID {
-	c.m.States = append(c.m.States, State{PredFinal: -1})
-	return StateID(len(c.m.States) - 1)
+	m := c.m
+	n := len(m.States)
+	if n == cap(m.States) {
+		m.States = append(m.States, State{})
+	}
+	m.States = m.States[:n+1]
+	s := &m.States[n]
+	*s = State{PredFinal: -1, Trans: s.Trans[:0], StartPreds: s.StartPreds[:0], FireReqs: s.FireReqs[:0]}
+	return StateID(n)
 }
 
 // compileChain appends a chain of states for steps, starting from `from`.
@@ -283,30 +302,28 @@ func (c *compiler) transitionFor(step xpath.Step, target StateID) (Transition, e
 // principle have taken — a lost optimization, never a soundness issue.
 func (c *compiler) computeFireReqs() {
 	m := c.m
-	// chainReq[s] is the requirement from state s (inclusive of outgoing
-	// tests) to its chain final.
-	chainReq := make([]FireReq, len(m.States))
 	for i := len(m.States) - 1; i >= 0; i-- {
 		s := &m.States[i]
 		if len(s.Trans) == 0 {
-			// Chain final: nothing further required.
-			chainReq[i] = FireReq{Codes: skipindex.NewSet(m.Universe), Possible: true}
 			continue
 		}
-		s.FireReqs = make([]FireReq, len(s.Trans))
+		s.FireReqs = slices.Grow(s.FireReqs[:0], len(s.Trans))[:len(s.Trans)]
 		for ti, tr := range s.Trans {
-			down := chainReq[tr.Target]
-			req := FireReq{Codes: down.Codes.Clone(), Possible: down.Possible}
+			// The requirement from the target on: a chain final requires
+			// nothing further; any other state has exactly one outgoing
+			// transition in this fragment, whose requirement it is.
+			req := &s.FireReqs[ti]
+			req.Codes, req.Possible = req.Codes.Reuse(m.Universe), true
+			if down := &m.States[tr.Target]; len(down.Trans) > 0 {
+				req.Codes.UnionWith(down.FireReqs[0].Codes)
+				req.Possible = down.FireReqs[0].Possible
+			}
 			switch tr.Kind {
 			case Exact:
 				req.Codes.Add(tr.Code)
 			case Never:
 				req.Possible = false
 			}
-			s.FireReqs[ti] = req
 		}
-		// A state has exactly one outgoing transition in this fragment;
-		// its chain requirement is that of its only alternative.
-		chainReq[i] = s.FireReqs[0]
 	}
 }

@@ -1,6 +1,9 @@
 package automaton
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,5 +200,88 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile(&xpath.Path{}, d); err == nil {
 		t.Error("empty path accepted")
+	}
+}
+
+// sameMachine reports the first difference between two machines, field
+// by field down to every requirement's tag set. An empty list and a nil
+// one are the same list: a re-armed machine keeps the storage a fresh one
+// never had.
+func sameMachine(got, want *Machine) string {
+	switch {
+	case got.Source != want.Source:
+		return "source"
+	case got.Universe != want.Universe:
+		return fmt.Sprintf("universe %d, want %d", got.Universe, want.Universe)
+	case !slices.EqualFunc(got.Preds, want.Preds, func(a, b PredInfo) bool { return reflect.DeepEqual(a, b) }):
+		return fmt.Sprintf("predicates %+v, want %+v", got.Preds, want.Preds)
+	case len(got.States) != len(want.States):
+		return fmt.Sprintf("%d states, want %d", len(got.States), len(want.States))
+	case got.MemBytes() != want.MemBytes():
+		return fmt.Sprintf("MemBytes %d, want %d", got.MemBytes(), want.MemBytes())
+	}
+	sameReq := func(a, b FireReq) bool { return a.Possible == b.Possible && a.Codes.Equal(b.Codes) }
+	for i := range want.States {
+		g, w := &got.States[i], &want.States[i]
+		if g.SelfLoop != w.SelfLoop || g.NavFinal != w.NavFinal || g.PredFinal != w.PredFinal ||
+			g.Cmp != w.Cmp || g.CmpValue != w.CmpValue ||
+			!slices.Equal(g.Trans, w.Trans) || !slices.Equal(g.StartPreds, w.StartPreds) ||
+			!slices.EqualFunc(g.FireReqs, w.FireReqs, sameReq) {
+			return fmt.Sprintf("state %d: %+v, want %+v", i, *g, *w)
+		}
+	}
+	return ""
+}
+
+// TestCompileIntoMatchesCompile: compiling Q into a machine that held P,
+// compiled against another dictionary, is compiling Q afresh — states,
+// transitions, predicate chains, every requirement set and the RAM
+// charge — for every pair of a spread of rule shapes, and after a
+// compilation that failed half way.
+func TestCompileIntoMatchesCompile(t *testing.T) {
+	exprs := []string{
+		"/a", "//b[c]/d", "/a/b/c/d/e", "//*[@id]", "//a[b/c = \"x\"][d]/e",
+		"/a[. = \"v\"]", "//missing/a", "/a//b//c[@*]", "//e[d[c[b]]]",
+		"/a/*/b[c != \"y\"]//d",
+	}
+	dicts := []*tagdict.Dict{
+		dict(t, "a", "b", "c", "d", "e", "@id"),
+		dict(t, "e", "d", "c"),
+		dict(t, "@id", "x", "y", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m",
+			"n", "o", "p", "q", "r", "s", "t", "u", "v", "w", "z", "aa", "bb", "cc", "dd", "ee",
+			"ff", "gg", "hh", "ii", "jj", "kk", "ll", "mm", "nn", "oo", "pp", "qq", "rr", "ss",
+			"tt", "uu", "vv", "ww", "xx", "yy", "zz", "a1", "b1", "c1", "d1", "e1", "f1", "g1",
+			"h1", "i1", "j1", "k1", "l1", "m1"), // a universe past one word
+		tagdict.New(),
+	}
+	bad := &xpath.Path{Steps: []xpath.Step{{Axis: xpath.Child, Name: "a"}, {Axis: xpath.Child}}}
+	var m Machine
+	for i, p := range exprs {
+		for j, q := range exprs {
+			dp, dq := dicts[i%len(dicts)], dicts[(i+j+1)%len(dicts)]
+			if _, err := CompileInto(&m, xpath.MustParse(p), dp); err != nil {
+				t.Fatal(err)
+			}
+			if j%3 == 0 {
+				if _, err := CompileInto(&m, bad, dq); err == nil {
+					t.Fatal("a step with no node test compiled")
+				}
+			}
+			qp := xpath.MustParse(q)
+			got, err := CompileInto(&m, qp, dq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != &m {
+				t.Fatal("CompileInto returned another machine")
+			}
+			want, err := Compile(qp, dq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameMachine(got, want); diff != "" {
+				t.Fatalf("%s then %s: %s", p, q, diff)
+			}
+		}
 	}
 }

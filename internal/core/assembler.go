@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tagdict"
 )
@@ -219,6 +220,16 @@ func (a *Assembler) delivered(n *anode) bool {
 // sweep did not keep, merges text that pruning made adjacent and leaves
 // out empty text, so the view is canonical.
 func (a *Assembler) Finish() (*View, error) {
+	return a.FinishInto(new(View))
+}
+
+// FinishInto is Finish into v: the view is built in v's storage, which
+// grows only when this view needs more of it, and v is returned (nil when
+// nothing was delivered). What v held before is overwritten, so an owner
+// that finishes every evaluation into one View — a standing subscriber,
+// which copies the view out before its next reception — must hand it to
+// nobody who keeps it.
+func (a *Assembler) FinishInto(v *View) (*View, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -259,11 +270,10 @@ func (a *Assembler) Finish() (*View, error) {
 
 	// keptNodes and keptText are upper bounds (content under a dropped
 	// attribute was counted), so the appends below never reallocate.
-	v := &View{
-		nodes: make([]vnode, 0, keptNodes),
-		text:  make([]byte, 0, keptText),
-		names: make([]string, maxCode+1),
-	}
+	v.nodes = slices.Grow(v.nodes[:0], keptNodes)
+	v.text = slices.Grow(v.text[:0], keptText)
+	v.names = slices.Grow(v.names[:0], maxCode+1)[:maxCode+1]
+	clear(v.names)
 	cur, curOld := int32(-1), int32(-1) // innermost open element, in view and arena indices
 	closeUpTo := func(i int32) {
 		for curOld >= 0 && a.nodes[curOld].end <= i {

@@ -82,7 +82,9 @@ const frameMem = 16
 // the configured Emitter and returns skip instructions when the skip
 // index proves a subtree irrelevant.
 type Evaluator struct {
-	machines    []*automaton.Machine
+	// machines are the compiled rules, then the query; each slot keeps
+	// its storage from one Reset to the next.
+	machines    []automaton.Machine
 	signs       []accessrule.Sign
 	queryIdx    int // index into machines, -1 when no query
 	defaultSign accessrule.Sign
@@ -134,8 +136,9 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 
 // Reset re-arms the evaluator for another document under cfg, exactly as
 // NewEvaluator would build it, but inside the storage the evaluations
-// before have grown: frame slots, token and decision slabs, condition
-// lists. An evaluator whose Reset failed must be Reset again before use.
+// before have grown: compiled automata, the attribute mask, frame slots,
+// token and decision slabs, condition lists. An evaluator whose Reset
+// failed must be Reset again before use.
 func (e *Evaluator) Reset(cfg Config) error {
 	if cfg.Rules == nil {
 		return fmt.Errorf("core: Config.Rules is required")
@@ -171,30 +174,24 @@ func (e *Evaluator) Reset(cfg Config) error {
 	e.finished, e.emitErr = false, nil
 
 	for _, r := range cfg.Rules.Rules {
-		m, err := automaton.Compile(r.Object, cfg.Dict)
-		if err != nil {
+		if err := e.compile(r.Object, cfg.Dict, r.Sign); err != nil {
 			return fmt.Errorf("core: rule %q: %w", r.ID, err)
 		}
-		e.machines = append(e.machines, m)
-		e.signs = append(e.signs, r.Sign)
 	}
 	if cfg.Query != nil {
-		m, err := automaton.Compile(cfg.Query, cfg.Dict)
-		if err != nil {
+		if err := e.compile(cfg.Query, cfg.Dict, accessrule.Permit); err != nil {
 			return fmt.Errorf("core: query: %w", err)
 		}
-		e.queryIdx = len(e.machines)
-		e.machines = append(e.machines, m)
-		e.signs = append(e.signs, accessrule.Permit)
+		e.queryIdx = len(e.machines) - 1
 	}
 
-	for _, m := range e.machines {
-		if err := gauge.Alloc(m.MemBytes()); err != nil {
+	for i := range e.machines {
+		if err := gauge.Alloc(e.machines[i].MemBytes()); err != nil {
 			return fmt.Errorf("core: loading automata: %w", err)
 		}
 	}
 
-	e.attrMask = skipindex.NewSet(cfg.Dict.Len())
+	e.attrMask = e.attrMask.Reuse(cfg.Dict.Len())
 	for i, name := range cfg.Dict.Names() {
 		if len(name) > 0 && name[0] == '@' {
 			e.attrMask.Add(tagdict.Code(i))
@@ -222,6 +219,21 @@ func (e *Evaluator) Reset(cfg Config) error {
 	}
 	e.entriesLive = len(root.entries)
 	e.frames = e.frames[:1]
+	return nil
+}
+
+// compile appends the machine of path, under sign, to the machine table:
+// into the slot past it, with the storage an earlier Reset left there.
+func (e *Evaluator) compile(path *xpath.Path, dict *tagdict.Dict, sign accessrule.Sign) error {
+	n := len(e.machines)
+	if n == cap(e.machines) {
+		e.machines = append(e.machines, automaton.Machine{})
+	}
+	e.machines = e.machines[:n+1]
+	if _, err := automaton.CompileInto(&e.machines[n], path, dict); err != nil {
+		return err
+	}
+	e.signs = append(e.signs, sign)
 	return nil
 }
 

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/card"
+	"repro/internal/core"
 	"repro/internal/docenc"
 	"repro/internal/proxy"
 	"repro/internal/soe"
@@ -28,9 +29,10 @@ import (
 )
 
 // Subscriber is one receiving device: a provisioned card plus its
-// terminal-side collector, which the card session delivers to. Both
-// stand from one stream to the next, re-armed at each header, so a
-// standing subscriber receives in the memory its earlier receptions grew.
+// terminal-side collector, which the card session delivers to, and the
+// view the collector finishes into. All three stand from one stream to
+// the next, re-armed at each header, so a standing subscriber receives in
+// the memory its earlier receptions grew.
 type Subscriber struct {
 	Name    string
 	Card    *card.Card
@@ -41,6 +43,7 @@ type Subscriber struct {
 	sess        *soe.Session
 	sessOptions soe.Options // what sess was opened with
 	col         *proxy.Collector
+	view        core.View // each reception's view, copied out into its Tree
 	meterBefore card.Meter
 
 	// BlocksOffered / BlocksForwarded measure the terminal-side filter
@@ -135,7 +138,7 @@ func (s *Subscriber) finish() (*Reception, error) {
 	if !s.sess.Done() {
 		return nil, fmt.Errorf("stream ended but the session is not done")
 	}
-	view, err := s.col.View()
+	view, err := s.col.ViewInto(&s.view)
 	if err != nil {
 		return nil, err
 	}

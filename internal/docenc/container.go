@@ -1,6 +1,7 @@
 package docenc
 
 import (
+	"crypto/hmac"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -196,9 +197,18 @@ func uvarint(data []byte) (v uint64, n int) {
 	return v, n
 }
 
-// Verify checks the header tag against the document key.
-func (h *Header) Verify(key secure.DocKey) error {
-	return secure.VerifyHeaderMAC(key, h.canonical(), h.MAC)
+// Verify checks the header tag, in constant time, through the document
+// key's context. The canonical bytes are built on the stack (HeaderMAC
+// only reads them), so a card checking every header it is handed
+// allocates nothing for it unless the header outgrows the buffer (a long
+// document id or many generation runs).
+func (h *Header) Verify(ctx *secure.BlockContext) error {
+	var buf [128]byte
+	want := ctx.HeaderMAC(h.appendCanonical(buf[:0]))
+	if !hmac.Equal(want[:], h.MAC[:]) {
+		return fmt.Errorf("%w: header tag mismatch", secure.ErrIntegrity)
+	}
+	return nil
 }
 
 // NumBlocks derives the block count from the geometry.
@@ -307,11 +317,11 @@ func UnmarshalContainer(data []byte) (*Container, error) {
 // by tests and by trusted-terminal baselines; the SOE pipeline decrypts
 // block by block instead).
 func (c *Container) DecryptPayload(key secure.DocKey) ([]byte, error) {
-	if err := c.Header.Verify(key); err != nil {
-		return nil, err
-	}
 	sctx, err := secure.NewBlockContext(key)
 	if err != nil {
+		return nil, err
+	}
+	if err := c.Header.Verify(sctx); err != nil {
 		return nil, err
 	}
 	// Every block is decrypted where it belongs in one buffer the size the

@@ -250,7 +250,8 @@ func TestGenRunsHeaderRoundTrip(t *testing.T) {
 	if n != len(img) {
 		t.Fatalf("consumed %d of %d header bytes", n, len(img))
 	}
-	if err := back.Verify(key); err != nil {
+	ctx := keyContext(t, key)
+	if err := back.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []uint32{2, 2, 2, 7, 7, 7, 7, 5} {
@@ -262,7 +263,7 @@ func TestGenRunsHeaderRoundTrip(t *testing.T) {
 	tampered := back
 	tampered.GenRuns = append([]GenRun(nil), back.GenRuns...)
 	tampered.GenRuns[1].Gen = 2
-	if err := tampered.Verify(key); err == nil {
+	if err := tampered.Verify(ctx); err == nil {
 		t.Fatal("generation rollback passed header authentication")
 	}
 }

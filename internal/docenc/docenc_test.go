@@ -11,6 +11,16 @@ import (
 
 func testKey() secure.DocKey { return secure.KeyFromSeed("docenc-test") }
 
+// keyContext builds the context a header is verified through.
+func keyContext(t *testing.T, key secure.DocKey) *secure.BlockContext {
+	t.Helper()
+	ctx, err := secure.NewBlockContext(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	docs := map[string]*xmlstream.Node{
 		"medical": workload.MedicalFolder(workload.MedicalConfig{Seed: 1, Patients: 5, VisitsPerPatient: 3}),
@@ -101,12 +111,13 @@ func TestHeaderRoundTripAndVerify(t *testing.T) {
 	if h.DocID != "agenda" || h.Version != 9 || h.PayloadLen != c.Header.PayloadLen {
 		t.Errorf("header fields changed: %+v", h)
 	}
-	if err := h.Verify(testKey()); err != nil {
+	ctx := keyContext(t, testKey())
+	if err := h.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Tampered geometry must fail authentication.
 	h.PayloadLen--
-	if err := h.Verify(testKey()); err == nil {
+	if err := h.Verify(ctx); err == nil {
 		t.Error("tampered header accepted")
 	}
 }

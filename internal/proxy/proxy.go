@@ -232,8 +232,13 @@ func (c *Collector) PendingLoad() (int, int64) {
 // View finalizes the assembly into the authorized view (nil when nothing
 // is visible); it fails if the card never signalled completion.
 func (c *Collector) View() (*core.View, error) {
+	return c.ViewInto(new(core.View))
+}
+
+// ViewInto is View built in v's storage (see core.Assembler.FinishInto).
+func (c *Collector) ViewInto(v *core.View) (*core.View, error) {
 	if !c.done {
 		return nil, fmt.Errorf("proxy: card session ended without a done record")
 	}
-	return c.asm.Finish()
+	return c.asm.FinishInto(v)
 }

@@ -137,15 +137,16 @@ func TestSessionReuseMatchesFreshSession(t *testing.T) {
 // loop: a warmed Session answers a query under a predicate-bearing
 // profile (tokens, pending decisions, pending groups) with a number of
 // allocations that does not follow the document. What is left is per
-// query and per fetched run — header, dictionary, automata, the
-// pipeline's channels, the view's slabs — so four times the patients may
-// cost at most 15% more, and the bound below is far under one
-// allocation per element.
+// query — the header's bytes, the result and its view's slabs — and per
+// fetched run (the in-process store's run of blocks; the larger folder
+// takes two runs more), so four times the patients may cost at most 15%
+// or four allocations more, whichever is larger, and the bound below is
+// far under one allocation per element.
 func TestCardPathAllocsFlatAcrossDocumentSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	const bound = 250
+	const bound = 20
 	measure := func(patients int) float64 {
 		doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 11, Patients: patients, VisitsPerPatient: 4})
 		rs := workload.MustParseRules("subject asthma\ndefault -\n+ //patient[visit/diagnosis = \"asthma\"]\n- //ssn\n+ //visit[report]/date")
@@ -170,7 +171,7 @@ func TestCardPathAllocsFlatAcrossDocumentSize(t *testing.T) {
 	}
 	small, large := measure(30), measure(120)
 	t.Logf("allocations per query: %.0f for 30 patients, %.0f for 120", small, large)
-	if large > small*1.15 || large > bound {
-		t.Errorf("allocations per query: %.0f for 30 patients, %.0f for 120; want within 15%% of each other and at most %d", small, large, bound)
+	if large > max(small*1.15, small+4) || large > bound {
+		t.Errorf("allocations per query: %.0f for 30 patients, %.0f for 120; want within 15%% or 4 of each other and at most %d", small, large, bound)
 	}
 }

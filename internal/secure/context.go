@@ -131,13 +131,15 @@ func (c *BlockContext) mac(s *blockScratch, docID string, version, blockIdx uint
 
 // HeaderMAC is the context form of the package-level HeaderMAC,
 // bit-identical to it: the same HMAC-SHA-256 over "hdr" || headerBytes,
-// from the precomputed pad states instead of a fresh hmac.New.
+// from the precomputed pad states instead of a fresh hmac.New. The
+// preimage is assembled in the pooled scratch, so headerBytes is only
+// read during the call and a caller may build it on its stack.
 func (c *BlockContext) HeaderMAC(headerBytes []byte) [HeaderMACLen]byte {
 	s := c.scratch.Get().(*blockScratch)
 	defer c.scratch.Put(s)
 	restore(s.inner, c.ipad)
-	s.inner.Write([]byte("hdr"))
-	s.inner.Write(headerBytes)
+	s.pre = append(append(s.pre[:0], "hdr"...), headerBytes...)
+	s.inner.Write(s.pre)
 	innerSum := s.inner.Sum(s.sum[:0])
 	restore(s.outer, c.opad)
 	s.outer.Write(innerSum)

@@ -127,15 +127,6 @@ func HeaderMAC(key DocKey, headerBytes []byte) [HeaderMACLen]byte {
 	return out
 }
 
-// VerifyHeaderMAC checks a header tag in constant time.
-func VerifyHeaderMAC(key DocKey, headerBytes []byte, tag [HeaderMACLen]byte) error {
-	want := HeaderMAC(key, headerBytes)
-	if !hmac.Equal(want[:], tag[:]) {
-		return fmt.Errorf("%w: header tag mismatch", ErrIntegrity)
-	}
-	return nil
-}
-
 // EncryptBlob seals a small standalone blob (rule sets on the DSP) with
 // the same primitives, using block index 0 of a caller-chosen namespace.
 func EncryptBlob(key DocKey, namespace string, version uint32, plain []byte) ([]byte, error) {

@@ -20,6 +20,7 @@ package skipindex
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/tagdict"
 )
@@ -48,6 +49,14 @@ func SetOver(words []uint64, n int) Set {
 		panic(fmt.Sprintf("skipindex: %d words for a set over %d codes", len(words), n))
 	}
 	return Set{words: words, n: n}
+}
+
+// Reuse returns an empty set over n codes in s's words, which grow only
+// when n needs more of them: s is not to be used afterwards.
+func (s Set) Reuse(n int) Set {
+	w := slices.Grow(s.words[:0], SetWords(n))[:SetWords(n)]
+	clear(w)
+	return Set{words: w, n: n}
 }
 
 // Universe returns the universe size the set was created with.

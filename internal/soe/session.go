@@ -19,6 +19,7 @@
 package soe
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -55,9 +56,11 @@ const (
 // Session is one (document, subject[, query]) evaluation at a time. The
 // object outlives the evaluation: Restart re-arms it for the next one in
 // the memory it already owns — source window, record buffer, block
-// buffer, decoder and evaluator with their slabs — which is how a
-// terminal that serves query after query on one card (proxy.Session,
-// dissem.Subscriber) keeps the per-event loop off the allocator.
+// buffer, tag dictionary, decoder, and evaluator with its compiled
+// automata and slabs — which is how a terminal that serves query after
+// query on one card (proxy.Session, dissem.Subscriber) keeps the
+// evaluation off the allocator: each header's dictionary is decoded and
+// the rules compiled anew, into storage the session already holds.
 type Session struct {
 	card *card.Card
 	opts Options
@@ -66,7 +69,6 @@ type Session struct {
 	subject string
 	query   *xpath.Path
 
-	key    secure.DocKey
 	ctx    *secure.BlockContext // card-cached cipher state; immutable once set
 	header docenc.Header
 	// valueLimit bounds a text node that must be buffered whole
@@ -74,8 +76,8 @@ type Session struct {
 	valueLimit int
 
 	ram        mem.Scope
-	dict       *tagdict.Dict
-	dictEEPROM int // session-scoped stable storage, reclaimed at end
+	dict       tagdict.Dict // decoded anew at each header (Dict.Decode)
+	dictEEPROM int          // session-scoped stable storage, reclaimed at end
 	dec        docenc.Decoder
 	eval       core.Evaluator
 	evalArmed  bool // eval belongs to this evaluation (dictionary phase done)
@@ -128,7 +130,7 @@ func (s *Session) Restart(docID, subject string, query *xpath.Path) error {
 		return err
 	}
 	s.docID, s.subject, s.query = docID, subject, query
-	s.ctx, s.dict = nil, nil
+	s.ctx = nil
 	s.ram = mem.Scope{Parent: s.card.RAM}
 	s.evalArmed = false
 	s.lastStats = core.Stats{}
@@ -165,21 +167,16 @@ func (s *Session) LoadHeader(hdrBytes []byte) error {
 	if err != nil {
 		return s.abort(err)
 	}
-	key, err := s.card.Key(h.DocID)
+	ctx, err := s.card.DecryptContext(h.DocID)
 	if err != nil {
 		return s.abort(err)
 	}
-	if err := h.Verify(key); err != nil {
+	if err := h.Verify(ctx); err != nil {
 		return s.abort(fmt.Errorf("soe: header authentication: %w", err))
 	}
 	if h.DocID != s.docID {
 		return s.abort(fmt.Errorf("soe: header is for document %q, session is for %q", h.DocID, s.docID))
 	}
-	ctx, err := s.card.DecryptContext(h.DocID)
-	if err != nil {
-		return s.abort(err)
-	}
-	s.key = key
 	s.ctx = ctx
 	s.header = h
 	s.valueLimit = s.opts.MaxValue
@@ -310,17 +307,19 @@ func (s *Session) feedPlain(blockIdx int, plain []byte) ([]byte, error) {
 	return s.drainOut(), nil
 }
 
-// tryFinishDict attempts to parse the tag dictionary from the buffered
-// payload prefix and, on success, builds the decoder and the evaluator.
+// tryFinishDict attempts to decode the tag dictionary from the buffered
+// payload prefix and, on success, arms the decoder and the evaluator. A
+// dictionary cut short waits for more payload; any other fault in it
+// fails the block that revealed it.
 func (s *Session) tryFinishDict() error {
-	window := s.src.window()
-	dict, n, err := tagdict.UnmarshalBinary(window)
+	n, err := s.dict.Decode(s.src.window())
+	if errors.Is(err, tagdict.ErrTruncated) && s.src.windowEnd() < int(s.header.PayloadLen) {
+		return docenc.ErrNeedMore
+	}
 	if err != nil {
-		if s.src.windowEnd() < int(s.header.PayloadLen) {
-			return docenc.ErrNeedMore // likely truncated: wait for more payload
-		}
 		return fmt.Errorf("soe: dictionary: %w", err)
 	}
+	dict := &s.dict
 	// The dictionary moves to secure stable storage for the session
 	// (lazy name bindings are resolved from there, not from RAM); the
 	// space is reclaimed when the session ends.
@@ -330,7 +329,6 @@ func (s *Session) tryFinishDict() error {
 	}
 	s.dictEEPROM = dictBytes
 	s.card.Meter.EEPROMBytes += int64(dictBytes)
-	s.dict = dict
 	if err := s.src.consume(n); err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@ package tagdict
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -130,35 +131,72 @@ func (d *Dict) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
+// ErrTruncated wraps the error of a dictionary cut short: more bytes may
+// yet complete it. Every other decode error is final.
+var ErrTruncated = errors.New("tagdict: truncated dictionary")
+
 // UnmarshalBinary decodes a dictionary produced by MarshalBinary and
 // returns the number of bytes consumed.
 func UnmarshalBinary(data []byte) (*Dict, int, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("tagdict: truncated count")
-	}
-	if count > MaxTags {
-		return nil, 0, fmt.Errorf("tagdict: declared %d tags exceeds maximum %d", count, MaxTags)
-	}
-	pos := n
 	d := New()
+	n, err := d.Decode(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return d, n, nil
+}
+
+// Decode replaces d's entries with the dictionary MarshalBinary encoded
+// at the head of data and returns the number of bytes consumed. It works
+// in the storage d already holds: the map is cleared, not reallocated,
+// and a name byte-equal to the one d held at the same code keeps that
+// string — so a card re-decoding the dictionary of each header it
+// authenticates allocates nothing for the names it saw last time. A zero
+// Dict decodes too. On an error d holds a prefix of the entries and must
+// be decoded again before use.
+func (d *Dict) Decode(data []byte) (int, error) {
+	prev := d.names // read at code c before the entry for c overwrites it
+	d.names = d.names[:0]
+	if d.codes == nil {
+		d.codes = make(map[string]Code)
+	}
+	clear(d.codes)
+	count, pos := binary.Uvarint(data)
+	switch {
+	case pos == 0:
+		return 0, fmt.Errorf("%w: no tag count", ErrTruncated)
+	case pos < 0:
+		return 0, fmt.Errorf("tagdict: malformed tag count")
+	case count > MaxTags:
+		return 0, fmt.Errorf("tagdict: declared %d tags exceeds maximum %d", count, MaxTags)
+	}
 	for i := uint64(0); i < count; i++ {
 		l, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("tagdict: truncated length of tag %d", i)
+		switch {
+		case n == 0:
+			return 0, fmt.Errorf("%w: length of tag %d", ErrTruncated, i)
+		case n < 0:
+			return 0, fmt.Errorf("tagdict: malformed length of tag %d", i)
 		}
 		pos += n
 		// Compared as uint64: a declared length of 2^63 or more must not
 		// wrap negative and slip past the bound.
 		if l > uint64(len(data)-pos) {
-			return nil, 0, fmt.Errorf("tagdict: truncated name of tag %d", i)
+			return 0, fmt.Errorf("%w: name of tag %d", ErrTruncated, i)
 		}
-		if _, err := d.Add(string(data[pos : pos+int(l)])); err != nil {
-			return nil, 0, err
-		}
+		name := data[pos : pos+int(l)]
 		pos += int(l)
+		var s string
+		if c := len(d.names); c < len(prev) && prev[c] == string(name) {
+			s = prev[c]
+		} else {
+			s = string(name)
+		}
+		if _, err := d.Add(s); err != nil {
+			return 0, err
+		}
 	}
-	return d, pos, nil
+	return pos, nil
 }
 
 // ByteSize estimates the serialized size without serializing.

@@ -1,8 +1,14 @@
 package tagdict
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/race"
 )
 
 func TestAddAndLookup(t *testing.T) {
@@ -88,19 +94,35 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalErrors: every malformed dictionary fails, and only one
+// cut short wraps ErrTruncated — the one error more bytes could cure.
 func TestUnmarshalErrors(t *testing.T) {
-	cases := [][]byte{
-		{},                 // no count
-		{2, 3, 'a'},        // truncated names
-		{2, 1, 'a'},        // second name missing
-		{0xFF, 0xFF, 0xFF}, // huge count varint (truncated)
+	cases := []struct {
+		data      []byte
+		truncated bool
+	}{
+		{[]byte{}, true},                 // no count
+		{[]byte{0x80}, true},             // count varint cut short
+		{[]byte{0xFF, 0xFF, 0xFF}, true}, // huge count varint, cut short
+		{[]byte{2, 3, 'a'}, true},        // name cut short
+		{[]byte{2, 1, 'a'}, true},        // second tag missing
+		{[]byte{2, 1, 'a', 0x81}, true},  // second length cut short
 		// A name length of 2^63: negative as an int, it once passed the
 		// bound check and panicked in the slice expression.
-		{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'},
+		{[]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'}, true},
+		{[]byte{1, 0, 'a'}, false},              // empty name
+		{[]byte{0x81, 0x40}, false},             // 8193 tags
+		{bytes.Repeat([]byte{0xFF}, 11), false}, // count overflows 64 bits
+		{[]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, false}, // length overflows
 	}
-	for i, data := range cases {
-		if _, _, err := UnmarshalBinary(data); err == nil {
-			t.Errorf("case %d: expected error", i)
+	for i, c := range cases {
+		_, _, err := UnmarshalBinary(c.data)
+		if err == nil {
+			t.Errorf("case %d (% x): decoded", i, c.data)
+			continue
+		}
+		if got := errors.Is(err, ErrTruncated); got != c.truncated {
+			t.Errorf("case %d (% x): %v; truncated %t, want %t", i, c.data, err, got, c.truncated)
 		}
 	}
 }
@@ -147,4 +169,83 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestDecodeAgainAllocatesNothing: decoding the dictionary a Dict already
+// holds keeps every name's string and the map's storage.
+func TestDecodeAgainAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	src, _ := FromTags([]string{"folder", "patient", "@id", "ssn", "visit", "diagnosis"})
+	blob, _ := src.MarshalBinary()
+	var d Dict
+	if _, err := d.Decode(blob); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := d.Decode(blob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("re-decoding the same dictionary allocated %.0f times", n)
+	}
+}
+
+// FuzzDictDecodeRearm: decoding B into a Dict that held A is decoding B
+// into a new one — the names, every name's code, the bytes consumed and
+// the error — whether B shrinks or grows A, renames a tag at a code A
+// used, repeats a name, or either fails half way.
+func FuzzDictDecodeRearm(f *testing.F) {
+	enc := func(names ...string) []byte {
+		var b []byte
+		b = binary.AppendUvarint(b, uint64(len(names)))
+		for _, n := range names {
+			b = binary.AppendUvarint(b, uint64(len(n)))
+			b = append(b, n...)
+		}
+		return b
+	}
+	abc := enc("a", "b", "c")
+	f.Add(abc, enc("a", "b"))               // shrinks
+	f.Add(enc("a"), abc)                    // grows
+	f.Add(abc, enc("a", "x", "c"))          // renames at a code
+	f.Add(abc, enc("c", "b", "a"))          // reorders
+	f.Add(abc, enc("a", "a", "b", "c"))     // repeats a name
+	f.Add(enc("a", "b", "a", "c"), abc)     // a repeat before
+	f.Add(abc, append(enc("b", "c"), 0xEE)) // trailing bytes
+	f.Add(abc[:4], abc)                     // A cut short
+	f.Add(abc, []byte{3, 1, 'a', 0, 'b'})   // B with an empty name
+	f.Add(abc, []byte{0x81, 0x40})          // B over MaxTags
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var d Dict
+		_, _ = d.Decode(a)
+		n, err := d.Decode(b)
+		fresh, wantN, wantErr := UnmarshalBinary(b)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("after %x: error %v, fresh %v", a, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if n != wantN {
+			t.Fatalf("after %x: consumed %d, fresh %d", a, n, wantN)
+		}
+		if !slices.Equal(d.Names(), fresh.Names()) {
+			t.Fatalf("after %x: names %q, fresh %q", a, d.Names(), fresh.Names())
+		}
+		for c, name := range fresh.Names() {
+			if got := d.Code(name); got != Code(c) {
+				t.Fatalf("after %x: %q has code %d, fresh %d", a, name, got, c)
+			}
+		}
+		if prev, _, err := UnmarshalBinary(a); err == nil {
+			for _, name := range prev.Names() {
+				if d.Code(name) != fresh.Code(name) {
+					t.Fatalf("after %x: %q from the decode before has code %d, fresh %d", a, name, d.Code(name), fresh.Code(name))
+				}
+			}
+		}
+	})
 }
