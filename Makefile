@@ -56,10 +56,11 @@ test-rearm:
 ## the staged handshake and the in-process application on every store
 ## tier, readers of a commit parked in its fsync, a kill inside that
 ## fsync, racing commits against replay; the context header MAC against
-## the package one, the encoder's golden bytes and the store-side
-## handshake tests — repeated under the race detector
+## the package one, a kept encoding plan against a fresh one through
+## edits that keep and change the shape, the encoder's golden bytes and
+## the store-side handshake tests — repeated under the race detector
 test-republish:
-	$(GO) test -race -count=5 -run 'TestRepublish|TestDiffEncode|TestEncoderMatchesGolden|TestHeaderMAC' ./internal/docenc/ ./internal/proxy/ ./internal/dsp/ ./internal/secure/ .
+	$(GO) test -race -count=5 -run 'TestRepublish|TestDiffEncode|TestPlanReuse|TestEncoderMatchesGolden|TestHeaderMAC' ./internal/docenc/ ./internal/proxy/ ./internal/dsp/ ./internal/secure/ .
 
 ## bench: one-iteration benchmark smoke run (perf code must keep compiling and running)
 bench:
@@ -84,10 +85,11 @@ gateway-soak:
 ## card's record stream cut at arbitrary points, dspd's
 ## one-frame commit and the log record recovery replays it from, the
 ## checkpoint image a store directory is reopened from, the sealed rule
-## set's plaintext, the XPath parser, dspd's request dispatch, the
-## client's block-run reply, gatewayd's requests and the card applet's
-## APDU commands) and the serializer's round trip; CI runs this on every
-## push, longer runs stay manual
+## set's plaintext and the card's open of the sealed set, the XPath
+## parser, dspd's request dispatch, the client's block-run reply,
+## gatewayd's requests and the card applet's APDU commands), the
+## serializer's round trip and the encoder's kept plan against a fresh
+## one; CI runs this on every push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalHeader -fuzztime=10s ./internal/docenc/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
@@ -105,6 +107,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseBlockRun -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzGatewayDispatch -fuzztime=10s ./internal/gateway/
 	$(GO) test -run=NONE -fuzz=FuzzAppletProcess -fuzztime=10s ./internal/apdu/
+	$(GO) test -run=NONE -fuzz=FuzzPutSealedRuleSet -fuzztime=10s ./internal/card/
+	$(GO) test -run=NONE -fuzz=FuzzPlanReuse -fuzztime=10s ./internal/docenc/
 
 ## fmt: fail if any file needs gofmt
 fmt:

@@ -18,33 +18,6 @@ import (
 // surviving generations in the header's MAC'd GenRuns vector so the SOE
 // keeps authenticating every block.
 
-// BlockRun is a contiguous run of block indexes.
-type BlockRun struct {
-	Start, Count int
-}
-
-// DiffBlocks compares two payload images block-aligned and returns the
-// runs of block indexes (over the NEW geometry) whose plaintext differs —
-// including every block past the end of the shorter payload.
-func DiffBlocks(oldPayload, newPayload []byte, blockPlain int) []BlockRun {
-	if blockPlain <= 0 {
-		return nil
-	}
-	numNew := (len(newPayload) + blockPlain - 1) / blockPlain
-	var runs []BlockRun
-	for i := 0; i < numNew; i++ {
-		if blockEqual(blockAt(oldPayload, blockPlain, i), blockAt(newPayload, blockPlain, i)) {
-			continue
-		}
-		if n := len(runs); n > 0 && runs[n-1].Start+runs[n-1].Count == i {
-			runs[n-1].Count++
-		} else {
-			runs = append(runs, BlockRun{Start: i, Count: 1})
-		}
-	}
-	return runs
-}
-
 // blockAt returns payload's plaintext block i under the given geometry
 // (nil when i is past the end).
 func blockAt(payload []byte, blockPlain, i int) []byte {
@@ -94,15 +67,6 @@ type DeltaUpdate struct {
 	BytesChanged int64
 }
 
-// ChangedRuns returns the delta's runs as index ranges (no payloads).
-func (d *DeltaUpdate) ChangedRuns() []BlockRun {
-	out := make([]BlockRun, len(d.Runs))
-	for i, r := range d.Runs {
-		out[i] = BlockRun{Start: r.Start, Count: len(r.Blocks)}
-	}
-	return out
-}
-
 // DiffEncode encodes root as the successor of old: the new version is
 // old's plus one, unchanged blocks keep old ciphertext and generation,
 // and only changed blocks are re-encrypted. The old container is
@@ -120,7 +84,7 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 	if err != nil {
 		return nil, nil, fmt.Errorf("docenc: authenticating the delta base: %w", err)
 	}
-	d, info, _, err := DiffEncodePayload(root, opts, nil, &old.Header, oldPayload, nil)
+	d, info, _, err := DiffEncodePayload(root, opts, nil, nil, &old.Header, oldPayload, nil)
 	return d, info, err
 }
 
@@ -134,10 +98,13 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 // that keeps it has the base of its next diff without asking the store;
 // dst must not overlap basePayload. sctx, when not nil, is a context for
 // opts.Key that the caller keeps across diffs; the blocks and the header
-// are sealed through it. A wrong base cannot damage the new version —
-// every block is encoded from root — only make the delta carry too few
-// or too many blocks.
-func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.BlockContext, base *Header, basePayload, dst []byte) (*DeltaUpdate, *EncodeInfo, []byte, error) {
+// are sealed through it. plan, when not nil, is the Plan the caller
+// keeps across diffs of the document: root is sized through it, which
+// costs one walk when root has the shape the plan was last sized for,
+// and leaves it sized for root. A wrong base cannot damage the new
+// version — every block is encoded from root — only make the delta carry
+// too few or too many blocks.
+func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.BlockContext, plan *Plan, base *Header, basePayload, dst []byte) (*DeltaUpdate, *EncodeInfo, []byte, error) {
 	if opts.DocID != "" && opts.DocID != base.DocID {
 		return nil, nil, nil, fmt.Errorf("docenc: delta DocID %q does not match base %q",
 			opts.DocID, base.DocID)
@@ -165,7 +132,7 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.Bl
 	}
 	// The header is sealed once, below, when the generation vector is
 	// known: the encoder's own gen-free seal would be overwritten.
-	enc, err := newEncoder(root, opts)
+	enc, err := newEncoder(root, opts, plan)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -138,8 +138,8 @@ func TestDiffEncodeDelta(t *testing.T) {
 	}
 	// Unchanged blocks must be the old ciphertext, byte for byte.
 	changed := make(map[int]bool)
-	for _, r := range delta.ChangedRuns() {
-		for i := 0; i < r.Count; i++ {
+	for _, r := range delta.Runs {
+		for i := range r.Blocks {
 			changed[r.Start+i] = true
 		}
 	}
@@ -265,25 +265,5 @@ func TestGenRunsHeaderRoundTrip(t *testing.T) {
 	tampered.GenRuns[1].Gen = 2
 	if err := tampered.Verify(ctx); err == nil {
 		t.Fatal("generation rollback passed header authentication")
-	}
-}
-
-// TestDiffBlocks: the run coalescing over raw payloads.
-func TestDiffBlocks(t *testing.T) {
-	old := bytes.Repeat([]byte{'o'}, 10*16)
-	niu := append([]byte(nil), old...)
-	niu[0] ^= 1          // block 0
-	niu[16*3+5] ^= 1     // block 3
-	niu[16*4] ^= 1       // block 4 (coalesces with 3)
-	niu = niu[:10*16-20] // drops into block 8; block 9 disappears
-	runs := DiffBlocks(old, niu, 16)
-	want := []BlockRun{{0, 1}, {3, 2}, {8, 1}}
-	if len(runs) != len(want) {
-		t.Fatalf("runs %+v, want %+v", runs, want)
-	}
-	for i := range want {
-		if runs[i] != want[i] {
-			t.Fatalf("runs %+v, want %+v", runs, want)
-		}
 	}
 }

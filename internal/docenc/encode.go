@@ -27,19 +27,26 @@
 // its parent's, index-free subtrees are contiguous and the decoder's
 // parent-set stack stays consistent.
 //
-// Encoding is a streaming two-phase pass: a counting walk sizes two
-// slabs, a sizing walk fills them with every element's content tag set
-// and exact encoded size (sizes, not bytes), after which the emitter
-// produces the payload front to back in one pass, encrypting and handing
-// off each block as it fills. No payload or container image is ever
-// materialized — the resident state is the two slabs plus one plaintext
-// block, and the number of allocations does not depend on the size of
-// the document (the stored blocks handed to the caller aside).
+// Encoding is a streaming two-phase pass. The sizing pass builds a Plan:
+// a counting walk sizes two slabs, an annotating walk fills them with
+// every element's content tag set and exact encoded size (sizes, not
+// bytes). The emitter then produces the payload front to back in one
+// pass, appending each record to the current block and encrypting and
+// handing off each block as it fills. No payload or container image is
+// ever materialized — the resident state is the two slabs plus one
+// plaintext block, and the number of allocations does not depend on the
+// size of the document (the stored blocks handed to the caller aside).
+//
+// A re-publishing caller keeps the Plan across diffs
+// (DiffEncodePayload). All of it but the sizes follows from the tree's
+// shape, so for a tree of the same shape the sizing pass is a single
+// walk that checks the shape and recomputes the sizes.
 package docenc
 
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/secure"
 	"repro/internal/skipindex"
@@ -141,8 +148,8 @@ func EncodePayload(root *xmlstream.Node, opts EncodeOptions) ([]byte, *EncodeInf
 	if opts.DocID == "" {
 		opts.DocID = "payload-only"
 	}
-	p, err := newPlan(root, opts)
-	if err != nil {
+	p := new(Plan)
+	if err := p.size(root, opts); err != nil {
 		return nil, nil, err
 	}
 	// The payload is one block as long as itself.
@@ -151,10 +158,8 @@ func EncodePayload(root *xmlstream.Node, opts EncodeOptions) ([]byte, *EncodeInf
 		buf:  make([]byte, 0, p.payloadLen),
 		emit: func(_ int, plain []byte) error { out = plain; return nil },
 	}
-	if err := p.emit(bb); err != nil {
-		return nil, nil, err
-	}
-	if err := bb.flush(); err != nil {
+	p.emit(bb, root)
+	if err := bb.finish(); err != nil {
 		return nil, nil, err
 	}
 	if len(out) != p.payloadLen || bb.idx != 1 {
@@ -205,22 +210,37 @@ func Seal(payload []byte, opts EncodeOptions) (*Container, error) {
 // cursor; element i's content tag set is window i of the plan's tag
 // slab.
 type nodeInfo struct {
-	code tagdict.Code
-	// indexed records the sizing walk's decision to attach a skip record.
-	indexed bool
+	// name and elements (the number of element children) are the slot's
+	// part of the document's shape: what a kept plan is checked against.
+	name string
 	// contentSize is the exact byte size of the node's encoded content
 	// (children records, values, closing opcode) — the skip record's
 	// jump distance, known before a single byte is emitted.
 	contentSize int
+	elements    int32
+	code        tagdict.Code
+	// indexed records the sizing walk's decision to attach a skip record.
+	indexed bool
 }
 
-// plan is the outcome of the sizing pass: everything the emitter needs
-// to stream the payload in one pass of exactly payloadLen bytes.
-type plan struct {
+// Plan is the outcome of the sizing pass: everything the emitter needs
+// to stream a payload of exactly payloadLen bytes in one pass.
+//
+// Most of it depends only on the document's shape — the preorder
+// sequence of (element name, element-child count): the dictionary and
+// its image, every code and every content tag set. Only the content
+// sizes and the index decisions depend on the values. A caller that
+// re-publishes one document keeps its Plan across diffs
+// (DiffEncodePayload), and a tree of the same shape then costs one
+// sizing walk that checks the shape slot by slot and recomputes the
+// sizes; any other tree is planned afresh. Whether a plan fits is
+// checked against the tree on every call, never inferred from the
+// version it was last used for. The zero value is an empty plan; a Plan
+// must not be used by two encodings at once.
+type Plan struct {
 	opts      EncodeOptions
 	dict      *tagdict.Dict
 	info      *EncodeInfo
-	root      *xmlstream.Node
 	dictImage []byte
 	// nodes and tagWords are the two slabs of the sizing walk, sized by
 	// the counting walk: one nodeInfo and setWords words per element.
@@ -233,6 +253,12 @@ type plan struct {
 	// payloadLen is the exact total payload size, known up front — what
 	// lets the streaming encoder MAC the header before emitting blocks.
 	payloadLen int
+}
+
+// MemBytes is the memory the plan holds, what a caller that keeps it
+// counts against its retention bound.
+func (p *Plan) MemBytes() int {
+	return cap(p.nodes)*int(unsafe.Sizeof(nodeInfo{})) + 8*cap(p.tagWords) + cap(p.dictImage)
 }
 
 // countTags is the counting walk: how many elements the tree has and how
@@ -248,53 +274,75 @@ func countTags(n *xmlstream.Node, counts map[string]int) int {
 	return elements
 }
 
-// newPlan runs the sizing pass.
-func newPlan(root *xmlstream.Node, opts EncodeOptions) (*plan, error) {
+// size is the sizing pass, fitting p to root under opts. It is one walk
+// when p was last sized for a tree of root's shape under the same index
+// options: the resizing walk checks every slot's shape fields and
+// recomputes the sizes only. At the first slot that differs, or over
+// any other plan, the counting and annotating walks fill p anew.
+func (p *Plan) size(root *xmlstream.Node, opts EncodeOptions) error {
 	if root == nil || root.IsText() {
-		return nil, fmt.Errorf("docenc: document root must be an element")
+		return fmt.Errorf("docenc: document root must be an element")
 	}
 	if err := opts.normalize(); err != nil {
-		return nil, err
+		return err
 	}
+	fits := p.dict != nil && opts.MinSkipBytes == p.opts.MinSkipBytes && opts.DisableIndex == p.opts.DisableIndex
+	p.opts, p.cursor = opts, 0
+	if fits {
+		_, fits = p.resize(root)
+		fits = fits && p.cursor == len(p.nodes)
+	}
+	if !fits {
+		if err := p.fill(root); err != nil {
+			*p = Plan{}
+			return err
+		}
+	}
+	p.info = &EncodeInfo{Dict: p.dict, Nodes: len(p.nodes), DictBytes: len(p.dictImage)}
+	p.payloadLen = len(p.dictImage) + p.recordSize(&p.nodes[0], skipindex.RelSize(p.universe()))
+	return nil
+}
+
+// fill plans root from nothing: the counting walk builds the dictionary
+// and sizes the slabs, the annotating walk fills them.
+func (p *Plan) fill(root *xmlstream.Node) error {
 	counts := make(map[string]int)
 	elements := countTags(root, counts)
 	dict, err := tagdict.FromCounts(counts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &plan{opts: opts, dict: dict, info: &EncodeInfo{Dict: dict, Nodes: elements}, root: root}
+	p.dict = dict
 	p.setWords = skipindex.SetWords(dict.Len())
 	p.nodes = make([]nodeInfo, elements)
 	// One extra window at the end holds the root's parent set: every code.
 	p.tagWords = make([]uint64, (elements+1)*p.setWords)
+	p.cursor = 0
 	if _, err := p.annotate(root); err != nil {
-		return nil, err
+		return err
 	}
-	p.dictImage, err = dict.MarshalBinary()
-	if err != nil {
-		return nil, err
+	if p.dictImage, err = dict.MarshalBinary(); err != nil {
+		return err
 	}
-	p.info.DictBytes = len(p.dictImage)
 	universe := p.universe()
 	for i := 0; i < dict.Len(); i++ {
 		universe.Add(tagdict.Code(i))
 	}
-	p.payloadLen = len(p.dictImage) + p.recordSize(&p.nodes[0], skipindex.RelSize(universe))
-	return p, nil
+	return nil
 }
 
 // tags is the content tag set of element i (codes strictly below it).
-func (p *plan) tags(i int) skipindex.Set {
+func (p *Plan) tags(i int) skipindex.Set {
 	return skipindex.SetOver(p.tagWords[i*p.setWords:(i+1)*p.setWords], p.dict.Len())
 }
 
 // universe is the root's parent set, every code of the dictionary: the
 // window after the last element's.
-func (p *plan) universe() skipindex.Set { return p.tags(len(p.nodes)) }
+func (p *Plan) universe() skipindex.Set { return p.tags(len(p.nodes)) }
 
-// annotate computes tag sets and exact sizes bottom-up and returns the
-// slab slot it gave n.
-func (p *plan) annotate(n *xmlstream.Node) (int, error) {
+// annotate records shape, codes, tag sets and exact sizes bottom-up and
+// returns the slab slot it gave n.
+func (p *Plan) annotate(n *xmlstream.Node) (int, error) {
 	code := p.dict.Code(n.Name)
 	if code == tagdict.NoCode {
 		return 0, fmt.Errorf("docenc: tag %q missing from dictionary", n.Name)
@@ -302,20 +350,21 @@ func (p *plan) annotate(n *xmlstream.Node) (int, error) {
 	slot := p.cursor
 	p.cursor++
 	info, tags := &p.nodes[slot], p.tags(slot)
-	info.code = code
+	info.name, info.code, info.elements = n.Name, code, 0
 	// A child's record is measured against this node's complete tag set
 	// (the recursive compression of the paper), which is only known after
 	// the last child: sum what does not depend on it, count the bitmaps.
 	size, bitmaps := 1, 0 // the closing opcode
 	for _, c := range n.Children {
 		if c.IsText() {
-			size += 1 + uvarintLen(uint64(len(c.Text))) + len(c.Text)
+			size += valueSize(c.Text)
 			continue
 		}
 		ci, err := p.annotate(c)
 		if err != nil {
 			return 0, err
 		}
+		info.elements++
 		child := &p.nodes[ci]
 		tags.Add(child.code)
 		tags.UnionWith(p.tags(ci))
@@ -324,16 +373,60 @@ func (p *plan) annotate(n *xmlstream.Node) (int, error) {
 			bitmaps++
 		}
 	}
-	size += bitmaps * skipindex.RelSize(tags)
+	p.setContentSize(info, size+bitmaps*skipindex.RelSize(tags))
+	return slot, nil
+}
+
+// resize is annotate over a plan whose shape n is checked against: it
+// recomputes sizes only, and reports false at the first slot whose name
+// or element-child count is not n's.
+func (p *Plan) resize(n *xmlstream.Node) (int, bool) {
+	slot := p.cursor
+	if slot == len(p.nodes) || p.nodes[slot].name != n.Name {
+		return 0, false
+	}
+	p.cursor++
+	size, bitmaps, elements := 1, 0, int32(0)
+	for _, c := range n.Children {
+		if c.IsText() {
+			size += valueSize(c.Text)
+			continue
+		}
+		ci, ok := p.resize(c)
+		if !ok {
+			return 0, false
+		}
+		elements++
+		child := &p.nodes[ci]
+		size += p.recordSize(child, 0)
+		if child.indexed {
+			bitmaps++
+		}
+	}
+	info := &p.nodes[slot]
+	if elements != info.elements {
+		return 0, false
+	}
+	p.setContentSize(info, size+bitmaps*skipindex.RelSize(p.tags(slot)))
+	return slot, true
+}
+
+// setContentSize records an element's content size and, from it, the
+// decision to index it.
+func (p *Plan) setContentSize(info *nodeInfo, size int) {
 	info.contentSize = size
 	info.indexed = !p.opts.DisableIndex && size >= p.opts.MinSkipBytes
-	return slot, nil
+}
+
+// valueSize is the encoded size of a value record.
+func valueSize(text string) int {
+	return 1 + uvarintLen(uint64(len(text))) + len(text)
 }
 
 // recordSize is the exact encoded size of a node's record (open through
 // close) when its skip record's bitmap, if it has one, takes relSize
 // bytes — the size of a bitmap relative to the parent's tag set.
-func (p *plan) recordSize(info *nodeInfo, relSize int) int {
+func (p *Plan) recordSize(info *nodeInfo, relSize int) int {
 	n := 1 + uvarintLen(uint64(info.code)) + info.contentSize
 	if info.indexed {
 		n += skipindex.MetaSize(relSize, info.contentSize)
@@ -341,25 +434,20 @@ func (p *plan) recordSize(info *nodeInfo, relSize int) int {
 	return n
 }
 
-// emit streams the payload (dictionary, then the structure stream) into
-// bb, front to back, filling in the byte-level EncodeInfo counters.
-func (p *plan) emit(bb *blockBuilder) error {
-	if err := fillBlocks(bb, p.dictImage); err != nil {
-		return err
-	}
+// emit streams root's payload (dictionary, then the structure stream)
+// into bb, front to back, filling in the byte-level EncodeInfo counters.
+func (p *Plan) emit(bb *blockBuilder, root *xmlstream.Node) {
+	bb.write(p.dictImage)
 	p.cursor = 0
 	var scratch []byte
-	if err := p.emitNode(bb, &scratch, p.root, p.universe()); err != nil {
-		return err
-	}
+	p.emitNode(bb, &scratch, root, p.universe())
 	p.info.PayloadBytes = p.payloadLen
-	return nil
 }
 
 // emitNode writes one node's record. scratch is a reused staging buffer
 // for the record header (opcodes, varints, index record); values stream
 // through unstaged.
-func (p *plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, parentTags skipindex.Set) error {
+func (p *Plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, parentTags skipindex.Set) {
 	slot := p.cursor
 	p.cursor++
 	info, tags := &p.nodes[slot], p.tags(slot)
@@ -381,29 +469,21 @@ func (p *plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, pa
 	}
 	p.info.StructureBytes += 1 + uvarintLen(uint64(info.code)) + 1 // open, code, close
 	*scratch = b
-	if err := fillBlocks(bb, b); err != nil {
-		return err
-	}
+	bb.write(b)
 	for _, c := range n.Children {
 		if c.IsText() {
 			b = (*scratch)[:0]
 			b = append(b, opValue)
 			b = binary.AppendUvarint(b, uint64(len(c.Text)))
 			*scratch = b
-			if err := fillBlocks(bb, b); err != nil {
-				return err
-			}
-			if err := fillBlocks(bb, c.Text); err != nil {
-				return err
-			}
+			bb.write(b)
+			bb.writeString(c.Text)
 			p.info.TextBytes += len(b) + len(c.Text)
 			continue
 		}
-		if err := p.emitNode(bb, scratch, c, tags); err != nil {
-			return err
-		}
+		p.emitNode(bb, scratch, c, tags)
 	}
-	return fillBlocks(bb, closeOp)
+	bb.write(closeOp)
 }
 
 // closeOp is the shared one-byte close record.
@@ -416,14 +496,15 @@ var closeOp = []byte{opClose}
 // Nothing larger than one plaintext block is buffered — the publish path
 // can pipe a document straight onto the wire.
 type Encoder struct {
-	plan   *plan
+	plan   *Plan
+	root   *xmlstream.Node
 	header Header
 	ran    bool
 }
 
 // NewEncoder runs the sizing pass and seals the header.
 func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
-	e, err := newEncoder(root, opts)
+	e, err := newEncoder(root, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -431,16 +512,19 @@ func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
 	return e, nil
 }
 
-// newEncoder is NewEncoder with the header left unsealed.
-func newEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
+// newEncoder is NewEncoder with the header left unsealed, sizing root
+// through p (a fresh plan when p is nil).
+func newEncoder(root *xmlstream.Node, opts EncodeOptions, p *Plan) (*Encoder, error) {
 	if opts.DocID == "" {
 		return nil, fmt.Errorf("docenc: DocID is required")
 	}
-	p, err := newPlan(root, opts)
-	if err != nil {
+	if p == nil {
+		p = new(Plan)
+	}
+	if err := p.size(root, opts); err != nil {
 		return nil, err
 	}
-	return &Encoder{plan: p, header: Header{
+	return &Encoder{plan: p, root: root, header: Header{
 		DocID:      p.opts.DocID,
 		Version:    p.opts.Version,
 		BlockPlain: uint32(p.opts.BlockPlain),
@@ -494,10 +578,8 @@ func (e *Encoder) runPlain(emit func(idx int, plain []byte) error) error {
 		buf:  make([]byte, 0, e.plan.opts.BlockPlain),
 		emit: emit,
 	}
-	if err := e.plan.emit(bb); err != nil {
-		return err
-	}
-	if err := bb.flush(); err != nil {
+	e.plan.emit(bb, e.root)
+	if err := bb.finish(); err != nil {
 		return err
 	}
 	if bb.total != e.plan.payloadLen {
@@ -508,38 +590,73 @@ func (e *Encoder) runPlain(emit func(idx int, plain []byte) error) error {
 }
 
 // blockBuilder cuts the emitted payload stream into plaintext blocks.
+// The first error emit returns stops the stream: nothing is emitted
+// after it, and finish reports it.
 type blockBuilder struct {
 	buf   []byte
 	idx   int
 	total int
+	err   error
 	emit  func(idx int, plain []byte) error
 }
 
-// fillBlocks appends p to the stream. A value still in its tree node is
-// passed as the string it is: its bytes are copied once, into the block.
-func fillBlocks[T []byte | string](b *blockBuilder, p T) error {
-	for len(p) > 0 {
+// write appends p to the stream. A piece that leaves room in the
+// current block — nearly every one — is a plain append, inlined at the
+// call site; cut takes the pieces that complete a block.
+func (b *blockBuilder) write(p []byte) {
+	if len(p) < cap(b.buf)-len(b.buf) {
+		b.buf = append(b.buf, p...)
+		return
+	}
+	b.cut(p)
+}
+
+// writeString is write for a value still in its tree node: its bytes
+// are copied once, into the block.
+func (b *blockBuilder) writeString(s string) {
+	if len(s) < cap(b.buf)-len(b.buf) {
+		b.buf = append(b.buf, s...)
+		return
+	}
+	b.cutString(s)
+}
+
+// cut and cutString stay out of line: called from write and writeString
+// they would take those past the inlining budget.
+//
+//go:noinline
+func (b *blockBuilder) cut(p []byte) { cutBlocks(b, p) }
+
+//go:noinline
+func (b *blockBuilder) cutString(s string) { cutBlocks(b, s) }
+
+// cutBlocks appends p, flushing every block it completes.
+func cutBlocks[T []byte | string](b *blockBuilder, p T) {
+	for len(p) > 0 && b.err == nil {
 		n := copy(b.buf[len(b.buf):cap(b.buf)], p)
 		b.buf = b.buf[:len(b.buf)+n]
 		p = p[n:]
 		if len(b.buf) == cap(b.buf) {
-			if err := b.flush(); err != nil {
-				return err
-			}
+			b.flush()
 		}
 	}
-	return nil
 }
 
-func (b *blockBuilder) flush() error {
-	if len(b.buf) == 0 {
-		return nil
+func (b *blockBuilder) flush() {
+	if len(b.buf) == 0 || b.err != nil {
+		return
 	}
 	b.total += len(b.buf)
-	err := b.emit(b.idx, b.buf)
+	b.err = b.emit(b.idx, b.buf)
 	b.idx++
 	b.buf = b.buf[:0]
-	return err
+}
+
+// finish flushes the last, partial block and reports the error that
+// stopped the stream, if one did.
+func (b *blockBuilder) finish() error {
+	b.flush()
+	return b.err
 }
 
 func uvarintLen(v uint64) int {

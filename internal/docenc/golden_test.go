@@ -224,13 +224,23 @@ func TestEncoderMatchesGolden(t *testing.T) {
 // document, not per element. A folder four times as large costs Encode
 // one more allocation per extra stored block — the block itself, which
 // the caller keeps — and the diff against a plaintext base nothing at all
-// beyond the blocks that changed.
+// beyond the blocks that changed. A diff through a plan kept from the
+// previous one skips the dictionary and the slabs as well.
 func TestEncodeAllocsFlatAcrossDocumentSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	const bound = 100 // measured: 63 for Encode, 75 for the diff, at either size
-	var fixed [2][2]float64
+	// Each bound is the count measured at either size (63, 58 and 28)
+	// plus 15 %.
+	figures := []struct {
+		what  string
+		bound float64
+	}{
+		{"Encode", 72},
+		{"DiffEncodePayload", 66},
+		{"DiffEncodePayload through a kept plan", 32},
+	}
+	var fixed [2][3]float64
 	for i, patients := range []int{30, 120} {
 		tree := workload.MedicalFolder(workload.MedicalConfig{Seed: 1000, Patients: patients, VisitsPerPatient: 4})
 		opts := EncodeOptions{DocID: "folder", Version: 1, Key: secure.KeyFromSeed("folder"), BlockPlain: 256, MinSkipBytes: 32}
@@ -251,25 +261,30 @@ func TestEncodeAllocsFlatAcrossDocumentSize(t *testing.T) {
 		tree.Children[patients/2].Find("contact")[0].Children[0].Text = "+33 1 00000000"
 		var changed int
 		spare := make([]byte, 0, len(payload))
-		diff := testing.AllocsPerRun(20, func() {
-			d, _, _, err := DiffEncodePayload(tree, opts, nil, &c.Header, payload, spare)
+		var plan *Plan
+		diffThrough := func() {
+			d, _, _, err := DiffEncodePayload(tree, opts, nil, plan, &c.Header, payload, spare)
 			if err != nil {
 				t.Fatal(err)
 			}
 			changed = d.ChangedBlocks
-		})
+		}
+		diff := testing.AllocsPerRun(20, diffThrough)
+		// AllocsPerRun's warm-up call fills the plan the counted ones keep.
+		plan = new(Plan)
+		kept := testing.AllocsPerRun(20, diffThrough)
 		if changed == 0 || changed > 2 {
 			t.Fatalf("%d patients: the edit changed %d blocks", patients, changed)
 		}
-		fixed[i] = [2]float64{encode - float64(len(c.Blocks)), diff - float64(changed)}
-		t.Logf("%d patients, %d blocks: Encode %.0f allocations (%.0f beside the blocks), diff %.0f (%.0f beside the %d changed)",
-			patients, len(c.Blocks), encode, fixed[i][0], diff, fixed[i][1], changed)
+		fixed[i] = [3]float64{encode - float64(len(c.Blocks)), diff - float64(changed), kept - float64(changed)}
+		t.Logf("%d patients, %d blocks: Encode %.0f allocations (%.0f beside the blocks), diff %.0f (%.0f beside the %d changed), through a kept plan %.0f (%.0f)",
+			patients, len(c.Blocks), encode, fixed[i][0], diff, fixed[i][1], changed, kept, fixed[i][2])
 	}
-	for k, what := range []string{"Encode", "DiffEncodePayload"} {
+	for k, f := range figures {
 		small, large := fixed[0][k], fixed[1][k]
-		if small > bound || large > bound || large > small+2 {
-			t.Errorf("%s allocates %.0f times beside its blocks for 30 patients and %.0f for 120 (bound %d, and the same for both)",
-				what, small, large, bound)
+		if small > f.bound || large > f.bound || large > small+2 {
+			t.Errorf("%s allocates %.0f times beside its blocks for 30 patients and %.0f for 120 (bound %.0f, and the same for both)",
+				f.what, small, large, f.bound)
 		}
 	}
 }

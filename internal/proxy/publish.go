@@ -175,19 +175,22 @@ type RepublishInfo struct {
 // base occupied, which the next diff writes the next payload into, and
 // the document key's cipher context the diffs seal with. Every byte of
 // it was either authenticated under that key when it was fetched or
-// produced by this publisher's own encoder.
+// produced by this publisher's own encoder. plan is the encoder's plan
+// of the tree last diffed: it never vouches for a version, and each diff
+// checks that the tree still has its shape before relying on it.
 type diffBase struct {
 	docID   string
 	sctx    *secure.BlockContext
 	header  docenc.Header
 	payload []byte
 	spare   []byte
+	plan    docenc.Plan
 }
 
-func (b *diffBase) size() int { return cap(b.payload) + cap(b.spare) }
+func (b *diffBase) size() int { return cap(b.payload) + cap(b.spare) + b.plan.MemBytes() }
 
-// retainedBaseBytes bounds the payload bytes a Publisher keeps between
-// re-publications, both buffers of every base counted.
+// retainedBaseBytes bounds the bytes a Publisher keeps between
+// re-publications: both buffers and the plan of every base.
 const retainedBaseBytes = 8 << 20
 
 // checkout takes the retained base of docID out of the retention: for
@@ -332,7 +335,7 @@ func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (
 		keep = b
 	}
 	for {
-		delta, info, next, err := docenc.DiffEncodePayload(root, opts, b.sctx, &b.header, b.payload, b.spare)
+		delta, info, next, err := docenc.DiffEncodePayload(root, opts, b.sctx, &b.plan, &b.header, b.payload, b.spare)
 		if err != nil {
 			return nil, err
 		}
