@@ -1,11 +1,25 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build examples test test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## examples: run every example program. quickstart, collaborative and
+## medical are deterministic: their stdout must match
+## examples/<name>/testdata/stdout.golden byte for byte. dissemination
+## and gateway print timings, so only their exit status is checked
+examples:
+	@for e in quickstart collaborative medical; do \
+		echo "$(GO) run ./examples/$$e"; \
+		$(GO) run ./examples/$$e > .examples.out || exit 1; \
+		diff -u examples/$$e/testdata/stdout.golden .examples.out || \
+			{ echo "examples/$$e: stdout differs from its golden"; rm -f .examples.out; exit 1; }; \
+	done; rm -f .examples.out
+	$(GO) run ./examples/dissemination > /dev/null
+	$(GO) run ./examples/gateway > /dev/null
 
 ## test: run the full test suite under the race detector
 test:
@@ -130,4 +144,4 @@ staticcheck:
 	fi
 
 ## ci: exactly what .github/workflows/ci.yml runs
-ci: fmt vet staticcheck build test test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench
+ci: fmt vet staticcheck build examples test test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench

@@ -175,16 +175,16 @@ func main() {
 			"prefetching pipeline depth in blocks (0 = serial one-block round trips)")
 		_ = fs.Parse(args)
 		requireAll(map[string]string{"doc": *docID, "seed": *seed, "subject": *subject})
-		c := card.New(cardProfile(*profile))
-		if err := c.PutKey(*docID, secure.KeyFromSeed(*seed)); err != nil {
+		sess := proxy.NewSession(store, card.New(cardProfile(*profile)),
+			soe.Options{DisableSkip: *noskip}, *prefetch)
+		defer sess.Close()
+		if err := sess.Provision(*docID, secure.KeyFromSeed(*seed)); err != nil {
 			log.Fatal(err)
 		}
-		term := &proxy.Terminal{Store: store, Card: c,
-			Options: soe.Options{DisableSkip: *noskip}, Prefetch: *prefetch}
-		if err := term.InstallRules(*subject, *docID); err != nil {
+		if err := sess.InstallRules(*subject, *docID); err != nil {
 			log.Fatal(err)
 		}
-		res, err := term.Query(*subject, *docID, *query)
+		res, err := sess.Query(*subject, *docID, *query)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/pki"
 	"repro/internal/proxy"
 	"repro/internal/secure"
+	"repro/internal/soe"
 	"repro/internal/workload"
 )
 
@@ -62,11 +63,12 @@ default +
 	bobKey, err := authority.Unwrap(bobPrincipal, wrapped)
 	check(err)
 	bobCard := card.New(card.EGate)
-	check(bobCard.PutKey("agenda", bobKey))
-	bobTerminal := &proxy.Terminal{Store: store, Card: bobCard}
-	check(bobTerminal.InstallRules("bob", "agenda"))
+	bobSession := proxy.NewSession(store, bobCard, soe.Options{}, 0)
+	defer bobSession.Close()
+	check(bobSession.Provision("agenda", bobKey))
+	check(bobSession.InstallRules("bob", "agenda"))
 
-	res, err := bobTerminal.Query("bob", "agenda", "//member[@user = \"user01\"]")
+	res, err := bobSession.Query("bob", "agenda", "//member[@user = \"user01\"]")
 	check(err)
 	fmt.Println("\nbob's view of user01 (rights v1):")
 	fmt.Println(res.XML())
@@ -82,9 +84,9 @@ default +
 - //phone`)
 	bobRulesV2.Version = 2
 	check(publisher.GrantRules(key, bobRulesV2))
-	check(bobTerminal.InstallRules("bob", "agenda"))
+	check(bobSession.InstallRules("bob", "agenda"))
 
-	res, err = bobTerminal.Query("bob", "agenda", "//member[@user = \"user01\"]/profile")
+	res, err = bobSession.Query("bob", "agenda", "//member[@user = \"user01\"]/profile")
 	check(err)
 	fmt.Println("bob's view of user01's profile (rights v2 — phone revoked):")
 	fmt.Println(res.XML())

@@ -22,6 +22,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/proxy"
 	"repro/internal/secure"
+	"repro/internal/soe"
 	"repro/internal/workload"
 )
 
@@ -68,12 +69,11 @@ default -
 		if err := publisher.GrantRules(key, rs); err != nil {
 			log.Fatal(err)
 		}
-		c := card.New(card.EGate)
-		if err := c.PutKey("folder", key); err != nil {
+		sess := proxy.NewSession(store, card.New(card.EGate), soe.Options{}, 0)
+		if err := sess.Provision("folder", key); err != nil {
 			log.Fatal(err)
 		}
-		term := &proxy.Terminal{Store: store, Card: c}
-		if err := term.InstallRules(who, "folder"); err != nil {
+		if err := sess.InstallRules(who, "folder"); err != nil {
 			log.Fatal(err)
 		}
 
@@ -82,7 +82,8 @@ default -
 			// The responder asks for one patient, by the card.
 			query = `//patient[@id = "p003"]`
 		}
-		res, err := term.Query(who, "folder", query)
+		res, err := sess.Query(who, "folder", query)
+		sess.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/proxy"
 	"repro/internal/secure"
+	"repro/internal/soe"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
 )
@@ -67,18 +68,20 @@ default +
 
 	// --- The customer's side --------------------------------------------
 	// The customer's smart card holds the document key (obtained out of
-	// band — see the collaborative example for the PKI flow).
-	c := card.New(card.EGate)
-	if err := c.PutKey("library", key); err != nil {
+	// band — see the collaborative example for the PKI flow). The
+	// customer's terminal keeps one session on the card for all its
+	// queries.
+	session := proxy.NewSession(store, card.New(card.EGate), soe.Options{}, 0)
+	defer session.Close()
+	if err := session.Provision("library", key); err != nil {
 		log.Fatal(err)
 	}
-	terminal := &proxy.Terminal{Store: store, Card: c}
-	if err := terminal.InstallRules("customer", "library"); err != nil {
+	if err := session.InstallRules("customer", "library"); err != nil {
 		log.Fatal(err)
 	}
 
 	// Full authorized view.
-	res, err := terminal.Query("customer", "library", "")
+	res, err := session.Query("customer", "library", "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +90,7 @@ default +
 
 	// A pull query: only matching subtrees are delivered — and thanks to
 	// the skip index, non-matching subtrees are never even fetched.
-	res, err = terminal.Query("customer", "library", `//book[title = "Smart card engineering"]/price`)
+	res, err = session.Query("customer", "library", `//book[title = "Smart card engineering"]/price`)
 	if err != nil {
 		log.Fatal(err)
 	}

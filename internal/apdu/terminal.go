@@ -36,7 +36,7 @@ func (a *Applet) Exchange(c Command) (Response, error) {
 var _ Channel = (*Applet)(nil)
 
 // Terminal drives the full card dialogue over APDUs. It is the
-// protocol-faithful counterpart of proxy.Terminal: same store, same
+// protocol-faithful counterpart of proxy.Session: same store, same
 // result assembly, but every byte crosses the 255-byte APDU boundary.
 type Terminal struct {
 	Store   dsp.Store

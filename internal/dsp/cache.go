@@ -271,9 +271,8 @@ func (c *Cache) ReadBlock(docID string, idx int) ([]byte, error) {
 	return b, nil
 }
 
-// ReadBlocks implements BlockRangeReader: resident blocks are served from
-// memory and each gap is fetched from the backing store in one batched
-// read (when it supports ranges).
+// ReadBlocks implements Store: resident blocks are served from memory
+// and each gap is fetched from the backing store in one batched read.
 func (c *Cache) ReadBlocks(docID string, start, count int) ([][]byte, error) {
 	return c.readRun(docID, start, count, nil, nil)
 }
@@ -341,7 +340,7 @@ func (c *Cache) readRun(docID string, start, count int, pins *[]BlockPin, runs *
 				p.Release()
 			}
 		default:
-			got, err = ReadBlockRange(c.store, docID, start+missFrom, end-missFrom)
+			got, err = c.store.ReadBlocks(docID, start+missFrom, end-missFrom)
 		}
 		if err != nil {
 			return err
@@ -472,7 +471,6 @@ func (c *Cache) ListDocuments() ([]string, error) {
 
 var (
 	_ Store             = (*Cache)(nil)
-	_ BlockRangeReader  = (*Cache)(nil)
 	_ DocUpdater        = (*Cache)(nil)
 	_ DeltaCommitter    = (*Cache)(nil)
 	_ PinnedBlockReader = (*Cache)(nil)

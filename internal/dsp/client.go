@@ -251,8 +251,7 @@ func (c *Client) ListDocuments() ([]string, error) {
 }
 
 var (
-	_ Store            = (*Client)(nil)
-	_ BlockRangeReader = (*Client)(nil)
-	_ DocUpdater       = (*Client)(nil)
-	_ DeltaCommitter   = (*Client)(nil)
+	_ Store          = (*Client)(nil)
+	_ DocUpdater     = (*Client)(nil)
+	_ DeltaCommitter = (*Client)(nil)
 )

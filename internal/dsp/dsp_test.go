@@ -86,35 +86,40 @@ func storeContract(t *testing.T, s Store) {
 		t.Errorf("ListDocuments = %v", ids)
 	}
 
-	// Batched reads must agree with per-block reads, whether the store
-	// supports ranges natively or goes through the fallback.
-	run, err := ReadBlockRange(s, "doc1", 0, len(c1.Blocks))
+	// Batched reads must agree with per-block reads.
+	run, err := s.ReadBlocks("doc1", 0, len(c1.Blocks))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(run) != len(c1.Blocks) {
-		t.Fatalf("ReadBlockRange returned %d blocks, want %d", len(run), len(c1.Blocks))
+		t.Fatalf("ReadBlocks returned %d blocks, want %d", len(run), len(c1.Blocks))
 	}
 	for i, b := range run {
 		if string(b) != string(c1.Blocks[i]) {
 			t.Errorf("batched block %d differs from stored block", i)
 		}
 	}
-	if br, ok := s.(BlockRangeReader); ok {
-		if _, err := br.ReadBlocks("doc1", 1, len(c1.Blocks)); err == nil {
-			t.Error("out-of-range batch served")
-		}
-		// start+count overflowing int must be rejected, not sliced.
-		if _, err := br.ReadBlocks("doc1", math.MaxInt64-1, 2); err == nil {
-			t.Error("overflowing batch served")
-		}
-		if _, err := br.ReadBlocks("nosuch", 0, 1); err == nil {
-			t.Error("unknown document batch served")
-		}
-		empty, err := br.ReadBlocks("doc1", 0, 0)
-		if err != nil || len(empty) != 0 {
-			t.Errorf("empty batch = %v, %v", empty, err)
-		}
+	if _, err := s.ReadBlocks("doc1", 1, len(c1.Blocks)); err == nil {
+		t.Error("out-of-range batch served")
+	}
+	// start+count overflowing int must be rejected, not sliced.
+	if _, err := s.ReadBlocks("doc1", math.MaxInt64-1, 2); err == nil {
+		t.Error("overflowing batch served")
+	}
+	// A negative range is refused by the store itself: callers reach
+	// ReadBlocks directly, with nothing in between to check it.
+	if _, err := s.ReadBlocks("doc1", -1, 1); err == nil {
+		t.Error("negative start served")
+	}
+	if _, err := s.ReadBlocks("doc1", 0, -1); err == nil {
+		t.Error("negative count served")
+	}
+	if _, err := s.ReadBlocks("nosuch", 0, 1); err == nil {
+		t.Error("unknown document batch served")
+	}
+	empty, err := s.ReadBlocks("doc1", 0, 0)
+	if err != nil || len(empty) != 0 {
+		t.Errorf("empty batch = %v, %v", empty, err)
 	}
 }
 

@@ -179,8 +179,7 @@ type segment struct {
 	pending map[string]chan struct{}
 }
 
-// FileStore implements Store, BlockRangeReader, DeltaCommitter and
-// DocUpdater on disk.
+// FileStore implements Store, DeltaCommitter and DocUpdater on disk.
 type FileStore struct {
 	mem  *MemStore
 	dir  string
@@ -1626,7 +1625,6 @@ func syncDir(dir string) error {
 
 var (
 	_ Store             = (*FileStore)(nil)
-	_ BlockRangeReader  = (*FileStore)(nil)
 	_ DocUpdater        = (*FileStore)(nil)
 	_ DeltaCommitter    = (*FileStore)(nil)
 	_ PinnedBlockReader = (*FileStore)(nil)

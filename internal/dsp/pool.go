@@ -303,8 +303,7 @@ func (p *Pool) ListDocuments() (ids []string, err error) {
 }
 
 var (
-	_ Store            = (*Pool)(nil)
-	_ BlockRangeReader = (*Pool)(nil)
-	_ DocUpdater       = (*Pool)(nil)
-	_ DeltaCommitter   = (*Pool)(nil)
+	_ Store          = (*Pool)(nil)
+	_ DocUpdater     = (*Pool)(nil)
+	_ DeltaCommitter = (*Pool)(nil)
 )

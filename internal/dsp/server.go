@@ -132,7 +132,7 @@ func (s *Server) dispatch(req []byte) *response {
 		if rr, ok := s.store.(runReader); ok {
 			blocks, err = rr.readRun(docID, start, count, &resp.pins, &resp.runs)
 		} else {
-			blocks, err = ReadBlockRange(s.store, docID, start, count)
+			blocks, err = s.store.ReadBlocks(docID, start, count)
 		}
 		if err != nil {
 			return resp.setErr(err)

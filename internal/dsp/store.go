@@ -57,6 +57,8 @@ type Store interface {
 	Header(docID string) (docenc.Header, error)
 	// ReadBlock returns one stored block (ciphertext||tag).
 	ReadBlock(docID string, idx int) ([]byte, error)
+	// ReadBlocks returns a contiguous run of stored blocks.
+	BlockRangeReader
 	// PutRuleSet stores a subject's sealed rule set for a document.
 	PutRuleSet(docID, subject string, version uint32, sealed []byte) error
 	// RuleSet returns the latest sealed rule set for (doc, subject).
@@ -65,31 +67,19 @@ type Store interface {
 	ListDocuments() ([]string, error)
 }
 
-// BlockRangeReader is implemented by stores that can serve a contiguous
-// run of blocks in one call — the skip index hands the terminal exactly
-// such runs, so a batched read turns a run into one round trip.
+// BlockRangeReader serves a contiguous run of blocks in one call — the
+// skip index hands the terminal exactly such runs, so a batched read
+// turns a run into one round trip. Every Store is one; an implementation
+// rejects a range that is negative or runs past the document, without
+// computing start+count, which a hostile wire request can overflow.
 type BlockRangeReader interface {
 	ReadBlocks(docID string, start, count int) ([][]byte, error)
 }
 
-// ReadBlockRange fetches blocks [start, start+count) of a document,
-// batched when the store supports it and block-by-block otherwise.
+// ReadBlockRange is s.ReadBlocks, kept for the repository benchmark's
+// re-publication rig, which calls it by this name.
 func ReadBlockRange(s Store, docID string, start, count int) ([][]byte, error) {
-	if count < 0 || start < 0 {
-		return nil, fmt.Errorf("dsp: negative block range [%d,+%d)", start, count)
-	}
-	if br, ok := s.(BlockRangeReader); ok {
-		return br.ReadBlocks(docID, start, count)
-	}
-	out := make([][]byte, 0, count)
-	for i := 0; i < count; i++ {
-		b, err := s.ReadBlock(docID, start+i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
+	return s.ReadBlocks(docID, start, count)
 }
 
 // DefaultShards is the MemStore shard count used by NewMemStore.
@@ -209,7 +199,7 @@ func (s *MemStore) ReadBlock(docID string, idx int) ([]byte, error) {
 	return c.Blocks[idx], nil
 }
 
-// ReadBlocks implements BlockRangeReader under one lock acquisition.
+// ReadBlocks implements Store under one lock acquisition.
 func (s *MemStore) ReadBlocks(docID string, start, count int) ([][]byte, error) {
 	sh := s.shard(docID)
 	sh.mu.RLock()
@@ -340,7 +330,4 @@ func (s *MemStore) SwapBlocks(docID string, i, j int) error {
 	return nil
 }
 
-var (
-	_ Store            = (*MemStore)(nil)
-	_ BlockRangeReader = (*MemStore)(nil)
-)
+var _ Store = (*MemStore)(nil)

@@ -97,8 +97,7 @@ type Config struct {
 	// disables the background reaper (ReapIdle can still be called).
 	IdleTimeout time.Duration
 	// Prefetch is the first readahead run of the fleet sessions' pull
-	// pipeline (see proxy.Terminal.Prefetch); 0 keeps the serial pull
-	// path.
+	// pipeline (see proxy.NewSession); 0 keeps the serial pull path.
 	Prefetch int
 	// Options passes ablation switches through to every session.
 	Options soe.Options

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/proxy"
 	"repro/internal/secure"
+	"repro/internal/soe"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
 )
@@ -23,7 +24,7 @@ type testWorld struct {
 	subjects []string
 	docs     []string
 	queries  []string
-	// oracle[subject|doc|query] = serial Terminal.Query XML.
+	// oracle[subject|doc|query] = XML of a fresh serial session's query.
 	oracle map[string]string
 }
 
@@ -66,24 +67,35 @@ func newTestWorld(t *testing.T) *testWorld {
 	// Serial oracle: a fresh card per subject, classic one-block loop.
 	for _, subject := range w.subjects {
 		c := card.New(card.Modern)
-		term := &proxy.Terminal{Store: w.store, Card: c}
 		for _, docID := range w.docs {
 			if err := c.PutKey(docID, w.keys[docID]); err != nil {
 				t.Fatal(err)
 			}
-			if err := term.InstallRules(subject, docID); err != nil {
-				t.Fatal(err)
-			}
 			for _, q := range w.queries {
-				res, err := term.Query(subject, docID, q)
+				xml, err := serialQuery(w.store, c, subject, docID, q)
 				if err != nil {
 					t.Fatalf("oracle %s/%s/%q: %v", subject, docID, q, err)
 				}
-				w.oracle[subject+"|"+docID+"|"+q] = res.XML()
+				w.oracle[subject+"|"+docID+"|"+q] = xml
 			}
 		}
 	}
 	return w
+}
+
+// serialQuery is the oracle's query: a new session per query, so the
+// oracle shares no re-armed state with the pooled sessions under test.
+func serialQuery(store dsp.Store, c *card.Card, subject, docID, query string) (string, error) {
+	sess := proxy.NewSession(store, c, soe.Options{}, 0)
+	defer sess.Close()
+	if err := sess.InstallRules(subject, docID); err != nil {
+		return "", err
+	}
+	res, err := sess.Query(subject, docID, query)
+	if err != nil {
+		return "", err
+	}
+	return res.XML(), nil
 }
 
 func (w *testWorld) gateway(t *testing.T, prefetch int) *Gateway {
@@ -101,7 +113,7 @@ func (w *testWorld) gateway(t *testing.T, prefetch int) *Gateway {
 
 // TestGatewayMatchesSerialTerminal hammers one gateway from many
 // goroutines with mixed subjects, documents and queries, and asserts
-// every result is byte-identical to the serial Terminal.Query output.
+// every result is byte-identical to a fresh serial session's output.
 // Run under -race this is also the fleet's thread-safety test.
 func TestGatewayMatchesSerialTerminal(t *testing.T) {
 	w := newTestWorld(t)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/proxy"
 	"repro/internal/secure"
+	"repro/internal/soe"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
 )
@@ -87,12 +88,15 @@ func newWorld(t *testing.T, n int) *world {
 		if err := c.PutKey(testDoc, w.key); err != nil {
 			t.Fatal(err)
 		}
-		term := &proxy.Terminal{Store: w.store, Card: c}
+		// A new session per query: the reference shares no re-armed
+		// state with the pooled sessions under test.
+		sess := proxy.NewSession(w.store, c, soe.Options{}, 0)
 		subject := subjectName(tmpl) // subject tmpl uses template tmpl
-		if err := term.InstallRules(subject, testDoc); err != nil {
+		if err := sess.InstallRules(subject, testDoc); err != nil {
 			t.Fatal(err)
 		}
-		res, err := term.Query(subject, testDoc, "")
+		res, err := sess.Query(subject, testDoc, "")
+		sess.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,6 +268,11 @@ type slowStore struct {
 func (s *slowStore) ReadBlock(docID string, idx int) ([]byte, error) {
 	time.Sleep(s.delay)
 	return s.Store.ReadBlock(docID, idx)
+}
+
+func (s *slowStore) ReadBlocks(docID string, start, count int) ([][]byte, error) {
+	time.Sleep(s.delay)
+	return s.Store.ReadBlocks(docID, start, count)
 }
 
 // TestGatewaydDrainMidQuery: Close must let an in-flight query finish

@@ -53,8 +53,7 @@ import (
 // The channels belong to the Session and serve query after query; the
 // prefetcher is a goroutine of the query. A resident one would have to be
 // stopped by somebody: a pooled session parked between queries would hold
-// a goroutine, and a Terminal's one-shot sessions, which nobody closes,
-// would leak theirs.
+// a goroutine.
 
 const (
 	// readaheadGrowth bounds a run at this many times the configured
@@ -257,7 +256,7 @@ func (s *Session) prefetchLoop(sess *soe.Session, docID string, numBlocks, limit
 				blocks, owned, release = f.Blocks(), true, f.Release
 			}
 		} else {
-			blocks, err = dsp.ReadBlockRange(s.store, docID, cur, n)
+			blocks, err = s.store.ReadBlocks(docID, cur, n)
 		}
 		for _, b := range blocks {
 			totals.blocks++

@@ -3,15 +3,18 @@
 // different elements of the architecture through an XML API independent
 // of the underlying protocols" (Section 3).
 //
-// The Terminal orchestrates a pull session end to end: it fetches the
-// container header and the blocks the card asks for from the DSP, feeds
-// them to the SOE session, whose output goes straight to the session's
+// It offers one long-lived object per role. A reader holds a Session:
+// one card and a store lease, provisioned once and reused query after
+// query until the reader closes it. A query fetches the container header
+// and the blocks the card asks for from the DSP, feeds them to the
+// card's SOE session, whose output goes straight to the Session's
 // Collector, buffers pending parts until the card resolves them, and
-// reassembles the authorized result in document order. With Prefetch
-// set, fetching becomes a speculative two-stage pipeline (see
+// reassembles the authorized result in document order. With a prefetch
+// depth, fetching becomes a speculative two-stage pipeline (see
 // pipeline.go) that overlaps batched DSP round trips with card
-// evaluation. The Publisher is the administrative counterpart: it
-// encodes and uploads documents and sealed rule sets.
+// evaluation. A writer holds a Publisher, the administrative
+// counterpart: it encodes and uploads documents and sealed rule sets,
+// and diffs a re-publication against the version it committed last.
 package proxy
 
 import (
@@ -19,30 +22,10 @@ import (
 
 	"repro/internal/card"
 	"repro/internal/core"
-	"repro/internal/dsp"
 	"repro/internal/soe"
 	"repro/internal/tagdict"
 	"repro/internal/xmlstream"
 )
-
-// Terminal drives queries for one card against one store.
-type Terminal struct {
-	Store dsp.Store
-	Card  *card.Card
-	// Options passes through to the SOE session (ablation switches).
-	Options soe.Options
-	// Prefetch enables the two-stage streaming pipeline: when > 0, a
-	// prefetcher goroutine speculatively fetches runs of blocks, one
-	// store round trip each (one batched ReadBlocks call when the store
-	// supports it), into a bounded double buffer, overlapped with the
-	// card's feed/evaluate stage. Prefetch is the length of the first
-	// run, and of the first run after every skip that outruns the
-	// buffer; while the card reads on, the runs grow (see pipeline.go).
-	// Speculative blocks the card never asks for are counted in
-	// ResultStats.BlocksWasted. 0 keeps the historical serial
-	// one-block-per-round-trip loop.
-	Prefetch int
-}
 
 // DefaultPrefetch is a good first run for stores reached over a network:
 // long enough to amortize a round trip, short enough to keep speculation
@@ -114,28 +97,6 @@ func (r *Result) XML() string {
 // for callers that navigate it; each call builds a fresh tree.
 func (r *Result) Tree() *xmlstream.Node {
 	return r.view.Tree()
-}
-
-// Query runs a pull request: fetch, decrypt-on-card, filter, reassemble.
-// query is an XP{[],*,//} expression, or "" for the full authorized view.
-//
-// Terminal is the one-shot facade: each call runs on a throwaway
-// Session. Callers that issue many queries per card (the fleet
-// gateway) hold a Session directly and recycle it.
-func (t *Terminal) Query(subject, docID, query string) (*Result, error) {
-	return t.session().Query(subject, docID, query)
-}
-
-// session builds the single-use Session a facade call runs on.
-func (t *Terminal) session() *Session {
-	return NewSession(t.Store, t.Card, t.Options, t.Prefetch)
-}
-
-// InstallRules pulls the subject's sealed rule set from the store and
-// installs it on the card (the "access rights update protocol" of the
-// demonstration: rights refresh without touching the document).
-func (t *Terminal) InstallRules(subject, docID string) error {
-	return t.session().InstallRules(subject, docID)
 }
 
 // Collector is the terminal-side record sink: it grows a name table from

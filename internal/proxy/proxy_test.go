@@ -17,13 +17,13 @@ import (
 	"repro/internal/xpath"
 )
 
-// rig is a complete test bench: store, publisher, provisioned card,
-// terminal.
+// rig is a complete test bench: store, publisher, provisioned card and
+// a serial session on it.
 type rig struct {
 	store *dsp.MemStore
 	pub   *Publisher
 	card  *card.Card
-	term  *Terminal
+	sess  *Session
 	key   secure.DocKey
 }
 
@@ -45,17 +45,25 @@ func newRig(t testing.TB, doc *xmlstream.Node, docID string, profile card.Profil
 	if err := r.card.PutKey(docID, r.key); err != nil {
 		t.Fatalf("put key: %v", err)
 	}
-	r.term = &Terminal{Store: r.store, Card: r.card}
+	r.sess = r.session(t, r.store, soe.Options{}, 0)
 	for _, rs := range rulesets {
 		rs.DocID = docID
 		if err := r.pub.GrantRules(r.key, rs); err != nil {
 			t.Fatalf("grant rules: %v", err)
 		}
-		if err := r.term.InstallRules(rs.Subject, docID); err != nil {
+		if err := r.sess.InstallRules(rs.Subject, docID); err != nil {
 			t.Fatalf("install rules: %v", err)
 		}
 	}
 	return r
+}
+
+// session builds another session on the rig's card, closed when the
+// test ends.
+func (r *rig) session(t testing.TB, store dsp.Store, opts soe.Options, prefetch int) *Session {
+	s := NewSession(store, r.card, opts, prefetch)
+	t.Cleanup(s.Close)
+	return s
 }
 
 func TestEndToEndPull(t *testing.T) {
@@ -69,7 +77,7 @@ default -
 - //prescription`)
 	r := newRig(t, doc, "folder1", card.Modern, docenc.EncodeOptions{}, rs)
 
-	res, err := r.term.Query("nurse", "folder1", "")
+	res, err := r.sess.Query("nurse", "folder1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +138,7 @@ func TestEndToEndDifferential(t *testing.T) {
 			// Small blocks + low skip threshold exercise skipping hard.
 			r := newRig(t, doc, "doc", card.Modern,
 				docenc.EncodeOptions{BlockPlain: 64, MinSkipBytes: 24}, rs)
-			res, err := r.term.Query("u", "doc", query)
+			res, err := r.sess.Query("u", "doc", query)
 			if err != nil {
 				t.Fatalf("query: %v\nrules:\n%s", err, rs)
 			}
@@ -146,8 +154,8 @@ func TestEndToEndDifferential(t *testing.T) {
 			}
 
 			// The skip path must agree with the no-skip path bit for bit.
-			r.term.Options = soe.Options{DisableSkip: true, DisableCopy: true}
-			res2, err := r.term.Query("u", "doc", query)
+			linear := r.session(t, r.store, soe.Options{DisableSkip: true, DisableCopy: true}, 0)
+			res2, err := linear.Query("u", "doc", query)
 			if err != nil {
 				t.Fatalf("no-skip query: %v", err)
 			}
@@ -175,7 +183,7 @@ default -
 + //patient/name`)
 	r := newRig(t, doc, "folder", card.EGate, docenc.EncodeOptions{MinSkipBytes: 32}, rs)
 
-	res, err := r.term.Query("emergency", "folder", "")
+	res, err := r.sess.Query("emergency", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +205,7 @@ default -
 	}
 
 	// The ablation baseline must fetch everything.
-	r.term.Options = soe.Options{DisableSkip: true}
-	res2, err := r.term.Query("emergency", "folder", "")
+	res2, err := r.session(t, r.store, soe.Options{DisableSkip: true}, 0).Query("emergency", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +230,7 @@ default -
 + /catalog/category[@name = "cat07"]`)
 	r := newRig(t, doc, "cat", card.Modern, docenc.EncodeOptions{MinSkipBytes: 16}, rs)
 
-	res, err := r.term.Query("narrow", "cat", "")
+	res, err := r.sess.Query("narrow", "cat", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +250,7 @@ func TestQuerySkipIrrelevantSubtrees(t *testing.T) {
 	rs := workload.MustParseRules("subject all\ndefault +")
 	r := newRig(t, doc, "folder", card.EGate, docenc.EncodeOptions{MinSkipBytes: 32}, rs)
 
-	res, err := r.term.Query("all", "folder", "//emergency")
+	res, err := r.sess.Query("all", "folder", "//emergency")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +282,7 @@ func TestAblationCombinations(t *testing.T) {
 	}
 	var baseline *xmlstream.Node
 	for i, opts := range combos {
-		r.term.Options = opts
-		res, err := r.term.Query("u", "folder", "")
+		res, err := r.session(t, r.store, opts, 0).Query("u", "folder", "")
 		if err != nil {
 			t.Fatalf("combo %d: %v", i, err)
 		}
@@ -299,7 +305,7 @@ func TestIndexFreeContainer(t *testing.T) {
 	doc := workload.Agenda(workload.AgendaConfig{Seed: 22, Members: 5, EventsPerMember: 3})
 	rs := workload.MustParseRules("subject u\ndefault +\n- //phone")
 	r := newRig(t, doc, "agenda", card.Modern, docenc.EncodeOptions{DisableIndex: true}, rs)
-	res, err := r.term.Query("u", "agenda", "")
+	res, err := r.sess.Query("u", "agenda", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +329,7 @@ func TestIntegrityTamperDetected(t *testing.T) {
 	if err := r.store.Tamper("agenda", 2, 5); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.term.Query("u", "agenda", "")
+	_, err := r.sess.Query("u", "agenda", "")
 	if !errors.Is(err, secure.ErrIntegrity) {
 		t.Fatalf("tampered block must fail integrity, got %v", err)
 	}
@@ -337,7 +343,7 @@ func TestIntegrityBlockSwapDetected(t *testing.T) {
 	if err := r.store.SwapBlocks("agenda", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.term.Query("u", "agenda", "")
+	_, err := r.sess.Query("u", "agenda", "")
 	if !errors.Is(err, secure.ErrIntegrity) {
 		t.Fatalf("swapped blocks must fail integrity, got %v", err)
 	}
@@ -356,7 +362,7 @@ func TestRuleSetReplayRejected(t *testing.T) {
 	if err := r.pub.GrantRules(r.key, strict); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.term.InstallRules("u", "cat"); err != nil {
+	if err := r.sess.InstallRules("u", "cat"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -397,7 +403,7 @@ default -
 + //patient
 - //ssn`)
 	r := newRig(t, doc, "folder", card.EGate, docenc.EncodeOptions{}, rs)
-	res, err := r.term.Query("doctor", "folder", "")
+	res, err := r.sess.Query("doctor", "folder", "")
 	if err != nil {
 		t.Fatalf("the e-gate budget should suffice: %v", err)
 	}
@@ -414,7 +420,7 @@ func TestQueryThroughCard(t *testing.T) {
 	rs := workload.MustParseRules("subject u\ndefault +\n- //ssn")
 	r := newRig(t, doc, "folder", card.Modern, docenc.EncodeOptions{}, rs)
 
-	res, err := r.term.Query("u", "folder", `//visit[diagnosis = "asthma"]`)
+	res, err := r.sess.Query("u", "folder", `//visit[diagnosis = "asthma"]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +435,7 @@ func TestSimulatedTimeBreakdown(t *testing.T) {
 	rs := workload.MustParseRules("subject u\ndefault +")
 	r := newRig(t, doc, "cat", card.EGate, docenc.EncodeOptions{}, rs)
 
-	res, err := r.term.Query("u", "cat", "")
+	res, err := r.sess.Query("u", "cat", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,14 +471,12 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := workload.MustParseRules(tc.rules)
 			r := newRig(t, doc, "doc", card.Modern, docenc.EncodeOptions{BlockPlain: 128, MinSkipBytes: 32}, rs)
-			r.term.Options = tc.opts
-			serial, err := r.term.Query("u", "doc", tc.query)
+			serial, err := r.session(t, r.store, tc.opts, 0).Query("u", "doc", tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 3, DefaultPrefetch} {
-				r.term.Prefetch = k
-				piped, err := r.term.Query("u", "doc", tc.query)
+				piped, err := r.session(t, r.store, tc.opts, k).Query("u", "doc", tc.query)
 				if err != nil {
 					t.Fatalf("prefetch=%d: %v", k, err)
 				}
@@ -499,8 +503,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 			// The ablated linear session promises a waste-free pipeline
 			// (NeedRun's contiguity bound covers the whole remainder).
 			if tc.opts.DisableSkip {
-				r.term.Prefetch = DefaultPrefetch
-				res, err := r.term.Query("u", "doc", tc.query)
+				res, err := r.session(t, r.store, tc.opts, DefaultPrefetch).Query("u", "doc", tc.query)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -508,7 +511,6 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 					t.Errorf("linear session wasted %d speculative blocks", res.Stats.BlocksWasted)
 				}
 			}
-			r.term.Prefetch = 0
 		})
 	}
 }

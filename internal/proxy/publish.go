@@ -239,7 +239,7 @@ func (p *Publisher) retain(b *diffBase) {
 
 // fetchBlocks reads every stored block of the version h describes.
 func (p *Publisher) fetchBlocks(h *docenc.Header) ([][]byte, error) {
-	blocks, err := dsp.ReadBlockRange(p.Store, h.DocID, 0, h.NumBlocks())
+	blocks, err := p.Store.ReadBlocks(h.DocID, 0, h.NumBlocks())
 	if err != nil {
 		return nil, fmt.Errorf("proxy: republish base: %w", err)
 	}

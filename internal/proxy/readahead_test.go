@@ -128,10 +128,10 @@ func gapRig(t *testing.T) (r *rig, store *runLog, gapFrom, gapTo int) {
 	rs := workload.MustParseRules("subject u\ndefault +\n- //secret")
 	r = newRig(t, doc, "gap", card.Modern, docenc.EncodeOptions{BlockPlain: 64, MinSkipBytes: 32}, rs)
 	store = &runLog{MemStore: r.store}
-	r.term.Store = store
+	r.sess = r.session(t, store, soe.Options{}, 0)
 
 	// The serial pull shows which blocks the card asks for.
-	if _, err := r.term.Query("u", "gap", ""); err != nil {
+	if _, err := r.sess.Query("u", "gap", ""); err != nil {
 		t.Fatal(err)
 	}
 	fed := store.take()
@@ -164,8 +164,7 @@ func TestReadaheadRunLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r.term.Prefetch = depth
-	res, err := r.term.Query("u", "gap", "")
+	res, err := r.session(t, store, soe.Options{}, depth).Query("u", "gap", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +189,7 @@ func TestReadaheadRunLengths(t *testing.T) {
 	}
 
 	// A session that cannot skip reads at the limit from the first run on.
-	r.term.Options = soe.Options{DisableSkip: true}
-	if _, err := r.term.Query("u", "gap", ""); err != nil {
+	if _, err := r.session(t, store, soe.Options{DisableSkip: true}, depth).Query("u", "gap", ""); err != nil {
 		t.Fatal(err)
 	}
 	for i, run := range store.take() {
@@ -206,9 +204,9 @@ func TestReadaheadRunLengths(t *testing.T) {
 // otherwise — the skipped part of a run is never authenticated into a
 // result, as in the serial pull.
 func TestReadaheadTamperedBlockInLongRun(t *testing.T) {
-	r, _, gapFrom, _ := gapRig(t)
-	r.term.Prefetch = 2
-	want, err := r.term.Query("u", "gap", "")
+	r, store, gapFrom, _ := gapRig(t)
+	sess := r.session(t, store, soe.Options{}, 2)
+	want, err := sess.Query("u", "gap", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +214,7 @@ func TestReadaheadTamperedBlockInLongRun(t *testing.T) {
 	if err := r.store.Tamper("gap", skipped, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.term.Query("u", "gap", "")
+	got, err := sess.Query("u", "gap", "")
 	if err != nil {
 		t.Fatalf("a tampered block the card skips failed the query: %v", err)
 	}
@@ -225,7 +223,7 @@ func TestReadaheadTamperedBlockInLongRun(t *testing.T) {
 	if err := r.store.Tamper("gap", gapFrom-3, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.term.Query("u", "gap", ""); !errors.Is(err, secure.ErrIntegrity) {
+	if _, err := sess.Query("u", "gap", ""); !errors.Is(err, secure.ErrIntegrity) {
 		t.Fatalf("a tampered block the card reads: %v", err)
 	}
 }
@@ -238,7 +236,6 @@ func TestReadaheadByteCap(t *testing.T) {
 	rs := workload.MustParseRules("subject u\ndefault +")
 	r := newRig(t, doc, "big", card.Modern, docenc.EncodeOptions{BlockPlain: 4096}, rs)
 	store := &runLog{MemStore: r.store}
-	r.term.Store = store
 	header, err := r.store.Header("big")
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +245,7 @@ func TestReadaheadByteCap(t *testing.T) {
 		t.Fatalf("document has %d blocks", header.NumBlocks())
 	}
 
-	r.term.Prefetch = DefaultPrefetch
-	if _, err := r.term.Query("u", "big", ""); err != nil {
+	if _, err := r.session(t, store, soe.Options{}, DefaultPrefetch).Query("u", "big", ""); err != nil {
 		t.Fatal(err)
 	}
 	longest := 0
@@ -260,8 +256,7 @@ func TestReadaheadByteCap(t *testing.T) {
 		t.Errorf("the longest run is %d blocks of %d stored bytes; the cap is %d bytes", longest, stored, readaheadBytes)
 	}
 
-	r.term.Prefetch = 32
-	if _, err := r.term.Query("u", "big", ""); err != nil {
+	if _, err := r.session(t, store, soe.Options{}, 32).Query("u", "big", ""); err != nil {
 		t.Fatal(err)
 	}
 	for i, run := range store.take() {
@@ -282,8 +277,8 @@ func TestStoreRunLengthChecked(t *testing.T) {
 	doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 11, Patients: 10, VisitsPerPatient: 4})
 	r := newRig(t, doc, "folder", card.Modern, docenc.EncodeOptions{BlockPlain: 256}, workload.MustParseRules("subject nurse\ndefault +"))
 	store := &runLog{MemStore: r.store}
-	term := &Terminal{Store: store, Card: r.card, Prefetch: DefaultPrefetch}
-	want, err := term.Query("nurse", "folder", "")
+	sess := r.session(t, store, soe.Options{}, DefaultPrefetch)
+	want, err := sess.Query("nurse", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +292,7 @@ func TestStoreRunLengthChecked(t *testing.T) {
 		}
 		done := make(chan outcome, 1)
 		go func() {
-			res, err := term.Query("nurse", "folder", "")
+			res, err := sess.Query("nurse", "folder", "")
 			done <- outcome{res, err}
 		}()
 		select {

@@ -63,7 +63,7 @@ func pullRig(t testing.TB, cases []pullCase) *rig {
 		if err := r.pub.GrantRules(key, rs); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.term.InstallRules(pc.subject, pc.docID); err != nil {
+		if err := r.sess.InstallRules(pc.subject, pc.docID); err != nil {
 			t.Fatal(err)
 		}
 	}

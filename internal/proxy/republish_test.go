@@ -8,6 +8,7 @@ import (
 	"repro/internal/docenc"
 	"repro/internal/dsp"
 	"repro/internal/secure"
+	"repro/internal/soe"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
 )
@@ -17,7 +18,8 @@ type republishWorld struct {
 	store dsp.Store
 	pub   *Publisher
 	key   secure.DocKey
-	term  *Terminal
+	card  *card.Card
+	sess  *Session
 }
 
 func newRepublishWorld(t *testing.T, store dsp.Store, doc *xmlstream.Node, docID, rules string) *republishWorld {
@@ -37,12 +39,13 @@ func newRepublishWorld(t *testing.T, store dsp.Store, doc *xmlstream.Node, docID
 	if err := w.pub.GrantRules(w.key, rs); err != nil {
 		t.Fatal(err)
 	}
-	c := card.New(card.Modern)
-	if err := c.PutKey(docID, w.key); err != nil {
+	w.card = card.New(card.Modern)
+	if err := w.card.PutKey(docID, w.key); err != nil {
 		t.Fatal(err)
 	}
-	w.term = &Terminal{Store: store, Card: c}
-	if err := w.term.InstallRules(rs.Subject, docID); err != nil {
+	w.sess = NewSession(store, w.card, soe.Options{}, 0)
+	t.Cleanup(w.sess.Close)
+	if err := w.sess.InstallRules(rs.Subject, docID); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -87,7 +90,7 @@ func TestRepublishDeltaEqualsFull(t *testing.T) {
 
 	// World A: publish v0, delta re-publish the mutation.
 	a := newRepublishWorld(t, dsp.NewMemStore(), doc, "folder", rules)
-	before, err := a.term.Query("nurse", "folder", "")
+	before, err := a.sess.Query("nurse", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +104,7 @@ func TestRepublishDeltaEqualsFull(t *testing.T) {
 	if ri.ChangedBlocks == 0 || ri.ChangedBlocks >= ri.TotalBlocks {
 		t.Fatalf("degenerate delta: %d/%d blocks", ri.ChangedBlocks, ri.TotalBlocks)
 	}
-	afterDelta, err := a.term.Query("nurse", "folder", "")
+	afterDelta, err := a.sess.Query("nurse", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestRepublishDeltaEqualsFull(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	afterFull, err := b.term.Query("nurse", "folder", "")
+	afterFull, err := b.sess.Query("nurse", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestRepublishFallbackStore(t *testing.T) {
 		if !ri.Fallback {
 			t.Fatal("bare store did not fall back")
 		}
-		res, err := w.term.Query("m", "agenda", "")
+		res, err := w.sess.Query("m", "agenda", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +198,8 @@ func TestCacheFollowsOutOfBandRepublish(t *testing.T) {
 	cfg := workload.AgendaConfig{Seed: 9, Members: 5, EventsPerMember: 3}
 	w := newRepublishWorld(t, poolA, workload.Agenda(cfg), "agenda", "subject m\ndefault +")
 	cache := dsp.NewCache(poolB, 1<<20)
-	reader := &Terminal{Store: cache, Card: w.term.Card, Prefetch: DefaultPrefetch}
+	reader := NewSession(cache, w.card, soe.Options{}, DefaultPrefetch)
+	defer reader.Close()
 	before, err := reader.Query("m", "agenda", "")
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +233,7 @@ func TestPublishStreamMatchesBuffered(t *testing.T) {
 	const rules = "subject doc\ndefault +\n- //ssn"
 
 	buffered := newRepublishWorld(t, dsp.NewMemStore(), doc, "d", rules)
-	want, err := buffered.term.Query("doc", "d", "")
+	want, err := buffered.sess.Query("doc", "d", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +255,12 @@ func TestPublishStreamMatchesBuffered(t *testing.T) {
 	if err := c.PutKey("d", key); err != nil {
 		t.Fatal(err)
 	}
-	term := &Terminal{Store: store, Card: c}
-	if err := term.InstallRules("doc", "d"); err != nil {
+	sess := NewSession(store, c, soe.Options{}, 0)
+	defer sess.Close()
+	if err := sess.InstallRules("doc", "d"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := term.Query("doc", "d", "")
+	got, err := sess.Query("doc", "d", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +274,7 @@ func TestPublishStreamMatchesBuffered(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := term.Query("doc", "d", "")
+	res, err := sess.Query("doc", "d", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +309,7 @@ func TestRepublishFallbackBehindCacheChecksBase(t *testing.T) {
 	if !ri.Fallback || ri.Version != 3 {
 		t.Fatalf("re-publication after a foreign commit: %+v", ri)
 	}
-	res, err := w.term.Query("m", "agenda", "")
+	res, err := w.sess.Query("m", "agenda", "")
 	if err != nil {
 		t.Fatal(err)
 	}

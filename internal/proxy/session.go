@@ -26,17 +26,18 @@ import (
 // on every drop path before Query returns, so Reset and Close never
 // have dangling frames to chase: they only guard the lifecycle.
 //
-// Terminal remains the one-shot convenience facade over this type.
+// A reader builds one Session per card, provisions it, queries through
+// it as often as it likes and closes it when done; the fleet gateway
+// pools them per subject.
 type Session struct {
 	store    dsp.Store
 	card     *card.Card
 	opts     soe.Options
 	prefetch int
 
-	mu      sync.Mutex
-	busy    bool
-	closed  bool
-	queries int64
+	mu     sync.Mutex
+	busy   bool
+	closed bool
 
 	// col is the sink every query of this session assembles its view in,
 	// sess the card session every query is evaluated by — told, when it is
@@ -49,25 +50,14 @@ type Session struct {
 	pipe *pipeline
 }
 
-// NewSession builds a reusable session over a store lease and a card.
-// prefetch > 0 selects the two-stage prefetching pipeline (see
-// Terminal.Prefetch); 0 keeps the serial pull loop.
+// NewSession builds a reusable session over a store lease and a card;
+// opts passes through to the SOE session (ablation switches). prefetch
+// > 0 selects the two-stage prefetching pipeline, whose first run is
+// prefetch blocks (see pipeline.go); speculative blocks the card never
+// asks for are counted in ResultStats.BlocksWasted. 0 keeps the serial
+// one-block-per-round-trip loop.
 func NewSession(store dsp.Store, c *card.Card, opts soe.Options, prefetch int) *Session {
 	return &Session{store: store, card: c, opts: opts, prefetch: prefetch}
-}
-
-// Card exposes the session's card (provisioning, meters).
-func (s *Session) Card() *card.Card { return s.card }
-
-// Store exposes the session's store lease.
-func (s *Session) Store() dsp.Store { return s.store }
-
-// Queries reports how many queries this session has served since it was
-// built — the pool's reuse measure.
-func (s *Session) Queries() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
 }
 
 // acquire takes single-session ownership for one query.
@@ -87,7 +77,6 @@ func (s *Session) acquire() error {
 func (s *Session) release() {
 	s.mu.Lock()
 	s.busy = false
-	s.queries++
 	s.mu.Unlock()
 }
 
@@ -111,12 +100,6 @@ func (s *Session) InstallRules(subject, docID string) error {
 		return err
 	}
 	return s.card.PutSealedRuleSet(docID, subject, sealed)
-}
-
-// RuleVersion reports the rule-set version installed on this session's
-// card for (subject, doc), -1 when none is installed.
-func (s *Session) RuleVersion(subject, docID string) int64 {
-	return s.card.RuleVersion(subject, docID)
 }
 
 // Reset returns the session to a reusable state between checkouts. Card

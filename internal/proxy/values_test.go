@@ -28,7 +28,7 @@ func TestValueStreamingThroughTinyRAM(t *testing.T) {
 	doc := bigValueDoc(6 * 1024)
 	rs := workload.MustParseRules("subject u\ndefault +")
 	r := newRig(t, doc, "big", card.EGate, docenc.EncodeOptions{}, rs)
-	res, err := r.term.Query("u", "big", "")
+	res, err := r.sess.Query("u", "big", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestValueSkippingAvoidsDeniedBytes(t *testing.T) {
 	// Disable the element-level index so only VALUE skipping can save
 	// bytes (the secret element itself gets no meta record).
 	r := newRig(t, doc, "big", card.EGate, docenc.EncodeOptions{DisableIndex: true}, rs)
-	res, err := r.term.Query("u", "big", "")
+	res, err := r.sess.Query("u", "big", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,7 @@ func TestLargeComparedValueRejectedGracefully(t *testing.T) {
 	doc := bigValueDoc(6 * 1024)
 	rs := workload.MustParseRules(`subject u` + "\n" + `default -` + "\n" + `+ /doc/secret[. = "password"]`)
 	r := newRig(t, doc, "big", card.EGate, docenc.EncodeOptions{}, rs)
-	r.term.Options = soe.Options{MaxValue: 512}
-	_, err := r.term.Query("u", "big", "")
+	_, err := r.session(t, r.store, soe.Options{MaxValue: 512}, 0).Query("u", "big", "")
 	if err == nil {
 		t.Fatal("comparing a 6 KB value in a 512-byte buffer must fail")
 	}

@@ -15,7 +15,7 @@
 //     same or another document, or from a previous version) is detected
 //     even when surrounding blocks are never read — the property chained
 //     MACs lack, and the reason the paper's skips need positional
-//     integrity (see DESIGN.md);
+//     integrity (see docs/ARCHITECTURE.md);
 //   - an authenticated header binding the document geometry, which
 //     defeats truncation.
 //

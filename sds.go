@@ -16,21 +16,20 @@
 //   - pure library: Filter applies a rule set (and optional query) to an
 //     in-memory document — the paper's evaluator without any hardware
 //     simulation;
-//   - single process, full fidelity: NewMemStore + NewCard + Terminal run
-//     the complete publish/provision/query flow with encryption,
-//     integrity, skip index and simulated card costs (see
-//     examples/quickstart);
+//   - single process, full fidelity: a Publisher on a NewMemStore and a
+//     NewPullSession over a NewCard run the complete
+//     publish/provision/query flow with encryption, integrity, skip index
+//     and simulated card costs (see examples/quickstart);
 //   - distributed: cmd/dspd serves the store over TCP, cmd/sdsctl drives
 //     it (see README.md).
 //
 // The subpackages under internal/ are the system's real structure
-// (DESIGN.md maps them); this package re-exports the surface a client
-// application needs.
+// (docs/ARCHITECTURE.md maps them); this package re-exports the surface a
+// client application needs. It hands out one long-lived object per role:
+// a reader holds a PullSession it closes, a writer holds a Publisher.
 package sds
 
 import (
-	"fmt"
-
 	"repro/internal/accessrule"
 	"repro/internal/card"
 	"repro/internal/core"
@@ -105,22 +104,17 @@ type (
 	StoreServer = dsp.Server
 	// StoreServerConfig tunes a StoreServer's concurrency.
 	StoreServerConfig = dsp.ServerConfig
-	// PullSession is the restartable unit under Terminal and Gateway:
-	// one card plus its prepared pull pipeline, provisioned once and
-	// reusable across queries (Reset/Close). Terminals make one per
-	// query; the fleet pools them per subject.
+	// PullSession is the reader's object (see NewPullSession): one card
+	// plus its prepared pull pipeline, provisioned once and reused
+	// across queries until Close. The gateway pools them per subject.
 	PullSession = proxy.Session
-	// Terminal orchestrates pull queries for one card. Setting its
-	// Prefetch field (see DefaultPrefetch) turns the pull loop into a
-	// two-stage prefetching pipeline: batched block runs are fetched
-	// speculatively and overlapped with card evaluation.
-	Terminal = proxy.Terminal
-	// Publisher encodes and uploads documents and rule sets. Besides
-	// the buffered PublishDocument it offers PublishStream (the
-	// bounded-memory io-driven path) and Republish (block-level delta
-	// re-publication: only changed blocks travel). One that is kept
-	// across re-publications diffs against the plaintext it retained
-	// from its own last commit instead of reading the document back.
+	// Publisher is the writer's object: it encodes and uploads
+	// documents and sealed rule sets (GrantRules). Besides the buffered
+	// PublishDocument it offers PublishStream (the bounded-memory
+	// io-driven path) and Republish (block-level delta re-publication:
+	// only changed blocks travel). One that is kept across
+	// re-publications diffs against the plaintext it retained from its
+	// own last commit instead of reading the document back.
 	Publisher = proxy.Publisher
 	// RepublishInfo describes a delta re-publication (changed blocks,
 	// uploaded bytes, negotiated version).
@@ -190,7 +184,7 @@ const (
 )
 
 // DefaultPrefetch is the pipeline depth that amortizes a network round
-// trip without inflating speculation waste (Terminal.Prefetch,
+// trip without inflating speculation waste (NewPullSession's prefetch,
 // GatewayConfig.Prefetch).
 const DefaultPrefetch = proxy.DefaultPrefetch
 
@@ -267,14 +261,17 @@ func DialStore(addr string) (*dsp.Client, error) { return dsp.Dial(addr) }
 // default size).
 func DialStorePool(addr string, size int) (*StorePool, error) { return dsp.DialPool(addr, size) }
 
-// ReadBlockRange fetches a contiguous run of blocks, in one round trip
-// when the store supports batched reads and block-by-block otherwise.
-func ReadBlockRange(s Store, docID string, start, count int) ([][]byte, error) {
-	return dsp.ReadBlockRange(s, docID, start, count)
-}
-
 // NewCard returns a provisionable simulated card.
 func NewCard(profile CardProfile) *Card { return card.New(profile) }
+
+// NewPullSession builds the reader's session over a store and a card:
+// provision it (Provision, InstallRules), Query through it as often as
+// needed and Close it when done. prefetch > 0 (see DefaultPrefetch)
+// overlaps batched block fetches with card evaluation, the right shape
+// when the store is at the end of a network link; 0 pulls serially.
+func NewPullSession(store Store, c *Card, opts SessionOptions, prefetch int) *PullSession {
+	return proxy.NewSession(store, c, opts, prefetch)
+}
 
 // Filter applies a rule set (and optional query, "" for none) to an
 // in-memory document using the streaming engine, returning the authorized
@@ -291,74 +288,6 @@ func Filter(doc *Document, rules *RuleSet, query string) (*Document, error) {
 	}
 	out, _, err := core.Filter(doc.Events(), rules, q)
 	return out, err
-}
-
-// Publish encrypts, indexes and uploads a document in one call.
-func Publish(store Store, doc *Document, docID string, key Key) error {
-	p := &Publisher{Store: store}
-	_, err := p.PublishDocument(doc, EncodeOptions{DocID: docID, Key: key})
-	return err
-}
-
-// PublishStream is Publish over the streaming pipeline: the document is
-// encoded, indexed and encrypted in one bounded-memory pass, and blocks
-// go to the store as they are produced (atomically, via the staged
-// update when the store supports it). Re-publishing an existing
-// document negotiates the next version automatically.
-func PublishStream(store Store, doc *Document, docID string, key Key) error {
-	p := &Publisher{Store: store}
-	_, err := p.PublishStream(doc, EncodeOptions{DocID: docID, Key: key})
-	return err
-}
-
-// Republish uploads a new version of a published document as a
-// block-level delta: the stored version is read back, authenticated and
-// diffed against the new tree, and only the changed block runs travel to
-// the store — atomically, with the version bumped. The returned info
-// reports how much of the document actually moved. A caller that
-// re-publishes a document repeatedly keeps a Publisher instead, which
-// spares it the read-back.
-func Republish(store Store, doc *Document, docID string, key Key) (*RepublishInfo, error) {
-	p := &Publisher{Store: store}
-	return p.Republish(doc, EncodeOptions{DocID: docID, Key: key})
-}
-
-// Grant seals and uploads a subject's rule set for a document.
-func Grant(store Store, key Key, rules *RuleSet) error {
-	if rules.DocID == "" {
-		return fmt.Errorf("sds: the rule set must name its document (RuleSet.DocID)")
-	}
-	p := &Publisher{Store: store}
-	return p.GrantRules(key, rules)
-}
-
-// Provision installs a document key and the subject's current rights on a
-// card.
-func Provision(store Store, c *Card, docID, subject string, key Key) error {
-	if err := c.PutKey(docID, key); err != nil {
-		return err
-	}
-	t := &Terminal{Store: store, Card: c}
-	return t.InstallRules(subject, docID)
-}
-
-// QueryCard runs a pull query through a provisioned card ("" = the full
-// authorized view).
-func QueryCard(store Store, c *Card, subject, docID, query string) (*Result, error) {
-	t := &Terminal{Store: store, Card: c}
-	return t.Query(subject, docID, query)
-}
-
-// QueryCardPipelined is QueryCard over the prefetching pipeline: block
-// runs of up to prefetch blocks (<= 0 selects DefaultPrefetch) are
-// fetched in batched round trips, overlapped with card evaluation — the
-// right shape when the store is at the end of a network link.
-func QueryCardPipelined(store Store, c *Card, subject, docID, query string, prefetch int) (*Result, error) {
-	if prefetch <= 0 {
-		prefetch = DefaultPrefetch
-	}
-	t := &Terminal{Store: store, Card: c, Prefetch: prefetch}
-	return t.Query(subject, docID, query)
 }
 
 // NewGateway builds a card-fleet gateway over a shared store: concurrent

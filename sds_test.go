@@ -72,17 +72,22 @@ func TestFullCardPath(t *testing.T) {
 	key := KeyFromSeed("facade-test")
 	store := NewMemStore()
 
-	if err := Publish(store, doc, "folder", key); err != nil {
+	pub := &Publisher{Store: store}
+	if _, err := pub.PublishDocument(doc, EncodeOptions{DocID: "folder", Key: key}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Grant(store, key, rules); err != nil {
+	if err := pub.GrantRules(key, rules); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCard(EGate)
-	if err := Provision(store, c, "folder", "nurse", key); err != nil {
+	sess := NewPullSession(store, NewCard(EGate), SessionOptions{}, 0)
+	defer sess.Close()
+	if err := sess.Provision("folder", key); err != nil {
 		t.Fatal(err)
 	}
-	res, err := QueryCard(store, c, "nurse", "folder", "")
+	if err := sess.InstallRules("nurse", "folder"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Query("nurse", "folder", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +104,9 @@ func TestFullCardPath(t *testing.T) {
 	}
 }
 
-// TestRepublishTopLevel exercises the public update path: publish,
-// delta re-publish, and a card query that sees the new version.
+// TestRepublishTopLevel exercises the public update path through one
+// held Publisher: publish, delta re-publish, and a card query that sees
+// the new version.
 func TestRepublishTopLevel(t *testing.T) {
 	store := NewMemStore()
 	key := KeyFromSeed("sds-republish")
@@ -112,10 +118,12 @@ func TestRepublishTopLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PublishStream(store, v1, "doc", key); err != nil {
+	pub := &Publisher{Store: store}
+	opts := EncodeOptions{DocID: "doc", Key: key}
+	if _, err := pub.PublishStream(v1, opts); err != nil {
 		t.Fatal(err)
 	}
-	ri, err := Republish(store, v2, "doc", key)
+	ri, err := pub.Republish(v2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +132,18 @@ func TestRepublishTopLevel(t *testing.T) {
 	}
 	rules, _ := ParseRules("subject u\ndefault +")
 	rules.DocID = "doc"
-	if err := Grant(store, key, rules); err != nil {
+	if err := pub.GrantRules(key, rules); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCard(Modern)
-	if err := Provision(store, c, "doc", "u", key); err != nil {
+	sess := NewPullSession(store, NewCard(Modern), SessionOptions{}, 0)
+	defer sess.Close()
+	if err := sess.Provision("doc", key); err != nil {
 		t.Fatal(err)
 	}
-	res, err := QueryCard(store, c, "u", "doc", "")
+	if err := sess.InstallRules("u", "doc"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Query("u", "doc", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +154,9 @@ func TestRepublishTopLevel(t *testing.T) {
 
 func TestGrantRequiresDocID(t *testing.T) {
 	rules, _ := ParseRules("subject u\ndefault +")
-	if err := Grant(NewMemStore(), KeyFromSeed("k"), rules); err == nil {
-		t.Error("Grant without DocID must fail")
+	pub := &Publisher{Store: NewMemStore()}
+	if err := pub.GrantRules(KeyFromSeed("k"), rules); err == nil {
+		t.Error("GrantRules without DocID must fail")
 	}
 }
 
