@@ -52,7 +52,9 @@ test-stress:
 ## test-rearm: the differential tests of reused card state — a re-armed
 ## session, a pooled terminal session and a standing subscriber against
 ## fresh ones, after other evaluations, after aborts at every block and
-## across documents whose dictionaries differ; automata compiled into a
+## across documents whose dictionaries differ; a standing subscriber
+## whose rules or query changed between two versions against a fresh
+## one holding the new ones; automata compiled into a
 ## machine that held another against fresh ones;
 ## the golden cost-model values; a session that delivers to its owner's
 ## sink against the record path (and a sink that fails under it); the
@@ -60,7 +62,7 @@ test-stress:
 ## its run lengths and its check on what a store answers — repeated
 ## under the race detector
 test-rearm:
-	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestDirectDelivery|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/
+	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestRebroadcastFollowsRightsChanges|TestDeltaBroadcast|TestDirectDelivery|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/
 
 ## test-republish: the re-publication path — a long-lived publisher's
 ## retained diff base against a fresh publisher per commit, a foreign

@@ -133,9 +133,6 @@ type Machine struct {
 // Start returns the machine's start state (always 0).
 func (m *Machine) Start() StateID { return 0 }
 
-// NumStates returns the size of the state table.
-func (m *Machine) NumStates() int { return len(m.States) }
-
 // NumPreds returns the number of predicate chains.
 func (m *Machine) NumPreds() int { return len(m.Preds) }
 

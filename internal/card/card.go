@@ -281,15 +281,6 @@ func (c *Card) Key(docID string) (secure.DocKey, error) {
 	return k, nil
 }
 
-// HasKey reports whether a key is provisioned for docID without the
-// error allocation of Key (fleet provisioning checks).
-func (c *Card) HasKey(docID string) bool {
-	c.mu.Lock()
-	_, ok := c.keys[docID]
-	c.mu.Unlock()
-	return ok
-}
-
 // PutRuleSet installs a subject's rule set for a document, enforcing
 // version monotonicity: a replayed older set (a revoked right) is
 // rejected, which is what makes DSP-side replay of stale rule blobs

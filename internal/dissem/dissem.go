@@ -7,13 +7,12 @@
 // what is *broadcast*, but each subscriber's terminal forwards to its
 // card only the blocks the card asks for, so skips still save the
 // card-link transfer and the decryption that dominate the target
-// hardware. When a document is re-published as a block-level delta,
-// DeltaBroadcast pushes only the changed blocks to the subscriber
-// fleet.
+// hardware. A re-published version is broadcast like any other, and
+// every subscriber's card evaluates it under the rules and query it holds
+// at that moment: no reception is ever served without the card.
 package dissem
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -34,73 +33,56 @@ import (
 // the next, re-armed at each header, so a standing subscriber receives in
 // the memory its earlier receptions grew.
 type Subscriber struct {
-	Name    string
-	Card    *card.Card
-	Options soe.Options
+	Name string
+	Card *card.Card
 	// Query optionally narrows the subscription (a standing query).
 	Query *xpath.Path
 
+	opts        soe.Options
 	sess        *soe.Session
-	sessOptions soe.Options // what sess was opened with
 	col         *proxy.Collector
 	view        core.View // each reception's view, copied out into its Tree
 	meterBefore card.Meter
 
-	// BlocksOffered / BlocksForwarded measure the terminal-side filter
-	// for the current (or last finished) stream.
-	BlocksOffered   int
-	BlocksForwarded int
-
-	// Retained skip state of the last completed stream: which version it
-	// was, which blocks the card actually consumed, and what it
-	// delivered. A DeltaBroadcast whose changed set misses every
-	// consumed block can reuse the delivery outright — the card would
-	// provably produce the same view.
-	lastVersion   uint32
-	lastGeometry  [2]uint64 // BlockPlain, PayloadLen
-	lastForwarded []bool
-	lastReception *Reception
+	// offered / forwarded measure the terminal-side filter for the
+	// current stream; finish copies them into the Reception.
+	offered, forwarded int
 }
 
 // NewSubscriber wraps a provisioned card (key and rule set installed).
 func NewSubscriber(name string, c *card.Card, query *xpath.Path, opts soe.Options) *Subscriber {
-	return &Subscriber{Name: name, Card: c, Options: opts, Query: query}
+	return &Subscriber{Name: name, Card: c, Query: query, opts: opts}
 }
 
-// begin opens the card session when the stream header arrives.
-func (s *Subscriber) begin(subject, docID string, hdrBytes []byte, numBlocks int) error {
+// begin opens the card session when the stream header arrives: the first
+// reception opens it, every later one re-arms it.
+func (s *Subscriber) begin(subject, docID string, hdrBytes []byte) error {
 	s.meterBefore = s.Card.Meter
-	if s.sess != nil && s.sessOptions == s.Options {
-		if err := s.sess.Restart(docID, subject, s.Query); err != nil {
-			return err
-		}
-	} else {
-		sess, err := soe.NewSession(s.Card, docID, subject, s.Query, s.Options)
+	if s.sess == nil {
+		sess, err := soe.NewSession(s.Card, docID, subject, s.Query, s.opts)
 		if err != nil {
 			return err
 		}
-		if s.col == nil {
-			s.col = proxy.NewCollector()
-		}
-		if err := sess.DeliverTo(s.col); err != nil {
+		col := proxy.NewCollector()
+		if err := sess.DeliverTo(col); err != nil {
 			return err
 		}
-		s.sess, s.sessOptions = sess, s.Options
+		s.sess, s.col = sess, col
+	} else if err := s.sess.Restart(docID, subject, s.Query); err != nil {
+		return err
 	}
 	if err := s.sess.LoadHeader(hdrBytes); err != nil {
 		return err
 	}
 	s.col.Reset()
-	s.BlocksOffered, s.BlocksForwarded = 0, 0
-	s.lastForwarded = append(s.lastForwarded[:0], make([]bool, numBlocks)...)
-	s.lastReception = nil
+	s.offered, s.forwarded = 0, 0
 	return nil
 }
 
 // offer hands a broadcast block to the subscriber. The terminal forwards
 // it to the card only if the card's wanted offset lies inside it.
 func (s *Subscriber) offer(idx int, blk []byte) error {
-	s.BlocksOffered++
+	s.offered++
 	if s.sess.Done() {
 		return nil
 	}
@@ -108,10 +90,7 @@ func (s *Subscriber) offer(idx int, blk []byte) error {
 	if want < 0 || want != idx {
 		return nil // skipped or not yet wanted: dropped at the terminal
 	}
-	s.BlocksForwarded++
-	if idx < len(s.lastForwarded) {
-		s.lastForwarded[idx] = true
-	}
+	s.forwarded++
 	_, err := s.sess.Feed(idx, blk)
 	return err
 }
@@ -145,8 +124,8 @@ func (s *Subscriber) finish() (*Reception, error) {
 	r := &Reception{
 		Subscriber:      s.Name,
 		Tree:            view.Tree(),
-		BlocksOffered:   s.BlocksOffered,
-		BlocksForwarded: s.BlocksForwarded,
+		BlocksOffered:   s.offered,
+		BlocksForwarded: s.forwarded,
 		Session:         s.sess.Stats(),
 	}
 	r.Meter = s.Card.Meter.Sub(s.meterBefore)
@@ -242,7 +221,7 @@ func (s *Subscriber) receive(container *docenc.Container, hdrBytes []byte, subje
 	if err != nil {
 		return nil, err
 	}
-	if err := s.begin(subject, container.Header.DocID, hdrBytes, len(container.Blocks)); err != nil {
+	if err := s.begin(subject, container.Header.DocID, hdrBytes); err != nil {
 		return nil, fmt.Errorf("dissem: subscriber %s: %w", s.Name, err)
 	}
 	for idx, blk := range container.Blocks {
@@ -258,101 +237,5 @@ func (s *Subscriber) receive(container *docenc.Container, hdrBytes []byte, subje
 	if err != nil {
 		return nil, fmt.Errorf("dissem: subscriber %s: %w", s.Name, err)
 	}
-	s.lastVersion = container.Header.Version
-	s.lastGeometry = [2]uint64{uint64(container.Header.BlockPlain), container.Header.PayloadLen}
-	s.lastReception = rec
 	return rec, nil
-}
-
-// DeltaStats summarizes a delta dissemination round.
-type DeltaStats struct {
-	// BlocksChanged / BlocksTotal: the channel payload shrinkage. The
-	// publisher pushes only the changed blocks onto the (shared)
-	// channel; every other block a re-running subscriber consumes comes
-	// from its terminal's retained copy of the previous stream, never
-	// from the channel.
-	BlocksChanged int
-	BlocksTotal   int
-	// Rerun counts subscribers whose retained skip state intersected the
-	// delta (their card had consumed at least one changed block, so
-	// their view may have moved and was re-derived).
-	Rerun int
-	// Reused counts subscribers served from their retained view: every
-	// block their card consumed is bit-identical across versions, so the
-	// delivered view provably cannot have changed.
-	Reused int
-}
-
-// DeltaBroadcast pushes a new version of a previously broadcast document
-// to subscribers that hold the old one. The channel carries only the
-// changed blocks (derived from the containers' stored blocks —
-// unchanged blocks keep their old ciphertext under the delta re-publish
-// scheme, so the sets are byte-comparable); each re-running subscriber's
-// terminal splices them into its retained copy of the old stream. A
-// subscriber whose card consumed no changed block keeps its previous
-// delivery without touching the card at all.
-//
-// In this in-process harness the splice is modeled, not transported:
-// re-runs are fed from the new container, whose unchanged blocks are
-// byte-identical to the retention they stand in for, so card behavior
-// and receptions are exactly those of a spliced stream while
-// DeltaStats.BlocksChanged accounts what a real channel would carry.
-func DeltaBroadcast(old, new *docenc.Container, subject string, subs []*Subscriber) ([]*Reception, *DeltaStats, error) {
-	if old.Header.DocID != new.Header.DocID {
-		return nil, nil, fmt.Errorf("dissem: delta between different documents %q and %q",
-			old.Header.DocID, new.Header.DocID)
-	}
-	changed := make([]bool, len(new.Blocks))
-	nChanged := 0
-	for i := range new.Blocks {
-		if i >= len(old.Blocks) || !bytes.Equal(old.Blocks[i], new.Blocks[i]) {
-			changed[i] = true
-			nChanged++
-		}
-	}
-	stats := &DeltaStats{BlocksChanged: nChanged, BlocksTotal: len(new.Blocks)}
-	sameGeometry := old.Header.BlockPlain == new.Header.BlockPlain &&
-		old.Header.PayloadLen == new.Header.PayloadLen
-
-	out := make([]*Reception, len(subs))
-	var rerun []*Subscriber
-	var rerunIdx []int
-	for i, s := range subs {
-		if sameGeometry && s.reusable(old.Header, changed) {
-			out[i] = s.lastReception
-			stats.Reused++
-			continue
-		}
-		rerun = append(rerun, s)
-		rerunIdx = append(rerunIdx, i)
-		stats.Rerun++
-	}
-	if len(rerun) > 0 {
-		recs, err := Broadcast(new, subject, rerun)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, rec := range recs {
-			out[rerunIdx[j]] = rec
-		}
-	}
-	return out, stats, nil
-}
-
-// reusable reports whether the subscriber's retained view of the old
-// version is provably identical under the new one: it completed the old
-// stream and none of the blocks its card consumed changed. (The blocks
-// it skipped were never decrypted, so their generations are
-// irrelevant to what was delivered.)
-func (s *Subscriber) reusable(oldHeader docenc.Header, changed []bool) bool {
-	if s.lastReception == nil || s.lastVersion != oldHeader.Version ||
-		s.lastGeometry != [2]uint64{uint64(oldHeader.BlockPlain), oldHeader.PayloadLen} {
-		return false
-	}
-	for idx, fed := range s.lastForwarded {
-		if fed && idx < len(changed) && changed[idx] {
-			return false
-		}
-	}
-	return true
 }

@@ -559,9 +559,6 @@ func (s *FileStore) recoverSegment(i int, rec *segRecovery) error {
 	return nil
 }
 
-// Dir returns the store's directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 // seg routes a document to its segment — the same hash, modulus and
 // index as the MemStore shard, so segment i's log describes exactly
 // shard i's contents.
