@@ -45,7 +45,7 @@ test-nosendfile:
 test-stress:
 	$(GO) test -run 'TestSendfile' -race -count=2 ./internal/dsp/
 	$(GO) test -run 'TestFileStore|TestCacheCommit' -race -count=2 ./internal/dsp/
-	$(GO) test -run 'TestFileStoreMmap|TestFileStorePinned|TestFileStoreUnpinned|TestFileStoreCorruptFooterHeals|TestFileStoreStatsNeverTorn|TestCacheSkipsMappedFills|TestClientBlockFrame|TestWireReadAllocs' -race -count=2 ./internal/dsp/
+	$(GO) test -run 'TestFileStoreMmap|TestFileStorePinned|TestFileStoreUnpinned|TestFileStoreCorruptFooterHeals|TestFileStoreStatsNeverTorn|TestCacheSkipsMappedFills|TestClientBlockFrame|TestWireReadAllocs|TestColdReadAllocs' -race -count=2 ./internal/dsp/
 	$(GO) test -run 'TestFileStoreSegmentedHammer|TestFileStoreCheckpointOffRequestPath' -race -count=2 ./internal/dsp/
 	$(GO) test -run 'TestSharedDecryptContextRace|TestContextConcurrentUse|TestGatewayMatchesSerialTerminal|TestMadviseCounter' -race -count=2 ./internal/secure/ ./internal/fleet/ ./internal/dsp/
 
@@ -102,7 +102,8 @@ gateway-soak:
 ## one-frame commit and the log record recovery replays it from, the
 ## checkpoint image a store directory is reopened from, the sealed rule
 ## set's plaintext and the card's open of the sealed set, the XPath
-## parser, dspd's request dispatch, the client's block-run reply,
+## parser, the frame reader every network byte passes, dspd's request
+## dispatch, the client's block-run reply,
 ## gatewayd's requests and the card applet's APDU commands), the
 ## serializer's round trip and the encoder's kept plan against a fresh
 ## one; CI runs this on every push, longer runs stay manual
@@ -119,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointImage -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalRuleSet -fuzztime=10s ./internal/accessrule/
 	$(GO) test -run=NONE -fuzz=FuzzXPathParse -fuzztime=10s ./internal/xpath/
+	$(GO) test -run=NONE -fuzz=FuzzReadFrames -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzServerDispatch -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzParseBlockRun -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzGatewayDispatch -fuzztime=10s ./internal/gateway/

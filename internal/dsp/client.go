@@ -24,6 +24,7 @@ func (e ServerError) Error() string { return "dsp: server: " + string(e) }
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
+	fc   *wire.FrameConn
 
 	// bytesRead counts response payload bytes: the "transferred from the
 	// DSP" measure of experiment E3 when running against a real server.
@@ -39,7 +40,12 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dsp: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn}, nil
+	return newClient(conn), nil
+}
+
+// newClient is the client end of an established connection.
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, fc: wire.NewFrameConn(conn, maxFrame)}
 }
 
 // Close terminates the connection.
@@ -66,7 +72,7 @@ func (c *Client) roundTripInto(req, buf []byte) (body, frameBuf []byte, err erro
 	defer wire.PutBuf(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	body, frame, err := wire.RoundTrip(c.conn, maxFrame, req, buf, serverError)
+	body, frame, err := c.fc.RoundTrip(req, buf, serverError)
 	if frame == nil {
 		return nil, buf, err
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // frameRig serves a store over loopback TCP and returns a connected
@@ -165,10 +167,62 @@ func TestWireReadAllocsFlatAcrossRunLength(t *testing.T) {
 	small := measure(4)
 	large := measure(32)
 	t.Logf("allocs/op: run=4 → %.1f, run=32 → %.1f", small, large)
-	// Per-op allocations are a fixed toll (request frame, dispatch
-	// goroutine, channels) on both sides; per-block cost must be ~zero.
+	// Per-op allocations are a fixed toll (the request buffer the server
+	// reads into and the dispatch goroutine) on both sides; per-block cost
+	// must be ~zero.
 	// 28 extra blocks are allowed at most half an allocation each.
 	if large-small > 14 {
 		t.Fatalf("allocs grow with run length: %.1f at run=4 vs %.1f at run=32", small, large)
+	}
+}
+
+// TestColdReadAllocs gates the fixed toll of a cold read: a pooled
+// remote read of a checkpoint-resident 64-block run (Pool → Server →
+// Cache → FileStore, sendfile where the platform has it) may make at
+// most 8 allocations, counted process-wide, so both ends. What is left
+// (6 on linux/amd64): the dispatch goroutine and its arguments, the
+// request buffer the server reads into and hands to dispatch, the block
+// slices the cache and the store each build for the run, and now and
+// then the document id's string.
+func TestColdReadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops pooled buffers on purpose")
+	}
+	dir := t.TempDir()
+	fs := openFileStore(t, dir, FileStoreOptions{})
+	defer fs.Close()
+	const nBlocks = 64
+	if err := fs.PutDocument(benchContainer("cold", nBlocks, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewCache(fs, 1<<20))
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	p, err := DialPool(l.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	read := func() {
+		f, err := p.ReadBlocksFrame("cold", 0, nBlocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	for i := 0; i < 16; i++ {
+		read() // warm every pool and per-connection buffer
+	}
+	allocs := testing.AllocsPerRun(200, read)
+	t.Logf("%.2f allocs per cold read of %d blocks", allocs, nBlocks)
+	if allocs > 8 {
+		t.Fatalf("a cold read of %d blocks made %.2f allocations, want at most 8", nBlocks, allocs)
 	}
 }

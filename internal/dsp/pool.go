@@ -177,13 +177,17 @@ func (p *Pool) withConn(f func(*Client) error) error {
 		}
 	}
 	err := f(c)
-	var srvErr ServerError
-	if err != nil && !errors.As(err, &srvErr) && !errors.Is(err, ErrBaseMoved) {
-		// Transport failure: the request/response framing on this
-		// connection can no longer be trusted. Drop it.
-		p.untrack(c)
-		p.free <- nil
-		return err
+	if err != nil {
+		// errors.As makes srvErr escape, so only a failed call declares
+		// it: a successful one allocates nothing here.
+		var srvErr ServerError
+		if !errors.As(err, &srvErr) && !errors.Is(err, ErrBaseMoved) {
+			// Transport failure: the request/response framing on this
+			// connection can no longer be trusted. Drop it.
+			p.untrack(c)
+			p.free <- nil
+			return err
+		}
 	}
 	p.free <- c
 	return err

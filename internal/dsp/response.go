@@ -63,8 +63,9 @@ type response struct {
 	runs     []wireRun
 	fileRuns []fileRun
 
-	// bufs is the reused iovec scratch for the vectored write.
-	bufs net.Buffers
+	// bufs is the reused iovec scratch for the vectored write; iov is
+	// the view of it that the write consumes.
+	bufs, iov net.Buffers
 }
 
 // maxPooledRespHead bounds the head capacity a pooled response may
@@ -194,22 +195,33 @@ func (r *response) writeTo(w io.Writer) error {
 		_, err := w.Write(r.head)
 		return err
 	}
-	bufs := r.bufs[:0]
+	r.bufs = r.bufs[:0]
 	prev := 0
 	for i, cut := range r.cuts {
 		if cut > prev {
-			bufs = append(bufs, r.head[prev:cut])
+			r.bufs = append(r.bufs, r.head[prev:cut])
 		}
 		if len(r.blocks[i]) > 0 {
-			bufs = append(bufs, r.blocks[i])
+			r.bufs = append(r.bufs, r.blocks[i])
 		}
 		prev = cut
 	}
 	if prev < len(r.head) {
-		bufs = append(bufs, r.head[prev:])
+		r.bufs = append(r.bufs, r.head[prev:])
 	}
-	r.bufs = bufs
-	_, err := (&r.bufs).WriteTo(w)
+	return r.flush(w, 0)
+}
+
+// flush writes r.bufs[from:] with one vectored write. net.Buffers.WriteTo
+// consumes the slice it is given, so it gets r.iov, a view of r.bufs:
+// r.bufs keeps its backing array for the next response.
+func (r *response) flush(w io.Writer, from int) error {
+	if from == len(r.bufs) {
+		return nil
+	}
+	r.iov = r.bufs[from:]
+	_, err := r.iov.WriteTo(w)
+	r.iov = nil
 	return err
 }
 
@@ -230,29 +242,23 @@ func (r *response) writeToConn(cw *connWriter) error {
 		return r.setErr(errFrameLimit(n)).writeTo(cw.conn)
 	}
 	binary.BigEndian.PutUint32(r.head[:4], uint32(n))
-	var bufs net.Buffers
-	flush := func() error {
-		if len(bufs) == 0 {
-			return nil
-		}
-		_, err := (&bufs).WriteTo(cw.conn)
-		bufs = nil // WriteTo consumed the slice
-		return err
-	}
+	r.bufs = r.bufs[:0]
+	from := 0 // r.bufs before from are on the wire
 	prev := 0
 	ri := 0
 	for i, cut := range r.cuts {
 		if cut > prev {
-			bufs = append(bufs, r.head[prev:cut])
+			r.bufs = append(r.bufs, r.head[prev:cut])
 		}
 		prev = cut
 		isRun := ri < len(r.fileRuns) && r.fileRuns[ri].buf == i
 		if isRun && cw.sendfileOK {
 			run := &r.fileRuns[ri]
 			ri++
-			if err := flush(); err != nil {
+			if err := r.flush(cw.conn, from); err != nil {
 				return err
 			}
+			from = len(r.bufs)
 			span := r.blocks[i]
 			sent, err := cw.sendfile(span, run.src, run.off, run.stats)
 			if err != nil {
@@ -272,11 +278,11 @@ func (r *response) writeToConn(cw *connWriter) error {
 			ri++ // latched mid-response: the span rides the writev below
 		}
 		if len(r.blocks[i]) > 0 {
-			bufs = append(bufs, r.blocks[i])
+			r.bufs = append(r.bufs, r.blocks[i])
 		}
 	}
 	if prev < len(r.head) {
-		bufs = append(bufs, r.head[prev:])
+		r.bufs = append(r.bufs, r.head[prev:])
 	}
-	return flush()
+	return r.flush(cw.conn, from)
 }

@@ -93,6 +93,7 @@ type connWriter struct {
 	// sendfileOK starts true on capable builds and latches false on the
 	// first runtime refusal.
 	sendfileOK bool
+	sf         sendfileState
 }
 
 func newConnWriter(conn net.Conn) *connWriter {
@@ -119,7 +120,7 @@ func (cw *connWriter) sendfile(span []byte, src *os.File, off int64, stats *send
 	if testSendfileOverride != nil {
 		sent, unsupported, err = testSendfileOverride(cw.conn, span)
 	} else {
-		sent, unsupported, err = sendfileTo(cw.rc, src, off, int64(len(span)))
+		sent, unsupported, err = cw.sf.send(cw.rc, src, off, int64(len(span)))
 	}
 	if stats != nil {
 		if sent > 0 {

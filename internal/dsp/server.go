@@ -52,7 +52,7 @@ func NewServerConfig(store Store, cfg ServerConfig) *Server {
 // open is one connection's half of the serve loop: replies go out
 // through its connWriter — one vectored write, or sendfile for file
 // runs — and release their pins after.
-func (s *Server) open(conn net.Conn) wire.Conn[*response] {
+func (s *Server) open(conn net.Conn, _ *wire.FrameConn) wire.Conn[*response] {
 	cw := newConnWriter(conn)
 	return wire.Conn[*response]{
 		Dispatch: s.dispatch,

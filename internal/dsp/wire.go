@@ -54,7 +54,7 @@ const maxFrame = 64 << 20
 // reaches int arithmetic.
 const maxBlockOffset = 1 << 31
 
-// serverError is the wire.RoundTrip hook that types a StatusErr reply.
+// serverError is the FrameConn.RoundTrip hook that types a StatusErr reply.
 func serverError(msg []byte) error { return ServerError(msg) }
 
 // appendDelta encodes a delta as op 13 carries it and the log records

@@ -153,12 +153,13 @@ func TestClientRejectsBadStatus(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	defer serverSide.Close()
 	go func() {
-		if _, err := wire.ReadFrameInto(serverSide, nil, maxFrame); err != nil {
+		fc := wire.NewFrameConn(serverSide, maxFrame)
+		if _, err := fc.ReadFrame(nil); err != nil {
 			return
 		}
-		_ = wire.WriteFrame(serverSide, []byte{42}, maxFrame)
+		_ = fc.WriteFrame([]byte{42})
 	}()
-	c := &Client{conn: clientSide}
+	c := newClient(clientSide)
 	defer c.Close()
 	_, err := c.ListDocuments()
 	if err == nil || !strings.Contains(err.Error(), "bad response status") {
@@ -172,12 +173,13 @@ func TestClientBoundsListCount(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	defer serverSide.Close()
 	go func() {
-		if _, err := wire.ReadFrameInto(serverSide, nil, maxFrame); err != nil {
+		fc := wire.NewFrameConn(serverSide, maxFrame)
+		if _, err := fc.ReadFrame(nil); err != nil {
 			return
 		}
-		_ = wire.WriteFrame(serverSide, binary.AppendUvarint([]byte{wire.StatusOK}, 1<<40), maxFrame)
+		_ = fc.WriteFrame(binary.AppendUvarint([]byte{wire.StatusOK}, 1<<40))
 	}()
-	c := &Client{conn: clientSide}
+	c := newClient(clientSide)
 	defer c.Close()
 	if ids, err := c.ListDocuments(); err == nil {
 		t.Fatalf("a list of 2^40 ids in 7 bytes accepted: %d ids", len(ids))

@@ -10,14 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Client talks to a gatewayd server over one connection. Requests are
-// serialized on the connection (responses are correlated by order);
-// any number of Sessions may be open at once and used from different
-// goroutines — the gateway's fleet runs their queries concurrently up
-// to its pool bounds even though the frames interleave on one wire.
+// Client talks to a gatewayd server over one connection. Any number of
+// Sessions may be open on it at once and used from different goroutines,
+// but one Client carries one request at a time: each round trip holds the
+// client's lock from its write until its reply is read, so the calls of
+// Sessions sharing a Client are serialized. Callers that want their
+// queries to run concurrently — the fleet runs them up to its pool
+// bounds — give each goroutine its own Client.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
+	fc   *wire.FrameConn
 	// recv is the reusable receive buffer; responses are parsed into
 	// owned values under mu before the next round trip reuses it.
 	recv []byte
@@ -29,7 +32,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, fc: wire.NewFrameConn(conn, maxFrame)}, nil
 }
 
 // Close terminates the connection; open sessions die with it.
@@ -43,7 +46,7 @@ func (c *Client) roundTrip(req []byte, parse func(body []byte) error) error {
 	defer wire.PutBuf(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	body, frame, err := wire.RoundTrip(c.conn, maxFrame, req, c.recv, serverError)
+	body, frame, err := c.fc.RoundTrip(req, c.recv, serverError)
 	if frame != nil {
 		c.recv = frame
 	}

@@ -70,13 +70,13 @@ func (s *Server) Fleet() *fleet.Gateway { return s.fl }
 // open is one connection's half of the serve loop: its wire-session
 // table, replies written from their pooled buffers, and the sessions the
 // client never closed dropped with the connection.
-func (s *Server) open(conn net.Conn) wire.Conn[[]byte] {
+func (s *Server) open(_ net.Conn, fc *wire.FrameConn) wire.Conn[[]byte] {
 	cs := &connState{sessions: make(map[uint64]string)}
 	return wire.Conn[[]byte]{
 		Dispatch: func(req []byte) []byte { return s.dispatch(cs, req) },
 		Reply: func(resp []byte, write bool) (err error) {
 			if write {
-				err = wire.WriteFrame(conn, resp, maxFrame)
+				err = fc.WriteFrame(resp)
 			}
 			wire.PutBuf(resp)
 			return err

@@ -43,5 +43,5 @@ type ServerError string
 
 func (e ServerError) Error() string { return "gateway: server: " + string(e) }
 
-// serverError is the wire.RoundTrip hook that types a StatusErr reply.
+// serverError is the FrameConn.RoundTrip hook that types a StatusErr reply.
 func serverError(msg []byte) error { return ServerError(msg) }

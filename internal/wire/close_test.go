@@ -76,7 +76,7 @@ func TestCloseBoundedByStalledReader(t *testing.T) {
 			client := l.dial()
 			defer client.Close()
 			// The pipe returns only once the server has read the frame.
-			if err := wire.WriteFrame(client, tc.req, 1<<10); err != nil {
+			if err := wire.NewFrameConn(client, 1<<10).WriteFrame(tc.req); err != nil {
 				t.Fatal(err)
 			}
 			start := time.Now()

@@ -42,7 +42,7 @@ type Server[R any] struct {
 	limit   int
 	depth   int
 	workers chan struct{}
-	open    func(net.Conn) Conn[R]
+	open    func(net.Conn, *FrameConn) Conn[R]
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -55,8 +55,9 @@ type Server[R any] struct {
 // logs, refuses frames past limit, runs at most workers requests at once
 // (<= 0: 4 × GOMAXPROCS) and lets one connection have at most depth in
 // flight before its reader stops pulling frames (<= 0: 32). open builds
-// the daemon's half of each accepted connection.
-func NewServer[R any](name string, limit, workers, depth int, open func(net.Conn) Conn[R]) *Server[R] {
+// the daemon's half of each accepted connection, given the connection and
+// the FrameConn the serve loop reads its requests through.
+func NewServer[R any](name string, limit, workers, depth int, open func(net.Conn, *FrameConn) Conn[R]) *Server[R] {
 	if workers <= 0 {
 		workers = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -112,7 +113,9 @@ func (s *Server[R]) ListenAndServe(addr string) error {
 // deadline becomes now, so no new request is read; its write deadline
 // becomes now + DrainGrace; the requests already dispatched finish and
 // their replies flush; then the connections close. Close returns once
-// every connection is down.
+// every connection is down. Whole frames already in a connection's read
+// buffer when Close lands need no read, so they are dispatched too and
+// answered within the same DrainGrace; a frame cut short there is not.
 func (s *Server[R]) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -145,7 +148,8 @@ func (s *Server[R]) logf(format string, args ...any) {
 // returns, and deregisters the connection, only after every dispatched
 // request has been answered or released.
 func (s *Server[R]) handle(conn net.Conn) {
-	c := s.open(conn)
+	fc := NewFrameConn(conn, s.limit)
+	c := s.open(conn, fc)
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -159,14 +163,20 @@ func (s *Server[R]) handle(conn net.Conn) {
 
 	// pending carries, in request order, the channel each in-flight
 	// request delivers its reply on. Its capacity is the pipeline depth: a
-	// client that floods frames blocks the reader, not the pool.
+	// client that floods frames blocks the reader, not the pool. The
+	// writer hands each drained channel back through spare, which holds
+	// every channel the connection can have alive at once: those queued,
+	// the writer's and the reader's.
 	pending := make(chan chan R, s.depth)
+	spare := make(chan chan R, s.depth+2)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		write := true
 		for ch := range pending {
-			if err := c.Reply(<-ch, write); err != nil && write {
+			resp := <-ch
+			spare <- ch
+			if err := c.Reply(resp, write); err != nil && write {
 				if !errors.Is(err, net.ErrClosed) {
 					s.logf("%s: connection %s: write: %v", s.name, remoteAddr(conn), err)
 				}
@@ -178,14 +188,19 @@ func (s *Server[R]) handle(conn net.Conn) {
 	}()
 
 	for {
-		req, err := ReadFrameInto(conn, nil, s.limit)
+		req, err := fc.ReadFrame(nil)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				s.logf("%s: connection %s: %v", s.name, remoteAddr(conn), err)
 			}
 			break
 		}
-		ch := make(chan R, 1)
+		var ch chan R
+		select {
+		case ch = <-spare:
+		default:
+			ch = make(chan R, 1)
+		}
 		pending <- ch
 		s.workers <- struct{}{}
 		go func(req []byte, ch chan<- R) {

@@ -16,13 +16,22 @@ import (
 // testLimit stands in for a protocol's frame limit.
 const testLimit = 1 << 10
 
+// readConn frames a stream that is only ever read.
+func readConn(r io.Reader, limit int) *FrameConn {
+	return NewFrameConn(struct {
+		io.Reader
+		io.Writer
+	}{r, io.Discard}, limit)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	fc := NewFrameConn(&buf, testLimit)
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, payload, testLimit); err != nil {
+	if err := fc.WriteFrame(payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrameInto(&buf, nil, testLimit)
+	got, err := fc.ReadFrame(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,23 +40,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// Empty payloads are legal frames.
 	buf.Reset()
-	if err := WriteFrame(&buf, nil, testLimit); err != nil {
+	if err := fc.WriteFrame(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadFrameInto(&buf, nil, testLimit); err != nil || len(got) != 0 {
+	if got, err := fc.ReadFrame(nil); err != nil || len(got) != 0 {
 		t.Errorf("empty frame = %q, %v", got, err)
 	}
 	// A frame that fits the caller's buffer lands in it.
 	own := make([]byte, 0, 64)
-	_ = WriteFrame(&buf, payload, testLimit)
-	if got, _ := ReadFrameInto(&buf, own, testLimit); &got[0] != &own[:1][0] {
+	_ = fc.WriteFrame(payload)
+	if got, _ := fc.ReadFrame(own); &got[0] != &own[:1][0] {
 		t.Error("a frame that fits the buffer was read into a new one")
 	}
 }
 
 func TestWriteFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFrame(&buf, make([]byte, testLimit+1), testLimit)
+	err := NewFrameConn(&buf, testLimit).WriteFrame(make([]byte, testLimit+1))
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame written: %v", err)
 	}
@@ -61,7 +70,7 @@ func TestReadFrameRejectsHostileLength(t *testing.T) {
 	for _, n := range []uint32{testLimit + 1, math.MaxUint32} {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], n)
-		_, err := ReadFrameInto(bytes.NewReader(hdr[:]), nil, testLimit)
+		_, err := readConn(bytes.NewReader(hdr[:]), testLimit).ReadFrame(nil)
 		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 			t.Fatalf("hostile length %d accepted: %v", n, err)
 		}
@@ -69,11 +78,11 @@ func TestReadFrameRejectsHostileLength(t *testing.T) {
 }
 
 func TestReadFrameTruncatedHeader(t *testing.T) {
-	_, err := ReadFrameInto(bytes.NewReader([]byte{0, 0}), nil, testLimit)
+	_, err := readConn(bytes.NewReader([]byte{0, 0}), testLimit).ReadFrame(nil)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated header: %v", err)
 	}
-	_, err = ReadFrameInto(bytes.NewReader(nil), nil, testLimit)
+	_, err = readConn(bytes.NewReader(nil), testLimit).ReadFrame(nil)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("missing header: %v", err)
 	}
@@ -82,7 +91,7 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 func TestReadFrameTruncatedPayload(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 10)
-	_, err := ReadFrameInto(bytes.NewReader(append(hdr[:], 1, 2, 3)), nil, testLimit)
+	_, err := readConn(bytes.NewReader(append(hdr[:], 1, 2, 3)), testLimit).ReadFrame(nil)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated payload: %v", err)
 	}
@@ -180,12 +189,8 @@ func TestRoundTripStatus(t *testing.T) {
 		{nil, "", "empty response"},
 	} {
 		var in bytes.Buffer
-		_ = WriteFrame(&in, tc.reply, testLimit)
-		rw := struct {
-			io.Reader
-			io.Writer
-		}{&in, io.Discard}
-		body, frame, err := RoundTrip(rw, testLimit, []byte{1}, nil, serverErr)
+		_ = NewFrameConn(&in, testLimit).WriteFrame(tc.reply)
+		body, frame, err := readConn(&in, testLimit).RoundTrip([]byte{1}, nil, serverErr)
 		if string(body) != tc.body || (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("reply %v: body %q, err %v", tc.reply, body, err)
 		}
@@ -205,7 +210,7 @@ func echoServer(t *testing.T, workers, depth int) (srv *Server[[]byte], l net.Li
 		t.Fatal(err)
 	}
 	dispatched = new(atomic.Int32)
-	srv = NewServer("echo", testLimit, workers, depth, func(conn net.Conn) Conn[[]byte] {
+	srv = NewServer("echo", testLimit, workers, depth, func(_ net.Conn, fc *FrameConn) Conn[[]byte] {
 		return Conn[[]byte]{
 			Dispatch: func(req []byte) []byte {
 				dispatched.Add(1)
@@ -216,7 +221,7 @@ func echoServer(t *testing.T, workers, depth int) (srv *Server[[]byte], l net.Li
 				if !write {
 					return nil
 				}
-				return WriteFrame(conn, resp, testLimit)
+				return fc.WriteFrame(resp)
 			},
 		}
 	})
@@ -236,15 +241,16 @@ func TestPipelinedResponsesStayOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	fc := NewFrameConn(conn, testLimit)
 
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := WriteFrame(conn, []byte{byte(i)}, testLimit); err != nil {
+		if err := fc.WriteFrame([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		resp, err := ReadFrameInto(conn, nil, testLimit)
+		resp, err := fc.ReadFrame(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,16 +269,17 @@ func TestCloseDrainsDispatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	fc := NewFrameConn(conn, testLimit)
 	// One exchange first, so the connection is registered before Close.
-	if err := WriteFrame(conn, []byte{0}, testLimit); err != nil {
+	if err := fc.WriteFrame([]byte{0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrameInto(conn, nil, testLimit); err != nil {
+	if _, err := fc.ReadFrame(nil); err != nil {
 		t.Fatal(err)
 	}
 	const n = 4
 	for i := 0; i < n; i++ {
-		if err := WriteFrame(conn, []byte{byte(i)}, testLimit); err != nil {
+		if err := fc.WriteFrame([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +290,7 @@ func TestCloseDrainsDispatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		resp, err := ReadFrameInto(conn, nil, testLimit)
+		resp, err := fc.ReadFrame(nil)
 		if err != nil {
 			t.Fatalf("reply %d lost in the drain: %v", i, err)
 		}
@@ -291,11 +298,119 @@ func TestCloseDrainsDispatched(t *testing.T) {
 			t.Fatalf("reply %d is %v", i, resp)
 		}
 	}
-	if _, err := ReadFrameInto(conn, nil, testLimit); !errors.Is(err, io.EOF) {
+	if _, err := fc.ReadFrame(nil); !errors.Is(err, io.EOF) {
 		t.Errorf("after the drain the connection gave %v, want EOF", err)
 	}
 	if c, err := net.Dial("tcp", l.Addr().String()); err == nil {
 		c.Close()
 		t.Error("a closed server accepted a connection")
+	}
+}
+
+// countingConn is an in-memory stream that counts the calls each way. A
+// Read returns what one socket read would: whatever has arrived, up to
+// the caller's buffer.
+type countingConn struct {
+	in, out       bytes.Buffer
+	reads, writes int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.in.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.out.Write(p)
+}
+
+// frame is payload as it goes on the wire.
+func frame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestOneWritePerFrame: a request and a reply each leave in one Write
+// that carries the header and the payload.
+func TestOneWritePerFrame(t *testing.T) {
+	req, reply := []byte{1, 'r', 'e', 'q'}, []byte{StatusOK, 'o', 'k'}
+
+	var client countingConn
+	client.in.Write(frame(reply))
+	body, _, err := NewFrameConn(&client, testLimit).RoundTrip(req, nil, nil)
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("round trip: %q, %v", body, err)
+	}
+	if client.writes != 1 || !bytes.Equal(client.out.Bytes(), frame(req)) {
+		t.Errorf("the request took %d writes, sending %x", client.writes, client.out.Bytes())
+	}
+
+	var server countingConn
+	if err := NewFrameConn(&server, testLimit).WriteFrame(reply); err != nil {
+		t.Fatal(err)
+	}
+	if server.writes != 1 || !bytes.Equal(server.out.Bytes(), frame(reply)) {
+		t.Errorf("the reply took %d writes, sending %x", server.writes, server.out.Bytes())
+	}
+}
+
+// TestSmallFrameOneRead: a small frame that is already in the socket,
+// header included, costs one Read.
+func TestSmallFrameOneRead(t *testing.T) {
+	var c countingConn
+	c.in.Write(frame([]byte("small")))
+	got, err := NewFrameConn(&c, testLimit).ReadFrame(nil)
+	if err != nil || string(got) != "small" {
+		t.Fatalf("read %q, %v", got, err)
+	}
+	if c.reads != 1 {
+		t.Errorf("a small frame took %d reads, want 1", c.reads)
+	}
+}
+
+// TestBackToBackFramesShareReads: frames that arrive together come out of
+// one connection's reader in order, with fewer reads than frames — the
+// bytes read ahead of one frame are kept for the next.
+func TestBackToBackFramesShareReads(t *testing.T) {
+	var c countingConn
+	const n = 10
+	for i := 0; i < n; i++ {
+		c.in.Write(frame(bytes.Repeat([]byte{byte(i)}, i)))
+	}
+	fc := NewFrameConn(&c, testLimit)
+	for i := 0; i < n; i++ {
+		got, err := fc.ReadFrame(nil)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, i)) {
+			t.Fatalf("frame %d is %v: out of order", i, got)
+		}
+	}
+	if c.reads >= n {
+		t.Errorf("%d frames took %d reads", n, c.reads)
+	}
+	if _, err := fc.ReadFrame(nil); !errors.Is(err, io.EOF) {
+		t.Errorf("after the last frame: %v, want EOF", err)
+	}
+}
+
+// TestLargeFrameBypassesBuffer: a body larger than the read buffer,
+// arriving in pieces, lands whole in the caller's buffer, and the frame
+// behind it still comes out of the bytes read ahead.
+func TestLargeFrameBypassesBuffer(t *testing.T) {
+	const limit = 4 * readBufSize
+	big := bytes.Repeat([]byte("0123456789"), 3*readBufSize/10)
+	stream := append(frame(big), frame([]byte("next"))...)
+	for _, sizes := range [][]byte{{0}, {255, 3}, {}} {
+		fc := readConn(&chunkReader{data: stream, sizes: sizes}, limit)
+		own := make([]byte, 0, limit)
+		got, err := fc.ReadFrame(own)
+		if err != nil || !bytes.Equal(got, big) || &got[0] != &own[:1][0] {
+			t.Fatalf("reads of %v: the large frame came back wrong (%d bytes, %v)", sizes, len(got), err)
+		}
+		if got, err := fc.ReadFrame(nil); err != nil || string(got) != "next" {
+			t.Fatalf("reads of %v: the frame behind it is %q, %v", sizes, got, err)
+		}
 	}
 }
