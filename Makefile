@@ -73,8 +73,10 @@ test-rearm:
 ## tier, readers of a commit parked in its fsync, a kill inside that
 ## fsync, racing commits against replay; the context header MAC against
 ## the package one, a kept encoding plan against a fresh one through
-## edits that keep and change the shape, the encoder's golden bytes and
-## the store-side handshake tests — repeated under the race detector
+## edits that keep and change the shape, the kept plan copying from its
+## last emission vs a fresh diff (after a refused or failed commit too),
+## a diff into a buffer overlapping its base, the encoder's golden bytes
+## and the store-side handshake tests — repeated under the race detector
 test-republish:
 	$(GO) test -race -count=5 -run 'TestRepublish|TestDiffEncode|TestPlanReuse|TestEncoderMatchesGolden|TestHeaderMAC' ./internal/docenc/ ./internal/proxy/ ./internal/dsp/ ./internal/secure/ .
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/secure"
 	"repro/internal/xmlstream"
@@ -101,7 +102,12 @@ func DiffEncode(root *xmlstream.Node, opts EncodeOptions, old *Container) (*Delt
 // are sealed through it. plan, when not nil, is the Plan the caller
 // keeps across diffs of the document: root is sized through it, which
 // costs one walk when root has the shape the plan was last sized for,
-// and leaves it sized for root. A wrong base cannot damage the new
+// and leaves it sized for root. When basePayload is the payload the
+// previous diff through the plan returned — the same buffer at the same
+// length, left as it was — every record root shares with it is copied
+// from it instead of being emitted again, so a one-field edit re-emits
+// the few records around that field; any other base gets every record
+// emitted. A wrong base cannot damage the new
 // version — every block is encoded from root — only make the delta carry
 // too few or too many blocks.
 func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.BlockContext, plan *Plan, base *Header, basePayload, dst []byte) (*DeltaUpdate, *EncodeInfo, []byte, error) {
@@ -116,6 +122,9 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.Bl
 	if uint64(len(basePayload)) != base.PayloadLen {
 		return nil, nil, nil, fmt.Errorf("docenc: delta base payload is %d bytes, its header says %d",
 			len(basePayload), base.PayloadLen)
+	}
+	if overlap(dst[:cap(dst)], basePayload) {
+		return nil, nil, nil, fmt.Errorf("docenc: delta destination overlaps its base payload")
 	}
 	opts.DocID = base.DocID
 	opts.BlockPlain = int(base.BlockPlain)
@@ -132,7 +141,7 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.Bl
 	}
 	// The header is sealed once, below, when the generation vector is
 	// known: the encoder's own gen-free seal would be overwritten.
-	enc, err := newEncoder(root, opts, plan)
+	enc, err := newEncoder(root, opts, plan, basePayload)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -142,18 +151,18 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.Bl
 		TotalBlocks: enc.NumBlocks(),
 	}
 	payload := slices.Grow(dst[:0], enc.plan.payloadLen)
-	gens := make([]uint32, 0, enc.NumBlocks())
+	// A block keeps its generation in the base unless it changes.
+	gens := base.blockGens(enc.NumBlocks())
 	err = enc.runPlain(func(idx int, plain []byte) error {
 		payload = append(payload, plain...)
 		if blockEqual(blockAt(basePayload, opts.BlockPlain, idx), plain) {
-			gens = append(gens, base.BlockGen(idx))
 			return nil
 		}
 		stored, err := sctx.EncryptBlock(opts.DocID, opts.Version, uint32(idx), plain)
 		if err != nil {
 			return err
 		}
-		gens = append(gens, opts.Version)
+		gens[idx] = opts.Version
 		d.ChangedBlocks++
 		d.BytesChanged += int64(len(stored))
 		if n := len(d.Runs); n > 0 && d.Runs[n-1].Start+len(d.Runs[n-1].Blocks) == idx {
@@ -167,11 +176,36 @@ func DiffEncodePayload(root *xmlstream.Node, opts EncodeOptions, sctx *secure.Bl
 		return nil, nil, nil, err
 	}
 
+	enc.plan.last = payload
 	h := enc.Header()
 	h.GenRuns = compressGens(gens, h.Version)
 	h.MAC = sctx.HeaderMAC(h.canonical())
 	d.Header = h
 	return d, enc.Info(), payload, nil
+}
+
+// blockGens is BlockGen of each of the first n blocks, read off the runs
+// in one pass rather than each from the first run.
+func (h *Header) blockGens(n int) []uint32 {
+	gens := make([]uint32, 0, n)
+	for _, r := range h.GenRuns {
+		for k := uint32(0); k < r.Count && len(gens) < n; k++ {
+			gens = append(gens, r.Gen)
+		}
+	}
+	for len(gens) < n {
+		gens = append(gens, h.Version)
+	}
+	return gens
+}
+
+// overlap reports whether a and b share a byte.
+func overlap(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(len(b)) && b0 < a0+uintptr(len(a))
 }
 
 // compressGens run-length encodes the generation vector; a vector that

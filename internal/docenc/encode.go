@@ -28,24 +28,31 @@
 // parent-set stack stays consistent.
 //
 // Encoding is a streaming two-phase pass. The sizing pass builds a Plan:
-// a counting walk sizes two slabs, an annotating walk fills them with
-// every element's content tag set and exact encoded size (sizes, not
-// bytes). The emitter then produces the payload front to back in one
-// pass, appending each record to the current block and encrypting and
-// handing off each block as it fills. No payload or container image is
-// ever materialized — the resident state is the two slabs plus one
-// plaintext block, and the number of allocations does not depend on the
-// size of the document (the stored blocks handed to the caller aside).
+// a counting walk sizes its slabs, an annotating walk fills in every
+// element's code and content tag set, and a resizing walk its exact
+// encoded size (sizes, not bytes). The emitter then produces the payload
+// front to back in one pass, appending each record to the current block
+// and encrypting and handing off each block as it fills. No payload or
+// container image is ever materialized — the resident state is the slabs
+// plus one plaintext block, and the number of allocations does not
+// depend on the size of the document (the stored blocks handed to the
+// caller aside).
 //
 // A re-publishing caller keeps the Plan across diffs
 // (DiffEncodePayload). All of it but the sizes follows from the tree's
-// shape, so for a tree of the same shape the sizing pass is a single
-// walk that checks the shape and recomputes the sizes.
+// shape, so for a tree of the same shape the sizing pass is the resizing
+// walk alone, which checks the shape and recomputes the sizes. The plan
+// also remembers where each record sat in the payload it last emitted:
+// when the next diff's base is that very payload, the walk finds the
+// subtrees whose bytes it would emit again, the emitter copies each from
+// the base in one piece, and re-emits only the records an edit touched
+// and their ancestors.
 package docenc
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/secure"
@@ -149,7 +156,7 @@ func EncodePayload(root *xmlstream.Node, opts EncodeOptions) ([]byte, *EncodeInf
 		opts.DocID = "payload-only"
 	}
 	p := new(Plan)
-	if err := p.size(root, opts); err != nil {
+	if err := p.size(root, opts, nil); err != nil {
 		return nil, nil, err
 	}
 	// The payload is one block as long as itself.
@@ -217,10 +224,24 @@ type nodeInfo struct {
 	// (children records, values, closing opcode) — the skip record's
 	// jump distance, known before a single byte is emitted.
 	contentSize int
-	elements    int32
-	code        tagdict.Code
+	// at is where the element's record starts in its parent's content
+	// as last sized, an offset that holds wherever the parent's record
+	// goes; src is where it starts in the base the emitter copies from.
+	// Both fit: only a payload under 2 GiB is copied from.
+	at, src  int32
+	elements int32
+	// end is one past the last slot of the element's subtree.
+	end int32
+	// rel is the size of a bitmap relative to the element's content tag
+	// set: what each skip record among its children spends on one.
+	rel  int32
+	code tagdict.Code
 	// indexed records the sizing walk's decision to attach a skip record.
 	indexed bool
+	// dirty is the sizing walk's finding that the element's record is
+	// not byte for byte its record in the base: the emitter writes a
+	// dirty record and copies a clean one.
+	dirty bool
 }
 
 // Plan is the outcome of the sizing pass: everything the emitter needs
@@ -235,8 +256,17 @@ type nodeInfo struct {
 // sizing walk that checks the shape slot by slot and recomputes the
 // sizes; any other tree is planned afresh. Whether a plan fits is
 // checked against the tree on every call, never inferred from the
-// version it was last used for. The zero value is an empty plan; a Plan
-// must not be used by two encodings at once.
+// version it was last used for.
+//
+// The plan also knows where each record sat in the payload it last
+// emitted. When a diff's base is that payload — the same buffer, at the
+// same length — the sizing walk marks dirty each element whose size or
+// index decision moved, under which a value differs from the bytes at
+// its place in the base, or under which a dirty element lies; the
+// emitter re-emits the dirty records and copies each clean subtree from
+// the base in one piece. Over any other base every record is emitted.
+// The zero value is an empty plan; a Plan must not be used by two
+// encodings at once.
 type Plan struct {
 	opts      EncodeOptions
 	dict      *tagdict.Dict
@@ -253,10 +283,15 @@ type Plan struct {
 	// payloadLen is the exact total payload size, known up front — what
 	// lets the streaming encoder MAC the header before emitting blocks.
 	payloadLen int
+	// last is the payload of the plan's last complete emission, set by
+	// the diff that returned it; base is last while an encoding copies
+	// from it, and nil when every record is emitted.
+	last, base []byte
 }
 
 // MemBytes is the memory the plan holds, what a caller that keeps it
-// counts against its retention bound.
+// counts against its retention bound. The payload it last emitted is
+// the caller's, and not counted here.
 func (p *Plan) MemBytes() int {
 	return cap(p.nodes)*int(unsafe.Sizeof(nodeInfo{})) + 8*cap(p.tagWords) + cap(p.dictImage)
 }
@@ -277,9 +312,13 @@ func countTags(n *xmlstream.Node, counts map[string]int) int {
 // size is the sizing pass, fitting p to root under opts. It is one walk
 // when p was last sized for a tree of root's shape under the same index
 // options: the resizing walk checks every slot's shape fields and
-// recomputes the sizes only. At the first slot that differs, or over
-// any other plan, the counting and annotating walks fill p anew.
-func (p *Plan) size(root *xmlstream.Node, opts EncodeOptions) error {
+// recomputes the sizes only, and when base is the payload p last
+// emitted, finds the records the emitter can copy from it. At the first
+// slot that differs, or over any other plan, the counting and annotating
+// walks fill p's shape anew and the resizing walk sizes it. The walk
+// also fills in EncodeInfo: its byte counters follow from the sizes and
+// the index decisions alone.
+func (p *Plan) size(root *xmlstream.Node, opts EncodeOptions, base []byte) error {
 	if root == nil || root.IsText() {
 		return fmt.Errorf("docenc: document root must be an element")
 	}
@@ -287,24 +326,40 @@ func (p *Plan) size(root *xmlstream.Node, opts EncodeOptions) error {
 		return err
 	}
 	fits := p.dict != nil && opts.MinSkipBytes == p.opts.MinSkipBytes && opts.DisableIndex == p.opts.DisableIndex
-	p.opts, p.cursor = opts, 0
-	if fits {
-		_, fits = p.resize(root)
-		fits = fits && p.cursor == len(p.nodes)
+	p.opts, p.info = opts, &EncodeInfo{}
+	// Only the plan's own last emission, in its buffer at its length, is
+	// copied from: of no other bytes are the records' places known.
+	p.base = nil
+	if len(base) > 0 && len(base) <= math.MaxInt32 && len(base) == len(p.last) && unsafe.SliceData(base) == unsafe.SliceData(p.last) {
+		p.base = base
 	}
-	if !fits {
+	p.last = nil
+	if !fits || !p.resizeAll(root) {
+		p.base = nil
 		if err := p.fill(root); err != nil {
 			*p = Plan{}
 			return err
 		}
+		p.resizeAll(root) // root has the shape just filled in
 	}
-	p.info = &EncodeInfo{Dict: p.dict, Nodes: len(p.nodes), DictBytes: len(p.dictImage)}
-	p.payloadLen = len(p.dictImage) + p.recordSize(&p.nodes[0], skipindex.RelSize(p.universe()))
+	i := p.info
+	i.Dict, i.Nodes, i.DictBytes, i.PayloadBytes = p.dict, len(p.nodes), len(p.dictImage), p.payloadLen
+	i.TextBytes = i.PayloadBytes - i.DictBytes - i.IndexBytes - i.StructureBytes
 	return nil
 }
 
-// fill plans root from nothing: the counting walk builds the dictionary
-// and sizes the slabs, the annotating walk fills them.
+// resizeAll runs the resizing walk from the root, counting from zero,
+// and reports whether root has the plan's shape.
+func (p *Plan) resizeAll(root *xmlstream.Node) bool {
+	p.cursor, *p.info = 0, EncodeInfo{}
+	rec, _, fits := p.resize(root, 0, len(p.dictImage), skipindex.RelSize(p.universe()))
+	p.payloadLen = len(p.dictImage) + rec
+	return fits && p.cursor == len(p.nodes)
+}
+
+// fill gives p root's shape from nothing: the counting walk builds the
+// dictionary and sizes the slabs, the annotating walk fills in names,
+// codes and tag sets.
 func (p *Plan) fill(root *xmlstream.Node) error {
 	counts := make(map[string]int)
 	elements := countTags(root, counts)
@@ -340,8 +395,11 @@ func (p *Plan) tags(i int) skipindex.Set {
 // window after the last element's.
 func (p *Plan) universe() skipindex.Set { return p.tags(len(p.nodes)) }
 
-// annotate records shape, codes, tag sets and exact sizes bottom-up and
-// returns the slab slot it gave n.
+// annotate records shape, codes and tag sets bottom-up and returns the
+// slab slot it gave n. The sizes are the resizing walk's: a child's
+// record is measured against its parent's complete tag set (the
+// recursive compression of the paper), only known once annotate is
+// done with the parent.
 func (p *Plan) annotate(n *xmlstream.Node) (int, error) {
 	code := p.dict.Code(n.Name)
 	if code == tagdict.NoCode {
@@ -350,14 +408,9 @@ func (p *Plan) annotate(n *xmlstream.Node) (int, error) {
 	slot := p.cursor
 	p.cursor++
 	info, tags := &p.nodes[slot], p.tags(slot)
-	info.name, info.code, info.elements = n.Name, code, 0
-	// A child's record is measured against this node's complete tag set
-	// (the recursive compression of the paper), which is only known after
-	// the last child: sum what does not depend on it, count the bitmaps.
-	size, bitmaps := 1, 0 // the closing opcode
+	info.name, info.code = n.Name, code
 	for _, c := range n.Children {
 		if c.IsText() {
-			size += valueSize(c.Text)
 			continue
 		}
 		ci, err := p.annotate(c)
@@ -365,50 +418,88 @@ func (p *Plan) annotate(n *xmlstream.Node) (int, error) {
 			return 0, err
 		}
 		info.elements++
-		child := &p.nodes[ci]
-		tags.Add(child.code)
+		tags.Add(p.nodes[ci].code)
 		tags.UnionWith(p.tags(ci))
-		size += p.recordSize(child, 0)
-		if child.indexed {
-			bitmaps++
-		}
 	}
-	p.setContentSize(info, size+bitmaps*skipindex.RelSize(tags))
+	info.rel = int32(skipindex.RelSize(tags))
+	info.end = int32(p.cursor)
 	return slot, nil
 }
 
-// resize is annotate over a plan whose shape n is checked against: it
-// recomputes sizes only, and reports false at the first slot whose name
-// or element-child count is not n's.
-func (p *Plan) resize(n *xmlstream.Node) (int, bool) {
+// resize sizes the element in the plan's next slot, checking that n has
+// its shape: it records exact sizes, index decisions and places
+// bottom-up, and reports false at the first slot whose name or
+// element-child count is not n's. n's record starts at offset at of its
+// parent's content (of the payload, for the root), its bitmap, if it
+// has one, takes relSize bytes, and it returns the record's size.
+//
+// Over a base to copy from, parent is where the parent's content starts
+// in it, and n stays clean only if its record there is byte for byte
+// the one n encodes to now: n's content size and index decision are the
+// ones it was emitted with, the bytes at each value's place are its
+// record, and each element child is clean and starts where it started.
+// Its last result says whether n's parent is dirty for n's sake: n is
+// dirty, or it moved.
+func (p *Plan) resize(n *xmlstream.Node, parent, at, relSize int) (int, bool, bool) {
 	slot := p.cursor
 	if slot == len(p.nodes) || p.nodes[slot].name != n.Name {
-		return 0, false
+		return 0, false, false
 	}
 	p.cursor++
-	size, bitmaps, elements := 1, 0, int32(0)
+	info := &p.nodes[slot]
+	// Where n's record and content start in the base, from the place
+	// and the sizes it was emitted with, before they are overwritten.
+	src := parent + int(info.at)
+	content := src + p.recordSize(info, relSize) - info.contentSize
+	moved := int(info.at) != at
+	info.at, info.src = int32(at), int32(src)
+	lastSize, lastIndexed := info.contentSize, info.indexed
+	dirty := p.base == nil
+	size, elements := 1, int32(0) // the closing opcode
 	for _, c := range n.Children {
-		if c.IsText() {
-			size += valueSize(c.Text)
+		at := size - 1 // where c starts in n's content
+		if !c.IsText() {
+			rec, changed, ok := p.resize(c, content, at, int(info.rel))
+			if !ok {
+				return 0, false, false
+			}
+			elements++
+			size += rec
+			dirty = dirty || changed
 			continue
 		}
-		ci, ok := p.resize(c)
-		if !ok {
-			return 0, false
-		}
-		elements++
-		child := &p.nodes[ci]
-		size += p.recordSize(child, 0)
-		if child.indexed {
-			bitmaps++
-		}
+		size += valueSize(c.Text)
+		dirty = dirty || !valueAt(p.base, content+at, c.Text)
 	}
-	info := &p.nodes[slot]
 	if elements != info.elements {
-		return 0, false
+		return 0, false, false
 	}
-	p.setContentSize(info, size+bitmaps*skipindex.RelSize(p.tags(slot)))
-	return slot, true
+	p.setContentSize(info, size)
+	info.dirty = dirty || size != lastSize || info.indexed != lastIndexed
+	// The record's size, and its part of EncodeInfo's byte counters;
+	// what is left of the payload is the values' (size).
+	open := 1 + uvarintLen(uint64(info.code))
+	rec := open + size
+	if info.indexed {
+		meta := skipindex.MetaSize(relSize, size)
+		rec += meta
+		p.info.IndexBytes += meta
+		p.info.FlatIndexBytes += (p.dict.Len()+7)/8 + uvarintLen(uint64(size))
+		p.info.IndexedNodes++
+	}
+	p.info.StructureBytes += open + 1 // and the closing opcode
+	return rec, info.dirty || moved, true
+}
+
+// valueAt reports whether base holds text's value record at off.
+func valueAt(base []byte, off int, text string) bool {
+	if n := len(text); n < 0x80 { // a one-byte length
+		return off+2+n <= len(base) && base[off] == opValue && base[off+1] == byte(n) && string(base[off+2:off+2+n]) == text
+	}
+	var head [1 + binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(append(head[:0], opValue), uint64(len(text)))
+	end := off + len(h) + len(text)
+	return end <= len(base) && string(base[off:off+len(h)]) == string(h) && string(base[off+len(h):end]) == text
 }
 
 // setContentSize records an element's content size and, from it, the
@@ -435,39 +526,42 @@ func (p *Plan) recordSize(info *nodeInfo, relSize int) int {
 }
 
 // emit streams root's payload (dictionary, then the structure stream)
-// into bb, front to back, filling in the byte-level EncodeInfo counters.
+// into bb, front to back.
 func (p *Plan) emit(bb *blockBuilder, root *xmlstream.Node) {
 	bb.write(p.dictImage)
 	p.cursor = 0
 	var scratch []byte
-	p.emitNode(bb, &scratch, root, p.universe())
-	p.info.PayloadBytes = p.payloadLen
+	universe := p.universe()
+	p.emitNode(bb, &scratch, root, universe, skipindex.RelSize(universe))
+	p.base = nil
 }
 
-// emitNode writes one node's record. scratch is a reused staging buffer
-// for the record header (opcodes, varints, index record); values stream
-// through unstaged.
-func (p *Plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, parentTags skipindex.Set) {
+// emitNode writes one node's record, or copies it from the base when it
+// is clean; relSize is the size of a bitmap relative to parentTags.
+// scratch is a reused staging buffer for the record header (opcodes,
+// varints, index record); values stream through unstaged.
+func (p *Plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, parentTags skipindex.Set, relSize int) {
 	slot := p.cursor
+	info := &p.nodes[slot]
+	if !info.dirty {
+		bb.write(p.base[info.src : int(info.src)+p.recordSize(info, relSize)])
+		p.cursor = int(info.end)
+		return
+	}
 	p.cursor++
-	info, tags := &p.nodes[slot], p.tags(slot)
+	tags := p.tags(slot)
 	b := (*scratch)[:0]
 	if info.indexed {
 		b = append(b, opOpenMeta)
 		b = binary.AppendUvarint(b, uint64(info.code))
-		before := len(b)
 		b = skipindex.AppendMeta(b, skipindex.NodeMeta{
 			Tags:        tags,
 			ContentSize: info.contentSize,
 		}, parentTags)
-		p.info.IndexBytes += len(b) - before
-		p.info.FlatIndexBytes += (p.dict.Len()+7)/8 + uvarintLen(uint64(info.contentSize))
-		p.info.IndexedNodes++
 	} else {
 		b = append(b, opOpenPlain)
 		b = binary.AppendUvarint(b, uint64(info.code))
 	}
-	p.info.StructureBytes += 1 + uvarintLen(uint64(info.code)) + 1 // open, code, close
 	*scratch = b
 	bb.write(b)
 	for _, c := range n.Children {
@@ -478,10 +572,9 @@ func (p *Plan) emitNode(bb *blockBuilder, scratch *[]byte, n *xmlstream.Node, pa
 			*scratch = b
 			bb.write(b)
 			bb.writeString(c.Text)
-			p.info.TextBytes += len(b) + len(c.Text)
 			continue
 		}
-		p.emitNode(bb, scratch, c, tags)
+		p.emitNode(bb, scratch, c, tags, int(info.rel))
 	}
 	bb.write(closeOp)
 }
@@ -504,7 +597,7 @@ type Encoder struct {
 
 // NewEncoder runs the sizing pass and seals the header.
 func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
-	e, err := newEncoder(root, opts, nil)
+	e, err := newEncoder(root, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -513,15 +606,15 @@ func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
 }
 
 // newEncoder is NewEncoder with the header left unsealed, sizing root
-// through p (a fresh plan when p is nil).
-func newEncoder(root *xmlstream.Node, opts EncodeOptions, p *Plan) (*Encoder, error) {
+// through p (a fresh plan when p is nil) over base (see Plan.size).
+func newEncoder(root *xmlstream.Node, opts EncodeOptions, p *Plan, base []byte) (*Encoder, error) {
 	if opts.DocID == "" {
 		return nil, fmt.Errorf("docenc: DocID is required")
 	}
 	if p == nil {
 		p = new(Plan)
 	}
-	if err := p.size(root, opts); err != nil {
+	if err := p.size(root, opts, base); err != nil {
 		return nil, err
 	}
 	return &Encoder{plan: p, root: root, header: Header{
@@ -539,9 +632,8 @@ func (e *Encoder) Header() Header { return e.header }
 // NumBlocks reports how many stored blocks Run will emit.
 func (e *Encoder) NumBlocks() int { return e.header.NumBlocks() }
 
-// Info returns the encoding statistics. The node counts are final after
-// NewEncoder; the byte-level counters are final after Run (StoredBytes
-// is filled by Run as blocks leave).
+// Info returns the encoding statistics. All but StoredBytes are final
+// after NewEncoder; Run fills StoredBytes in as blocks leave.
 func (e *Encoder) Info() *EncodeInfo { return e.plan.info }
 
 // Run streams the stored blocks, in order, to emit. It can be called

@@ -225,13 +225,16 @@ func TestEncoderMatchesGolden(t *testing.T) {
 // one more allocation per extra stored block — the block itself, which
 // the caller keeps — and the diff against a plaintext base nothing at all
 // beyond the blocks that changed. A diff through a plan kept from the
-// previous one skips the dictionary and the slabs as well.
+// previous one skips the dictionary and the slabs as well, and so does
+// a publisher's steady state: each diff against the payload the one
+// before returned, into the buffer that diff's base occupied, copying
+// the records the edit left alone.
 func TestEncodeAllocsFlatAcrossDocumentSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	// Each bound is the count measured at either size (63, 58 and 28)
-	// plus 15 %.
+	// Each bound is the count measured at either size (63, 58, 28 and
+	// 27) plus 15 %.
 	figures := []struct {
 		what  string
 		bound float64
@@ -239,8 +242,9 @@ func TestEncodeAllocsFlatAcrossDocumentSize(t *testing.T) {
 		{"Encode", 72},
 		{"DiffEncodePayload", 66},
 		{"DiffEncodePayload through a kept plan", 32},
+		{"DiffEncodePayload through a kept plan, against its last payload", 31},
 	}
-	var fixed [2][3]float64
+	var fixed [2][4]float64
 	for i, patients := range []int{30, 120} {
 		tree := workload.MedicalFolder(workload.MedicalConfig{Seed: 1000, Patients: patients, VisitsPerPatient: 4})
 		opts := EncodeOptions{DocID: "folder", Version: 1, Key: secure.KeyFromSeed("folder"), BlockPlain: 256, MinSkipBytes: 32}
@@ -276,9 +280,28 @@ func TestEncodeAllocsFlatAcrossDocumentSize(t *testing.T) {
 		if changed == 0 || changed > 2 {
 			t.Fatalf("%d patients: the edit changed %d blocks", patients, changed)
 		}
-		fixed[i] = [3]float64{encode - float64(len(c.Blocks)), diff - float64(changed), kept - float64(changed)}
-		t.Logf("%d patients, %d blocks: Encode %.0f allocations (%.0f beside the blocks), diff %.0f (%.0f beside the %d changed), through a kept plan %.0f (%.0f)",
-			patients, len(c.Blocks), encode, fixed[i][0], diff, fixed[i][1], changed, kept, fixed[i][2])
+		// The publisher's steady state: the value alternates between two
+		// strings, so every diff changes one or two blocks.
+		base, text := &c.Header, tree.Children[patients/2].Find("contact")[0].Children[0]
+		var steadyChanged int
+		steady := testing.AllocsPerRun(20, func() {
+			if text.Text == "+33 1 00000000" {
+				text.Text = "+33 1 00000001"
+			} else {
+				text.Text = "+33 1 00000000"
+			}
+			d, _, next, err := DiffEncodePayload(tree, opts, nil, plan, base, payload, spare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.ChangedBlocks == 0 || d.ChangedBlocks > 2 {
+				t.Fatalf("%d patients: the edit changed %d blocks", patients, d.ChangedBlocks)
+			}
+			base, payload, spare, steadyChanged = &d.Header, next, payload, d.ChangedBlocks
+		})
+		fixed[i] = [4]float64{encode - float64(len(c.Blocks)), diff - float64(changed), kept - float64(changed), steady - float64(steadyChanged)}
+		t.Logf("%d patients, %d blocks: Encode %.0f allocations (%.0f beside the blocks), diff %.0f (%.0f beside the %d changed), through a kept plan %.0f (%.0f), against its last payload %.0f beside the changed blocks",
+			patients, len(c.Blocks), encode, fixed[i][0], diff, fixed[i][1], changed, kept, fixed[i][2], fixed[i][3])
 	}
 	for k, f := range figures {
 		small, large := fixed[0][k], fixed[1][k]

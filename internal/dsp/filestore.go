@@ -874,16 +874,21 @@ func (s *FileStore) readRun(docID string, start, count int, pins *[]BlockPin, ru
 		if mapped > 0 {
 			reg.acquire()
 			*pins = append(*pins, BlockPin{r: reg})
+			sent := false
+			if runs != nil && sendfileOn && reg.f != nil {
+				n := len(*runs)
+				s.collectWireRuns(reg, out, runs)
+				sent = len(*runs) > n
+			}
 			// A large cold run is about to stream out of the mapping
 			// (disk → page cache → writev): prime the readahead. Small
-			// runs skip the syscall — the page cache wins on its own.
-			if mappedBytes >= madviseRunBytes {
+			// runs skip the syscall — the page cache wins on its own —
+			// and so does a read that goes out by sendfile, which reads
+			// the page cache itself.
+			if !sent && mappedBytes >= madviseRunBytes {
 				if sp := reg.span(first, last); madviseSpan(reg.data, sp, adviseWillNeed) {
 					s.madviseCalls.Add(1)
 				}
-			}
-			if runs != nil && sendfileOn && reg.f != nil {
-				s.collectWireRuns(reg, out, runs)
 			}
 		}
 	}

@@ -477,10 +477,11 @@ func TestCacheSkipsMappedFills(t *testing.T) {
 
 // TestMadviseCounter checks that the read tier issues paging advice at
 // the three advertised moments — image install after a checkpoint,
-// footer-driven recovery scan, large cold pinned runs — and that the
-// counter stays zero where the platform (or the nommap build) has no
-// madvise. Advice is best-effort by design, but on Linux over a real
-// tmpdir the calls must succeed.
+// footer-driven recovery scan, large cold pinned runs read through the
+// mapping, not those sendfile serves — and that the counter stays zero
+// where the platform (or the nommap build) has no madvise. Advice is
+// best-effort by design, but on Linux over a real tmpdir the calls must
+// succeed.
 func TestMadviseCounter(t *testing.T) {
 	requireMmap(t)
 	dir := t.TempDir()
@@ -521,6 +522,20 @@ func TestMadviseCounter(t *testing.T) {
 	}
 	if got := s.Stats().MadviseCalls; got != afterRead {
 		t.Fatalf("a %d-block run advised anyway (%d -> %d calls)", 4, afterRead, got)
+	}
+	// Nor must a large run that goes out by sendfile: the kernel reads
+	// the page cache itself, nothing is read through the mapping.
+	if sendfileOn {
+		var runs []wireRun
+		if _, err := s.readRun("advised", 0, 192, &pins, &runs); err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) == 0 {
+			t.Fatal("the checkpointed run was not resolved for sendfile")
+		}
+		if got := s.Stats().MadviseCalls; got != afterRead {
+			t.Fatalf("a run served by sendfile advised anyway (%d -> %d calls)", afterRead, got)
+		}
 	}
 	for _, p := range pins {
 		p.Release()

@@ -359,6 +359,9 @@ func (p *Publisher) Republish(root *xmlstream.Node, opts docenc.EncodeOptions) (
 			}
 		case retained && errors.Is(err, dsp.ErrBaseMoved):
 			if h.Version <= b.header.Version {
+				// The base stands; the refused payload's buffer is the
+				// spare, counted and written over by the next diff.
+				b.spare = next[:0]
 				keep = b
 				return nil, fmt.Errorf("proxy: republish base: %w: the store answers version %d of %q after acknowledging version %d",
 					secure.ErrIntegrity, h.Version, opts.DocID, b.header.Version)

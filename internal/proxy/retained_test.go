@@ -266,6 +266,37 @@ func TestRepublishRetainedMatchesFresh(t *testing.T) {
 	}
 }
 
+// matchesFresh re-publishes tree through pub, whose store is s, and
+// through a new Publisher on a twin of s holding what s held; it fails
+// unless the two commit frames — base, header, every run's blocks — are
+// byte-identical, and returns pub's outcome.
+func matchesFresh(t *testing.T, s *probeStore, pub *Publisher, tree *xmlstream.Node) *RepublishInfo {
+	t.Helper()
+	c, err := s.MemStore.Snapshot(retainedDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := &probeStore{MemStore: dsp.NewMemStore()}
+	if err := twin.PutDocument(c); err != nil {
+		t.Fatal(err)
+	}
+	frames := len(s.updates)
+	ri, err := pub.Republish(tree, retainedOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Publisher{Store: twin}).Republish(tree, retainedOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.updates) != frames+1 || len(twin.updates) != 1 {
+		t.Fatalf("%d and %d commit frames, want one each", len(s.updates)-frames, len(twin.updates))
+	}
+	if s.updates[frames] != twin.updates[0] {
+		t.Fatalf("the commit differs from a fresh publisher's:\n%s\n%s", s.updates[frames], twin.updates[0])
+	}
+	return ri
+}
+
 func dictImage(t *testing.T, info *docenc.EncodeInfo) []byte {
 	t.Helper()
 	img, err := info.Dict.MarshalBinary()
@@ -318,7 +349,8 @@ func TestRepublishForeignCommitRefetches(t *testing.T) {
 // before applying it and once after. Either way the publisher cannot
 // know what the store holds, so the retained base goes; the next
 // re-publication fetches, authenticates and succeeds on whatever is
-// there.
+// there, and it and the one after, which diffs through the kept plan,
+// commit what a fresh publisher commits, byte for byte.
 func TestRepublishFailedCommitDropsBase(t *testing.T) {
 	for _, applied := range []bool{false, true} {
 		t.Run(fmt.Sprintf("applied=%v", applied), func(t *testing.T) {
@@ -351,15 +383,18 @@ func TestRepublishFailedCommitDropsBase(t *testing.T) {
 			s.mu.Unlock()
 
 			before := s.reads()
-			ri, err := republish()
-			if err != nil {
-				t.Fatalf("re-publication after a failed commit: %v", err)
-			}
+			editTree(rng, tree)
+			ri := matchesFresh(t, s, pub, tree)
 			if s.reads() != before+1 {
 				t.Fatalf("the base survived a failed commit (%d block reads, were %d)", s.reads(), before)
 			}
 			if want := uint32(2); applied && ri.Version != want+1 || !applied && ri.Version != want {
 				t.Fatalf("committed version %d with applied=%v", ri.Version, applied)
+			}
+			editTree(rng, tree)
+			matchesFresh(t, s, pub, tree)
+			if s.reads() != before+1 {
+				t.Fatal("the refetched base was not retained")
 			}
 			if !s.stored(t, retainedDoc, retainedKey).Equal(mutateTexts(tree, 0).Canonicalize()) {
 				t.Fatal("the stored version is not the last tree")
@@ -413,7 +448,10 @@ func TestRepublishOtherAckDropsBase(t *testing.T) {
 // version. The one commit frame names the retained base, so the store
 // refuses it before anything is applied and answers with what it holds;
 // neither is a base: an integrity error, no block read, and the retained
-// base is still there when the store comes back to its senses.
+// base is still there when the store comes back to its senses. The
+// refused diffs went through the kept plan into the base's spare buffer;
+// the next re-publication and the one after, which copies from that
+// one's payload, commit what a fresh publisher commits, byte for byte.
 func TestRepublishRolledBackHeaderRefused(t *testing.T) {
 	s, tree := newProbeStore(t)
 	pub := &Publisher{Store: s}
@@ -459,9 +497,12 @@ func TestRepublishRolledBackHeaderRefused(t *testing.T) {
 	s.answer = nil
 	s.mu.Unlock()
 	reads := s.reads()
-	if ri, err := republish(); err != nil || ri.Version != 3 {
-		t.Fatalf("re-publication against the honest store again: %+v, %v", ri, err)
+	editTree(rng, tree)
+	if ri := matchesFresh(t, s, pub, tree); ri.Version != 3 {
+		t.Fatalf("re-publication against the honest store again committed version %d, want 3", ri.Version)
 	}
+	editTree(rng, tree)
+	matchesFresh(t, s, pub, tree)
 	if s.reads() != reads {
 		t.Fatal("the refusals cost the publisher its base")
 	}
