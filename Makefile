@@ -105,8 +105,8 @@ gateway-soak:
 ## checkpoint image a store directory is reopened from, the sealed rule
 ## set's plaintext and the card's open of the sealed set, the XPath
 ## parser, the frame reader every network byte passes, dspd's request
-## dispatch, the client's block-run reply,
-## gatewayd's requests and the card applet's APDU commands), the
+## dispatch, the client's block-run reply and
+## gatewayd's requests), the
 ## serializer's round trip and the encoder's kept plan against a fresh
 ## one; CI runs this on every push, longer runs stay manual
 fuzz-smoke:
@@ -126,7 +126,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzServerDispatch -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzParseBlockRun -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzGatewayDispatch -fuzztime=10s ./internal/gateway/
-	$(GO) test -run=NONE -fuzz=FuzzAppletProcess -fuzztime=10s ./internal/apdu/
 	$(GO) test -run=NONE -fuzz=FuzzPutSealedRuleSet -fuzztime=10s ./internal/card/
 	$(GO) test -run=NONE -fuzz=FuzzPlanReuse -fuzztime=10s ./internal/docenc/
 

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/accessrule"
 	"repro/internal/bench"
 	"repro/internal/card"
 	"repro/internal/dissem"
@@ -192,27 +191,6 @@ func BenchmarkE7Dissemination(b *testing.B) {
 		rate = float64(container.StoredSize()) / recs[0].Time.Total().Seconds() / 1024
 	}
 	b.ReportMetric(rate, "stream-KB/s")
-}
-
-// BenchmarkE8DynamicRules measures the two costs of a policy change: the
-// sealed-blob upload of this system vs the bytes the static
-// encryption-per-subset baseline would re-encrypt.
-func BenchmarkE8DynamicRules(b *testing.B) {
-	doc := workload.Agenda(workload.AgendaConfig{Seed: 9, Members: 20, EventsPerMember: 8})
-	before := map[string]*accessrule.RuleSet{
-		"alice": workload.MustParseRules("subject alice\ndefault +"),
-		"bob":   workload.MustParseRules("subject bob\ndefault -\n+ /agenda\n- //phone\n- //notes"),
-	}
-	after := map[string]*accessrule.RuleSet{
-		"alice": before["alice"],
-		"bob":   workload.MustParseRules("subject bob\ndefault -\n+ /agenda\n- //phone"),
-	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ours, baseline := bench.PolicyChangeCost(doc, before, after, "bob")
-		ratio = float64(baseline) / float64(ours)
-	}
-	b.ReportMetric(ratio, "baseline/ours-bytes")
 }
 
 // benchFolder is the repository benchmark's folder shape and encoding

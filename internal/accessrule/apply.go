@@ -118,28 +118,3 @@ func ApplyTreeQuery(root *xmlstream.Node, rs *RuleSet, query *xpath.Path) *xmlst
 	}
 	return build(root, false).Canonicalize()
 }
-
-// VisibleFraction reports which share of the document's text bytes the
-// subject may read — the measure experiment E3 sweeps.
-func VisibleFraction(root *xmlstream.Node, rs *RuleSet) float64 {
-	decisions := Decide(root, rs)
-	var total, visible int
-	var walk func(n *xmlstream.Node)
-	walk = func(n *xmlstream.Node) {
-		for _, c := range n.Children {
-			if c.IsText() {
-				total += len(c.Text)
-				if decisions[n] == Permit {
-					visible += len(c.Text)
-				}
-				continue
-			}
-			walk(c)
-		}
-	}
-	walk(root)
-	if total == 0 {
-		return 0
-	}
-	return float64(visible) / float64(total)
-}

@@ -232,18 +232,6 @@ func TestApplyTreeQueryScoping(t *testing.T) {
 	}
 }
 
-func TestVisibleFraction(t *testing.T) {
-	doc := mustTree(t, `<a><b>1234</b><c>5678</c></a>`)
-	rs, _ := ParseSet("subject u\ndefault -\n+ /a/b")
-	if f := VisibleFraction(doc, rs); f != 0.5 {
-		t.Errorf("VisibleFraction = %v, want 0.5", f)
-	}
-	all, _ := ParseSet("subject u\ndefault +")
-	if f := VisibleFraction(doc, all); f != 1.0 {
-		t.Errorf("VisibleFraction = %v, want 1", f)
-	}
-}
-
 func TestSignString(t *testing.T) {
 	if Permit.String() != "+" || Deny.String() != "-" {
 		t.Error("sign rendering wrong")

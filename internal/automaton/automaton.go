@@ -133,9 +133,6 @@ type Machine struct {
 // Start returns the machine's start state (always 0).
 func (m *Machine) Start() StateID { return 0 }
 
-// NumPreds returns the number of predicate chains.
-func (m *Machine) NumPreds() int { return len(m.Preds) }
-
 // MemBytes estimates the machine's secure-memory footprint, charged to the
 // card's RAM gauge at session start. The estimate models a compact on-card
 // layout — packed state records, 12-bit tag codes, bit-array requirement

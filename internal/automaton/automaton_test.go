@@ -54,8 +54,8 @@ func TestPaperFigure2(t *testing.T) {
 	if !dState.NavFinal {
 		t.Error("the d state must be NavFinal")
 	}
-	if m.NumPreds() != 1 {
-		t.Fatalf("NumPreds = %d", m.NumPreds())
+	if len(m.Preds) != 1 {
+		t.Fatalf("predicate chains = %d, want 1", len(m.Preds))
 	}
 	pred := m.Preds[0]
 	predStart := m.States[pred.Start]
@@ -131,8 +131,8 @@ func TestFireReqsIgnoreWildcards(t *testing.T) {
 func TestNestedPredCompilation(t *testing.T) {
 	d := dict(t, "a", "b", "c")
 	m := compile(t, "/a[b[c]]", d)
-	if m.NumPreds() != 2 {
-		t.Fatalf("nested predicate must flatten to 2 chains, got %d", m.NumPreds())
+	if len(m.Preds) != 2 {
+		t.Fatalf("nested predicate must flatten to 2 chains, got %d", len(m.Preds))
 	}
 	// The outer pred's chain state for b anchors the inner pred.
 	outer := m.Preds[0]
@@ -145,7 +145,7 @@ func TestNestedPredCompilation(t *testing.T) {
 func TestDotComparePred(t *testing.T) {
 	d := dict(t, "k")
 	m := compile(t, `//k[. = "on"]`, d)
-	if m.NumPreds() != 1 {
+	if len(m.Preds) != 1 {
 		t.Fatal("one predicate expected")
 	}
 	p := m.Preds[0]

@@ -8,6 +8,7 @@ import (
 	"repro/internal/accessrule"
 	"repro/internal/docenc"
 	"repro/internal/workload"
+	"repro/internal/xmlstream"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -65,10 +66,22 @@ func TestSectionedDocumentAndRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Granted fraction must match the rule count.
-	frac := accessrule.VisibleFraction(doc, rs)
+	frac := float64(textBytes(accessrule.ApplyTree(doc, rs))) / float64(textBytes(doc))
 	if frac < 0.2 || frac > 0.3 {
 		t.Errorf("5/20 sections should be ~25%% of text, got %.2f", frac)
 	}
+}
+
+// textBytes sums the text under n (0 for nil).
+func textBytes(n *xmlstream.Node) int {
+	if n == nil {
+		return 0
+	}
+	total := len(n.Text)
+	for _, c := range n.Children {
+		total += textBytes(c)
+	}
+	return total
 }
 
 func TestPolicyChangeCost(t *testing.T) {
@@ -79,15 +92,16 @@ func TestPolicyChangeCost(t *testing.T) {
 	after := map[string]*accessrule.RuleSet{
 		"bob": workload.MustParseRules("subject bob\ndefault -\n+ /agenda\n- //phone"),
 	}
-	ours, baseline := PolicyChangeCost(doc, before, after, "bob")
-	if ours <= 0 || baseline <= 0 {
-		t.Fatalf("costs must be positive: %d, %d", ours, baseline)
+	plain, err := after["bob"].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if baseline <= ours {
-		t.Errorf("the baseline must cost more than one sealed blob (%d vs %d)", baseline, ours)
+	baseline, _, _ := baselineCost(doc, decideSets(doc, before), decideSets(doc, after))
+	if baseline <= int64(len(plain)) {
+		t.Errorf("the baseline must cost more than one rule set (%d vs %d)", baseline, len(plain))
 	}
 	// No change: the baseline cost must be zero.
-	_, same := PolicyChangeCost(doc, before, before, "bob")
+	same, _, _ := baselineCost(doc, decideSets(doc, before), decideSets(doc, before))
 	if same != 0 {
 		t.Errorf("unchanged policy re-encrypted %d bytes", same)
 	}

@@ -110,24 +110,6 @@ func decideSets(doc *xmlstream.Node, policies map[string]*accessrule.RuleSet) ma
 	return out
 }
 
-// PolicyChangeCost quantifies one subject's policy change both ways: the
-// bytes this system uploads (one sealed rule blob) and the bytes the
-// static encryption-per-subset baseline re-encrypts. Used by the E8
-// benchmark kernel.
-func PolicyChangeCost(doc *xmlstream.Node, before, after map[string]*accessrule.RuleSet, changed string) (ours, baseline int64) {
-	rs := after[changed]
-	plain, err := rs.MarshalBinary()
-	if err != nil {
-		panic(err)
-	}
-	sealed, err := secure.EncryptBlob(secure.KeyFromSeed("e8"), "doc|"+changed, 0, plain)
-	if err != nil {
-		panic(err)
-	}
-	reenc, _, _ := baselineCost(doc, decideSets(doc, before), decideSets(doc, after))
-	return int64(len(sealed)), reenc
-}
-
 // baselineCost computes the static scheme's re-encryption bill: bytes of
 // nodes whose audience signature changed, total document bytes, and the
 // number of (key, subject) distributions the new groups require.

@@ -241,16 +241,6 @@ func (h *Header) BlockStoredLen(idx int) int {
 	return n + secure.MACLen
 }
 
-// BlockRange maps a plaintext byte range to the block indexes covering it.
-func (h *Header) BlockRange(off, n int) (first, count int) {
-	if n <= 0 {
-		return 0, 0
-	}
-	first = off / int(h.BlockPlain)
-	last := (off + n - 1) / int(h.BlockPlain)
-	return first, last - first + 1
-}
-
 // Container is the stored form of a document: header plus one stored
 // block (ciphertext||tag) per plaintext block.
 type Container struct {

@@ -138,9 +138,6 @@ func (d *Decoder) Reset(src Source, dict *tagdict.Dict) {
 	d.valueRemaining, d.done = 0, false
 }
 
-// Depth reports the number of currently open elements.
-func (d *Decoder) Depth() int { return len(d.hadMeta) }
-
 // Next decodes the next item.
 func (d *Decoder) Next() (Item, error) {
 	if d.done {

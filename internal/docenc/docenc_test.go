@@ -166,20 +166,6 @@ func TestContainerMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockRange(t *testing.T) {
-	h := Header{BlockPlain: 100, PayloadLen: 1000}
-	if h.NumBlocks() != 10 {
-		t.Errorf("NumBlocks = %d", h.NumBlocks())
-	}
-	first, count := h.BlockRange(250, 300)
-	if first != 2 || count != 4 {
-		t.Errorf("BlockRange(250,300) = %d,%d; want 2,4", first, count)
-	}
-	if _, count := h.BlockRange(0, 0); count != 0 {
-		t.Error("empty range must cover no blocks")
-	}
-}
-
 func TestIndexThresholdMonotone(t *testing.T) {
 	doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 5, Patients: 10, VisitsPerPatient: 3})
 	var prev int = 1 << 30
@@ -244,8 +230,8 @@ func TestDecoderSkipContent(t *testing.T) {
 	if err != nil || it.Kind != ItemOpen || dict.Name(it.Code) != "tail" {
 		t.Fatalf("after skip: %+v, %v", it, err)
 	}
-	if dec.Depth() != 2 {
-		t.Errorf("depth after skip = %d, want 2", dec.Depth())
+	if len(dec.hadMeta) != 2 {
+		t.Errorf("depth after skip = %d, want 2", len(dec.hadMeta))
 	}
 }
 

@@ -29,9 +29,6 @@ type Client struct {
 	// bytesRead counts response payload bytes: the "transferred from the
 	// DSP" measure of experiment E3 when running against a real server.
 	bytesRead atomic.Int64
-	// bytesWritten counts request payload bytes: the upload cost of a
-	// publish, full or delta.
-	bytesWritten atomic.Int64
 }
 
 // Dial connects to a dspd server.
@@ -54,9 +51,6 @@ func (c *Client) Close() error { return c.conn.Close() }
 // BytesRead reports the response payload bytes received so far.
 func (c *Client) BytesRead() int64 { return c.bytesRead.Load() }
 
-// BytesWritten reports the request payload bytes sent so far.
-func (c *Client) BytesWritten() int64 { return c.bytesWritten.Load() }
-
 // roundTrip sends a request and decodes the status byte.
 func (c *Client) roundTrip(req []byte) ([]byte, error) {
 	body, _, err := c.roundTripInto(req, nil)
@@ -76,7 +70,6 @@ func (c *Client) roundTripInto(req, buf []byte) (body, frameBuf []byte, err erro
 	if frame == nil {
 		return nil, buf, err
 	}
-	c.bytesWritten.Add(int64(len(req)))
 	c.bytesRead.Add(int64(len(frame)))
 	return body, frame, err
 }

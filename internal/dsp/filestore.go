@@ -386,9 +386,11 @@ func (s *FileStore) openDir() error {
 	}
 	s.mem = NewMemStoreShards(s.opts.Shards)
 	s.makeSegments(s.opts.Shards)
-	if err := writeSegmentMeta(s.dir, len(s.segs), s.opts.NoSync); err != nil {
-		return err
-	}
+	// Create the logs before the meta: the directory fsync that makes
+	// the meta durable then makes their entries durable too. Nothing
+	// else syncs the directory before the first checkpoint, and a commit
+	// acknowledged into a log whose entry a crash loses would replay as
+	// an empty log.
 	for _, seg := range s.segs {
 		w, err := openWalWriter(s.segWalPath(seg.idx), 0, s.opts.NoSync)
 		if err != nil {
@@ -396,7 +398,7 @@ func (s *FileStore) openDir() error {
 		}
 		seg.wal = w
 	}
-	return nil
+	return writeSegmentMeta(s.dir, len(s.segs), s.opts.NoSync)
 }
 
 func (s *FileStore) makeSegments(n int) {

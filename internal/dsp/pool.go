@@ -33,11 +33,9 @@ type Pool struct {
 	open   []*Client // every live client, for Close and byte accounting
 	closed bool
 
-	// retiredBytes / retiredWritten accumulate the counters of dropped
-	// connections so BytesRead and BytesWritten stay monotonic across
-	// redials.
-	retiredBytes   atomic.Int64
-	retiredWritten atomic.Int64
+	// retiredBytes accumulates the counters of dropped connections so
+	// BytesRead stays monotonic across redials.
+	retiredBytes atomic.Int64
 }
 
 // DialPool connects size connections (<= 0: DefaultPoolSize) to a dspd
@@ -92,7 +90,6 @@ func (p *Pool) untrack(c *Client) {
 	// double-count its bytes.
 	if found {
 		p.retiredBytes.Add(c.BytesRead())
-		p.retiredWritten.Add(c.BytesWritten())
 	}
 	p.mu.Unlock()
 	_ = c.Close()
@@ -113,18 +110,6 @@ func (p *Pool) BytesRead() int64 {
 	return total
 }
 
-// BytesWritten sums the request payload bytes sent over the pool's
-// connections, past and present.
-func (p *Pool) BytesWritten() int64 {
-	total := p.retiredWritten.Load()
-	p.mu.Lock()
-	for _, c := range p.open {
-		total += c.BytesWritten()
-	}
-	p.mu.Unlock()
-	return total
-}
-
 // Close closes every pooled connection. In-flight calls finish with
 // transport errors; subsequent calls fail immediately.
 func (p *Pool) Close() error {
@@ -139,7 +124,6 @@ func (p *Pool) Close() error {
 	// Retire the live counters so BytesRead stays monotonic across Close.
 	for _, c := range open {
 		p.retiredBytes.Add(c.BytesRead())
-		p.retiredWritten.Add(c.BytesWritten())
 	}
 	p.mu.Unlock()
 	for _, c := range open {

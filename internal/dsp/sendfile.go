@@ -68,12 +68,6 @@ type wireRun struct {
 // are files behind mapped images, so the tier needs the mmap tier too.
 const sendfileOn = mmapOn && sendfileSupported
 
-// SendfileCapable reports whether this build and platform can serve
-// checkpoint runs via sendfile at all (benchmarks gate their sendfile
-// metrics on it; the runtime may still latch individual connections
-// back to writev).
-func SendfileCapable() bool { return sendfileOn }
-
 // testSendfileOverride, when non-nil, replaces the sendfile syscall on
 // the write path: it must behave like one — deliver some prefix of span
 // to w, return how many bytes it delivered, whether the connection

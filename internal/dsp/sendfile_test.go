@@ -68,7 +68,7 @@ func (r *sendfileRig) settledStats(t testing.TB) FileStoreStats {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := r.store.Stats()
-		if st.SendfileReads+st.SendfileFallbacks > 0 || !SendfileCapable() || time.Now().After(deadline) {
+		if st.SendfileReads+st.SendfileFallbacks > 0 || !sendfileOn || time.Now().After(deadline) {
 			return st
 		}
 		time.Sleep(time.Millisecond)
@@ -116,7 +116,7 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 func requireSendfile(t *testing.T) {
 	t.Helper()
 	requireMmap(t)
-	if !SendfileCapable() {
+	if !sendfileOn {
 		t.Skip("sendfile not supported in this build")
 	}
 }
@@ -228,7 +228,7 @@ func TestSendfileByteIdentity(t *testing.T) {
 
 	// A connection that latches mid-response (kernel refusal after the
 	// flush already started) must still emit the same frame.
-	if SendfileCapable() {
+	if sendfileOn {
 		setSendfileOverride(t, func(w io.Writer, span []byte) (int64, bool, error) {
 			return 0, true, nil // refuse outright: span rides the fallback write
 		})
@@ -446,7 +446,7 @@ func TestSendfileStatsLockstep(t *testing.T) {
 		remote.Durable.SendfileFallbacks != local.SendfileFallbacks {
 		t.Fatalf("wire stats %+v drifted from local %+v", remote.Durable, local)
 	}
-	if SendfileCapable() && remote.Durable.SendfileReads == 0 {
+	if sendfileOn && remote.Durable.SendfileReads == 0 {
 		t.Fatal("capable build served the cold run without sendfile")
 	}
 

@@ -219,7 +219,7 @@ func BenchmarkWireReadBlocksSendfile(b *testing.B) {
 				f.Release()
 			}
 			b.StopTimer()
-			wantSendfile := SendfileCapable() &&
+			wantSendfile := sendfileOn &&
 				shape.run*shape.blockBytes >= sendfileMinRunBytes
 			// The server counts a sendfile when the call returns, which can
 			// be after the client has read every byte of it.

@@ -541,24 +541,6 @@ func (sp *subjectPool) noteVersionLocked(docID string, version uint32) bool {
 	return true
 }
 
-// ObservedDocVersion reports the latest document version served to the
-// subject, -1 when the subject never queried the document.
-func (g *Gateway) ObservedDocVersion(subject, docID string) int64 {
-	g.mu.Lock()
-	sp, ok := g.pools[subject]
-	g.mu.Unlock()
-	if !ok {
-		return -1
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	v, seen := sp.docVersions[docID]
-	if !seen {
-		return -1
-	}
-	return int64(v)
-}
-
 // RefreshRules re-pulls the subject's sealed rule set for doc — the
 // access-rights update protocol at fleet scale. Idle sessions are
 // refreshed immediately; checked-out sessions catch up at their next

@@ -245,7 +245,17 @@ func TestGatewayDocVersionRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.ObservedDocVersion("nurse", docID); got != int64(res.Version) {
+	// observed is the latest document version the gateway served the
+	// subject.
+	observed := func() uint32 {
+		g.mu.Lock()
+		sp := g.pools["nurse"]
+		g.mu.Unlock()
+		sp.mu.Lock()
+		defer sp.mu.Unlock()
+		return sp.docVersions[docID]
+	}
+	if got := observed(); got != res.Version {
 		t.Fatalf("observed version %d, served %d", got, res.Version)
 	}
 	v1 := g.RuleVersion("nurse", docID)
@@ -281,7 +291,7 @@ func TestGatewayDocVersionRefresh(t *testing.T) {
 	if v2 := g.RuleVersion("nurse", docID); v2 != v1+1 {
 		t.Fatalf("rule version %d after version-bump refresh, want %d", v2, v1+1)
 	}
-	if got := g.ObservedDocVersion("nurse", docID); got != int64(ri.Version) {
+	if got := observed(); got != ri.Version {
 		t.Fatalf("observed version %d, want %d", got, ri.Version)
 	}
 	// Note: the refreshed (stricter) rules apply from the NEXT session;

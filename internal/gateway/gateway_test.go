@@ -190,7 +190,7 @@ func TestGatewaydChurnHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps := srv.Fleet().PoolStats()
+	ps := srv.fl.PoolStats()
 	if ps.SessionsInUse != 0 {
 		t.Errorf("pool reports %d sessions still checked out after the hammer", ps.SessionsInUse)
 	}
@@ -225,8 +225,8 @@ func TestGatewaydChurnHammer(t *testing.T) {
 	}
 	// Every session must be reapable: a stuck query or leaked checkout
 	// would leave live-but-unreapable occupancy behind.
-	reaped := srv.Fleet().ReapIdle(0)
-	if after := srv.Fleet().PoolStats(); after.SessionsLive != 0 {
+	reaped := srv.fl.ReapIdle(0)
+	if after := srv.fl.PoolStats(); after.SessionsLive != 0 {
 		t.Errorf("reaped %d sessions but %d still live", reaped, after.SessionsLive)
 	}
 }

@@ -64,9 +64,6 @@ func NewServer(fl *fleet.Gateway, cfg ServerConfig) *Server {
 	return s
 }
 
-// Fleet exposes the wrapped gateway (the daemon closes it after drain).
-func (s *Server) Fleet() *fleet.Gateway { return s.fl }
-
 // open is one connection's half of the serve loop: its wire-session
 // table, replies written from their pooled buffers, and the sessions the
 // client never closed dropped with the connection.

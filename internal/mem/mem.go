@@ -23,8 +23,6 @@ type Gauge interface {
 	Alloc(n int) error
 	// Free releases n bytes previously charged with Alloc.
 	Free(n int)
-	// InUse reports the bytes currently charged.
-	InUse() int
 	// Peak reports the high-water mark of charged bytes.
 	Peak() int
 }
@@ -68,7 +66,7 @@ func (t *Tracking) Free(n int) {
 	}
 }
 
-// InUse implements Gauge.
+// InUse reports the bytes currently charged.
 func (t *Tracking) InUse() int { return t.inUse }
 
 // Peak implements Gauge.
@@ -83,9 +81,6 @@ type Scope struct {
 	net  int
 	peak int
 }
-
-// NewScope returns a scope over parent.
-func NewScope(parent Gauge) *Scope { return &Scope{Parent: parent} }
 
 // Alloc implements Gauge.
 func (s *Scope) Alloc(n int) error {
@@ -108,9 +103,6 @@ func (s *Scope) Free(n int) {
 	}
 }
 
-// InUse implements Gauge.
-func (s *Scope) InUse() int { return s.net }
-
 // Peak implements Gauge.
 func (s *Scope) Peak() int { return s.peak }
 
@@ -131,9 +123,6 @@ func (Nop) Alloc(int) error { return nil }
 
 // Free implements Gauge.
 func (Nop) Free(int) {}
-
-// InUse implements Gauge.
-func (Nop) InUse() int { return 0 }
 
 // Peak implements Gauge.
 func (Nop) Peak() int { return 0 }

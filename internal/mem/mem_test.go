@@ -58,16 +58,16 @@ func TestTrackingOverFree(t *testing.T) {
 
 func TestScope(t *testing.T) {
 	parent := NewTracking(100)
-	s := NewScope(parent)
+	s := &Scope{Parent: parent}
 	if err := s.Alloc(30); err != nil {
 		t.Fatal(err)
 	}
-	if parent.InUse() != 30 || s.InUse() != 30 {
-		t.Errorf("parent=%d scope=%d, want 30/30", parent.InUse(), s.InUse())
+	if parent.InUse() != 30 || s.net != 30 {
+		t.Errorf("parent=%d scope=%d, want 30/30", parent.InUse(), s.net)
 	}
 	s.Free(10)
-	if s.InUse() != 20 || s.Peak() != 30 {
-		t.Errorf("scope InUse=%d Peak=%d, want 20/30", s.InUse(), s.Peak())
+	if s.net != 20 || s.Peak() != 30 {
+		t.Errorf("scope InUse=%d Peak=%d, want 20/30", s.net, s.Peak())
 	}
 	s.Close()
 	if parent.InUse() != 0 {
@@ -82,18 +82,18 @@ func TestScope(t *testing.T) {
 
 func TestScopePropagatesBudget(t *testing.T) {
 	parent := NewTracking(10)
-	s := NewScope(parent)
+	s := &Scope{Parent: parent}
 	if err := s.Alloc(11); !errors.Is(err, ErrBudget) {
 		t.Errorf("scope must surface the parent's budget, got %v", err)
 	}
-	if s.InUse() != 0 {
+	if s.net != 0 {
 		t.Error("failed alloc must not be counted")
 	}
 }
 
 func TestTwoScopesShareParent(t *testing.T) {
 	parent := NewTracking(100)
-	a, b := NewScope(parent), NewScope(parent)
+	a, b := &Scope{Parent: parent}, &Scope{Parent: parent}
 	_ = a.Alloc(60)
 	if err := b.Alloc(60); !errors.Is(err, ErrBudget) {
 		t.Error("scopes must compete for the same budget")
@@ -110,7 +110,7 @@ func TestNop(t *testing.T) {
 		t.Fatal("Nop must never fail")
 	}
 	g.Free(5)
-	if g.InUse() != 0 || g.Peak() != 0 {
+	if g.Peak() != 0 {
 		t.Error("Nop must report zero")
 	}
 }

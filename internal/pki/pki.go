@@ -17,7 +17,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/secure"
@@ -31,29 +30,15 @@ type Principal struct {
 	priv *ecdh.PrivateKey
 }
 
-// Public returns the principal's public key bytes.
-func (p *Principal) Public() []byte {
-	return p.priv.PublicKey().Bytes()
-}
-
-// Authority is the simulated PKI: a registry of principals. A zero
-// authority uses crypto/rand; NewSeededAuthority derives keys
-// deterministically for reproducible workloads and tests.
+// Authority is the simulated PKI: a registry of principals.
 type Authority struct {
 	mu    sync.Mutex
 	users map[string]*Principal
-	rng   io.Reader
 }
 
 // NewAuthority returns an Authority drawing keys from crypto/rand.
 func NewAuthority() *Authority {
-	return &Authority{users: make(map[string]*Principal), rng: rand.Reader}
-}
-
-// NewSeededAuthority returns a deterministic Authority (tests and
-// experiment harnesses).
-func NewSeededAuthority(seed string) *Authority {
-	return &Authority{users: make(map[string]*Principal), rng: newDetReader(seed)}
+	return &Authority{users: make(map[string]*Principal)}
 }
 
 // Register creates (or returns) the named principal.
@@ -66,14 +51,7 @@ func (a *Authority) Register(name string) (*Principal, error) {
 	if p, ok := a.users[name]; ok {
 		return p, nil
 	}
-	// Draw the private scalar directly rather than via GenerateKey: the
-	// standard library deliberately consumes a random extra byte there
-	// (randutil.MaybeReadByte), which would defeat seeded determinism.
-	var scalar [32]byte
-	if _, err := io.ReadFull(a.rng, scalar[:]); err != nil {
-		return nil, fmt.Errorf("pki: generating key for %s: %w", name, err)
-	}
-	priv, err := ecdh.X25519().NewPrivateKey(scalar[:])
+	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("pki: generating key for %s: %w", name, err)
 	}
@@ -165,33 +143,4 @@ func deriveKEK(own *ecdh.PrivateKey, peer *ecdh.PublicKey, sender, recipient, do
 	copy(kek.Enc[:], expand("kek-enc"))
 	copy(kek.Mac[:], expand("kek-mac"))
 	return kek, nil
-}
-
-// detReader is a deterministic byte stream (SHA-256 in counter mode) for
-// seeded authorities.
-type detReader struct {
-	seed  []byte
-	ctr   uint64
-	cache []byte
-}
-
-func newDetReader(seed string) *detReader {
-	return &detReader{seed: []byte("pki-seed:" + seed)}
-}
-
-func (r *detReader) Read(p []byte) (int, error) {
-	for len(r.cache) < len(p) {
-		h := sha256.New()
-		h.Write(r.seed)
-		var c [8]byte
-		for i := 0; i < 8; i++ {
-			c[i] = byte(r.ctr >> (8 * i))
-		}
-		h.Write(c[:])
-		r.ctr++
-		r.cache = append(r.cache, h.Sum(nil)...)
-	}
-	copy(p, r.cache[:len(p)])
-	r.cache = r.cache[len(p):]
-	return len(p), nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWrapUnwrap(t *testing.T) {
-	a := NewSeededAuthority("t1")
+	a := NewAuthority()
 	alice, err := a.Register("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestWrapUnwrap(t *testing.T) {
 }
 
 func TestUnwrapWrongRecipient(t *testing.T) {
-	a := NewSeededAuthority("t2")
+	a := NewAuthority()
 	alice, _ := a.Register("alice")
 	_, _ = a.Register("bob")
 	carol, _ := a.Register("carol")
@@ -51,7 +51,7 @@ func TestUnwrapWrongRecipient(t *testing.T) {
 }
 
 func TestWrapBindsDocument(t *testing.T) {
-	a := NewSeededAuthority("t3")
+	a := NewAuthority()
 	alice, _ := a.Register("alice")
 	bob, _ := a.Register("bob")
 	w, _ := a.Wrap(alice, "bob", "doc1", secure.KeyFromSeed("k"))
@@ -62,7 +62,7 @@ func TestWrapBindsDocument(t *testing.T) {
 }
 
 func TestWrapTamperDetected(t *testing.T) {
-	a := NewSeededAuthority("t4")
+	a := NewAuthority()
 	alice, _ := a.Register("alice")
 	bob, _ := a.Register("bob")
 	w, _ := a.Wrap(alice, "bob", "doc1", secure.DocKey{})
@@ -73,7 +73,7 @@ func TestWrapTamperDetected(t *testing.T) {
 }
 
 func TestRegisterIdempotent(t *testing.T) {
-	a := NewSeededAuthority("t5")
+	a := NewAuthority()
 	p1, _ := a.Register("alice")
 	p2, _ := a.Register("alice")
 	if p1 != p2 {
@@ -84,21 +84,6 @@ func TestRegisterIdempotent(t *testing.T) {
 	}
 	if _, err := a.Lookup("nobody"); err == nil {
 		t.Error("unknown lookup succeeded")
-	}
-}
-
-func TestSeededDeterminism(t *testing.T) {
-	a1 := NewSeededAuthority("same")
-	a2 := NewSeededAuthority("same")
-	p1, _ := a1.Register("alice")
-	p2, _ := a2.Register("alice")
-	if string(p1.Public()) != string(p2.Public()) {
-		t.Error("same seed must derive the same keys")
-	}
-	a3 := NewSeededAuthority("different")
-	p3, _ := a3.Register("alice")
-	if string(p1.Public()) == string(p3.Public()) {
-		t.Error("different seeds must derive different keys")
 	}
 }
 

@@ -196,8 +196,8 @@ func FuzzDecodeRecords(f *testing.F) {
 		whole := NewCollector()
 		consumed, wholeErr := soe.DecodeRecordsPartial(data, whole)
 
-		// The chunked reader of apdu.Terminal: append, decode what is
-		// complete, keep the rest.
+		// A reader that gets the stream in chunks, as the card link cuts
+		// it: append, decode what is complete, keep the rest.
 		chunked := NewCollector()
 		var buf []byte
 		var chunkedErr error

@@ -90,16 +90,6 @@ func (s Set) Count() int {
 	return total
 }
 
-// Empty reports whether the set has no members.
-func (s Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // UnionWith adds all members of o to s. The universes must match.
 func (s Set) UnionWith(o Set) {
 	if s.n != o.n {
@@ -121,13 +111,6 @@ func (s Set) SubsetOf(o Set) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy.
-func (s Set) Clone() Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return Set{words: w, n: s.n}
 }
 
 // Members returns the codes in ascending order.

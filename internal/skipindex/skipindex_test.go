@@ -1,6 +1,7 @@
 package skipindex
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,10 +33,7 @@ func TestSetBasics(t *testing.T) {
 	if s.Count() != 5 {
 		t.Errorf("Count = %d, want 5", s.Count())
 	}
-	if s.Empty() {
-		t.Error("set is not empty")
-	}
-	if !NewSet(10).Empty() {
+	if NewSet(10).Count() != 0 {
 		t.Error("fresh set must be empty")
 	}
 }
@@ -49,42 +47,21 @@ func TestSubsetAndUnion(t *testing.T) {
 	if b.SubsetOf(a) {
 		t.Error("b ⊄ a expected")
 	}
-	c := a.Clone()
-	c.UnionWith(setOf(70, 3))
-	if !c.Equal(b) {
-		t.Errorf("union mismatch: %v vs %v", c, b)
-	}
-	if !a.Equal(setOf(70, 1, 2, 65)) {
-		t.Error("Clone must not share storage")
-	}
-}
-
-func TestRootCodec(t *testing.T) {
-	s := setOf(19, 0, 8, 18)
-	enc := EncodeRoot(s)
-	if len(enc) != 3 {
-		t.Fatalf("root bitmap of 19 codes must be 3 bytes, got %d", len(enc))
-	}
-	back, n, err := DecodeRoot(enc, 19)
-	if err != nil || n != 3 {
-		t.Fatalf("decode: %v (n=%d)", err, n)
-	}
-	if !back.Equal(s) {
-		t.Fatalf("round trip changed set: %v -> %v", s, back)
-	}
-	if _, _, err := DecodeRoot(enc[:2], 19); err == nil {
-		t.Error("truncated root bitmap must fail")
+	a.UnionWith(setOf(70, 3))
+	if !a.Equal(b) {
+		t.Errorf("union mismatch: %v vs %v", a, b)
 	}
 }
 
 func TestRelativeCodec(t *testing.T) {
 	parent := setOf(40, 2, 5, 9, 30, 39)
 	child := setOf(40, 5, 30)
-	enc := EncodeRel(child, parent)
+	enc := appendRel(nil, child, parent)
 	if len(enc) != 1 {
 		t.Fatalf("5 parent members must compress to 1 byte, got %d", len(enc))
 	}
-	back, n, err := DecodeRel(enc, parent)
+	back := NewSet(40)
+	n, err := DecodeRelInto(back, enc, parent)
 	if err != nil || n != 1 {
 		t.Fatalf("decode: %v", err)
 	}
@@ -99,7 +76,7 @@ func TestRelativeRejectsNonSubset(t *testing.T) {
 			t.Error("encoding a non-subset must panic (encoder bug)")
 		}
 	}()
-	EncodeRel(setOf(10, 1), setOf(10, 2))
+	appendRel(nil, setOf(10, 1), setOf(10, 2))
 }
 
 func TestMetaRoundTrip(t *testing.T) {
@@ -109,15 +86,14 @@ func TestMetaRoundTrip(t *testing.T) {
 	if len(enc) != MetaSize(RelSize(parent), meta.ContentSize) {
 		t.Errorf("MetaSize = %d, encoded %d", MetaSize(RelSize(parent), meta.ContentSize), len(enc))
 	}
-	back, n, err := DecodeMeta(enc, parent)
-	if err != nil || n != len(enc) {
+	tags := NewSet(64)
+	n, err := DecodeRelInto(tags, enc, parent)
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !back.Tags.Equal(meta.Tags) || back.ContentSize != meta.ContentSize {
-		t.Fatalf("round trip changed meta: %+v -> %+v", meta, back)
-	}
-	if _, _, err := DecodeMeta(enc[:len(enc)-1], parent); err == nil {
-		t.Error("truncated meta must fail")
+	size, m := binary.Uvarint(enc[n:])
+	if n+m != len(enc) || !tags.Equal(meta.Tags) || int(size) != meta.ContentSize {
+		t.Fatalf("round trip changed meta: %+v -> %v, %d", meta, tags, size)
 	}
 }
 
@@ -137,11 +113,12 @@ func TestQuickRelativeRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		enc := EncodeRel(child, parent)
+		enc := appendRel(nil, child, parent)
 		if len(enc) != RelSize(parent) {
 			return false
 		}
-		back, _, err := DecodeRel(enc, parent)
+		back := NewSet(n)
+		_, err := DecodeRelInto(back, enc, parent)
 		return err == nil && back.Equal(child)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

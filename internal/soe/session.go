@@ -162,7 +162,7 @@ func (s *Session) LoadHeader(hdrBytes []byte) error {
 		return fmt.Errorf("soe: header already loaded")
 	}
 	s.card.Meter.BytesToCard += int64(len(hdrBytes))
-	s.card.Meter.APDUs++
+	s.card.Meter.APDUs += int64(apduCount(len(hdrBytes), s.card.Profile.MaxAPDUData))
 	h, _, err := docenc.UnmarshalHeader(hdrBytes)
 	if err != nil {
 		return s.abort(err)

@@ -3,6 +3,7 @@ package soe
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/accessrule"
@@ -134,6 +135,42 @@ func TestSessionsReclaimEEPROM(t *testing.T) {
 	}
 	if got := c.EEPROM.InUse(); got != base {
 		t.Fatalf("EEPROM leaked: %d -> %d after 400 sessions", base, got)
+	}
+}
+
+// TestHeaderChargedPerAPDU: a header longer than one APDU's data crosses
+// the link in as many APDUs as a block of its length would.
+func TestHeaderChargedPerAPDU(t *testing.T) {
+	docID := strings.Repeat("long-document-id/", 40)
+	key := secure.KeyFromSeed("soe:" + docID)
+	c := card.New(card.EGate)
+	if err := c.PutKey(docID, key); err != nil {
+		t.Fatal(err)
+	}
+	rs := workload.MustParseRules("subject u\ndefault +")
+	rs.DocID = docID
+	if err := c.PutRuleSet(rs); err != nil {
+		t.Fatal(err)
+	}
+	container, _, err := docenc.Encode(&xmlstream.Node{Name: "a"}, docenc.EncodeOptions{DocID: docID, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, _ := container.Header.MarshalBinary()
+	maxData := c.Profile.MaxAPDUData
+	if len(hb) <= maxData {
+		t.Fatalf("header of %d bytes fits one %d-byte APDU; the test needs a longer one", len(hb), maxData)
+	}
+	sess, err := NewSession(c, docID, "u", nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Meter.APDUs
+	if err := sess.LoadHeader(hb); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Meter.APDUs-before, int64((len(hb)+maxData-1)/maxData); got != want {
+		t.Errorf("%d-byte header charged %d APDUs, want %d", len(hb), got, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package wire is the one length-prefixed protocol machinery of the
 // repository: dspd and gatewayd speak it over TCP, and the rule-set
-// codec, the APDU applet and dspd's log and checkpoint decoders read
-// their fields with its Reader.
+// codec and dspd's log and checkpoint decoders read their fields with
+// its Reader.
 //
 // A frame is a uint32 big-endian length followed by the payload.
 // Requests start with an op byte that each protocol defines; replies

@@ -35,11 +35,6 @@ type Parser struct {
 	done    bool
 }
 
-// NewParser returns a Parser over src with default options.
-func NewParser(src []byte) *Parser {
-	return NewParserOptions(src, ParserOptions{})
-}
-
 // NewParserOptions returns a Parser over src with the given options.
 func NewParserOptions(src []byte, opts ParserOptions) *Parser {
 	return &Parser{src: src, opts: opts}

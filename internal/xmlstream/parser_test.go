@@ -127,7 +127,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParserPullEOF(t *testing.T) {
-	p := NewParser([]byte(`<a/>`))
+	p := NewParserOptions([]byte(`<a/>`), ParserOptions{})
 	for i := 0; i < 2; i++ {
 		if _, err := p.Next(); err != nil {
 			t.Fatalf("event %d: %v", i, err)

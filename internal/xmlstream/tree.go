@@ -2,7 +2,6 @@ package xmlstream
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -220,22 +219,4 @@ func CollectStats(evs []Event) Stats {
 	}
 	s.DistinctTags = len(s.TagCounts)
 	return s
-}
-
-// TagsByFrequency returns the distinct tags sorted by decreasing count,
-// ties broken alphabetically. The tag dictionary uses this ordering so
-// that frequent tags get small codes.
-func (s Stats) TagsByFrequency() []string {
-	tags := make([]string, 0, len(s.TagCounts))
-	for t := range s.TagCounts {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool {
-		ci, cj := s.TagCounts[tags[i]], s.TagCounts[tags[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return tags[i] < tags[j]
-	})
-	return tags
 }

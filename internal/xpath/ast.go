@@ -72,9 +72,6 @@ type Step struct {
 // Wildcard reports whether the step's node test is "*" or "@*".
 func (s Step) Wildcard() bool { return s.Name == "*" || s.Name == "@*" }
 
-// Attribute reports whether the node test targets attributes.
-func (s Step) Attribute() bool { return strings.HasPrefix(s.Name, "@") }
-
 // MatchesName reports whether the node test accepts the given
 // element/attribute name (attributes carry their '@' prefix).
 func (s Step) MatchesName(name string) bool {

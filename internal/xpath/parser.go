@@ -31,25 +31,6 @@ func Parse(expr string) (*Path, error) {
 	return path, nil
 }
 
-// ParseRelative parses a relative expression (as found inside predicates),
-// e.g. "a//b" or "@id".
-func ParseRelative(expr string) (*Path, error) {
-	p := &parser{src: expr}
-	p.skipSpace()
-	path, err := p.parsePath(false)
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if !p.eof() {
-		return nil, p.errorf("trailing input %q", p.rest())
-	}
-	if len(path.Steps) == 0 {
-		return nil, p.errorf("empty path")
-	}
-	return path, nil
-}
-
 // MustParse is Parse that panics on error; for tests and fixed tables.
 func MustParse(expr string) *Path {
 	p, err := Parse(expr)
