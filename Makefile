@@ -71,10 +71,12 @@ test-rearm:
 ## at once, retention past its byte bound; the one commit frame against
 ## the staged handshake and the in-process application on every store
 ## tier, readers of a commit parked in its fsync, a kill inside that
-## fsync, racing commits against replay; the context header MAC against
-## the package one, a kept encoding plan against a fresh one through
-## edits that keep and change the shape, the kept plan copying from its
-## last emission vs a fresh diff (after a refused or failed commit too),
+## fsync, racing commits against replay; a refused commit's frame vs its
+## retry, and a lost race's frame vs the winner's: no shared keystream;
+## the context header MAC against crypto/hmac, a kept encoding plan
+## against a fresh one through edits that keep and change the shape, the
+## kept plan copying from its last emission vs a fresh diff (after a
+## refused or failed commit too),
 ## a diff into a buffer overlapping its base, the encoder's golden bytes
 ## and the store-side handshake tests — repeated under the race detector
 test-republish:
@@ -97,10 +99,11 @@ gateway-soak:
 	$(GO) test -race -count=2 -run 'TestGatewayd' ./internal/gateway/
 
 ## fuzz-smoke: short fuzz runs over the decoders of bytes that arrive
-## from outside (stored blocks and sealed blobs, the container header,
+## from outside (stored blocks opened in place and into a buffer, sealed
+## blobs, the container header,
 ## the document payload decoded block by block through the card's input
 ## window, the tag dictionary decoded into one that held another, the
-## card's record stream cut at arbitrary points, dspd's
+## card's record stream, dspd's
 ## one-frame commit and the log record recovery replays it from, the
 ## checkpoint image a store directory is reopened from, the sealed rule
 ## set's plaintext and the card's open of the sealed set, the XPath

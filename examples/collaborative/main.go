@@ -92,22 +92,13 @@ default +
 	fmt.Println(res.XML())
 
 	// --- A malicious store replays the old rights --------------------------
-	stale, err := sealRules(key, bobRulesV1)
+	stale, err := card.SealRuleSet(key, bobRulesV1)
 	check(err)
 	if err := bobCard.PutSealedRuleSet("agenda", "bob", stale); err != nil {
 		fmt.Printf("\nreplaying the v1 rights blob: REJECTED by the card (%v)\n", err)
 	} else {
 		log.Fatal("BUG: the card accepted a rollback")
 	}
-}
-
-// sealRules reproduces what GrantRules uploads (to simulate the replay).
-func sealRules(key secure.DocKey, rs interface{ MarshalBinary() ([]byte, error) }) ([]byte, error) {
-	plain, err := rs.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return secure.EncryptBlob(key, card.RuleBlobNamespace("agenda", "bob"), 0, plain)
 }
 
 func check(err error) {

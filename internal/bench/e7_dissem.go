@@ -61,11 +61,7 @@ func E7Dissemination() []*Table {
 		}
 		rs := workload.MustParseRules(profiles[name])
 		rs.DocID = "stream"
-		plain, err := rs.MarshalBinary()
-		if err != nil {
-			panic(err)
-		}
-		sealed, err := secure.EncryptBlob(key, card.RuleBlobNamespace("stream", rs.Subject), 0, plain)
+		sealed, err := card.SealRuleSet(key, rs)
 		if err != nil {
 			panic(err)
 		}
@@ -131,8 +127,7 @@ func E7Dissemination() []*Table {
 		}
 		rs := workload.MustParseRules(profiles["teen"])
 		rs.DocID = "stream"
-		plain, _ := rs.MarshalBinary()
-		sealed, _ := secure.EncryptBlob(key, card.RuleBlobNamespace("stream", "teen"), 0, plain)
+		sealed, _ := card.SealRuleSet(key, rs)
 		if err := c.PutSealedRuleSet("stream", "teen", sealed); err != nil {
 			panic(err)
 		}

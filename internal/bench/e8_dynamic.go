@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/accessrule"
+	"repro/internal/card"
 	"repro/internal/secure"
 	"repro/internal/workload"
 	"repro/internal/xmlstream"
@@ -71,11 +72,7 @@ func E8DynamicRules() []*Table {
 		rs := workload.MustParseRules(ch.newText)
 		rs.DocID = "agenda"
 		rs.Version = 2
-		plain, err := rs.MarshalBinary()
-		if err != nil {
-			panic(err)
-		}
-		sealed, err := secure.EncryptBlob(secure.KeyFromSeed("e8"), "agenda|"+ch.subject, 0, plain)
+		sealed, err := card.SealRuleSet(secure.KeyFromSeed("e8"), rs)
 		if err != nil {
 			panic(err)
 		}

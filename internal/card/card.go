@@ -315,17 +315,32 @@ func (c *Card) PutRuleSet(rs *accessrule.RuleSet) error {
 	return nil
 }
 
+// SealRuleSet is the form of rs the store holds and PutSealedRuleSet
+// opens: a blob sealed under the document key at the (document,
+// subject) namespace. Every version of the subject's rule set is sealed
+// at version 0 of that namespace: the card cannot know a version before
+// it opens the blob, and the seal gives two different plaintexts at one
+// position unrelated keystreams.
+func SealRuleSet(key secure.DocKey, rs *accessrule.RuleSet) ([]byte, error) {
+	plain, err := rs.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return secure.EncryptBlob(key, RuleBlobNamespace(rs.DocID, rs.Subject), 0, plain)
+}
+
 // PutSealedRuleSet installs a rule set delivered in its encrypted DSP
-// form. The seal binds the (document, subject) pair, so the untrusted
-// store cannot hand one subject another subject's rights; version
-// monotonicity (PutRuleSet) defeats replay of revoked sets.
+// form (SealRuleSet), opened through the document's cached context. The
+// seal binds the (document, subject) pair, so the untrusted store cannot
+// hand one subject another subject's rights; version monotonicity
+// (PutRuleSet) defeats replay of revoked sets.
 func (c *Card) PutSealedRuleSet(docID, subject string, sealed []byte) error {
 	ctx, err := c.DecryptContext(docID)
 	if err != nil {
 		return err
 	}
-	plain, err := ctx.DecryptBlob(RuleBlobNamespace(docID, subject), 0, sealed)
-	if err != nil {
+	plain := make([]byte, max(len(sealed)-secure.MACLen, 0)) // a blob shorter than its tag fails the open
+	if err := ctx.DecryptBlockInto(plain, secure.BlobID(RuleBlobNamespace(docID, subject)), 0, 0, sealed); err != nil {
 		return fmt.Errorf("card: unsealing rule set: %w", err)
 	}
 	c.mu.Lock()
@@ -344,7 +359,7 @@ func (c *Card) PutSealedRuleSet(docID, subject string, sealed []byte) error {
 }
 
 // RuleBlobNamespace is the sealing namespace of a (document, subject)
-// rule set; the publishing side (proxy/pki) uses the same value.
+// rule set (see SealRuleSet).
 func RuleBlobNamespace(docID, subject string) string {
 	return docID + "|" + subject
 }

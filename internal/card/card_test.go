@@ -1,6 +1,7 @@
 package card
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -91,7 +92,7 @@ func TestPutSealedRuleSet(t *testing.T) {
 	}
 	rs := ruleSet("alice", "d", 1)
 	plain, _ := rs.MarshalBinary()
-	sealed, err := secure.EncryptBlob(key, RuleBlobNamespace("d", "alice"), 0, plain)
+	sealed, err := SealRuleSet(key, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +108,46 @@ func TestPutSealedRuleSet(t *testing.T) {
 	if err := c.PutSealedRuleSet("d", "bob", forged); err == nil ||
 		!strings.Contains(err.Error(), "expected") {
 		t.Errorf("subject mismatch not caught: %v", err)
+	}
+}
+
+// TestSealRuleSetVersionsShareNoKeystream: two versions of one subject's
+// rule set are sealed at one position, version 0 of the (document,
+// subject) namespace. The store holding both must not learn the XOR of
+// their encodings, and each still opens and installs in version order.
+func TestSealRuleSetVersionsShareNoKeystream(t *testing.T) {
+	key := secure.KeyFromSeed("k")
+	v1, v2 := ruleSet("alice", "d", 1), ruleSet("alice", "d", 2)
+	v2.Rules[0].Object = xpath.MustParse("//b")
+	var sealed, plain [2][]byte
+	for i, rs := range []*accessrule.RuleSet{v1, v2} {
+		var err error
+		if sealed[i], err = SealRuleSet(key, rs); err != nil {
+			t.Fatal(err)
+		}
+		plain[i], _ = rs.MarshalBinary()
+		// Byte for byte what a hand seal at the namespace gives.
+		if hand, _ := secure.EncryptBlob(key, RuleBlobNamespace("d", "alice"), 0, plain[i]); !bytes.Equal(hand, sealed[i]) {
+			t.Fatalf("version %d: SealRuleSet differs from EncryptBlob at the rule namespace", rs.Version)
+		}
+	}
+	n := min(len(plain[0]), len(plain[1]))
+	same := true
+	for i := 0; i < n; i++ {
+		same = same && sealed[0][i]^sealed[1][i] == plain[0][i]^plain[1][i]
+	}
+	if same {
+		t.Fatal("two rule-set versions share a keystream: XOR(ct) = XOR(pt)")
+	}
+	c := New(EGate)
+	if err := c.PutKey("d", key); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutSealedRuleSet("d", "alice", sealed[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutSealedRuleSet("d", "alice", sealed[0]); err == nil {
+		t.Fatal("the v1 blob rolled back v2")
 	}
 }
 

@@ -41,7 +41,7 @@ type GenRun struct {
 }
 
 // BlockGen reports the generation block idx was encrypted under: the
-// version argument the SOE must pass to secure.DecryptBlock.
+// version argument the SOE must pass to BlockContext.DecryptBlockInto.
 func (h *Header) BlockGen(idx int) uint32 {
 	for _, r := range h.GenRuns {
 		if idx < int(r.Count) {
@@ -60,7 +60,7 @@ func (h *Header) Equal(o *Header) bool {
 }
 
 // magic identifies the container format.
-var magic = [4]byte{'S', 'D', 'S', '2'}
+var magic = [4]byte{'S', 'D', 'S', '3'}
 
 // canonical serializes the MAC'd fields.
 func (h *Header) canonical() []byte {

@@ -238,7 +238,7 @@ func TestGenRunsHeaderRoundTrip(t *testing.T) {
 	key := secure.KeyFromSeed("hdr")
 	h := Header{DocID: "x", Version: 7, BlockPlain: 128, PayloadLen: 1000,
 		GenRuns: []GenRun{{Count: 3, Gen: 2}, {Count: 4, Gen: 7}, {Count: 1, Gen: 5}}}
-	h.MAC = secure.HeaderMAC(key, h.canonical())
+	h.MAC = keyContext(t, key).HeaderMAC(h.canonical())
 	img, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

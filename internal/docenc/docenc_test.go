@@ -126,6 +126,16 @@ func TestHeaderUnmarshalErrors(t *testing.T) {
 	if _, _, err := UnmarshalHeader([]byte("XXXX")); err == nil {
 		t.Error("bad magic accepted")
 	}
+	// The previous format (SDS2, blocks sealed before the synthetic IV)
+	// is refused, not migrated.
+	old, err := (&Header{DocID: "d", Version: 1, BlockPlain: 64, PayloadLen: 10}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old[3] = '2'
+	if _, _, err := UnmarshalHeader(old); err == nil {
+		t.Error("an SDS2 header accepted")
+	}
 	if _, _, err := UnmarshalHeader([]byte("SDS1")); err == nil {
 		t.Error("truncated header accepted")
 	}

@@ -191,11 +191,11 @@ func Seal(payload []byte, opts EncodeOptions) (*Container, error) {
 			PayloadLen: uint64(len(payload)),
 		},
 	}
-	c.Header.MAC = secure.HeaderMAC(opts.Key, c.Header.canonical())
 	sctx, err := secure.NewBlockContext(opts.Key)
 	if err != nil {
 		return nil, err
 	}
+	c.Header.MAC = sctx.HeaderMAC(c.Header.canonical())
 	for i := 0; i < len(payload); i += opts.BlockPlain {
 		end := i + opts.BlockPlain
 		if end > len(payload) {
@@ -592,6 +592,7 @@ type Encoder struct {
 	plan   *Plan
 	root   *xmlstream.Node
 	header Header
+	sctx   *secure.BlockContext
 	ran    bool
 }
 
@@ -601,7 +602,10 @@ func NewEncoder(root *xmlstream.Node, opts EncodeOptions) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.header.MAC = secure.HeaderMAC(e.plan.opts.Key, e.header.canonical())
+	if e.sctx, err = secure.NewBlockContext(e.plan.opts.Key); err != nil {
+		return nil, err
+	}
+	e.header.MAC = e.sctx.HeaderMAC(e.header.canonical())
 	return e, nil
 }
 
@@ -639,12 +643,8 @@ func (e *Encoder) Info() *EncodeInfo { return e.plan.info }
 // Run streams the stored blocks, in order, to emit. It can be called
 // once.
 func (e *Encoder) Run(emit func(idx int, stored []byte) error) error {
-	sctx, err := secure.NewBlockContext(e.plan.opts.Key)
-	if err != nil {
-		return err
-	}
 	return e.runPlain(func(idx int, plain []byte) error {
-		stored, err := sctx.EncryptBlock(e.plan.opts.DocID,
+		stored, err := e.sctx.EncryptBlock(e.plan.opts.DocID,
 			e.plan.opts.Version, uint32(idx), plain)
 		if err != nil {
 			return err

@@ -328,7 +328,7 @@ func TestGatewayClose(t *testing.T) {
 // reuses it. Raw decrypts through the shared context run concurrently
 // with gateway queries over the same card and with PutKey re-installs of
 // the unchanged key (which must NOT invalidate the context), and every
-// plaintext is checked against the one-shot secure.DecryptBlock oracle.
+// plaintext is checked against the one a separate context sealed.
 // Run under -race this is the decrypt-pipeline thread-safety test.
 func TestSharedDecryptContextRace(t *testing.T) {
 	w := newTestWorld(t)
@@ -346,12 +346,16 @@ func TestSharedDecryptContextRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	sealer, err := secure.NewBlockContext(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const blocks = 32
 	stored := make([][]byte, blocks)
 	plains := make([][]byte, blocks)
 	for i := range stored {
 		plains[i] = []byte(fmt.Sprintf("shared-context block %d payload", i))
-		stored[i], err = secure.EncryptBlock(key, docID, 1, uint32(i), plains[i])
+		stored[i], err = sealer.EncryptBlock(docID, 1, uint32(i), plains[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,14 +372,13 @@ func TestSharedDecryptContextRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 40; r++ {
 				i := (wk*11 + r*5) % blocks
-				got, err := ctx.DecryptBlock(docID, 1, uint32(i), stored[i])
-				if err != nil {
+				got := make([]byte, len(plains[i]))
+				if err := ctx.DecryptBlockInto(got, docID, 1, uint32(i), stored[i]); err != nil {
 					errCh <- fmt.Errorf("shared context block %d: %w", i, err)
 					return
 				}
-				want, err := secure.DecryptBlock(key, docID, 1, uint32(i), stored[i])
-				if err != nil || string(got) != string(want) {
-					errCh <- fmt.Errorf("shared context block %d diverges from the one-shot oracle", i)
+				if string(got) != string(plains[i]) {
+					errCh <- fmt.Errorf("shared context block %d diverges from its sealed plaintext", i)
 					return
 				}
 			}

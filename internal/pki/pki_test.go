@@ -110,3 +110,34 @@ func TestRandomAuthority(t *testing.T) {
 		t.Fatalf("random-key round trip failed: %v", err)
 	}
 }
+
+// TestWrapRotationSharesNoKeystream: the key-encryption key is fixed per
+// (sender, recipient, document), so a wrap before and after a key
+// rotation is sealed twice under one KEK at one position. The store
+// holding both must not learn the XOR of the two document keys, and the
+// recipient unwraps each.
+func TestWrapRotationSharesNoKeystream(t *testing.T) {
+	a := NewAuthority()
+	alice, _ := a.Register("alice")
+	bob, _ := a.Register("bob")
+	keys := []secure.DocKey{secure.KeyFromSeed("before"), secure.KeyFromSeed("after")}
+	var wraps []*WrappedKey
+	for _, k := range keys {
+		w, err := a.Wrap(alice, "bob", "doc1", k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := a.Unwrap(bob, w); err != nil || got != k {
+			t.Fatalf("unwrap after rotation: %v", err)
+		}
+		wraps = append(wraps, w)
+	}
+	pa, pb := keys[0].Marshal(), keys[1].Marshal()
+	same := true
+	for i := range pa {
+		same = same && wraps[0].Sealed[i]^wraps[1].Sealed[i] == pa[i]^pb[i]
+	}
+	if same {
+		t.Fatal("two wraps under one KEK share a keystream: XOR(ct) = XOR(pt)")
+	}
+}

@@ -368,8 +368,7 @@ func TestRuleSetReplayRejected(t *testing.T) {
 
 	// A malicious DSP replays the generous version-1 blob: the card must
 	// refuse the rollback.
-	plain, _ := generous.MarshalBinary()
-	sealed, err := secure.EncryptBlob(r.key, card.RuleBlobNamespace("cat", "u"), 0, plain)
+	sealed, err := card.SealRuleSet(r.key, generous)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -436,11 +436,7 @@ func (p *Publisher) GrantRules(key secure.DocKey, rs *accessrule.RuleSet) error 
 	if rs.DocID == "" {
 		return fmt.Errorf("proxy: rule set must name its document")
 	}
-	plain, err := rs.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	sealed, err := secure.EncryptBlob(key, card.RuleBlobNamespace(rs.DocID, rs.Subject), 0, plain)
+	sealed, err := card.SealRuleSet(key, rs)
 	if err != nil {
 		return err
 	}

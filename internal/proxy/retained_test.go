@@ -31,6 +31,8 @@ type probeStore struct {
 	// updates is every commit frame the store received as one line: the
 	// base, the header's bytes, each run's position and digest.
 	updates []string
+	// frames is every commit frame the store received, as it arrived.
+	frames []*docenc.DeltaUpdate
 	// blockReads counts the calls that read stored blocks: a retained base
 	// makes none.
 	blockReads int
@@ -85,6 +87,7 @@ func (s *probeStore) ReadBlocks(docID string, start, count int) ([][]byte, error
 func (s *probeStore) CommitDelta(d *docenc.DeltaUpdate) (docenc.Header, error) {
 	s.mu.Lock()
 	arrive, answer, commit, reply := s.arrive, s.answer, s.commit, s.reply
+	s.frames = append(s.frames, d)
 	s.mu.Unlock()
 	if arrive != nil {
 		arrive()

@@ -178,69 +178,41 @@ func BenchmarkSessionQueryRemote(b *testing.B) {
 	b.ReportMetric(float64(store.trips)/float64(b.N), "roundtrips/op")
 }
 
-// FuzzDecodeRecords feeds arbitrary bytes to the record decoder and a
-// collector, whole and cut at arbitrary points the way APDU responses
-// cut them: nothing panics, and the two decodings agree on how far they
-// got, on failing or not, and on the view.
+// FuzzDecodeRecords feeds arbitrary whole streams to the record decoder
+// and a collector: nothing panics, a genuine card stream decodes and
+// renders, and any stream decodes, assembles and renders the same way
+// (or fails the same way) every time.
 func FuzzDecodeRecords(f *testing.F) {
 	stream := folderRig(f, 1).recordStream(f, "nurse", "folder")
-	f.Add(stream, []byte{7, 1, 200})
-	f.Add(stream[:len(stream)/2], []byte{0})
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
 	// A value record whose length field is 2^63+5: as an int it is
 	// negative and once slipped past the bound check.
-	f.Add([]byte{0x03, 0x00, 0x00, 0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'}, []byte{3})
-	f.Add([]byte{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte{})
-	f.Add([]byte{0x02, 0x05, 0x00, 0x00, 0x03, 0x00, 0x00, 0x01, 'v', 0x04, 0x00, 0x00, 0x06}, []byte{1, 1, 1})
+	f.Add([]byte{0x03, 0x00, 0x00, 0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'})
+	f.Add([]byte{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{0x02, 0x05, 0x00, 0x00, 0x03, 0x00, 0x00, 0x01, 'v', 0x04, 0x00, 0x00, 0x06})
 
-	f.Fuzz(func(t *testing.T, data, cuts []byte) {
-		whole := NewCollector()
-		consumed, wholeErr := soe.DecodeRecordsPartial(data, whole)
-
-		// A reader that gets the stream in chunks, as the card link cuts
-		// it: append, decode what is complete, keep the rest.
-		chunked := NewCollector()
-		var buf []byte
-		var chunkedErr error
-		fed, decoded := 0, 0
-		for i := 0; chunkedErr == nil && fed < len(data); i++ {
-			n := len(data) - fed
-			if i < len(cuts) {
-				n = min(n, 1+int(cuts[i]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		render := func() ([]byte, error) {
+			col := NewCollector()
+			if err := soe.DecodeRecords(data, col); err != nil {
+				return nil, err
 			}
-			buf = append(buf, data[fed:fed+n]...)
-			fed += n
-			var k int
-			k, chunkedErr = soe.DecodeRecordsPartial(buf, chunked)
-			buf = buf[k:]
-			decoded += k
+			v, err := col.View()
+			if err != nil {
+				return nil, err
+			}
+			// Rendering may refuse (hostile records can put an attribute
+			// after content), but the same way every time.
+			return (&Result{view: v}).AppendXML(nil)
 		}
-
-		if (wholeErr != nil) != (chunkedErr != nil) {
-			t.Fatalf("whole decoding: %v; chunked decoding: %v", wholeErr, chunkedErr)
+		x1, err1 := render()
+		if err1 != nil && bytes.Equal(data, stream) {
+			t.Fatalf("the card's own stream: %v", err1)
 		}
-		if decoded != consumed {
-			t.Fatalf("whole decoding consumed %d bytes, chunked %d", consumed, decoded)
-		}
-		if wholeErr != nil {
-			return
-		}
-		wv, werr := whole.View()
-		cv, cerr := chunked.View()
-		if (werr != nil) != (cerr != nil) {
-			t.Fatalf("whole view: %v; chunked view: %v", werr, cerr)
-		}
-		if werr != nil {
-			return
-		}
-		if !wv.Tree().Equal(cv.Tree()) {
-			t.Fatal("whole and chunked decoding assembled different views")
-		}
-		// Rendering may refuse (hostile records can put an attribute
-		// after content) but must agree too.
-		wx, werr := (&Result{view: wv}).AppendXML(nil)
-		cx, cerr := (&Result{view: cv}).AppendXML(nil)
-		if (werr != nil) != (cerr != nil) || !bytes.Equal(wx, cx) {
-			t.Fatalf("renderings differ: %q (%v) vs %q (%v)", wx, werr, cx, cerr)
+		x2, err2 := render()
+		if (err1 != nil) != (err2 != nil) || !bytes.Equal(x1, x2) {
+			t.Fatalf("two decodings of one stream differ: %q (%v) vs %q (%v)", x1, err1, x2, err2)
 		}
 	})
 }

@@ -1,17 +1,16 @@
 package secure
 
-// The batched decrypt layer. DecryptBlock pays a fresh aes.NewCipher,
-// a fresh hmac.New (two SHA-256 inits plus key processing) and a heap
-// plaintext per call — per *block*, on the hottest path of the system
-// (the card side of the pull link). A BlockContext amortizes everything
-// that depends only on the key: the AES cipher is built once, and the
-// HMAC ipad/opad SHA-256 states are absorbed once and cloned per block
-// through the hash's encoding.BinaryMarshaler state, which replaces two
-// key-schedule compressions and five allocations per block with two
-// state restores and none. Scratch space (hash clones, counter and
-// keystream buffers, the MAC preimage prefix) lives in a sync.Pool, so
-// a context is safe for concurrent use — the prefetch pipeline decrypts
-// run blocks from several goroutines against one shared context.
+// The block seal and its amortized state. A fresh aes.NewCipher and
+// hmac.New per block (two SHA-256 inits plus key processing, and five
+// allocations) would sit on the hottest path of the system, the card
+// side of the pull link. A BlockContext amortizes everything that
+// depends only on the key: the AES cipher is built once, and the HMAC
+// ipad/opad SHA-256 states are absorbed once and restored per block
+// through the hash's encoding.BinaryMarshaler state. Scratch space (hash
+// clones, counter and keystream buffers, the MAC preimage prefix) lives
+// in a sync.Pool, so a context is safe for concurrent use — the prefetch
+// pipeline decrypts run blocks from several goroutines against one
+// shared context.
 
 import (
 	"crypto/aes"
@@ -43,10 +42,8 @@ type BlockContext struct {
 // operation; pooling it makes the steady-state path allocation-free.
 type blockScratch struct {
 	inner, outer hash.Hash // HMAC halves, restored from ipad/opad
-	ivh          hash.Hash // plain SHA-256 for IV derivation
-	pre          []byte    // MAC/IV preimage prefix, reused
+	pre          []byte    // MAC preimage prefix, reused
 	sum          [sha256.Size]byte
-	iv           [sha256.Size]byte
 	ctr, ks      [aes.BlockSize]byte
 }
 
@@ -80,7 +77,7 @@ func NewBlockContext(key DocKey) (*BlockContext, error) {
 	}
 	c := &BlockContext{key: key, block: b, ipad: ipad, opad: opad}
 	c.scratch.New = func() any {
-		return &blockScratch{inner: sha256.New(), outer: sha256.New(), ivh: sha256.New()}
+		return &blockScratch{inner: sha256.New(), outer: sha256.New()}
 	}
 	return c, nil
 }
@@ -97,10 +94,9 @@ func restore(h hash.Hash, state []byte) {
 	}
 }
 
-// macPrefix assembles the positional MAC preimage prefix into s.pre:
-// "blk" || version || blockIdx || len(docID) || docID. One buffered
-// Write instead of four keeps the hot path free of byte-slice
-// conversions.
+// macPrefix assembles the position into s.pre: "blk" || version ||
+// blockIdx || len(docID) || docID. One buffered Write instead of four
+// keeps the hot path free of byte-slice conversions.
 func (s *blockScratch) macPrefix(docID string, version, blockIdx uint32) {
 	s.pre = append(s.pre[:0], 'b', 'l', 'k')
 	var n [8]byte
@@ -112,14 +108,13 @@ func (s *blockScratch) macPrefix(docID string, version, blockIdx uint32) {
 	s.pre = append(s.pre, docID...)
 }
 
-// mac computes the positional tag of a ciphertext block — bit-identical
-// to the historical hmac.New(sha256.New, key.Mac) construction, via the
-// precomputed pad states.
-func (c *BlockContext) mac(s *blockScratch, docID string, version, blockIdx uint32, ct []byte) [MACLen]byte {
+// tag computes a block's synthetic IV, HMAC-SHA-256(position ||
+// plaintext) truncated to MACLen, from the precomputed pad states.
+func (c *BlockContext) tag(s *blockScratch, docID string, version, blockIdx uint32, plain []byte) [MACLen]byte {
 	restore(s.inner, c.ipad)
 	s.macPrefix(docID, version, blockIdx)
 	s.inner.Write(s.pre)
-	s.inner.Write(ct)
+	s.inner.Write(plain)
 	innerSum := s.inner.Sum(s.sum[:0])
 	restore(s.outer, c.opad)
 	s.outer.Write(innerSum)
@@ -129,11 +124,11 @@ func (c *BlockContext) mac(s *blockScratch, docID string, version, blockIdx uint
 	return out
 }
 
-// HeaderMAC is the context form of the package-level HeaderMAC,
-// bit-identical to it: the same HMAC-SHA-256 over "hdr" || headerBytes,
-// from the precomputed pad states instead of a fresh hmac.New. The
-// preimage is assembled in the pooled scratch, so headerBytes is only
-// read during the call and a caller may build it on its stack.
+// HeaderMAC authenticates a container header: HMAC-SHA-256 over "hdr"
+// || headerBytes, truncated to HeaderMACLen, from the precomputed pad
+// states. The preimage is assembled in the pooled scratch, so
+// headerBytes is only read during the call and a caller may build it on
+// its stack.
 func (c *BlockContext) HeaderMAC(headerBytes []byte) [HeaderMACLen]byte {
 	s := c.scratch.Get().(*blockScratch)
 	defer c.scratch.Put(s)
@@ -148,27 +143,17 @@ func (c *BlockContext) HeaderMAC(headerBytes []byte) [HeaderMACLen]byte {
 	return out
 }
 
-// deriveIV computes the CTR start counter into s.iv (same derivation as
-// the package-level path: sha256("sds-iv" || version || blockIdx ||
-// docID), truncated to the AES block size).
-func (c *BlockContext) deriveIV(s *blockScratch, docID string, version, blockIdx uint32) {
-	s.pre = append(s.pre[:0], "sds-iv"...)
-	var n [8]byte
-	binary.BigEndian.PutUint32(n[:4], version)
-	binary.BigEndian.PutUint32(n[4:], blockIdx)
-	s.pre = append(s.pre, n[:]...)
-	s.pre = append(s.pre, docID...)
-	s.ivh.Reset()
-	s.ivh.Write(s.pre)
-	s.ivh.Sum(s.iv[:0])
-}
-
-// ctrXOR applies the AES-CTR keystream starting at s.iv to src, writing
-// into dst (dst may alias src — the in-place path). Equivalent to
-// cipher.NewCTR(block, iv).XORKeyStream but without the per-call stream
-// allocation.
-func (c *BlockContext) ctrXOR(s *blockScratch, dst, src []byte) {
-	copy(s.ctr[:], s.iv[:aes.BlockSize])
+// ctrXOR applies the AES-CTR keystream of a block to src, writing into
+// dst (dst may alias src — the in-place path). The initial counter is
+// tag || version || blockIdx: the synthetic IV, with the block's
+// generation and index in the low half so that two blocks share a
+// keystream only where their tags collide at one (version, index).
+// Equivalent to cipher.NewCTR(block, iv).XORKeyStream but without the
+// per-call stream allocation.
+func (c *BlockContext) ctrXOR(s *blockScratch, tag *[MACLen]byte, version, blockIdx uint32, dst, src []byte) {
+	copy(s.ctr[:MACLen], tag[:])
+	binary.BigEndian.PutUint32(s.ctr[MACLen:], version)
+	binary.BigEndian.PutUint32(s.ctr[MACLen+4:], blockIdx)
 	for len(src) > 0 {
 		c.block.Encrypt(s.ks[:], s.ctr[:])
 		n := len(src)
@@ -197,36 +182,30 @@ func (c *BlockContext) ctrXOR(s *blockScratch, dst, src []byte) {
 	}
 }
 
-// EncryptBlock is the context form of the package-level EncryptBlock:
-// ciphertext || tag, len(plain)+MACLen bytes, amortized cipher state.
+// EncryptBlock seals one plaintext block at its position (docID,
+// version, blockIdx): ciphertext || tag, len(plain)+MACLen bytes. The
+// tag is computed over the plaintext first and the keystream is derived
+// from it, so sealing the same plaintext at a position twice gives the
+// same bytes, and a different plaintext an unrelated keystream.
 func (c *BlockContext) EncryptBlock(docID string, version, blockIdx uint32, plain []byte) ([]byte, error) {
 	s := c.scratch.Get().(*blockScratch)
 	defer c.scratch.Put(s)
 	out := make([]byte, len(plain)+MACLen)
-	c.deriveIV(s, docID, version, blockIdx)
-	c.ctrXOR(s, out[:len(plain)], plain)
-	tag := c.mac(s, docID, version, blockIdx, out[:len(plain)])
+	tag := c.tag(s, docID, version, blockIdx, plain)
 	copy(out[len(plain):], tag[:])
+	c.ctrXOR(s, &tag, version, blockIdx, out[:len(plain)], plain)
 	return out, nil
 }
 
-// DecryptBlock verifies and decrypts a stored block into fresh heap
-// memory (the context form of the package-level DecryptBlock).
-func (c *BlockContext) DecryptBlock(docID string, version, blockIdx uint32, stored []byte) ([]byte, error) {
-	if len(stored) < MACLen {
-		return nil, fmt.Errorf("%w: block %d shorter than its tag", ErrIntegrity, blockIdx)
-	}
-	plain := make([]byte, len(stored)-MACLen)
-	if err := c.DecryptBlockInto(plain, docID, version, blockIdx, stored); err != nil {
-		return nil, err
-	}
-	return plain, nil
-}
-
-// DecryptBlockInto verifies a stored block and decrypts it into dst,
-// which must be exactly len(stored)-MACLen bytes. dst may alias the
-// ciphertext prefix of stored: the tag is checked before a single byte
-// is transformed, so in-place decryption never reads mixed state.
+// DecryptBlockInto opens a stored block into dst, which must be exactly
+// len(stored)-MACLen bytes and either disjoint from stored or its very
+// ciphertext prefix (the in-place path, only for callers that own the
+// stored bytes: blocks from in-process stores and caches are shared
+// store memory, a client's pooled BlockFrame is the caller's until
+// Release). It decrypts, recomputes the tag over the plaintext and
+// compares. A mismatch (tampering, substitution, replay of another
+// position or version) returns ErrIntegrity with dst zeroed, so no
+// unauthenticated plaintext outlives the call.
 func (c *BlockContext) DecryptBlockInto(dst []byte, docID string, version, blockIdx uint32, stored []byte) error {
 	if len(stored) < MACLen {
 		return fmt.Errorf("%w: block %d shorter than its tag", ErrIntegrity, blockIdx)
@@ -235,31 +214,16 @@ func (c *BlockContext) DecryptBlockInto(dst []byte, docID string, version, block
 	if len(dst) != len(ct) {
 		return fmt.Errorf("secure: block %d destination is %d bytes, ciphertext is %d", blockIdx, len(dst), len(ct))
 	}
+	var got [MACLen]byte
+	copy(got[:], stored[len(ct):])
 	s := c.scratch.Get().(*blockScratch)
 	defer c.scratch.Put(s)
-	want := c.mac(s, docID, version, blockIdx, ct)
-	if !hmac.Equal(want[:], stored[len(stored)-MACLen:]) {
+	c.ctrXOR(s, &got, version, blockIdx, dst, ct)
+	if want := c.tag(s, docID, version, blockIdx, dst); !hmac.Equal(want[:], got[:]) {
+		clear(dst)
 		return fmt.Errorf("%w: block %d tag mismatch", ErrIntegrity, blockIdx)
 	}
-	c.deriveIV(s, docID, version, blockIdx)
-	c.ctrXOR(s, dst, ct)
 	return nil
-}
-
-// DecryptBlockInPlace verifies a stored block and decrypts its
-// ciphertext where it lies, returning the plaintext as a prefix view of
-// stored. Only callers that own the stored bytes may use it — blocks
-// handed out by in-process stores and caches are shared store memory,
-// while a client's pooled BlockFrame is caller-owned until Release.
-func (c *BlockContext) DecryptBlockInPlace(docID string, version, blockIdx uint32, stored []byte) ([]byte, error) {
-	if len(stored) < MACLen {
-		return nil, fmt.Errorf("%w: block %d shorter than its tag", ErrIntegrity, blockIdx)
-	}
-	ct := stored[:len(stored)-MACLen]
-	if err := c.DecryptBlockInto(ct, docID, version, blockIdx, stored); err != nil {
-		return nil, err
-	}
-	return ct, nil
 }
 
 // DecryptBlocks verifies and decrypts a contiguous run of stored blocks
@@ -302,17 +266,6 @@ func (c *BlockContext) DecryptBlocks(dst []byte, docID string, start uint32, ver
 		at += n
 	}
 	return plains, buf, nil
-}
-
-// EncryptBlob seals a standalone blob through the context (same framing
-// as the package-level EncryptBlob).
-func (c *BlockContext) EncryptBlob(namespace string, version uint32, plain []byte) ([]byte, error) {
-	return c.EncryptBlock("blob:"+namespace, version, 0, plain)
-}
-
-// DecryptBlob opens an EncryptBlob result through the context.
-func (c *BlockContext) DecryptBlob(namespace string, version uint32, sealed []byte) ([]byte, error) {
-	return c.DecryptBlock("blob:"+namespace, version, 0, sealed)
 }
 
 // maxPooledRunBuf bounds the capacity a released run buffer may retain,

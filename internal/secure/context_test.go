@@ -18,25 +18,18 @@ import (
 )
 
 // oracleEncrypt is an independent reimplementation of the stored-block
-// format straight from crypto/hmac and cipher.NewCTR — the reference
-// the amortized BlockContext is differentially tested against. It is
-// deliberately NOT the production code path.
+// format straight from crypto/hmac and cipher.NewCTR — the synthetic-IV
+// reference the amortized BlockContext is differentially tested
+// against. It is deliberately NOT the production code path.
 func oracleEncrypt(t *testing.T, key DocKey, docID string, version, blockIdx uint32, plain []byte) []byte {
 	t.Helper()
 	c, err := aes.NewCipher(key.Enc[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	h.Write([]byte("sds-iv"))
 	var n [8]byte
 	binary.BigEndian.PutUint32(n[:4], version)
 	binary.BigEndian.PutUint32(n[4:], blockIdx)
-	h.Write(n[:])
-	h.Write([]byte(docID))
-	iv := h.Sum(nil)[:aes.BlockSize]
-	out := make([]byte, len(plain)+MACLen)
-	cipher.NewCTR(c, iv).XORKeyStream(out[:len(plain)], plain)
 	mac := hmac.New(sha256.New, key.Mac[:])
 	mac.Write([]byte("blk"))
 	mac.Write(n[:])
@@ -44,14 +37,19 @@ func oracleEncrypt(t *testing.T, key DocKey, docID string, version, blockIdx uin
 	binary.BigEndian.PutUint32(l[:], uint32(len(docID)))
 	mac.Write(l[:])
 	mac.Write([]byte(docID))
-	mac.Write(out[:len(plain)])
-	copy(out[len(plain):], mac.Sum(nil)[:MACLen])
+	mac.Write(plain)
+	tag := mac.Sum(nil)[:MACLen]
+	iv := append(append([]byte(nil), tag...), n[:]...)
+	out := make([]byte, len(plain)+MACLen)
+	cipher.NewCTR(c, iv).XORKeyStream(out[:len(plain)], plain)
+	copy(out[len(plain):], tag)
 	return out
 }
 
-// TestContextMatchesOracle: every context path (encrypt, decrypt, into,
-// in-place, batched run) agrees byte for byte with the independent
-// crypto/hmac + cipher.NewCTR construction across sizes and positions.
+// TestContextMatchesOracle: every context path (encrypt, decrypt into a
+// separate buffer, in place, batched run) agrees byte for byte with the
+// independent crypto/hmac + cipher.NewCTR construction across sizes and
+// positions.
 func TestContextMatchesOracle(t *testing.T) {
 	key := KeyFromSeed("ctx-oracle")
 	ctx, err := NewBlockContext(key)
@@ -69,13 +67,6 @@ func TestContextMatchesOracle(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("size=%d pos=%d: context ciphertext diverges from oracle", size, pos)
 			}
-			back, err := ctx.DecryptBlock("doc", 3, pos, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(back, plain) {
-				t.Fatalf("size=%d pos=%d: decrypt diverges", size, pos)
-			}
 			dst := make([]byte, size)
 			if err := ctx.DecryptBlockInto(dst, "doc", 3, pos, want); err != nil {
 				t.Fatal(err)
@@ -84,16 +75,20 @@ func TestContextMatchesOracle(t *testing.T) {
 				t.Fatalf("size=%d pos=%d: DecryptBlockInto diverges", size, pos)
 			}
 			owned := append([]byte(nil), want...)
-			inPlace, err := ctx.DecryptBlockInPlace("doc", 3, pos, owned)
+			if err := ctx.DecryptBlockInto(owned[:size], "doc", 3, pos, owned); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(owned[:size], plain) {
+				t.Fatalf("size=%d pos=%d: in-place decrypt diverges", size, pos)
+			}
+			plains, buf, err := ctx.DecryptBlocks(nil, "doc", pos, []uint32{3}, [][]byte{want})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(inPlace, plain) {
-				t.Fatalf("size=%d pos=%d: in-place decrypt diverges", size, pos)
+			if !bytes.Equal(plains[0], plain) {
+				t.Fatalf("size=%d pos=%d: batched decrypt diverges", size, pos)
 			}
-			if size > 0 && &inPlace[0] != &owned[0] {
-				t.Fatal("in-place plaintext is not a view into the stored block")
-			}
+			PutRunBuffer(buf)
 		}
 	}
 }
@@ -180,24 +175,30 @@ func TestDecryptBlocksPartialRunError(t *testing.T) {
 }
 
 // TestContextTamperPerBlock mirrors TestBlockTamperDetected on the
-// context path: every flipped bit of a stored block is caught.
+// context path: every flipped bit of a stored block is caught, into a
+// separate buffer and in place, and either way the destination is left
+// all zero.
 func TestContextTamperPerBlock(t *testing.T) {
 	key := KeyFromSeed("ctx-tamper")
 	ctx, _ := NewBlockContext(key)
 	stored, _ := ctx.EncryptBlock("doc", 1, 7, []byte("payload data here"))
+	n := len(stored) - MACLen
 	for i := range stored {
 		mutated := append([]byte(nil), stored...)
 		mutated[i] ^= 0x01
-		if _, err := ctx.DecryptBlock("doc", 1, 7, mutated); !errors.Is(err, ErrIntegrity) {
+		dst := bytes.Repeat([]byte{0xee}, n)
+		if err := ctx.DecryptBlockInto(dst, "doc", 1, 7, mutated); !errors.Is(err, ErrIntegrity) {
 			t.Fatalf("flipping byte %d went undetected", i)
 		}
-		// In-place must also refuse — and must not have touched the bytes.
-		before := append([]byte(nil), mutated...)
-		if _, err := ctx.DecryptBlockInPlace("doc", 1, 7, mutated); !errors.Is(err, ErrIntegrity) {
+		if !bytes.Equal(dst, make([]byte, n)) {
+			t.Fatalf("flipping byte %d: the refused open left %x in its destination", i, dst)
+		}
+		tag := append([]byte(nil), mutated[n:]...)
+		if err := ctx.DecryptBlockInto(mutated[:n], "doc", 1, 7, mutated); !errors.Is(err, ErrIntegrity) {
 			t.Fatalf("in-place: flipping byte %d went undetected", i)
 		}
-		if !bytes.Equal(before, mutated) {
-			t.Fatalf("in-place decrypt of a tampered block %d modified the input", i)
+		if !bytes.Equal(mutated[:n], make([]byte, n)) || !bytes.Equal(mutated[n:], tag) {
+			t.Fatalf("in-place: flipping byte %d left %x (tag %x, was %x)", i, mutated[:n], mutated[n:], tag)
 		}
 	}
 }
@@ -218,14 +219,14 @@ func TestContextConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			p := make([]byte, 128)
 			for pass := 0; pass < 20; pass++ {
 				i := (w*13 + pass*7) % blocks
-				p, err := ctx.DecryptBlock("doc", 2, uint32(i), stored[i])
-				if err != nil {
+				if err := ctx.DecryptBlockInto(p, "doc", 2, uint32(i), stored[i]); err != nil {
 					errs <- err
 					return
 				}
-				if len(p) != 128 || p[0] != byte(i) {
+				if p[0] != byte(i) || p[127] != byte(i) {
 					errs <- fmt.Errorf("block %d: wrong plaintext", i)
 					return
 				}
@@ -285,30 +286,34 @@ func TestDecryptAllocsFlatAcrossRunLengths(t *testing.T) {
 	}
 }
 
-// TestBlobContextRoundTrip: the blob framing works through a context
-// (namespace is a per-call parameter, so one context serves a key's
-// documents and blobs alike).
+// TestBlobContextRoundTrip: a blob is block 0 of BlobID(namespace), so
+// the key's context opens what EncryptBlob seals and DecryptBlob opens
+// what the context seals there — the card opens rule sets through the
+// document's context this way.
 func TestBlobContextRoundTrip(t *testing.T) {
 	key := KeyFromSeed("ctx-blob")
 	ctx, _ := NewBlockContext(key)
-	sealed, err := ctx.EncryptBlob("rules:doc|alice", 3, []byte("rule data"))
+	ns := "rules:doc|alice"
+	sealed, err := ctx.EncryptBlock(BlobID(ns), 3, 0, []byte("rule data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interoperates with the package-level path in both directions.
-	back, err := DecryptBlob(key, "rules:doc|alice", 3, sealed)
+	back, err := DecryptBlob(key, ns, 3, sealed)
 	if err != nil || string(back) != "rule data" {
-		t.Fatalf("package-level open of context seal: %q, %v", back, err)
+		t.Fatalf("DecryptBlob of a context seal: %q, %v", back, err)
 	}
-	sealed2, err := EncryptBlob(key, "rules:doc|alice", 3, []byte("rule data"))
+	sealed2, err := EncryptBlob(key, ns, 3, []byte("rule data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back2, err := ctx.DecryptBlob("rules:doc|alice", 3, sealed2)
-	if err != nil || string(back2) != "rule data" {
-		t.Fatalf("context open of package-level seal: %q, %v", back2, err)
+	if !bytes.Equal(sealed, sealed2) {
+		t.Fatal("EncryptBlob and the context's seal at BlobID differ")
 	}
-	if _, err := ctx.DecryptBlob("rules:doc|bob", 3, sealed); !errors.Is(err, ErrIntegrity) {
+	back2 := make([]byte, len(sealed2)-MACLen)
+	if err := ctx.DecryptBlockInto(back2, BlobID(ns), 3, 0, sealed2); err != nil || string(back2) != "rule data" {
+		t.Fatalf("context open of EncryptBlob: %q, %v", back2, err)
+	}
+	if err := ctx.DecryptBlockInto(back2, BlobID("rules:doc|bob"), 3, 0, sealed); !errors.Is(err, ErrIntegrity) {
 		t.Error("cross-namespace blob accepted")
 	}
 }
@@ -328,9 +333,9 @@ func TestDecryptBlockIntoSizeMismatch(t *testing.T) {
 }
 
 // TestHeaderMACContextMatchesPackage: a context's header MAC is, bit for
-// bit, the package-level one, for random keys and headers of every
-// length around the SHA-256 block size — reusing one context (and its
-// pooled scratch) across keys' calls included.
+// bit, crypto/hmac's HMAC-SHA-256 over "hdr" || header, for random keys
+// and headers of every length around the SHA-256 block size — reusing
+// one context (and its pooled scratch) across calls included.
 func TestHeaderMACContextMatchesPackage(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < 50; k++ {
@@ -344,9 +349,53 @@ func TestHeaderMACContextMatchesPackage(t *testing.T) {
 		for _, n := range []int{0, 1, 55, 56, 63, 64, 65, 119, 128, 200 + rng.Intn(300)} {
 			hdr := make([]byte, n)
 			rng.Read(hdr)
-			if got, want := ctx.HeaderMAC(hdr), HeaderMAC(key, hdr); got != want {
-				t.Fatalf("key %d, %d-byte header: context MAC %x, package MAC %x", k, n, got, want)
+			mac := hmac.New(sha256.New, key.Mac[:])
+			mac.Write([]byte("hdr"))
+			mac.Write(hdr)
+			var want [HeaderMACLen]byte
+			copy(want[:], mac.Sum(nil))
+			if got := ctx.HeaderMAC(hdr); got != want {
+				t.Fatalf("key %d, %d-byte header: context MAC %x, crypto/hmac %x", k, n, got, want)
 			}
 		}
+	}
+}
+
+// sharedKeystream reports whether two ciphertexts of one position leak
+// the XOR of their plaintexts: XOR(ct) = XOR(pt) over their common
+// length, which is what one keystream used twice gives.
+func sharedKeystream(ctA, ctB, ptA, ptB []byte) bool {
+	n := min(len(ctA), len(ctB), len(ptA), len(ptB))
+	for i := 0; i < n; i++ {
+		if ctA[i]^ctB[i] != ptA[i]^ptB[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSealUnderPositionReuse: one position sealed twice. The same
+// plaintext gives the same bytes; a different one gets an unrelated
+// keystream, so the store does not learn the plaintexts' XOR; and a
+// tampered block opened where it lies leaves nothing but zeros.
+func TestSealUnderPositionReuse(t *testing.T) {
+	ctx, _ := NewBlockContext(KeyFromSeed("reuse"))
+	a := []byte("grant alice read on /folder/patient[1]/visit")
+	b := []byte("grant alice read on /folder/patient[2]/visit")
+	sa, _ := ctx.EncryptBlock("doc", 4, 2, a)
+	again, _ := ctx.EncryptBlock("doc", 4, 2, a)
+	if !bytes.Equal(sa, again) {
+		t.Fatal("one plaintext sealed twice at one position gives two different blocks")
+	}
+	sb, _ := ctx.EncryptBlock("doc", 4, 2, b)
+	if sharedKeystream(sa[:len(a)], sb[:len(b)], a, b) {
+		t.Fatal("two plaintexts sealed at one position share a keystream: XOR(ct) = XOR(pt)")
+	}
+	sb[3] ^= 0x40
+	if err := ctx.DecryptBlockInto(sb[:len(b)], "doc", 4, 2, sb); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("tampered block opened in place: %v", err)
+	}
+	if !bytes.Equal(sb[:len(b)], make([]byte, len(b))) {
+		t.Fatalf("a refused in-place open left %q where the block lay", sb[:len(b)])
 	}
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // FuzzDecryptBlock drives the block opener with arbitrary stored bytes
-// and positions. Properties checked: no panic on any input; a genuine
-// EncryptBlock output round-trips; any input that differs from the
-// genuine stored block is rejected with ErrIntegrity (never silently
-// accepted, never a foreign error).
+// and positions, into a separate buffer and in place. Properties
+// checked: no panic on any input; the only error is ErrIntegrity, and
+// it leaves the destination all zero; an accepted block is the
+// canonical seal of its plaintext at that position (so a genuine
+// EncryptBlock output round-trips and nothing else opens); both paths
+// agree.
 func FuzzDecryptBlock(f *testing.F) {
-	key := KeyFromSeed("fuzz-block")
-	ctx, err := NewBlockContext(key)
+	ctx, err := NewBlockContext(KeyFromSeed("fuzz-block"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -27,26 +28,32 @@ func FuzzDecryptBlock(f *testing.F) {
 	f.Add([]byte{}, "", uint32(0), uint32(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, "d", uint32(2), uint32(9)) // shorter than tag
 	f.Fuzz(func(t *testing.T, stored []byte, docID string, version, blockIdx uint32) {
-		plain, err := ctx.DecryptBlock(docID, version, blockIdx, stored)
+		n := max(len(stored)-MACLen, 0)
+		plain := bytes.Repeat([]byte{0xa5}, n)
+		err := ctx.DecryptBlockInto(plain, docID, version, blockIdx, stored)
+		owned := append([]byte(nil), stored...)
+		inPlaceErr := ctx.DecryptBlockInto(owned[:n], docID, version, blockIdx, owned)
+		if (err != nil) != (inPlaceErr != nil) {
+			t.Fatalf("into a buffer: %v; in place: %v", err, inPlaceErr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrIntegrity) {
-				t.Fatalf("non-integrity error from arbitrary input: %v", err)
+			if !errors.Is(err, ErrIntegrity) || !errors.Is(inPlaceErr, ErrIntegrity) {
+				t.Fatalf("non-integrity error from arbitrary input: %v / %v", err, inPlaceErr)
+			}
+			if len(stored) >= MACLen && (!bytes.Equal(plain, make([]byte, n)) || !bytes.Equal(owned[:n], make([]byte, n))) {
+				t.Fatal("a refused open left bytes in its destination")
 			}
 			return
 		}
-		// Accepted: must be a forgery-free round trip — re-encrypting
-		// the plaintext at the same position reproduces the input.
+		if !bytes.Equal(plain, owned[:n]) {
+			t.Fatal("the in-place open disagrees with the open into a buffer")
+		}
 		again, err := ctx.EncryptBlock(docID, version, blockIdx, plain)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again, stored) {
 			t.Fatalf("accepted stored block is not the canonical encryption of its plaintext")
-		}
-		// And the package-level path agrees.
-		p2, err := DecryptBlock(key, docID, version, blockIdx, stored)
-		if err != nil || !bytes.Equal(p2, plain) {
-			t.Fatalf("package-level DecryptBlock disagrees with context: %v", err)
 		}
 	})
 }

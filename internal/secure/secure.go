@@ -7,15 +7,28 @@
 //
 // Design choices:
 //
-//   - AES-128-CTR per block, with a keystream position derived from
-//     (document, version, block index): random access, which the skip
-//     index requires, and no padding overhead;
-//   - a truncated HMAC-SHA-256 tag per block, bound to the document id,
-//     version and block index: substituting a block by another (from the
-//     same or another document, or from a previous version) is detected
-//     even when surrounding blocks are never read — the property chained
-//     MACs lack, and the reason the paper's skips need positional
-//     integrity (see docs/ARCHITECTURE.md);
+//   - one seal, a synthetic-IV construction after RFC 5297 built from
+//     AES-128-CTR and HMAC-SHA-256, for document blocks, rule-set blobs
+//     and key wraps alike. Every sealed unit has a position (document,
+//     version, block index; a blob is block 0 of "blob:"+namespace);
+//   - the tag is HMAC-SHA-256(position || plaintext), truncated to
+//     MACLen, and the CTR counter starts at tag || version || index.
+//     Sealing one plaintext at a position twice gives the same bytes;
+//     a different plaintext at the same position gets an unrelated
+//     keystream. So a retried or raced re-publication, a rule set
+//     re-sealed at its fixed position or a key wrap re-sealed under a
+//     fixed key-encryption key leaks at most that the two plaintexts
+//     are equal, never their XOR;
+//   - the tag binds the position: substituting a block by another (from
+//     the same or another document, or from a previous version) is
+//     detected even when surrounding blocks are never read — the
+//     property chained MACs lack, and the reason the paper's skips need
+//     positional integrity (see docs/ARCHITECTURE.md). Random access,
+//     which the skip index requires, and no padding overhead remain;
+//   - opening decrypts, recomputes the tag over the plaintext and
+//     compares; on a mismatch the destination is zeroed before
+//     ErrIntegrity returns, so no unauthenticated plaintext reaches the
+//     evaluator, even when a block is opened where it lies;
 //   - an authenticated header binding the document geometry, which
 //     defeats truncation.
 //
@@ -25,7 +38,6 @@
 package secure
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
@@ -88,52 +100,33 @@ func UnmarshalDocKey(b []byte) (DocKey, error) {
 	return k, nil
 }
 
-// EncryptBlock produces the stored form of one plaintext block:
-// ciphertext || tag. The stored block is len(plain)+MACLen bytes.
-//
-// One-shot convenience over a throwaway BlockContext; callers that
-// touch more than one block of a key hold a BlockContext instead and
-// pay the cipher and HMAC setup once.
-func EncryptBlock(key DocKey, docID string, version uint32, blockIdx uint32, plain []byte) ([]byte, error) {
-	c, err := NewBlockContext(key)
-	if err != nil {
-		return nil, err
-	}
-	return c.EncryptBlock(docID, version, blockIdx, plain)
-}
-
-// DecryptBlock verifies and decrypts a stored block. A tag mismatch
-// (tampering, substitution, replay of another position or version)
-// returns ErrIntegrity. One-shot convenience over a throwaway
-// BlockContext (see EncryptBlock).
-func DecryptBlock(key DocKey, docID string, version uint32, blockIdx uint32, stored []byte) ([]byte, error) {
-	c, err := NewBlockContext(key)
-	if err != nil {
-		return nil, err
-	}
-	return c.DecryptBlock(docID, version, blockIdx, stored)
-}
-
 // ErrIntegrity reports tampered input.
 var ErrIntegrity = fmt.Errorf("secure: integrity check failed")
 
-// HeaderMAC authenticates the canonical header encoding.
-func HeaderMAC(key DocKey, headerBytes []byte) [HeaderMACLen]byte {
-	mac := hmac.New(sha256.New, key.Mac[:])
-	mac.Write([]byte("hdr"))
-	mac.Write(headerBytes)
-	var out [HeaderMACLen]byte
-	copy(out[:], mac.Sum(nil))
-	return out
-}
-
-// EncryptBlob seals a small standalone blob (rule sets on the DSP) with
-// the same primitives, using block index 0 of a caller-chosen namespace.
+// EncryptBlob seals a small standalone blob (a rule set, a wrapped key)
+// as block 0 of BlobID(namespace) at version.
 func EncryptBlob(key DocKey, namespace string, version uint32, plain []byte) ([]byte, error) {
-	return EncryptBlock(key, "blob:"+namespace, version, 0, plain)
+	c, err := NewBlockContext(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.EncryptBlock(BlobID(namespace), version, 0, plain)
 }
 
 // DecryptBlob opens an EncryptBlob result.
 func DecryptBlob(key DocKey, namespace string, version uint32, sealed []byte) ([]byte, error) {
-	return DecryptBlock(key, "blob:"+namespace, version, 0, sealed)
+	c, err := NewBlockContext(key)
+	if err != nil {
+		return nil, err
+	}
+	plain := make([]byte, max(len(sealed)-MACLen, 0)) // a blob shorter than its tag fails the open
+	if err := c.DecryptBlockInto(plain, BlobID(namespace), version, 0, sealed); err != nil {
+		return nil, err
+	}
+	return plain, nil
 }
+
+// BlobID is the document id a blob of namespace is sealed under. A
+// holder of the key's BlockContext opens a blob through it, as block 0
+// of this id.
+func BlobID(namespace string) string { return "blob:" + namespace }

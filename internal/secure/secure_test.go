@@ -7,20 +7,44 @@ import (
 	"testing/quick"
 )
 
-func TestBlockRoundTrip(t *testing.T) {
-	key := KeyFromSeed("k1")
-	plain := []byte("the quick brown fox jumps over the lazy dog")
-	stored, err := EncryptBlock(key, "doc", 1, 7, plain)
+// seal and open are one block's seal and open through a fresh context.
+func seal(t testing.TB, key DocKey, docID string, version, blockIdx uint32, plain []byte) []byte {
+	t.Helper()
+	c, err := NewBlockContext(key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored, err := c.EncryptBlock(docID, version, blockIdx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stored
+}
+
+func open(t testing.TB, key DocKey, docID string, version, blockIdx uint32, stored []byte) ([]byte, error) {
+	t.Helper()
+	c, err := NewBlockContext(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, max(len(stored)-MACLen, 0))
+	if err := c.DecryptBlockInto(dst, docID, version, blockIdx, stored); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+func TestBlockRoundTrip(t *testing.T) {
+	key := KeyFromSeed("k1")
+	plain := []byte("the quick brown fox jumps over the lazy dog")
+	stored := seal(t, key, "doc", 1, 7, plain)
 	if len(stored) != len(plain)+MACLen {
 		t.Fatalf("stored size %d, want %d", len(stored), len(plain)+MACLen)
 	}
 	if bytes.Contains(stored, []byte("quick")) {
 		t.Fatal("plaintext leaks into stored block")
 	}
-	back, err := DecryptBlock(key, "doc", 1, 7, stored)
+	back, err := open(t, key, "doc", 1, 7, stored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +55,11 @@ func TestBlockRoundTrip(t *testing.T) {
 
 func TestBlockTamperDetected(t *testing.T) {
 	key := KeyFromSeed("k1")
-	stored, _ := EncryptBlock(key, "doc", 1, 7, []byte("payload data here"))
+	stored := seal(t, key, "doc", 1, 7, []byte("payload data here"))
 	for i := range stored {
 		mutated := append([]byte(nil), stored...)
 		mutated[i] ^= 0x01
-		if _, err := DecryptBlock(key, "doc", 1, 7, mutated); !errors.Is(err, ErrIntegrity) {
+		if _, err := open(t, key, "doc", 1, 7, mutated); !errors.Is(err, ErrIntegrity) {
 			t.Fatalf("flipping byte %d went undetected", i)
 		}
 	}
@@ -46,7 +70,7 @@ func TestBlockTamperDetected(t *testing.T) {
 func TestPositionalBinding(t *testing.T) {
 	key := KeyFromSeed("k1")
 	plain := []byte("some confidential block")
-	stored, _ := EncryptBlock(key, "doc", 1, 7, plain)
+	stored := seal(t, key, "doc", 1, 7, plain)
 
 	cases := []struct {
 		name         string
@@ -58,32 +82,33 @@ func TestPositionalBinding(t *testing.T) {
 		{"wrong document", "other", 1, 7},
 	}
 	for _, c := range cases {
-		if _, err := DecryptBlock(key, c.docID, c.version, c.idx, stored); !errors.Is(err, ErrIntegrity) {
+		if _, err := open(t, key, c.docID, c.version, c.idx, stored); !errors.Is(err, ErrIntegrity) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := DecryptBlock(KeyFromSeed("k2"), "doc", 1, 7, stored); !errors.Is(err, ErrIntegrity) {
+	if _, err := open(t, KeyFromSeed("k2"), "doc", 1, 7, stored); !errors.Is(err, ErrIntegrity) {
 		t.Error("wrong key: accepted")
 	}
 }
 
 func TestShortBlockRejected(t *testing.T) {
-	if _, err := DecryptBlock(KeyFromSeed("k"), "d", 0, 0, []byte{1, 2, 3}); !errors.Is(err, ErrIntegrity) {
+	if _, err := open(t, KeyFromSeed("k"), "d", 0, 0, []byte{1, 2, 3}); !errors.Is(err, ErrIntegrity) {
 		t.Error("block shorter than its tag must fail integrity")
 	}
 }
 
 func TestHeaderMAC(t *testing.T) {
-	key := KeyFromSeed("k1")
+	ctx, _ := NewBlockContext(KeyFromSeed("k1"))
+	other, _ := NewBlockContext(KeyFromSeed("k2"))
 	hdr := []byte("header bytes")
-	tag := HeaderMAC(key, hdr)
-	if HeaderMAC(key, hdr) != tag {
+	tag := ctx.HeaderMAC(hdr)
+	if ctx.HeaderMAC(hdr) != tag {
 		t.Fatal("header MAC is not deterministic")
 	}
-	if HeaderMAC(key, []byte("header bytez")) == tag {
+	if ctx.HeaderMAC([]byte("header bytez")) == tag {
 		t.Error("modified header has the same tag")
 	}
-	if HeaderMAC(KeyFromSeed("k2"), hdr) == tag {
+	if other.HeaderMAC(hdr) == tag {
 		t.Error("another key gives the same tag")
 	}
 }
@@ -137,8 +162,8 @@ func TestDistinctBlocksDistinctCiphertext(t *testing.T) {
 	// positions must not produce identical ciphertext.
 	key := KeyFromSeed("k1")
 	plain := bytes.Repeat([]byte{0x42}, 64)
-	a, _ := EncryptBlock(key, "doc", 1, 0, plain)
-	b, _ := EncryptBlock(key, "doc", 1, 1, plain)
+	a := seal(t, key, "doc", 1, 0, plain)
+	b := seal(t, key, "doc", 1, 1, plain)
 	if bytes.Equal(a[:64], b[:64]) {
 		t.Fatal("two positions share a keystream")
 	}
@@ -149,11 +174,8 @@ func TestDistinctBlocksDistinctCiphertext(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	key := KeyFromSeed("q")
 	f := func(plain []byte, idx uint32, version uint32) bool {
-		stored, err := EncryptBlock(key, "doc", version, idx, plain)
-		if err != nil {
-			return false
-		}
-		back, err := DecryptBlock(key, "doc", version, idx, stored)
+		stored := seal(t, key, "doc", version, idx, plain)
+		back, err := open(t, key, "doc", version, idx, stored)
 		return err == nil && bytes.Equal(back, plain)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -97,7 +97,8 @@ func prepWorkers(blocks int) int {
 //
 // When owned is true the caller guarantees the stored slices are its own
 // (a dsp.BlockFrame it will release via the run) and decryption happens
-// in place — zero copies. Otherwise the plaintexts are decrypted into
+// in place — zero copies; a block that fails its tag is left zeroed
+// where it lay. Otherwise the plaintexts are decrypted into
 // the run's own contiguous buffer and the stored slices are left untouched.
 // release, if non-nil, is invoked by PreparedRun.Release.
 //
@@ -174,13 +175,11 @@ func (r *PreparedRun) decrypt() {
 			r.errs[i] = fmt.Errorf("%w: block %d shorter than its tag", secure.ErrIntegrity, idx)
 			continue
 		}
-		gen := hdr.BlockGen(idx)
-		if r.owned {
-			r.plains[i], r.errs[i] = s.ctx.DecryptBlockInPlace(docID, gen, uint32(idx), b)
-			continue
+		dst := b[:len(b)-secure.MACLen]
+		if !r.owned {
+			dst = r.buf[r.offsets[i] : r.offsets[i]+len(dst)]
 		}
-		dst := r.buf[r.offsets[i] : r.offsets[i]+len(b)-secure.MACLen]
-		if err := s.ctx.DecryptBlockInto(dst, docID, gen, uint32(idx), b); err != nil {
+		if err := s.ctx.DecryptBlockInto(dst, docID, hdr.BlockGen(idx), uint32(idx), b); err != nil {
 			r.errs[i] = err
 			continue
 		}

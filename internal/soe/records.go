@@ -163,37 +163,16 @@ type RecordSink interface {
 	Done() error
 }
 
-// maxRecordField bounds a record's name or text field. A card emits
-// values in chunks of at most a block, far below this.
-const maxRecordField = 1 << 30
-
-// errTruncated marks a record cut short at the end of a chunk: the caller
-// must retry once more bytes arrive.
-var errTruncated = fmt.Errorf("soe: truncated record")
-
-// DecodeRecords parses a record stream chunk that contains only whole
-// records (as Session.Feed outputs always do), invoking the sink per
-// record.
+// DecodeRecords parses a record stream that holds only whole records
+// (as Session.Feed outputs always do), invoking the sink per record. A
+// record cut short is an error like any other malformed one.
 func DecodeRecords(data []byte, sink RecordSink) error {
-	n, err := DecodeRecordsPartial(data, sink)
-	if err != nil {
-		return err
-	}
-	if n != len(data) {
-		return fmt.Errorf("soe: %d trailing bytes form an incomplete record", len(data)-n)
-	}
-	return nil
-}
-
-// DecodeRecordsPartial decodes as many complete records as data holds and
-// returns the bytes consumed; a record cut short at the end is left for
-// the caller to complete (APDU chunking splits records arbitrarily).
-func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 	pos := 0
+	cut := func() error { return fmt.Errorf("soe: record cut short at offset %d", pos) }
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
 		if n == 0 {
-			return 0, errTruncated
+			return 0, cut()
 		}
 		if n < 0 {
 			return 0, fmt.Errorf("soe: malformed varint at offset %d", pos)
@@ -203,7 +182,7 @@ func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 	}
 	readByte := func() (byte, error) {
 		if pos >= len(data) {
-			return 0, errTruncated
+			return 0, cut()
 		}
 		b := data[pos]
 		pos++
@@ -211,25 +190,19 @@ func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 	}
 	// readBytes reads a length-prefixed field. The length is compared as
 	// a uint64 against what is left: a hostile length of 2^63 or more
-	// must not wrap negative and slip past the bound. One that cannot
-	// fit any record the protocol's users produce is malformed, not
-	// merely incomplete — waiting for more input would never end.
+	// must not wrap negative and slip past the bound.
 	readBytes := func() ([]byte, error) {
 		l, err := readUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if l > maxRecordField {
-			return nil, fmt.Errorf("soe: record field of %d bytes exceeds limit at offset %d", l, pos)
-		}
 		if l > uint64(len(data)-pos) {
-			return nil, errTruncated
+			return nil, cut()
 		}
 		b := data[pos : pos+int(l)]
 		pos += int(l)
 		return b, nil
 	}
-	consumed := 0
 	for pos < len(data) {
 		op, _ := readByte()
 		err := func() error {
@@ -298,13 +271,9 @@ func DecodeRecordsPartial(data []byte, sink RecordSink) (int, error) {
 				return fmt.Errorf("soe: unknown record opcode %#x at offset %d", op, pos-1)
 			}
 		}()
-		if err == errTruncated {
-			return consumed, nil
-		}
 		if err != nil {
-			return consumed, err
+			return err
 		}
-		consumed = pos
 	}
-	return consumed, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package soe
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -286,52 +287,47 @@ func TestRecordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordsPartialDecode: a stream cut anywhere but between records is
+// refused, and one cut between records decodes as far as it goes.
 func TestRecordsPartialDecode(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"tagname"})
 	e := &recordEmitter{}
 	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
+	// The open is preceded by the lazy binding of its tag, a record that
+	// ends with the tag's name.
+	ends := []int{strings.Index(string(e.buf), "tagname") + len("tagname"), len(e.buf)}
 	_ = e.EmitValue([]byte("some text content"), core.ModeDeliver, 0)
+	ends = append(ends, len(e.buf))
 	_ = e.EmitClose(core.ModeDeliver, 0)
+	ends = append(ends, len(e.buf))
 	blob := e.buf
 
-	// Feeding byte by byte must never error and must consume exactly the
-	// whole stream.
-	sink := newTestSink()
-	var buf []byte
-	total := 0
-	for _, b := range blob {
-		buf = append(buf, b)
-		n, err := DecodeRecordsPartial(buf, sink)
-		if err != nil {
-			t.Fatal(err)
+	for n := 1; n <= len(blob); n++ {
+		err := DecodeRecords(blob[:n], newTestSink())
+		if whole := slices.Contains(ends, n); whole != (err == nil) {
+			t.Errorf("stream cut at %d of %d bytes (between records: %v): err %v", n, len(blob), whole, err)
 		}
-		buf = buf[n:]
-		total += n
-	}
-	if total != len(blob) || len(buf) != 0 {
-		t.Errorf("consumed %d of %d bytes (%d left)", total, len(blob), len(buf))
 	}
 }
 
 // TestRecordsHostileLength: a name or text length that as an int is
 // negative (2^63 and up) once passed the bound check and panicked in the
-// slice expression. It is an error; a length that is merely longer than
-// the chunk still means "wait for more".
+// slice expression. It is an error, as is a length merely longer than
+// what is left.
 func TestRecordsHostileLength(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<63+5)
 	for name, rec := range map[string][]byte{
 		"value": append([]byte{recValue, byte(core.ModeDeliver), 0}, huge...),
 		"bind":  append([]byte{recBind, 0}, huge...),
 	} {
-		n, err := DecodeRecordsPartial(append(rec, "payload"...), newTestSink())
-		if err == nil || n != 0 {
-			t.Errorf("%s record with a 2^63+5 byte field: consumed %d, err %v", name, n, err)
+		if err := DecodeRecords(append(rec, "payload"...), newTestSink()); err == nil {
+			t.Errorf("%s record with a 2^63+5 byte field accepted", name)
 		}
 	}
 	long := append([]byte{recValue, byte(core.ModeDeliver), 0}, binary.AppendUvarint(nil, 4096)...)
-	if n, err := DecodeRecordsPartial(append(long, "only the start"...), newTestSink()); err != nil || n != 0 {
-		t.Errorf("value record cut short: consumed %d, err %v; want 0, nil", n, err)
+	if err := DecodeRecords(append(long, "only the start"...), newTestSink()); err == nil {
+		t.Error("value record cut short accepted")
 	}
 }
 
