@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build examples test test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build examples test test-allocs test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
@@ -24,6 +24,27 @@ examples:
 ## test: run the full test suite under the race detector
 test:
 	$(GO) test -race ./...
+
+## test-allocs: the allocation gates, without the race detector — under
+## it sync.Pool drops what is put back on purpose, so these tests skip
+## their counts there, and every other step runs their packages with it
+## (dsp's on its default sendfile path too): the batched decrypt, a
+## re-armed card evaluation, the card path and a subscriber's reception
+## across document sizes, the encoder across document sizes, a re-armed
+## dictionary decode, a pooled cold read and its sendfile serve, an open
+## in each of a thousand contexts across collections, a warmed gatewayd
+## query end to end, a released result's storage, and a lookup in a
+## server's table of names
+test-allocs:
+	$(GO) test -count=1 -run 'TestDecryptAllocsFlatAcrossRunLengths|TestOpenAllocsAcrossContexts' ./internal/secure/
+	$(GO) test -count=1 -run 'TestRestartAllocs' ./internal/soe/
+	$(GO) test -count=1 -run 'TestCardPathAllocsFlatAcrossDocumentSize|TestReleasedResultStorageReused' ./internal/proxy/
+	$(GO) test -count=1 -run 'TestReceptionAllocsFlatAcrossStreamLength' ./internal/dissem/
+	$(GO) test -count=1 -run 'TestEncodeAllocsFlatAcrossDocumentSize' ./internal/docenc/
+	$(GO) test -count=1 -run 'TestDecodeAgainAllocatesNothing' ./internal/tagdict/
+	$(GO) test -count=1 -run 'TestColdReadAllocs|TestSendfileServesColdRun' ./internal/dsp/
+	$(GO) test -count=1 -run 'TestGatewayQueryAllocs' ./internal/gateway/
+	$(GO) test -count=1 -run 'TestInternerKeepsNoInputBytes' ./internal/wire/
 
 ## test-nommap: exercise the portable (heap-copy) checkpoint read path
 ## that non-unix platforms take; with no mmap tier there are no file runs,
@@ -152,4 +173,4 @@ staticcheck:
 	fi
 
 ## ci: exactly what .github/workflows/ci.yml runs
-ci: fmt vet staticcheck build examples test test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench
+ci: fmt vet staticcheck build examples test test-allocs test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench

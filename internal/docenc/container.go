@@ -99,92 +99,106 @@ func (h *Header) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalHeader decodes a header and returns the bytes consumed.
 func UnmarshalHeader(data []byte) (Header, int, error) {
 	var h Header
+	n, err := DecodeHeader(&h, data)
+	return h, n, err
+}
+
+// DecodeHeader decodes a header into h and returns the bytes consumed.
+// It reuses what h holds: the generation runs are decoded into h.GenRuns'
+// storage, and h.DocID is kept when the header names that document, so a
+// reader that decodes header after header into one Header (a card
+// session, a client that names the document it asks for) allocates
+// nothing for them. On failure h holds a partial decode.
+func DecodeHeader(h *Header, data []byte) (int, error) {
 	if len(data) < 4 || [4]byte(data[:4]) != magic {
-		return h, 0, fmt.Errorf("docenc: bad container magic")
+		return 0, fmt.Errorf("docenc: bad container magic")
 	}
 	pos := 4
 	l, n := uvarint(data[pos:])
 	if n <= 0 {
-		return h, 0, fmt.Errorf("docenc: truncated header")
+		return 0, fmt.Errorf("docenc: truncated header")
 	}
 	pos += n
 	// Compared as uint64: a declared length of 2^63 or more must not wrap
 	// negative and slip past the bound into the slice expression.
 	if l > uint64(len(data)-pos) {
-		return h, 0, fmt.Errorf("docenc: truncated doc id")
+		return 0, fmt.Errorf("docenc: truncated doc id")
 	}
-	h.DocID = string(data[pos : pos+int(l)])
+	if id := data[pos : pos+int(l)]; h.DocID != string(id) {
+		h.DocID = string(id)
+	}
 	pos += int(l)
 	v, n := uvarint(data[pos:])
 	if n <= 0 {
-		return h, 0, fmt.Errorf("docenc: truncated version")
+		return 0, fmt.Errorf("docenc: truncated version")
 	}
 	if v > math.MaxUint32 {
-		return h, 0, fmt.Errorf("docenc: version %d does not fit 32 bits", v)
+		return 0, fmt.Errorf("docenc: version %d does not fit 32 bits", v)
 	}
 	h.Version = uint32(v)
 	pos += n
 	bp, n := uvarint(data[pos:])
 	if n <= 0 {
-		return h, 0, fmt.Errorf("docenc: truncated block size")
+		return 0, fmt.Errorf("docenc: truncated block size")
 	}
 	if bp > math.MaxUint32 {
-		return h, 0, fmt.Errorf("docenc: block size %d does not fit 32 bits", bp)
+		return 0, fmt.Errorf("docenc: block size %d does not fit 32 bits", bp)
 	}
 	h.BlockPlain = uint32(bp)
 	pos += n
 	pl, n := uvarint(data[pos:])
 	if n <= 0 {
-		return h, 0, fmt.Errorf("docenc: truncated payload length")
+		return 0, fmt.Errorf("docenc: truncated payload length")
 	}
 	h.PayloadLen = pl
 	pos += n
 	if h.BlockPlain == 0 {
-		return h, 0, fmt.Errorf("docenc: zero block size")
+		return 0, fmt.Errorf("docenc: zero block size")
 	}
 	nRuns, n := uvarint(data[pos:])
 	if n <= 0 {
-		return h, 0, fmt.Errorf("docenc: truncated generation runs")
+		return 0, fmt.Errorf("docenc: truncated generation runs")
 	}
 	pos += n
 	// A run covers at least one block, so a hostile run count larger than
 	// the geometry can be rejected before any allocation.
 	if nRuns > uint64(h.NumBlocks()) {
-		return h, 0, fmt.Errorf("docenc: %d generation runs exceed the %d-block geometry",
+		return 0, fmt.Errorf("docenc: %d generation runs exceed the %d-block geometry",
 			nRuns, h.NumBlocks())
 	}
+	h.GenRuns = h.GenRuns[:0]
 	var covered uint64
 	for i := uint64(0); i < nRuns; i++ {
 		count, n := uvarint(data[pos:])
 		if n <= 0 {
-			return h, 0, fmt.Errorf("docenc: truncated generation run count")
+			return 0, fmt.Errorf("docenc: truncated generation run count")
 		}
 		pos += n
 		gen, n := uvarint(data[pos:])
 		if n <= 0 {
-			return h, 0, fmt.Errorf("docenc: truncated generation")
+			return 0, fmt.Errorf("docenc: truncated generation")
 		}
 		pos += n
 		if count == 0 || count > uint64(h.NumBlocks()) {
-			return h, 0, fmt.Errorf("docenc: generation run of %d blocks outside the geometry", count)
+			return 0, fmt.Errorf("docenc: generation run of %d blocks outside the geometry", count)
 		}
 		if gen > uint64(h.Version) {
-			return h, 0, fmt.Errorf("docenc: block generation %d ahead of document version %d",
+			return 0, fmt.Errorf("docenc: block generation %d ahead of document version %d",
 				gen, h.Version)
 		}
 		covered += count
 		h.GenRuns = append(h.GenRuns, GenRun{Count: uint32(count), Gen: uint32(gen)})
 	}
 	if nRuns > 0 && covered != uint64(h.NumBlocks()) {
-		return h, 0, fmt.Errorf("docenc: generation runs cover %d blocks, geometry has %d",
+		return 0, fmt.Errorf("docenc: generation runs cover %d blocks, geometry has %d",
 			covered, h.NumBlocks())
 	}
 	if pos+secure.HeaderMACLen > len(data) {
-		return h, 0, fmt.Errorf("docenc: truncated header MAC")
+		return 0, fmt.Errorf("docenc: truncated header MAC")
 	}
 	copy(h.MAC[:], data[pos:pos+secure.HeaderMACLen])
 	pos += secure.HeaderMACLen
-	return h, pos, nil
+	return pos, nil
 }
 
 // uvarint reads a uvarint and refuses (n == 0) one padded with zero

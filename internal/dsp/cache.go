@@ -3,6 +3,7 @@ package dsp
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -274,7 +275,14 @@ func (c *Cache) ReadBlock(docID string, idx int) ([]byte, error) {
 // ReadBlocks implements Store: resident blocks are served from memory
 // and each gap is fetched from the backing store in one batched read.
 func (c *Cache) ReadBlocks(docID string, start, count int) ([][]byte, error) {
-	return c.readRun(docID, start, count, nil, nil)
+	return c.readRun(nil, docID, start, count, nil, nil)
+}
+
+// ReadBlocksInto is ReadBlocks appending to dst, for a reader that keeps
+// its list of blocks from one run to the next. The blocks are the cache's
+// memory, shared with every other reader: they must not be written.
+func (c *Cache) ReadBlocksInto(dst [][]byte, docID string, start, count int) ([][]byte, error) {
+	return c.readRun(dst, docID, start, count, nil, nil)
 }
 
 // ReadBlocksPinned implements PinnedBlockReader: cache hits are ordinary
@@ -294,12 +302,13 @@ func (c *Cache) ReadBlocksPinned(docID string, start, count int, pins *[]BlockPi
 // backing store's file runs (shifted to this read's indexing), so the
 // hot set rides the LRU while a cold run still leaves the box
 // kernel-side.
-func (c *Cache) readRun(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
+func (c *Cache) readRun(dst [][]byte, docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
 	if start < 0 || count < 0 {
 		return nil, fmt.Errorf("dsp: negative block range [%d,+%d)", start, count)
 	}
 	rr, pinnable := c.store.(runReader)
-	out := make([][]byte, count)
+	dst = slices.Grow(dst, count)[:len(dst)+count]
+	out := dst[len(dst)-count:]
 	missFrom := -1
 	flushGap := func(end int) error {
 		if missFrom < 0 {
@@ -317,7 +326,8 @@ func (c *Cache) readRun(docID string, start, count int, pins *[]BlockPin, runs *
 			if runs != nil {
 				preRuns = len(*runs)
 			}
-			got, err = rr.readRun(docID, start+missFrom, end-missFrom, pins, runs)
+			// The fill lands in place: out has the room.
+			got, err = rr.readRun(out[missFrom:missFrom], docID, start+missFrom, end-missFrom, pins, runs)
 			mapped = err == nil && len(*pins) > pre
 			for i := preRuns; runs != nil && i < len(*runs); i++ {
 				(*runs)[i].Start += missFrom
@@ -374,7 +384,7 @@ func (c *Cache) readRun(docID string, start, count int, pins *[]BlockPin, runs *
 	if err := flushGap(count); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // CommitDelta implements DeltaCommitter when the backing store does:

@@ -87,14 +87,20 @@ func (c *Client) PutDocument(container *docenc.Container) error {
 	return err
 }
 
-// Header implements Store.
+// Header implements Store. The reply is read into a pooled buffer and
+// decoded against docID, which the header keeps when it names it: a
+// query's header fetch allocates nothing.
 func (c *Client) Header(docID string) (docenc.Header, error) {
-	resp, err := c.roundTrip(wire.AppendString(request(opHeader), docID))
+	body, frame, err := c.roundTripInto(wire.AppendString(request(opHeader), docID), wire.GetBuf())
+	defer wire.PutBuf(frame)
+	h := docenc.Header{DocID: docID}
+	if err == nil {
+		_, err = docenc.DecodeHeader(&h, body)
+	}
 	if err != nil {
 		return docenc.Header{}, err
 	}
-	h, _, err := docenc.UnmarshalHeader(resp)
-	return h, err
+	return h, nil
 }
 
 // ReadBlock implements Store.

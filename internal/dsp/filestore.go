@@ -848,7 +848,7 @@ func (s *FileStore) ReadBlocksPinned(docID string, start, count int, pins *[]Blo
 // with one syscall each. The pin keeps both the mapping and the
 // underlying file open, so a run outlives an epoch retirement
 // mid-flush.
-func (s *FileStore) readRun(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
+func (s *FileStore) readRun(dst [][]byte, docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error) {
 	seg, sh, c, err := s.lookupLocked(docID)
 	if err != nil {
 		return nil, err
@@ -858,8 +858,8 @@ func (s *FileStore) readRun(docID string, start, count int, pins *[]BlockPin, ru
 		return nil, fmt.Errorf("dsp: block range [%d,+%d) out of range [0,%d) for %q",
 			start, count, len(c.Blocks), docID)
 	}
-	out := make([][]byte, count)
-	copy(out, c.Blocks[start:start+count])
+	dst = append(dst, c.Blocks[start:start+count]...)
+	out := dst[len(dst)-count:]
 	var mapped, mappedBytes int64
 	var first, last []byte
 	if reg := seg.region; reg != nil {
@@ -896,7 +896,7 @@ func (s *FileStore) readRun(docID string, start, count int, pins *[]BlockPin, ru
 	}
 	s.mmapReads.Add(mapped)
 	s.heapReads.Add(int64(count) - mapped)
-	return out, nil
+	return dst, nil
 }
 
 // collectWireRuns walks a pinned read's blocks and appends every

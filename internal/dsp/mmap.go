@@ -151,20 +151,23 @@ type PinnedBlockReader interface {
 }
 
 // runReader is the one pinned range read inside the package, implemented
-// by FileStore and Cache. Checkpoint-resident blocks come back as views
-// kept valid by pins appended to *pins. With runs non-nil, contiguous
-// checkpoint-file stretches of the range are also appended to *runs
-// (Start relative to the returned slice) for the sendfile tier; the
-// spans, like the blocks, stay valid until the pins release.
+// by FileStore and Cache. The blocks are appended to dst (nil: a slice of
+// the read's own), so a caller that keeps its list — the server's pooled
+// response, a terminal's pipeline — reads without allocating one.
+// Checkpoint-resident blocks come back as views kept valid by pins
+// appended to *pins. With runs non-nil, contiguous checkpoint-file
+// stretches of the range are also appended to *runs (Start relative to
+// the blocks this read appended) for the sendfile tier; the spans, like
+// the blocks, stay valid until the pins release.
 type runReader interface {
-	readRun(docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error)
+	readRun(dst [][]byte, docID string, start, count int, pins *[]BlockPin, runs *[]wireRun) ([][]byte, error)
 }
 
 // readPinned is ReadBlocksPinned over a runReader: mapped reports
 // whether the read took a pin.
 func readPinned(r runReader, docID string, start, count int, pins *[]BlockPin) ([][]byte, bool, error) {
 	pre := len(*pins)
-	out, err := r.readRun(docID, start, count, pins, nil)
+	out, err := r.readRun(nil, docID, start, count, pins, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -527,7 +527,7 @@ func TestMadviseCounter(t *testing.T) {
 	// the page cache itself, nothing is read through the mapping.
 	if sendfileOn {
 		var runs []wireRun
-		if _, err := s.readRun("advised", 0, 192, &pins, &runs); err != nil {
+		if _, err := s.readRun(nil, "advised", 0, 192, &pins, &runs); err != nil {
 			t.Fatal(err)
 		}
 		if len(runs) == 0 {

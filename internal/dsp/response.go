@@ -63,6 +63,10 @@ type response struct {
 	runs     []wireRun
 	fileRuns []fileRun
 
+	// read is the list a run read appends the store's blocks to before
+	// they become blocks and file runs: kept, so a read allocates none.
+	read [][]byte
+
 	// bufs is the reused iovec scratch for the vectored write; iov is
 	// the view of it that the write consumes.
 	bufs, iov net.Buffers
@@ -96,9 +100,9 @@ func newResponse() *response {
 // store memory (a pooled response must not pin blocks) and oversized
 // buffers.
 func (r *response) release() {
-	for i := range r.blocks {
-		r.blocks[i] = nil
-	}
+	clear(r.blocks)
+	clear(r.read)
+	r.read = r.read[:0]
 	for i := range r.pins {
 		r.pins[i].Release()
 		r.pins[i] = BlockPin{}

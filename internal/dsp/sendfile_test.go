@@ -336,7 +336,7 @@ func TestSendfileDisabledProducesNoRuns(t *testing.T) {
 	readRuns := func() []wireRun {
 		var pins []BlockPin
 		var runs []wireRun
-		if _, err := store.readRun("noruns", 0, 64, &pins, &runs); err != nil {
+		if _, err := store.readRun(nil, "noruns", 0, 64, &pins, &runs); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pins {
@@ -375,7 +375,7 @@ func TestSendfileRunDetection(t *testing.T) {
 
 	var pins []BlockPin
 	var runs []wireRun
-	blocks, err := store.readRun("runs", 0, nBlocks, &pins, &runs)
+	blocks, err := store.readRun(nil, "runs", 0, nBlocks, &pins, &runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestSendfileRunDetection(t *testing.T) {
 	// A sub-threshold read stays off the sendfile path entirely.
 	pins, runs = pins[:len(pins):len(pins)], nil
 	small := sendfileMinRunBytes/blockBytes - 1
-	if _, err := store.readRun("runs", 0, small, &pins, &runs); err != nil {
+	if _, err := store.readRun(nil, "runs", 0, small, &pins, &runs); err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 0 {
@@ -488,7 +488,7 @@ func TestSendfileRetirementKeepsFileAlive(t *testing.T) {
 
 	var pins []BlockPin
 	var runs []wireRun
-	if _, err := store.readRun("epoch", 0, nBlocks, &pins, &runs); err != nil {
+	if _, err := store.readRun(nil, "epoch", 0, nBlocks, &pins, &runs); err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 1 {

@@ -35,6 +35,10 @@ type Server struct {
 	// it before Serve; a server without the hook answers with a minimal
 	// snapshot (document count only).
 	Stats func() ServerStats
+
+	// names holds the document ids and subjects of read requests, so
+	// that a read names its document without allocating.
+	names wire.Interner
 }
 
 // NewServer wraps a store with the default concurrency configuration.
@@ -69,6 +73,10 @@ func (s *Server) open(conn net.Conn, _ *wire.FrameConn) wire.Conn[*response] {
 // dispatch executes one request and builds the response in a pooled
 // buffer; the per-connection writer releases it after the vectored
 // write. Block payloads are referenced from the store, never copied.
+// req goes back to the serve loop's pool when dispatch returns, so the
+// ops whose store keeps request blocks (a container's, a delta's, a
+// staged run's) copy them out once they have decoded; a store copies a
+// sealed rule set itself.
 func (s *Server) dispatch(req []byte) *response {
 	resp := newResponse()
 	if len(req) == 0 {
@@ -82,12 +90,13 @@ func (s *Server) dispatch(req []byte) *response {
 		if err != nil {
 			return resp.setErr(err)
 		}
+		ownBlocks(c.Blocks)
 		if err := s.store.PutDocument(c); err != nil {
 			return resp.setErr(err)
 		}
 		return resp
 	case opHeader:
-		docID := r.String()
+		docID := s.names.String(r.Bytes())
 		if r.Err() != nil {
 			return resp.setErr(r.Err())
 		}
@@ -95,14 +104,10 @@ func (s *Server) dispatch(req []byte) *response {
 		if err != nil {
 			return resp.setErr(err)
 		}
-		hb, err := h.MarshalBinary()
-		if err != nil {
-			return resp.setErr(err)
-		}
-		resp.appendBody(hb)
+		resp.head, _ = h.AppendBinary(resp.head)
 		return resp
 	case opReadBlock:
-		docID := r.String()
+		docID := s.names.String(r.Bytes())
 		idx := r.Uvarint()
 		if r.Err() != nil {
 			return resp.setErr(r.Err())
@@ -114,7 +119,7 @@ func (s *Server) dispatch(req []byte) *response {
 		resp.appendRaw(b)
 		return resp
 	case opReadBlocks:
-		docID := r.String()
+		docID := s.names.String(r.Bytes())
 		start := r.ReadUvarintBounded(0, maxBlockOffset)
 		count := r.ReadUvarintBounded(0, maxBatchBlocks)
 		if r.Err() != nil {
@@ -130,7 +135,8 @@ func (s *Server) dispatch(req []byte) *response {
 		var blocks [][]byte
 		var err error
 		if rr, ok := s.store.(runReader); ok {
-			blocks, err = rr.readRun(docID, start, count, &resp.pins, &resp.runs)
+			blocks, err = rr.readRun(resp.read[:0], docID, start, count, &resp.pins, &resp.runs)
+			resp.read = blocks
 		} else {
 			blocks, err = s.store.ReadBlocks(docID, start, count)
 		}
@@ -193,6 +199,7 @@ func (s *Server) dispatch(req []byte) *response {
 		if r.Err() != nil {
 			return resp.setErr(r.Err())
 		}
+		ownBlocks(blocks)
 		if err := up.PutBlocks(token, start, blocks); err != nil {
 			return resp.setErr(err)
 		}
@@ -225,6 +232,9 @@ func (s *Server) dispatch(req []byte) *response {
 		if err != nil {
 			return resp.setErr(err)
 		}
+		for _, run := range d.Runs {
+			ownBlocks(run.Blocks)
+		}
 		h, err := dc.CommitDelta(d)
 		var moved byte
 		if errors.Is(err, ErrBaseMoved) {
@@ -248,8 +258,8 @@ func (s *Server) dispatch(req []byte) *response {
 		}
 		return resp
 	case opRuleSet:
-		docID := r.String()
-		subject := r.String()
+		docID := s.names.String(r.Bytes())
+		subject := s.names.String(r.Bytes())
 		if r.Err() != nil {
 			return resp.setErr(r.Err())
 		}
@@ -284,6 +294,22 @@ func (s *Server) dispatch(req []byte) *response {
 		return resp
 	default:
 		return resp.setErr(fmt.Errorf("dsp: unknown op %d", op))
+	}
+}
+
+// ownBlocks moves blocks decoded out of a request into one slab of their
+// own: the store keeps them, and the request buffer is reused once
+// dispatch returns.
+func ownBlocks(blocks [][]byte) {
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
+	}
+	slab := make([]byte, 0, n)
+	for i, b := range blocks {
+		at := len(slab)
+		slab = append(slab, b...)
+		blocks[i] = slab[at:len(slab):len(slab)]
 	}
 }
 

@@ -53,6 +53,10 @@ type Server struct {
 
 	started time.Time
 
+	// names holds the document ids and query expressions of queries, so
+	// that a query names them without allocating.
+	names wire.Interner
+
 	wireSessions atomic.Int64 // wire sessions currently open
 	queries      atomic.Int64 // queries served over the wire
 }
@@ -63,6 +67,12 @@ func NewServer(fl *fleet.Gateway, cfg ServerConfig) *Server {
 	s.Server = wire.NewServer("gateway", maxFrame, cfg.Workers, cfg.PipelineDepth, s.open)
 	return s
 }
+
+// replies recycles the buffers replies are built in. They are pooled
+// apart from wire's build buffers, so that a reply buffer comes back at
+// the size the last view grew it to and the next view renders without
+// regrowing it.
+var replies wire.BufPool
 
 // open is one connection's half of the serve loop: its wire-session
 // table, replies written from their pooled buffers, and the sessions the
@@ -75,7 +85,7 @@ func (s *Server) open(_ net.Conn, fc *wire.FrameConn) wire.Conn[[]byte] {
 			if write {
 				err = fc.WriteFrame(resp)
 			}
-			wire.PutBuf(resp)
+			replies.Put(resp)
 			return err
 		},
 		Done: func() {
@@ -125,7 +135,7 @@ func (cs *connState) close(sid uint64) bool {
 // dispatch executes one request and builds the response in a pooled
 // buffer (returned to the pool by the writer).
 func (s *Server) dispatch(cs *connState, req []byte) []byte {
-	resp := append(wire.GetBuf(), wire.StatusOK)
+	resp := append(replies.Get(), wire.StatusOK)
 	fail := func(err error) []byte {
 		resp = append(resp[:0], wire.StatusErr)
 		return append(resp, err.Error()...)
@@ -149,8 +159,8 @@ func (s *Server) dispatch(cs *connState, req []byte) []byte {
 		return binary.AppendUvarint(resp, sid)
 	case opQuery:
 		sid := r.Uvarint()
-		docID := r.String()
-		query := r.String()
+		docID := s.names.String(r.Bytes())
+		query := s.names.String(r.Bytes())
 		if r.Err() != nil {
 			return fail(r.Err())
 		}
@@ -165,10 +175,12 @@ func (s *Server) dispatch(cs *connState, req []byte) []byte {
 		resp = binary.AppendUvarint(resp, uint64(res.Version))
 		resp = binary.AppendUvarint(resp, uint64(res.Stats.BlocksFetched))
 		resp = binary.AppendUvarint(resp, uint64(res.Stats.BlocksWasted))
-		// The view renders straight into the response frame. One that has
-		// no XML form is a failed query, not a reply: the client must not
-		// receive a diagnostic in place of a document under status OK.
+		// The view renders straight into the response frame, and its
+		// storage goes back for a later query. One that has no XML form is
+		// a failed query, not a reply: the client must not receive a
+		// diagnostic in place of a document under status OK.
 		resp, err = res.AppendXML(resp)
+		res.Release()
 		if err != nil {
 			s.fl.CountError(subject)
 			return fail(fmt.Errorf("gateway: result of %s cannot be serialized: %w", docID, err))

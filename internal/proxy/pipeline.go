@@ -115,12 +115,23 @@ type pipeline struct {
 	wantCh chan jump
 	runCh  chan fetchRun
 	doneCh chan prefetchTotals // the prefetcher's last word
+	// list is the prefetcher's list of a listReader's blocks, read only
+	// while the run is prepared.
+	list [][]byte
 }
 
 // frameReader is the store capability the in-place decrypt path needs:
 // batched reads into caller-owned pooled buffers.
 type frameReader interface {
 	ReadBlocksFrame(docID string, start, count int) (*dsp.BlockFrame, error)
+}
+
+// listReader is the capability of a store whose blocks are its own shared
+// memory (a cache): a read appends them to the pipeline's kept list
+// instead of returning a list of its own, and they are decrypted out of
+// place.
+type listReader interface {
+	ReadBlocksInto(dst [][]byte, docID string, start, count int) ([][]byte, error)
 }
 
 // runPipelined drives the session through the two-stage pipeline.
@@ -222,6 +233,7 @@ func (s *Session) runPipelined(sess *soe.Session, docID string, numBlocks, block
 func (s *Session) prefetchLoop(sess *soe.Session, docID string, numBlocks, limit int) {
 	p := s.pipe
 	fr, _ := s.store.(frameReader)
+	lr, _ := s.store.(listReader)
 	var totals prefetchTotals
 	cur, gen, sure, ahead := -1, 0, 1, s.prefetch
 	redirect := func(j jump) (stop bool) {
@@ -247,15 +259,19 @@ func (s *Session) prefetchLoop(sess *soe.Session, docID string, numBlocks, limit
 		var (
 			blocks  [][]byte
 			owned   bool
-			release func()
+			release interface{ Release() }
 			err     error
 		)
-		if fr != nil {
+		switch {
+		case fr != nil:
 			var f *dsp.BlockFrame
 			if f, err = fr.ReadBlocksFrame(docID, cur, n); err == nil {
-				blocks, owned, release = f.Blocks(), true, f.Release
+				blocks, owned, release = f.Blocks(), true, f
 			}
-		} else {
+		case lr != nil:
+			p.list, err = lr.ReadBlocksInto(p.list[:0], docID, cur, n)
+			blocks = p.list
+		default:
 			blocks, err = s.store.ReadBlocks(docID, cur, n)
 		}
 		for _, b := range blocks {
@@ -277,8 +293,9 @@ func (s *Session) prefetchLoop(sess *soe.Session, docID string, numBlocks, limit
 			prep, err = sess.PrepareRun(cur, blocks, owned, release)
 		}
 		if err != nil && release != nil {
-			release()
+			release.Release()
 		}
+		clear(p.list) // prepared: the run holds its plaintext, not these
 
 		select {
 		case p.runCh <- fetchRun{gen: gen, start: cur, count: len(blocks), prep: prep, err: err}:

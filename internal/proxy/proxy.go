@@ -19,6 +19,7 @@ package proxy
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/card"
 	"repro/internal/core"
@@ -57,18 +58,35 @@ type ResultStats struct {
 	PendingBytes  int64
 }
 
-// Result is the outcome of a pull query.
+// Result is the outcome of a pull query. Its storage comes from a pool:
+// a caller done with a result hands it back with Release, and a later
+// query's result is built in it. A result nobody releases keeps its
+// storage for good and is collected like any other value.
 type Result struct {
 	// view is the authorized result (nil when nothing is visible): an
 	// immutable compact copy, independent of the session that produced
 	// it, so the session goes back to its pool while the result renders.
+	// It is built in own.
 	view *core.View
+	own  core.View
 	// Version is the document version the query was served from (the
 	// authenticated header's version) — what lets a gateway detect that
 	// a document moved underneath its fleet.
 	Version uint32
 	// Stats describes the query's cost.
 	Stats ResultStats
+}
+
+// results recycles released Results with their view storage.
+var results = sync.Pool{New: func() any { return new(Result) }}
+
+// Release hands the result's storage back for a later query's result,
+// which may be another subject's view: the result must not be used
+// afterwards. What XML, AppendXML and Tree returned before is a copy and
+// stays valid.
+func (r *Result) Release() {
+	r.view, r.Version, r.Stats = nil, 0, ResultStats{}
+	results.Put(r)
 }
 
 // xmlFormat is the one rendering of a result: indented by two spaces.
@@ -190,13 +208,9 @@ func (c *Collector) PendingLoad() (int, int64) {
 	return c.asm.PendingLoad()
 }
 
-// View finalizes the assembly into the authorized view (nil when nothing
-// is visible); it fails if the card never signalled completion.
-func (c *Collector) View() (*core.View, error) {
-	return c.ViewInto(new(core.View))
-}
-
-// ViewInto is View built in v's storage (see core.Assembler.FinishInto).
+// ViewInto finalizes the assembly into the authorized view, built in v's
+// storage (see core.Assembler.FinishInto); it returns nil when nothing is
+// visible, and fails if the card never signalled completion.
 func (c *Collector) ViewInto(v *core.View) (*core.View, error) {
 	if !c.done {
 		return nil, fmt.Errorf("proxy: card session ended without a done record")

@@ -48,6 +48,8 @@ type Session struct {
 	col  *Collector
 	sess *soe.Session
 	pipe *pipeline
+	// hdrBuf holds the header a query hands the card.
+	hdrBuf []byte
 }
 
 // NewSession builds a reusable session over a store lease and a card;
@@ -154,11 +156,10 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdrBytes, err := header.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	if err := sess.LoadHeader(hdrBytes); err != nil {
+	// The card authenticates the header's bytes as the store sent them,
+	// framed in the session's buffer.
+	s.hdrBuf, _ = header.AppendBinary(s.hdrBuf[:0])
+	if err := sess.LoadHeader(s.hdrBuf); err != nil {
 		return nil, err
 	}
 
@@ -176,8 +177,9 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	if !sess.Done() {
 		return nil, fmt.Errorf("proxy: stream ended but session is not done")
 	}
-	view, err := col.View()
-	if err != nil {
+	res := results.Get().(*Result)
+	if res.view, err = col.ViewInto(&res.own); err != nil {
+		res.Release()
 		return nil, err
 	}
 
@@ -185,7 +187,8 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	stats.Meter = s.card.Meter.Sub(meterBefore)
 	stats.Time = stats.Meter.Price(s.card.Profile)
 	stats.PendingEvents, stats.PendingBytes = col.PendingLoad()
-	return &Result{view: view, Version: header.Version, Stats: stats}, nil
+	res.Version, res.Stats = header.Version, stats
+	return res, nil
 }
 
 // cardSession opens the card session of one query: the session's own,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/card"
+	"repro/internal/core"
 	"repro/internal/docenc"
 	"repro/internal/dsp"
 	"repro/internal/soe"
@@ -85,7 +86,7 @@ func TestRenderAllocsFlatAcrossViewSize(t *testing.T) {
 			if err := soe.DecodeRecords(stream, col); err != nil {
 				t.Fatal(err)
 			}
-			view, err := col.View()
+			view, err := col.ViewInto(new(core.View))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func FuzzDecodeRecords(f *testing.F) {
 			if err := soe.DecodeRecords(data, col); err != nil {
 				return nil, err
 			}
-			v, err := col.View()
+			v, err := col.ViewInto(new(core.View))
 			if err != nil {
 				return nil, err
 			}

@@ -7,10 +7,15 @@ package secure
 // depends only on the key: the AES cipher is built once, and the HMAC
 // ipad/opad SHA-256 states are absorbed once and restored per block
 // through the hash's encoding.BinaryMarshaler state. Scratch space (hash
-// clones, counter and keystream buffers, the MAC preimage prefix) lives
-// in a sync.Pool, so a context is safe for concurrent use — the prefetch
-// pipeline decrypts run blocks from several goroutines against one
-// shared context.
+// clones, counter and keystream buffers, the MAC position prefix) holds
+// nothing that depends on the key — the hash halves are restored from the
+// pads on every use, the rest is overwritten — so it lives in one
+// package-level sync.Pool that every context shares. A context is
+// therefore safe for concurrent use (the prefetch pipeline decrypts run
+// blocks from several goroutines against one shared context), and the
+// hundreds of contexts a gateway holds (one per pooled card per
+// document) share the few scratches the running goroutines need: a
+// garbage collection empties one pool, not one per context.
 
 import (
 	"crypto/aes"
@@ -34,18 +39,21 @@ type BlockContext struct {
 	// MAC key XOR 0x36 / 0x5c pads — the two halves of HMAC-SHA-256,
 	// precomputed once and restored per block.
 	ipad, opad []byte
-
-	scratch sync.Pool // *blockScratch
 }
 
 // blockScratch is the per-goroutine working state of one block
 // operation; pooling it makes the steady-state path allocation-free.
 type blockScratch struct {
-	inner, outer hash.Hash // HMAC halves, restored from ipad/opad
-	pre          []byte    // MAC preimage prefix, reused
+	inner, outer hash.Hash // HMAC halves, restored from a context's ipad/opad
+	pre          []byte    // MAC position prefix, reused
 	sum          [sha256.Size]byte
 	ctr, ks      [aes.BlockSize]byte
 }
+
+// scratchPool holds the blockScratch of every context.
+var scratchPool = sync.Pool{New: func() any {
+	return &blockScratch{inner: sha256.New(), outer: sha256.New()}
+}}
 
 // NewBlockContext builds the reusable cipher state for one key.
 func NewBlockContext(key DocKey) (*BlockContext, error) {
@@ -75,11 +83,7 @@ func NewBlockContext(key DocKey) (*BlockContext, error) {
 	if err != nil {
 		return nil, fmt.Errorf("secure: marshaling hmac state: %w", err)
 	}
-	c := &BlockContext{key: key, block: b, ipad: ipad, opad: opad}
-	c.scratch.New = func() any {
-		return &blockScratch{inner: sha256.New(), outer: sha256.New()}
-	}
-	return c, nil
+	return &BlockContext{key: key, block: b, ipad: ipad, opad: opad}, nil
 }
 
 // Key returns the key this context was built for.
@@ -130,8 +134,8 @@ func (c *BlockContext) tag(s *blockScratch, docID string, version, blockIdx uint
 // headerBytes is only read during the call and a caller may build it on
 // its stack.
 func (c *BlockContext) HeaderMAC(headerBytes []byte) [HeaderMACLen]byte {
-	s := c.scratch.Get().(*blockScratch)
-	defer c.scratch.Put(s)
+	s := scratchPool.Get().(*blockScratch)
+	defer scratchPool.Put(s)
 	restore(s.inner, c.ipad)
 	s.pre = append(append(s.pre[:0], "hdr"...), headerBytes...)
 	s.inner.Write(s.pre)
@@ -188,8 +192,8 @@ func (c *BlockContext) ctrXOR(s *blockScratch, tag *[MACLen]byte, version, block
 // from it, so sealing the same plaintext at a position twice gives the
 // same bytes, and a different plaintext an unrelated keystream.
 func (c *BlockContext) EncryptBlock(docID string, version, blockIdx uint32, plain []byte) ([]byte, error) {
-	s := c.scratch.Get().(*blockScratch)
-	defer c.scratch.Put(s)
+	s := scratchPool.Get().(*blockScratch)
+	defer scratchPool.Put(s)
 	out := make([]byte, len(plain)+MACLen)
 	tag := c.tag(s, docID, version, blockIdx, plain)
 	copy(out[len(plain):], tag[:])
@@ -216,8 +220,8 @@ func (c *BlockContext) DecryptBlockInto(dst []byte, docID string, version, block
 	}
 	var got [MACLen]byte
 	copy(got[:], stored[len(ct):])
-	s := c.scratch.Get().(*blockScratch)
-	defer c.scratch.Put(s)
+	s := scratchPool.Get().(*blockScratch)
+	defer scratchPool.Put(s)
 	c.ctrXOR(s, &got, version, blockIdx, dst, ct)
 	if want := c.tag(s, docID, version, blockIdx, dst); !hmac.Equal(want[:], got[:]) {
 		clear(dst)

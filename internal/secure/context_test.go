@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -283,6 +284,44 @@ func TestDecryptAllocsFlatAcrossRunLengths(t *testing.T) {
 	}
 	if large > 1.0 {
 		t.Fatalf("batched decrypt allocates %.2f per block; the amortized path should stay below 1", large)
+	}
+}
+
+// TestOpenAllocsAcrossContexts: a gateway holds hundreds of contexts
+// (one per pooled card per document) and uses each one rarely, so a
+// collection runs between two uses of most of them. Opening a block
+// must still allocate nothing once the first round has warmed the
+// shared scratch: a pool per context would be emptied by every
+// collection and refill itself at the next use of each context.
+func TestOpenAllocsAcrossContexts(t *testing.T) {
+	const contexts = 1000
+	ctxs := make([]*BlockContext, contexts)
+	stored := make([][]byte, contexts)
+	for i := range ctxs {
+		ctxs[i], _ = NewBlockContext(KeyFromSeed(fmt.Sprintf("ctx-%d", i)))
+		stored[i], _ = ctxs[i].EncryptBlock("doc", 1, 0, bytes.Repeat([]byte{byte(i)}, 256))
+	}
+	dst := make([]byte, 256)
+	var before, after runtime.MemStats
+	for round := 0; round < 4; round++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i, c := range ctxs {
+			if err := c.DecryptBlockInto(dst, "doc", 1, 0, stored[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perOpen := float64(after.Mallocs-before.Mallocs) / contexts
+		if round == 0 || race.Enabled {
+			t.Logf("round %d: %.3f allocations per open", round, perOpen)
+			continue
+		}
+		// A collection may cost the shared pool one refill, 1/contexts
+		// per open; a pool per context costs at least one per open.
+		if perOpen >= 0.01 {
+			t.Fatalf("round %d after a collection: %.3f allocations per open, want 0", round, perOpen)
+		}
 	}
 }
 

@@ -25,14 +25,14 @@ import (
 type PreparedRun struct {
 	sess       *Session
 	start      int
-	storedLens []int    // stored sizes, for feed-time link accounting
-	plains     [][]byte // decrypted payloads (views into buf or the frame)
-	errs       []error  // deferred per-block decrypt failures
-	buf        []byte   // contiguous plaintext (unused when in place)
-	release    func()   // frame release when the ciphertext was borrowed
-	fed        int      // blocks consumed so far (monotonic offset)
-	live       bool     // prepared and not yet released
-	helper     func()   // decryptHelper, bound once: go helper() allocates nothing
+	storedLens []int                  // stored sizes, for feed-time link accounting
+	plains     [][]byte               // decrypted payloads (views into buf or the frame)
+	errs       []error                // deferred per-block decrypt failures
+	buf        []byte                 // contiguous plaintext (unused when in place)
+	release    interface{ Release() } // the frame the ciphertext was borrowed from
+	fed        int                    // blocks consumed so far (monotonic offset)
+	live       bool                   // prepared and not yet released
+	helper     func()                 // decryptHelper, bound once: go helper() allocates nothing
 
 	// What the decrypt workers share while PrepareRun runs.
 	stored  [][]byte
@@ -60,7 +60,7 @@ func (r *PreparedRun) Release() {
 	}
 	r.live = false
 	if r.release != nil {
-		r.release()
+		r.release.Release()
 		r.release = nil
 	}
 	clear(r.plains) // views of the frame just given back
@@ -100,13 +100,13 @@ func prepWorkers(blocks int) int {
 // in place — zero copies; a block that fails its tag is left zeroed
 // where it lay. Otherwise the plaintexts are decrypted into
 // the run's own contiguous buffer and the stored slices are left untouched.
-// release, if non-nil, is invoked by PreparedRun.Release.
+// release, if non-nil, is released by PreparedRun.Release.
 //
 // Per-block failures (tampered or truncated blocks) are recorded, not
 // returned: the session only aborts if the card actually asks for the
 // bad block, matching the serial path where a block after a skip target
 // is never decrypted at all.
-func (s *Session) PrepareRun(start int, stored [][]byte, owned bool, release func()) (*PreparedRun, error) {
+func (s *Session) PrepareRun(start int, stored [][]byte, owned bool, release interface{ Release() }) (*PreparedRun, error) {
 	if s.ctx == nil {
 		return nil, fmt.Errorf("soe: PrepareRun before LoadHeader")
 	}

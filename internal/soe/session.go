@@ -163,8 +163,11 @@ func (s *Session) LoadHeader(hdrBytes []byte) error {
 	}
 	s.card.Meter.BytesToCard += int64(len(hdrBytes))
 	s.card.Meter.APDUs += int64(apduCount(len(hdrBytes), s.card.Profile.MaxAPDUData))
-	h, _, err := docenc.UnmarshalHeader(hdrBytes)
-	if err != nil {
+	// Decoded into the header the session keeps, which keeps its document
+	// id when the header names the session's document.
+	h := &s.header
+	h.DocID = s.docID
+	if _, err := docenc.DecodeHeader(h, hdrBytes); err != nil {
 		return s.abort(err)
 	}
 	ctx, err := s.card.DecryptContext(h.DocID)
@@ -178,7 +181,6 @@ func (s *Session) LoadHeader(hdrBytes []byte) error {
 		return s.abort(fmt.Errorf("soe: header is for document %q, session is for %q", h.DocID, s.docID))
 	}
 	s.ctx = ctx
-	s.header = h
 	s.valueLimit = s.opts.MaxValue
 	if s.valueLimit <= 0 {
 		s.valueLimit = 8 * int(h.BlockPlain)

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Reader decodes the fields of one frame, log record or command. It never
@@ -113,4 +114,43 @@ func (r *Reader) Rest() []byte {
 	b := r.data[r.pos:]
 	r.pos = len(r.data)
 	return b
+}
+
+// Interner is a bounded table of the strings made from request fields:
+// a field that repeats across requests (a document id, a query) comes
+// back as the string made for it before, without an allocation.
+// It holds at most maxInterned strings of at most maxInternedLen bytes:
+// a longer field is made afresh every time, and a full table starts
+// over, so a client that sends a new value in every request costs a
+// server no more than that table and what it did before. Safe for
+// concurrent use; the zero value is ready.
+type Interner struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+const (
+	maxInterned    = 1024
+	maxInternedLen = 256
+)
+
+// String returns b as a string, the one made for equal bytes before
+// when the table still holds it.
+func (t *Interner) String(b []byte) string {
+	if len(b) == 0 || len(b) > maxInternedLen {
+		return string(b)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	if t.m == nil {
+		t.m = make(map[string]string)
+	} else if len(t.m) >= maxInterned {
+		clear(t.m)
+	}
+	s := string(b)
+	t.m[s] = s
+	return s
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,7 +21,10 @@ const DrainGrace = 5 * time.Second
 // Conn is a daemon's half of one connection.
 type Conn[R any] struct {
 	// Dispatch executes one request frame. It runs on the worker pool,
-	// concurrently with the connection's other requests, and owns req.
+	// concurrently with the connection's other requests. req is the
+	// serve loop's pooled buffer, reused for another request once
+	// Dispatch returns: what the reply or the daemon keeps of it must be
+	// copied out.
 	Dispatch func(req []byte) R
 	// Reply writes resp as one frame and releases it. Once a write has
 	// failed the connection is broken, and Reply gets every later
@@ -34,6 +39,12 @@ type Conn[R any] struct {
 // worker pool bounded across all connections executes them, and a
 // per-connection writer puts the replies back in request order (the
 // protocols have no request ids, so order is the correlation).
+//
+// The workers are resident: one is started when a request finds every
+// live worker busy and fewer than the bound are running, and each then
+// takes request after request until Close stops them. A request costs a
+// channel hand-off, not a goroutine, and its frame is read into a pooled
+// buffer that goes back to the pool when Dispatch returns.
 type Server[R any] struct {
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
@@ -41,8 +52,14 @@ type Server[R any] struct {
 	name    string
 	limit   int
 	depth   int
-	workers chan struct{}
 	open    func(net.Conn, *FrameConn) Conn[R]
+	maxWork int32
+
+	// tasks hands a request to an idle worker; live counts the workers
+	// started, working names them for Close.
+	tasks   chan task[R]
+	live    atomic.Int32
+	working sync.WaitGroup
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -65,7 +82,47 @@ func NewServer[R any](name string, limit, workers, depth int, open func(net.Conn
 		depth = 32
 	}
 	return &Server[R]{name: name, limit: limit, depth: depth, open: open,
-		workers: make(chan struct{}, workers), conns: make(map[net.Conn]struct{})}
+		maxWork: int32(min(workers, math.MaxInt32)), tasks: make(chan task[R]),
+		conns: make(map[net.Conn]struct{})}
+}
+
+// task is one read request on its way to a worker: the connection's
+// Dispatch, the frame, and the channel its reply goes back on.
+type task[R any] struct {
+	dispatch func([]byte) R
+	req      []byte
+	reply    chan<- R
+}
+
+// requests recycles the request frames of every server: a frame goes
+// back once Dispatch has returned.
+var requests BufPool
+
+// run hands t to an idle worker, starts a worker for it while fewer
+// than the bound are running, or else waits for a worker to come free.
+func (s *Server[R]) run(t task[R]) {
+	select {
+	case s.tasks <- t:
+		return
+	default:
+	}
+	if s.live.Add(1) <= s.maxWork {
+		s.working.Add(1)
+		go s.work(t)
+		return
+	}
+	s.live.Add(-1)
+	s.tasks <- t
+}
+
+// work is one resident worker: it executes t, then every task handed to
+// it, until Close closes the task channel.
+func (s *Server[R]) work(t task[R]) {
+	defer s.working.Done()
+	for ok := true; ok; t, ok = <-s.tasks {
+		t.reply <- t.dispatch(t.req)
+		requests.Put(t.req)
+	}
 }
 
 // Serve accepts connections until the listener closes. It retains the
@@ -116,11 +173,13 @@ func (s *Server[R]) ListenAndServe(addr string) error {
 // every connection is down. Whole frames already in a connection's read
 // buffer when Close lands need no read, so they are dispatched too and
 // answered within the same DrainGrace; a frame cut short there is not.
+// The resident workers stop last, so none outlives Close.
 func (s *Server[R]) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.handlers.Wait()
+		s.working.Wait()
 		return nil
 	}
 	s.closed = true
@@ -135,6 +194,9 @@ func (s *Server[R]) Close() error {
 	}
 	s.mu.Unlock()
 	s.handlers.Wait()
+	// Every handler is gone, so nothing sends a task any more.
+	close(s.tasks)
+	s.working.Wait()
 	return err
 }
 
@@ -188,7 +250,11 @@ func (s *Server[R]) handle(conn net.Conn) {
 	}()
 
 	for {
-		req, err := fc.ReadFrame(nil)
+		buf := requests.Get()
+		req, err := fc.ReadFrame(buf)
+		if err != nil || cap(buf) < len(req) {
+			requests.Put(buf) // unused: no frame, or one too large for it
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				s.logf("%s: connection %s: %v", s.name, remoteAddr(conn), err)
@@ -202,11 +268,7 @@ func (s *Server[R]) handle(conn net.Conn) {
 			ch = make(chan R, 1)
 		}
 		pending <- ch
-		s.workers <- struct{}{}
-		go func(req []byte, ch chan<- R) {
-			defer func() { <-s.workers }()
-			ch <- c.Dispatch(req)
-		}(req, ch)
+		s.run(task[R]{dispatch: c.Dispatch, req: req, reply: ch})
 	}
 	close(pending)
 	<-writerDone

@@ -143,36 +143,51 @@ func AppendBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
-// bufPool recycles request and reply build buffers across frames. It
-// holds *[]byte; boxes holds the emptied pointers GetBuf takes out of it,
-// so that PutBuf re-boxes a buffer without allocating.
-var bufPool, boxes sync.Pool
+// BufPool recycles byte buffers across frames. It holds *[]byte; boxes
+// holds the emptied pointers Get takes out of it, so that Put re-boxes a
+// buffer without allocating. The zero value is ready for use. A buffer
+// comes back at the capacity it grew to, so a pool whose buffers serve one
+// kind of frame stops regrowing them once warm: keep frames of very
+// different sizes in different pools.
+type BufPool struct {
+	bufs, boxes sync.Pool
+}
 
-// maxPooledBuf bounds the capacity a returned buffer may keep in the pool:
+// maxPooledBuf bounds the capacity a returned buffer may keep in a pool:
 // a one-off huge frame is left to the collector.
 const maxPooledBuf = 1 << 20
 
-// GetBuf returns an empty build buffer from the pool.
-func GetBuf() []byte {
-	p, _ := bufPool.Get().(*[]byte)
-	if p == nil {
+// Get returns an empty buffer from the pool.
+func (p *BufPool) Get() []byte {
+	bp, _ := p.bufs.Get().(*[]byte)
+	if bp == nil {
 		return make([]byte, 0, 4096)
 	}
-	b := *p
-	*p = nil
-	boxes.Put(p)
+	b := *bp
+	*bp = nil
+	p.boxes.Put(bp)
 	return b[:0]
 }
 
-// PutBuf returns a build buffer to the pool; b must not be used after.
-func PutBuf(b []byte) {
+// Put returns a buffer to the pool; b must not be used after.
+func (p *BufPool) Put(b []byte) {
 	if cap(b) > maxPooledBuf {
 		return
 	}
-	p, _ := boxes.Get().(*[]byte)
-	if p == nil {
-		p = new([]byte)
+	bp, _ := p.boxes.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	*p = b
-	bufPool.Put(p)
+	*bp = b
+	p.bufs.Put(bp)
 }
+
+// builds holds the request and reply build buffers of GetBuf and PutBuf.
+var builds BufPool
+
+// GetBuf returns an empty build buffer from the shared pool.
+func GetBuf() []byte { return builds.Get() }
+
+// PutBuf returns a build buffer to the shared pool; b must not be used
+// after.
+func PutBuf(b []byte) { builds.Put(b) }

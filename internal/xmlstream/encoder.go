@@ -78,24 +78,33 @@ func (e *Encoder) CloseAttr(dst []byte) ([]byte, error) {
 // Text appends character data: an attribute's value inside
 // OpenAttr/CloseAttr, element content otherwise.
 func (e *Encoder) Text(dst []byte, text []byte) ([]byte, error) {
-	return encodeText(e, dst, text)
+	if e.depth == 0 && !e.inAttr {
+		return dst, outsideRoot(string(text))
+	}
+	return appendEscaped(e.beginText(dst), text, e.inAttr), nil
 }
 
 // TextString is Text for string data.
 func (e *Encoder) TextString(dst []byte, text string) ([]byte, error) {
-	return encodeText(e, dst, text)
+	if e.depth == 0 && !e.inAttr {
+		return dst, outsideRoot(text)
+	}
+	return appendEscaped(e.beginText(dst), text, e.inAttr), nil
 }
 
-func encodeText[T string | []byte](e *Encoder, dst []byte, text T) ([]byte, error) {
+// beginText readies dst for character data. It is not generic over the
+// text's type, as appendEscaped is: an Encoder passed to a generic
+// function escapes, and then every caller's Encoder is a heap allocation.
+func (e *Encoder) beginText(dst []byte) []byte {
 	if e.inAttr {
-		return appendEscaped(dst, text, true), nil
+		return dst
 	}
-	if e.depth == 0 {
-		return dst, fmt.Errorf("xmlstream: value %q outside root element", truncate(string(text)))
-	}
-	dst = e.flushOpen(dst)
 	e.lastText = true
-	return appendEscaped(dst, text, false), nil
+	return e.flushOpen(dst)
+}
+
+func outsideRoot(text string) error {
+	return fmt.Errorf("xmlstream: value %q outside root element", truncate(text))
 }
 
 // Close appends the closing tag of the innermost open element, or turns
