@@ -1,11 +1,17 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build examples test test-allocs test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
+.PHONY: build build-portable examples test test-allocs test-nommap test-nosendfile test-stress test-rearm test-republish bench benchmark gateway-soak fuzz-smoke fmt vet staticcheck ci
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## build-portable: compile every package for arm64, where no keystream
+## kernel exists, so the portable CTR path keeps compiling and vetting
+## (cross-compiling needs no network)
+build-portable:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/secure/
 
 ## examples: run every example program. quickstart, collaborative and
 ## medical are deterministic: their stdout must match
@@ -131,12 +137,14 @@ gateway-soak:
 ## parser, the frame reader every network byte passes, dspd's request
 ## dispatch, the client's block-run reply and
 ## gatewayd's requests), the
-## serializer's round trip and the encoder's kept plan against a fresh
-## one; CI runs this on every push, longer runs stay manual
+## serializer's round trip, the encoder's kept plan against a fresh
+## one, and the keystream kernel and portable loop against
+## cipher.NewCTR; CI runs this on every push, longer runs stay manual
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalHeader -fuzztime=10s ./internal/docenc/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlock -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecryptBlob -fuzztime=10s ./internal/secure/
+	$(GO) test -run=NONE -fuzz=FuzzKeystream -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecoderChunked -fuzztime=10s ./internal/soe/
 	$(GO) test -run=NONE -fuzz=FuzzDictDecodeRearm -fuzztime=10s ./internal/tagdict/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/proxy/
@@ -173,4 +181,4 @@ staticcheck:
 	fi
 
 ## ci: exactly what .github/workflows/ci.yml runs
-ci: fmt vet staticcheck build examples test test-allocs test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench
+ci: fmt vet staticcheck build build-portable examples test test-allocs test-nommap test-nosendfile test-stress test-republish test-rearm gateway-soak fuzz-smoke bench

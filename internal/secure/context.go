@@ -4,18 +4,27 @@ package secure
 // hmac.New per block (two SHA-256 inits plus key processing, and five
 // allocations) would sit on the hottest path of the system, the card
 // side of the pull link. A BlockContext amortizes everything that
-// depends only on the key: the AES cipher is built once, and the HMAC
-// ipad/opad SHA-256 states are absorbed once and restored per block
-// through the hash's encoding.BinaryMarshaler state. Scratch space (hash
-// clones, counter and keystream buffers, the MAC position prefix) holds
-// nothing that depends on the key — the hash halves are restored from the
-// pads on every use, the rest is overwritten — so it lives in one
-// package-level sync.Pool that every context shares. A context is
-// therefore safe for concurrent use (the prefetch pipeline decrypts run
-// blocks from several goroutines against one shared context), and the
-// hundreds of contexts a gateway holds (one per pooled card per
-// document) share the few scratches the running goroutines need: a
-// garbage collection empties one pool, not one per context.
+// depends only on the key: the AES cipher is built once (and, where the
+// CPU has AES-NI, its round keys are expanded once more for the CTR
+// kernel), and the HMAC ipad/opad SHA-256 states are absorbed once and
+// restored per block through the hash's encoding.BinaryMarshaler
+// state. Scratch space (hash clones, counter and keystream buffers, the
+// MAC position prefix) holds nothing that depends on the key — the hash
+// halves are restored from the pads on every use, the rest is
+// overwritten — so it lives in one package-level sync.Pool that every
+// context shares. A context is therefore safe for concurrent use (the
+// prefetch pipeline decrypts run blocks from several goroutines against
+// one shared context), and the hundreds of contexts a gateway holds
+// (one per pooled card per document) share the few scratches the
+// running goroutines need: a garbage collection empties one pool, not
+// one per context.
+//
+// The keystream is AES-128-CTR. On amd64, when CPUID reports AES-NI,
+// an assembly kernel (ctr_amd64.s) encrypts eight counter blocks at a
+// time from the context's round keys and XORs them in, with no call
+// per 16 bytes; a stream from cipher.NewCTR would do the same but costs
+// an allocation per block. Everywhere else, and for the tail under one
+// counter block, ctrXOR's portable loop calls the cipher.Block.
 
 import (
 	"crypto/aes"
@@ -26,7 +35,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // BlockContext is the reusable per-DocKey cipher state. It is immutable
@@ -34,6 +45,9 @@ import (
 type BlockContext struct {
 	key   DocKey
 	block cipher.Block
+	// rk holds the expanded round keys of the CTR kernel, where there is
+	// one.
+	rk [roundKeyBytes]byte
 
 	// ipad / opad are the marshaled SHA-256 states after absorbing the
 	// MAC key XOR 0x36 / 0x5c pads — the two halves of HMAC-SHA-256,
@@ -50,10 +64,26 @@ type blockScratch struct {
 	ctr, ks      [aes.BlockSize]byte
 }
 
-// scratchPool holds the blockScratch of every context.
-var scratchPool = sync.Pool{New: func() any {
-	return &blockScratch{inner: sha256.New(), outer: sha256.New()}
-}}
+// scratchPool holds the blockScratch of every context. scratchRefills
+// counts the scratches it has had to build.
+var (
+	scratchPool = sync.Pool{New: func() any {
+		scratchRefills.Add(1)
+		return &blockScratch{inner: sha256.New(), outer: sha256.New()}
+	}}
+	scratchRefills atomic.Int64
+)
+
+// roundKeyBytes is the size of an expanded AES-128 key: eleven round
+// keys.
+const roundKeyBytes = 11 * aes.BlockSize
+
+// expandKey and xorKeystream are the platform's AES-CTR kernel, set at
+// start-up where the CPU has one (ctr_amd64.go) and nil elsewhere.
+var (
+	expandKey    func(key *[16]byte, rk *[roundKeyBytes]byte)
+	xorKeystream func(rk *[roundKeyBytes]byte, hi, lo uint64, dst, src []byte)
+)
 
 // NewBlockContext builds the reusable cipher state for one key.
 func NewBlockContext(key DocKey) (*BlockContext, error) {
@@ -83,7 +113,11 @@ func NewBlockContext(key DocKey) (*BlockContext, error) {
 	if err != nil {
 		return nil, fmt.Errorf("secure: marshaling hmac state: %w", err)
 	}
-	return &BlockContext{key: key, block: b, ipad: ipad, opad: opad}, nil
+	c := &BlockContext{key: key, block: b, ipad: ipad, opad: opad}
+	if expandKey != nil {
+		expandKey(&c.key.Enc, &c.rk)
+	}
+	return c, nil
 }
 
 // Key returns the key this context was built for.
@@ -151,13 +185,24 @@ func (c *BlockContext) HeaderMAC(headerBytes []byte) [HeaderMACLen]byte {
 // dst (dst may alias src — the in-place path). The initial counter is
 // tag || version || blockIdx: the synthetic IV, with the block's
 // generation and index in the low half so that two blocks share a
-// keystream only where their tags collide at one (version, index).
-// Equivalent to cipher.NewCTR(block, iv).XORKeyStream but without the
-// per-call stream allocation.
+// keystream only where their tags collide at one (version, index). The
+// counter is one 128-bit big-endian integer: a carry out of the low
+// half goes into the tag half. Equivalent to cipher.NewCTR(block,
+// iv).XORKeyStream but without the per-call stream allocation. The
+// platform's kernel, where there is one, takes every whole counter
+// block; the portable loop takes what is left.
 func (c *BlockContext) ctrXOR(s *blockScratch, tag *[MACLen]byte, version, blockIdx uint32, dst, src []byte) {
-	copy(s.ctr[:MACLen], tag[:])
-	binary.BigEndian.PutUint32(s.ctr[MACLen:], version)
-	binary.BigEndian.PutUint32(s.ctr[MACLen+4:], blockIdx)
+	hi := binary.BigEndian.Uint64(tag[:])
+	lo := uint64(version)<<32 | uint64(blockIdx)
+	if whole := len(src) &^ (aes.BlockSize - 1); whole > 0 && xorKeystream != nil {
+		xorKeystream(&c.rk, hi, lo, dst[:whole], src[:whole])
+		var carry uint64
+		lo, carry = bits.Add64(lo, uint64(whole/aes.BlockSize), 0)
+		hi += carry
+		dst, src = dst[whole:], src[whole:]
+	}
+	binary.BigEndian.PutUint64(s.ctr[:8], hi)
+	binary.BigEndian.PutUint64(s.ctr[8:], lo)
 	for len(src) > 0 {
 		c.block.Encrypt(s.ks[:], s.ctr[:])
 		n := len(src)

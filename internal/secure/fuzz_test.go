@@ -89,3 +89,23 @@ func FuzzDecryptBlob(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeystream compares ctrXOR, with the keystream kernel and with the
+// portable loop, into a disjoint buffer and in place, against
+// cipher.NewCTR for arbitrary keys, counters and data.
+func FuzzKeystream(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), uint64(1), uint32(2), uint32(3), []byte("seventeen bytes!!"))
+	f.Add([]byte{}, ^uint64(0), ^uint32(0), ^uint32(0)-3, bytes.Repeat([]byte{0x5a}, 200))
+	f.Fuzz(func(t *testing.T, keyBytes []byte, tag uint64, version, blockIdx uint32, data []byte) {
+		var key DocKey
+		copy(key.Enc[:], keyBytes)
+		ctx, err := NewBlockContext(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ctrReference(t, key, tag, version, blockIdx, data)
+		if err := keystreamPaths(t, ctx, tag, version, blockIdx, data, want); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -30,7 +30,12 @@
 //     ErrIntegrity returns, so no unauthenticated plaintext reaches the
 //     evaluator, even when a block is opened where it lies;
 //   - an authenticated header binding the document geometry, which
-//     defeats truncation.
+//     defeats truncation;
+//   - on amd64 with AES-NI (CPUID, checked once at start-up) the CTR
+//     keystream comes from an assembly kernel with eight counter blocks
+//     in flight and round keys expanded once per key; elsewhere, and
+//     for a block's last partial 16 bytes, a portable loop over
+//     crypto/aes gives the same bytes. Every seal and open shares it.
 //
 // Key sizes follow today's floor rather than the 2005 -era 3DES the
 // e-gate card accelerated; the simulator's cost model, not the cipher

@@ -165,28 +165,59 @@ func (e *Encoder) newline(dst []byte) []byte {
 // appendEscaped appends s with the markup characters replaced by entity
 // references; quot additionally escapes the double quote (attribute
 // values). Runs without special characters are copied in one append.
+// The scan tests eight bytes a step and looks at single bytes only in a
+// word that holds a special one.
 func appendEscaped[T string | []byte](dst []byte, s T, quot bool) []byte {
 	last := 0
-	for i := 0; i < len(s); i++ {
-		var esc string
-		switch s[i] {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '"':
-			if !quot {
+	for i := 0; i < len(s); {
+		for i+8 <= len(s) && !needsEscape(word(s[i:i+8]), quot) {
+			i += 8
+		}
+		for end := min(i+8, len(s)); i < end; i++ {
+			var esc string
+			switch s[i] {
+			case '&':
+				esc = "&amp;"
+			case '<':
+				esc = "&lt;"
+			case '>':
+				esc = "&gt;"
+			case '"':
+				if !quot {
+					continue
+				}
+				esc = "&quot;"
+			default:
 				continue
 			}
-			esc = "&quot;"
-		default:
-			continue
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, esc...)
+			last = i + 1
 		}
-		dst = append(dst, s[last:i]...)
-		dst = append(dst, esc...)
-		last = i + 1
 	}
 	return append(dst, s[last:]...)
+}
+
+// word loads the eight bytes of b as a little-endian word.
+func word[T string | []byte](b T) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// ones repeats a byte across a word: b * ones.
+const ones = 0x0101010101010101
+
+// needsEscape reports whether a byte of w is one appendEscaped replaces.
+// XORing w with a special byte repeated zeroes exactly the bytes equal
+// to it; (x - ones) &^ x has some byte's top bit set exactly when x has
+// a zero byte, since a borrow, the only way a nonzero byte can set its
+// top bit there, starts at a zero byte. The test has no false positives.
+func needsEscape(w uint64, quot bool) bool {
+	zeroes := func(x uint64) uint64 { return (x - ones) &^ x }
+	t := zeroes(w^('&'*ones)) | zeroes(w^('<'*ones)) | zeroes(w^('>'*ones))
+	if quot {
+		t |= zeroes(w ^ ('"' * ones))
+	}
+	return t&(0x80*ones) != 0
 }

@@ -1,6 +1,10 @@
 package xmlstream
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
 
 // TestSerializeGolden pins the output format to hand-written strings.
 // Every other check of rendered XML in the repository (the property
@@ -237,4 +241,73 @@ func mixed(evs []Event) bool {
 		}
 	}
 	return false
+}
+
+// escapeReference is appendEscaped one byte at a time.
+func escapeReference(dst []byte, s string, quot bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '&':
+			dst = append(dst, "&amp;"...)
+		case c == '<':
+			dst = append(dst, "&lt;"...)
+		case c == '>':
+			dst = append(dst, "&gt;"...)
+		case c == '"' && quot:
+			dst = append(dst, "&quot;"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// TestAppendEscapedMatchesReference: the word-at-a-time scan escapes
+// exactly what a byte-at-a-time one does, for each special byte at each
+// offset of strings long enough to hold several words, among fillers
+// next to the special bytes' values and at or above 0x80, with quot on
+// and off, through both the string and the []byte instantiations, and
+// for random strings over those bytes.
+func TestAppendEscapedMatchesReference(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		for _, quot := range []bool{false, true} {
+			prefix := []byte("pre")
+			want := escapeReference(append([]byte(nil), prefix...), s, quot)
+			if got := appendEscaped(append([]byte(nil), prefix...), s, quot); !bytes.Equal(got, want) {
+				t.Fatalf("string %q quot=%v: got %q, want %q", s, quot, got, want)
+			}
+			if got := appendEscaped(append([]byte(nil), prefix...), []byte(s), quot); !bytes.Equal(got, want) {
+				t.Fatalf("[]byte %q quot=%v: got %q, want %q", s, quot, got, want)
+			}
+		}
+	}
+	specials := []byte{'&', '<', '>', '"'}
+	fillers := []byte{'a', 0x00, 0x01, '%', '\'', '=', '?', '!', '#', 0x7f, 0x80, 0xa6, 0xbc, 0xfe, 0xff}
+	for n := 1; n <= 26; n++ {
+		for _, f := range fillers {
+			plain := bytes.Repeat([]byte{f}, n)
+			check(string(plain))
+			for off := 0; off < n; off++ {
+				for _, c := range specials {
+					b := append([]byte(nil), plain...)
+					b[off] = c
+					check(string(b))
+					if off+1 < n {
+						b[off+1] = c // two in a row, possibly across a word boundary
+						check(string(b))
+					}
+				}
+			}
+		}
+	}
+	alphabet := append(append([]byte(nil), specials...), fillers...)
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 5000; k++ {
+		b := make([]byte, rng.Intn(70))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		check(string(b))
+	}
 }
