@@ -83,13 +83,13 @@ test-stress:
 ## whose rules or query changed between two versions against a fresh
 ## one holding the new ones; automata compiled into a
 ## machine that held another against fresh ones;
-## the golden cost-model values; a session that delivers to its owner's
-## sink against the record path (and a sink that fails under it); the
+## the golden cost-model values; a standing session that delivers to its
+## owner's sink against a fresh one (and a sink that fails under it); the
 ## prefetch pipeline at every readahead depth against the serial pull,
 ## its run lengths and its check on what a store answers — repeated
 ## under the race detector
 test-rearm:
-	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestRebroadcastFollowsRightsChanges|TestDeltaBroadcast|TestDirectDelivery|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/
+	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestRebroadcastFollowsRightsChanges|TestDeltaBroadcast|TestDirectDelivery|TestUnboundSession|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/
 
 ## test-republish: the re-publication path — a long-lived publisher's
 ## retained diff base against a fresh publisher per commit, a foreign
@@ -129,8 +129,7 @@ gateway-soak:
 ## from outside (stored blocks opened in place and into a buffer, sealed
 ## blobs, the container header,
 ## the document payload decoded block by block through the card's input
-## window, the tag dictionary decoded into one that held another, the
-## card's record stream, dspd's
+## window, the tag dictionary decoded into one that held another, dspd's
 ## one-frame commit and the log record recovery replays it from, the
 ## checkpoint image a store directory is reopened from, the sealed rule
 ## set's plaintext and the card's open of the sealed set, the XPath
@@ -147,7 +146,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzKeystream -fuzztime=10s ./internal/secure/
 	$(GO) test -run=NONE -fuzz=FuzzDecoderChunked -fuzztime=10s ./internal/soe/
 	$(GO) test -run=NONE -fuzz=FuzzDictDecodeRearm -fuzztime=10s ./internal/tagdict/
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/proxy/
 	$(GO) test -run=NONE -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/xmlstream/
 	$(GO) test -run=NONE -fuzz=FuzzCommitFrame -fuzztime=10s ./internal/dsp/
 	$(GO) test -run=NONE -fuzz=FuzzCommitRecord -fuzztime=10s ./internal/dsp/

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/docenc"
 	"repro/internal/wire"
@@ -25,10 +24,6 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	fc   *wire.FrameConn
-
-	// bytesRead counts response payload bytes: the "transferred from the
-	// DSP" measure of experiment E3 when running against a real server.
-	bytesRead atomic.Int64
 }
 
 // Dial connects to a dspd server.
@@ -47,9 +42,6 @@ func newClient(conn net.Conn) *Client {
 
 // Close terminates the connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// BytesRead reports the response payload bytes received so far.
-func (c *Client) BytesRead() int64 { return c.bytesRead.Load() }
 
 // roundTrip sends a request and decodes the status byte.
 func (c *Client) roundTrip(req []byte) ([]byte, error) {
@@ -70,7 +62,6 @@ func (c *Client) roundTripInto(req, buf []byte) (body, frameBuf []byte, err erro
 	if frame == nil {
 		return nil, buf, err
 	}
-	c.bytesRead.Add(int64(len(frame)))
 	return body, frame, err
 }
 
@@ -103,11 +94,13 @@ func (c *Client) Header(docID string) (docenc.Header, error) {
 	return h, nil
 }
 
-// ReadBlock implements Store.
+// ReadBlock implements Store as a one-block ReadBlocks.
 func (c *Client) ReadBlock(docID string, idx int) ([]byte, error) {
-	req := wire.AppendString(request(opReadBlock), docID)
-	req = binary.AppendUvarint(req, uint64(idx))
-	return c.roundTrip(req)
+	blocks, err := c.ReadBlocks(docID, idx, 1)
+	if err != nil {
+		return nil, err
+	}
+	return blocks[0], nil
 }
 
 // ReadBlocks implements BlockRangeReader: one round trip for a whole

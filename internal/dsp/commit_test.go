@@ -398,7 +398,7 @@ func TestRepublishMovedBaseKeepsPoolConnection(t *testing.T) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.open) != 1 || p.open[0] != conn || p.retiredBytes.Load() != 0 {
+	if len(p.open) != 1 || p.open[0] != conn {
 		t.Fatal("the moved reply cost the pool its connection")
 	}
 }

@@ -142,9 +142,6 @@ func TestTCPStoreContract(t *testing.T) {
 	}
 	defer client.Close()
 	storeContract(t, client)
-	if client.BytesRead() == 0 {
-		t.Error("client byte accounting recorded nothing")
-	}
 }
 
 func TestPoolStoreContract(t *testing.T) {
@@ -165,9 +162,6 @@ func TestPoolStoreContract(t *testing.T) {
 		t.Fatalf("Size = %d", pool.Size())
 	}
 	storeContract(t, pool)
-	if pool.BytesRead() == 0 {
-		t.Error("pool byte accounting recorded nothing")
-	}
 }
 
 func TestCacheStoreContract(t *testing.T) {
@@ -368,17 +362,6 @@ func TestPoolServerErrorKeepsConnection(t *testing.T) {
 	if _, err := pool.ReadBlock("doc", 0); err != nil {
 		t.Fatalf("connection dropped after a local validation error: %v", err)
 	}
-	// Byte accounting survives Close.
-	before := pool.BytesRead()
-	if before == 0 {
-		t.Error("no bytes recorded before Close")
-	}
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.BytesRead(); got < before {
-		t.Errorf("BytesRead fell from %d to %d across Close", before, got)
-	}
 }
 
 // slowStore delays block reads so shutdown can race an in-flight request.
@@ -388,10 +371,10 @@ type slowStore struct {
 	done    atomic.Bool
 }
 
-func (s *slowStore) ReadBlock(docID string, idx int) ([]byte, error) {
+func (s *slowStore) ReadBlocks(docID string, start, count int) ([][]byte, error) {
 	close(s.started)
 	time.Sleep(100 * time.Millisecond)
-	b, err := s.MemStore.ReadBlock(docID, idx)
+	b, err := s.MemStore.ReadBlocks(docID, start, count)
 	s.done.Store(true)
 	return b, err
 }
@@ -424,7 +407,11 @@ func TestServerCloseWaitsForInflight(t *testing.T) {
 		got <- reply{b, err}
 	}()
 
-	<-store.started
+	select {
+	case <-store.started:
+	case r := <-got:
+		t.Fatalf("the read ended (%d bytes, %v) without reaching the slow store", len(r.b), r.err)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -507,9 +494,6 @@ func TestPooledConcurrentTraffic(t *testing.T) {
 	st := store.Stats()
 	if st.Hits == 0 {
 		t.Error("concurrent traffic never hit the cache")
-	}
-	if pool.BytesRead() == 0 {
-		t.Error("pool byte accounting recorded nothing")
 	}
 }
 

@@ -177,7 +177,7 @@ func FuzzServerDispatch(f *testing.F) {
 		f.Add(append([]byte{opCommitDelta}, seed...))
 	}
 	f.Add(wire.AppendString([]byte{opHeader}, "doc"))
-	f.Add(binary.AppendUvarint(wire.AppendString([]byte{opReadBlock}, "doc"), 1))
+	f.Add(binary.AppendUvarint(wire.AppendString([]byte{3}, "doc"), 1)) // retired op 3: an unknown op
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(wire.AppendString([]byte{opReadBlocks}, "doc"), 1), 3))
 	f.Add(wire.AppendBytes(wire.AppendString(wire.AppendString([]byte{opPutRuleSet}, "doc"), "alice"), []byte("sealed")))
 	f.Add(wire.AppendString(wire.AppendString([]byte{opRuleSet}, "doc"), "alice"))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/docenc"
 )
@@ -30,12 +29,8 @@ type Pool struct {
 	free chan *Client
 
 	mu     sync.Mutex
-	open   []*Client // every live client, for Close and byte accounting
+	open   []*Client // every live client, for Close
 	closed bool
-
-	// retiredBytes accumulates the counters of dropped connections so
-	// BytesRead stays monotonic across redials.
-	retiredBytes atomic.Int64
 }
 
 // DialPool connects size connections (<= 0: DefaultPoolSize) to a dspd
@@ -74,22 +69,12 @@ func (p *Pool) track(c *Client) bool {
 
 func (p *Pool) untrack(c *Client) {
 	p.mu.Lock()
-	found := false
 	for i, o := range p.open {
 		if o == c {
 			p.open[i] = p.open[len(p.open)-1]
 			p.open = p.open[:len(p.open)-1]
-			found = true
 			break
 		}
-	}
-	// Credit the retired counter under the same lock that removed the
-	// client from open, so a concurrent BytesRead never sees neither —
-	// but only if this call did the removal: a client already retired by
-	// Close has been credited there, and crediting it again would
-	// double-count its bytes.
-	if found {
-		p.retiredBytes.Add(c.BytesRead())
 	}
 	p.mu.Unlock()
 	_ = c.Close()
@@ -97,18 +82,6 @@ func (p *Pool) untrack(c *Client) {
 
 // Size reports the pool's slot count.
 func (p *Pool) Size() int { return cap(p.free) }
-
-// BytesRead sums the response payload bytes received over the pool's
-// connections, past and present.
-func (p *Pool) BytesRead() int64 {
-	total := p.retiredBytes.Load()
-	p.mu.Lock()
-	for _, c := range p.open {
-		total += c.BytesRead()
-	}
-	p.mu.Unlock()
-	return total
-}
 
 // Close closes every pooled connection. In-flight calls finish with
 // transport errors; subsequent calls fail immediately.
@@ -121,10 +94,6 @@ func (p *Pool) Close() error {
 	p.closed = true
 	open := p.open
 	p.open = nil
-	// Retire the live counters so BytesRead stays monotonic across Close.
-	for _, c := range open {
-		p.retiredBytes.Add(c.BytesRead())
-	}
 	p.mu.Unlock()
 	for _, c := range open {
 		_ = c.Close()

@@ -106,18 +106,6 @@ func (s *Server) dispatch(req []byte) *response {
 		}
 		resp.head, _ = h.AppendBinary(resp.head)
 		return resp
-	case opReadBlock:
-		docID := s.names.String(r.Bytes())
-		idx := r.Uvarint()
-		if r.Err() != nil {
-			return resp.setErr(r.Err())
-		}
-		b, err := s.store.ReadBlock(docID, int(idx))
-		if err != nil {
-			return resp.setErr(err)
-		}
-		resp.appendRaw(b)
-		return resp
 	case opReadBlocks:
 		docID := s.names.String(r.Bytes())
 		start := r.ReadUvarintBounded(0, maxBlockOffset)

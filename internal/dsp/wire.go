@@ -21,11 +21,12 @@ import (
 // commits it against the base the frame names — version and header MAC —
 // and replies with the header it holds afterwards, moved = 0 when that
 // is the delta's own and 1 when the base had moved (see DeltaCommitter).
-// Ops 8–11 are the staged form of the same commit (see DocUpdater).
+// Ops 8–11 are the staged form of the same commit (see DocUpdater). Op 3,
+// a single-block read, is retired: a one-block opReadBlocks does its job,
+// and dispatch refuses op 3 as an unknown op.
 const (
 	opPutDocument  = 1  // container → —
 	opHeader       = 2  // docID → header
-	opReadBlock    = 3  // docID, index → block
 	opPutRuleSet   = 4  // docID, subject, version, sealed → —
 	opRuleSet      = 5  // docID, subject → sealed
 	opList         = 6  // — → count, count × id

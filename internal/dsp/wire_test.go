@@ -26,7 +26,8 @@ func malformedRequests() []struct {
 		{"empty request", nil},
 		{"unknown op", []byte{99}},
 		{"truncated header request", []byte{opHeader}},
-		{"truncated read request", wire.AppendString([]byte{opReadBlock}, "doc")},
+		{"truncated read request", wire.AppendString([]byte{opReadBlocks}, "doc")},
+		{"retired single-block read", binary.AppendUvarint(wire.AppendString([]byte{3}, "doc"), 1)},
 		{"oversized batch count", func() []byte {
 			req := wire.AppendString([]byte{opReadBlocks}, "doc")
 			req = binary.AppendUvarint(req, 0)
@@ -48,7 +49,11 @@ func malformedRequests() []struct {
 }
 
 func TestDispatchMalformedRequests(t *testing.T) {
-	srv := NewServer(NewMemStore())
+	store := NewMemStore()
+	if err := store.PutDocument(fuzzContainer(1)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
 	for _, tc := range malformedRequests() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := srv.dispatch(tc.req)

@@ -1,6 +1,7 @@
 package soe
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -134,19 +135,41 @@ func corpus(t testing.TB) []*evalCase {
 	return cases
 }
 
-// outcome is everything one evaluation shows to the outside: the record
-// stream, the card work it cost and the session's statistics.
+// outcome is everything one evaluation shows to the outside: the calls
+// its sink received, written down as the records that stand for them
+// (nil for a session bound to no callLog), the link bytes Feed reported,
+// the card work it cost and the session's statistics.
 type outcome struct {
 	records []byte
+	calls   int
+	link    int   // the sum of Feed's results
 	fed     []int // blocks the card asked for, in order
 	meter   card.Meter
 	stats   Stats
 }
 
-// evaluate drives an armed session (NewSession or Restart done) through
-// ec to completion, block by block from memory.
-func evaluate(t testing.TB, c *card.Card, sess *Session, ec *evalCase) outcome {
+// loggedSession opens a session for ec on c that delivers to a callLog.
+func loggedSession(t testing.TB, c *card.Card, ec *evalCase, opts Options) (*Session, *callLog) {
 	t.Helper()
+	sess, err := NewSession(c, ec.name, "u", ec.query, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", ec.name, err)
+	}
+	log := &callLog{}
+	if err := sess.DeliverTo(log); err != nil {
+		t.Fatal(err)
+	}
+	return sess, log
+}
+
+// evaluate drives an armed session (NewSession or Restart done) through
+// ec to completion, block by block from memory. log is the callLog the
+// session delivers to, or nil for a session bound to none.
+func evaluate(t testing.TB, c *card.Card, sess *Session, ec *evalCase, log *callLog) outcome {
+	t.Helper()
+	if log != nil {
+		log.reset()
+	}
 	before := c.Meter
 	if err := sess.LoadHeader(ec.header); err != nil {
 		t.Fatalf("%s: header: %v", ec.name, err)
@@ -154,14 +177,17 @@ func evaluate(t testing.TB, c *card.Card, sess *Session, ec *evalCase) outcome {
 	var o outcome
 	for idx := sess.NeedBlock(); idx >= 0; idx = sess.NeedBlock() {
 		o.fed = append(o.fed, idx)
-		out, err := sess.Feed(idx, ec.container.Blocks[idx])
+		n, err := sess.Feed(idx, ec.container.Blocks[idx])
 		if err != nil {
 			t.Fatalf("%s: block %d: %v", ec.name, idx, err)
 		}
-		o.records = append(o.records, out...)
+		o.link += n
 	}
 	if !sess.Done() {
 		t.Fatalf("%s: session did not finish", ec.name)
+	}
+	if log != nil {
+		o.records, o.calls = bytes.Clone(log.log), log.calls
 	}
 	o.meter = c.Meter.Sub(before)
 	o.stats = sess.Stats()
@@ -172,14 +198,11 @@ func evaluate(t testing.TB, c *card.Card, sess *Session, ec *evalCase) outcome {
 }
 
 // evaluateFresh is the reference: a card provisioned for ec alone and a
-// session built for it.
+// session built for it, delivering to a callLog of its own.
 func evaluateFresh(t testing.TB, ec *evalCase, opts Options) outcome {
 	t.Helper()
 	c := card.New(card.Modern)
 	ec.provision(t, c)
-	sess, err := NewSession(c, ec.name, "u", ec.query, opts)
-	if err != nil {
-		t.Fatalf("%s: %v", ec.name, err)
-	}
-	return evaluate(t, c, sess, ec)
+	sess, log := loggedSession(t, c, ec, opts)
+	return evaluate(t, c, sess, ec, log)
 }

@@ -189,21 +189,22 @@ func (r *PreparedRun) decrypt() {
 
 // FeedPrepared pushes one block of a prepared run into the card. It is
 // the prepared twin of Feed: the same meter charges in the same order,
-// the same geometry validation, the same abort semantics — only the
+// the same geometry validation, the same result (the link bytes the
+// output was charged), the same abort semantics — only the
 // cryptographic work already happened in PrepareRun. blockIdx must be
 // the block NeedBlock asked for and must lie within the run at or past
 // the last block fed from it (the gap being blocks the evaluator
 // skipped, which are charged to no meter — they were speculation).
-func (s *Session) FeedPrepared(r *PreparedRun, blockIdx int) ([]byte, error) {
+func (s *Session) FeedPrepared(r *PreparedRun, blockIdx int) (int, error) {
 	if err := s.accepts(blockIdx); err != nil {
-		return nil, err
+		return 0, err
 	}
 	off := blockIdx - r.start
 	if off < 0 || off >= len(r.plains) {
-		return nil, fmt.Errorf("soe: block %d outside prepared run [%d,%d)", blockIdx, r.start, r.start+len(r.plains))
+		return 0, fmt.Errorf("soe: block %d outside prepared run [%d,%d)", blockIdx, r.start, r.start+len(r.plains))
 	}
 	if off < r.fed {
-		return nil, fmt.Errorf("soe: block %d of the run already fed", blockIdx)
+		return 0, fmt.Errorf("soe: block %d of the run already fed", blockIdx)
 	}
 	r.fed = off + 1
 
@@ -214,7 +215,7 @@ func (s *Session) FeedPrepared(r *PreparedRun, blockIdx int) ([]byte, error) {
 	// ...then the card decrypts it (the simulated card still pays for the
 	// crypto; only the host-side work was hoisted off the critical path).
 	if err := r.errs[off]; err != nil {
-		return nil, s.abort(err)
+		return 0, s.abort(err)
 	}
 	return s.feedPlain(blockIdx, r.plains[off])
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/card"
@@ -13,12 +14,26 @@ import (
 	"repro/internal/tagdict"
 )
 
+// The opcodes callLog writes a call down with: the record that stands for
+// the call on the card-to-terminal link (see recordEmitter's size
+// functions).
+const (
+	callBind    = 0x01 // varint code, varint len, name bytes
+	callOpen    = 0x02 // varint code, mode byte, varint group
+	callValue   = 0x03 // mode byte, varint group, varint len, text bytes
+	callClose   = 0x04 // mode byte, varint group
+	callResolve = 0x05 // varint group, deliver byte
+	callDone    = 0x06
+)
+
 // callLog is a RecordSink that writes every call it receives down as the
-// record that would have carried it, and can be told to fail one.
+// record that stands for it, passes the call on to tee (when set), and
+// can be told to fail one.
 type callLog struct {
 	log    []byte
 	calls  int
-	failAt int // the call to refuse, counted from 1; 0 refuses none
+	failAt int        // the call to refuse, counted from 1; 0 refuses none
+	tee    RecordSink // also receives every call logged
 }
 
 var errSink = errors.New("sink refuses")
@@ -36,48 +51,55 @@ func (l *callLog) note(op byte) error {
 
 func (l *callLog) uvarint(v uint64) { l.log = binary.AppendUvarint(l.log, v) }
 
+func (l *callLog) next() RecordSink {
+	if l.tee == nil {
+		return discard{}
+	}
+	return l.tee
+}
+
 func (l *callLog) Bind(c tagdict.Code, name []byte) error {
-	if err := l.note(recBind); err != nil {
+	if err := l.note(callBind); err != nil {
 		return err
 	}
 	l.uvarint(uint64(c))
 	l.uvarint(uint64(len(name)))
 	l.log = append(l.log, name...)
-	return nil
+	return l.next().Bind(c, name)
 }
 
 func (l *callLog) Open(c tagdict.Code, m core.Mode, g core.GroupID) error {
-	if err := l.note(recOpen); err != nil {
+	if err := l.note(callOpen); err != nil {
 		return err
 	}
 	l.uvarint(uint64(c))
 	l.log = append(l.log, byte(m))
 	l.uvarint(uint64(g))
-	return nil
+	return l.next().Open(c, m, g)
 }
 
 func (l *callLog) Value(text []byte, m core.Mode, g core.GroupID) error {
-	if err := l.note(recValue); err != nil {
+	if err := l.note(callValue); err != nil {
 		return err
 	}
 	l.log = append(l.log, byte(m))
 	l.uvarint(uint64(g))
 	l.uvarint(uint64(len(text)))
 	l.log = append(l.log, text...)
-	return nil
+	return l.next().Value(text, m, g)
 }
 
 func (l *callLog) Close(m core.Mode, g core.GroupID) error {
-	if err := l.note(recClose); err != nil {
+	if err := l.note(callClose); err != nil {
 		return err
 	}
 	l.log = append(l.log, byte(m))
 	l.uvarint(uint64(g))
-	return nil
+	return l.next().Close(m, g)
 }
 
 func (l *callLog) Resolve(g core.GroupID, deliver bool) error {
-	if err := l.note(recResolve); err != nil {
+	if err := l.note(callResolve); err != nil {
 		return err
 	}
 	l.uvarint(uint64(g))
@@ -86,57 +108,57 @@ func (l *callLog) Resolve(g core.GroupID, deliver bool) error {
 	} else {
 		l.log = append(l.log, 0)
 	}
-	return nil
+	return l.next().Resolve(g, deliver)
 }
 
-func (l *callLog) Done() error { return l.note(recDone) }
-
-// sameDelivery compares an evaluation delivered to sink with the same
-// evaluation through the record path: the sink's calls, every field of
-// the card meter, the statistics with their RAM peak — and not one
-// record returned.
-func sameDelivery(t *testing.T, what string, sink *callLog, got, want outcome) {
-	t.Helper()
-	if len(got.records) != 0 {
-		t.Errorf("%s: a session that delivers returned %d bytes of records", what, len(got.records))
+func (l *callLog) Done() error {
+	if err := l.note(callDone); err != nil {
+		return err
 	}
-	if !bytes.Equal(sink.log, want.records) {
-		t.Errorf("%s: the sink saw other calls than the records carry (%d bytes as records, want %d)", what, len(sink.log), len(want.records))
-	}
-	if int64(len(want.records)) != want.meter.BytesFromCard {
-		t.Errorf("%s: %d bytes of records, %d charged to the link", what, len(want.records), want.meter.BytesFromCard)
-	}
-	if got.meter != want.meter {
-		t.Errorf("%s: card meter differs:\ngot:  %+v\nwant: %+v", what, got.meter, want.meter)
-	}
-	if got.stats != want.stats {
-		t.Errorf("%s: session statistics differ:\ngot:  %+v\nwant: %+v", what, got.stats, want.stats)
-	}
+	return l.next().Done()
 }
 
 // TestDirectDeliveryMatchesRecordPath: one long-lived session bound to a
-// sink, re-armed from case to case, against the record path of a fresh
-// session per case — the corpus's queries included, under every option
-// set.
+// sink, re-armed from case to case, against a fresh session per case
+// bound to a sink of its own — the records the calls stand for, the card
+// meter and the statistics, the corpus's queries included, under every
+// option set.
 func TestDirectDeliveryMatchesRecordPath(t *testing.T) {
 	cases := corpus(t)
 	for name, opts := range optionSets {
 		t.Run(name, func(t *testing.T) {
 			c := standingCard(t, cases)
-			sink := &callLog{}
-			sess, err := NewSession(c, cases[0].name, "u", cases[0].query, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.DeliverTo(sink); err != nil {
-				t.Fatal(err)
-			}
+			sess, sink := loggedSession(t, c, cases[0], opts)
 			for _, ec := range cases {
 				if err := sess.Restart(ec.name, "u", ec.query); err != nil {
 					t.Fatal(err)
 				}
-				sink.reset()
-				sameDelivery(t, ec.name, sink, evaluate(t, c, sess, ec), evaluateFresh(t, ec, opts))
+				sameOutcome(t, ec.name, evaluate(t, c, sess, ec, sink), evaluateFresh(t, ec, opts))
+			}
+		})
+	}
+}
+
+// TestUnboundSessionChargesAsBound: a session nobody bound to a sink (the
+// benchmark's hand-driven card) drops its output but costs the card and
+// the link what a bound one does, and reports the same statistics.
+func TestUnboundSessionChargesAsBound(t *testing.T) {
+	cases := corpus(t)
+	for name, opts := range optionSets {
+		t.Run(name, func(t *testing.T) {
+			for _, ec := range cases {
+				c := card.New(card.Modern)
+				ec.provision(t, c)
+				sess, err := NewSession(c, ec.name, "u", ec.query, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := evaluate(t, c, sess, ec, nil), evaluateFresh(t, ec, opts)
+				want.records = nil
+				sameOutcome(t, ec.name, got, want)
+				if !slices.Equal(got.fed, want.fed) {
+					t.Errorf("%s: unbound, the card asked for blocks %v; bound, %v", ec.name, got.fed, want.fed)
+				}
 			}
 		})
 	}
@@ -151,14 +173,7 @@ func TestDirectDeliveryMatchesRecordPath(t *testing.T) {
 func TestDirectDeliveryAfterAbort(t *testing.T) {
 	cases := corpus(t)[:16]
 	c := standingCard(t, cases)
-	sink := &callLog{}
-	sess, err := NewSession(c, cases[0].name, "u", cases[0].query, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.DeliverTo(sink); err != nil {
-		t.Fatal(err)
-	}
+	sess, sink := loggedSession(t, c, cases[0], Options{})
 	for _, ec := range cases {
 		fresh := evaluateFresh(t, ec, Options{})
 		step := max(1, len(fresh.fed)/32)
@@ -186,8 +201,7 @@ func TestDirectDeliveryAfterAbort(t *testing.T) {
 			if err := sess.Restart(ec.name, "u", ec.query); err != nil {
 				t.Fatal(err)
 			}
-			sink.reset()
-			sameDelivery(t, fmt.Sprintf("%s after an abort at block %d", ec.name, bad), sink, evaluate(t, c, sess, ec), fresh)
+			sameOutcome(t, fmt.Sprintf("%s after an abort at block %d", ec.name, bad), evaluate(t, c, sess, ec, sink), fresh)
 			if t.Failed() {
 				t.FailNow()
 			}
@@ -210,26 +224,15 @@ func TestSinkErrorAbortsSession(t *testing.T) {
 	for _, ec := range cases {
 		ec.provision(t, c)
 	}
-	sink := &callLog{}
-	sess, err := NewSession(c, cases[0].name, "u", cases[0].query, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.DeliverTo(sink); err != nil {
-		t.Fatal(err)
-	}
+	sess, sink := loggedSession(t, c, cases[0], Options{})
 	for _, ec := range cases {
 		fresh := evaluateFresh(t, ec, Options{})
-		var all callLog
-		if err := DecodeRecords(fresh.records, &all); err != nil {
-			t.Fatal(err)
-		}
 		// Every call of a short evaluation, a spread of a long one, and
 		// always the last (the done signal).
-		step := max(1, all.calls/60)
-		for at := 1; at <= all.calls; at += step {
-			if at+step > all.calls {
-				at = all.calls
+		step := max(1, fresh.calls/60)
+		for at := 1; at <= fresh.calls; at += step {
+			if at+step > fresh.calls {
+				at = fresh.calls
 			}
 			if err := sess.Restart(ec.name, "u", ec.query); err != nil {
 				t.Fatal(err)
@@ -244,7 +247,7 @@ func TestSinkErrorAbortsSession(t *testing.T) {
 				_, feedErr = sess.Feed(idx, ec.container.Blocks[idx])
 			}
 			if !errors.Is(feedErr, errSink) {
-				t.Fatalf("%s: sink refused call %d of %d, evaluation ended with: %v", ec.name, at, all.calls, feedErr)
+				t.Fatalf("%s: sink refused call %d of %d, evaluation ended with: %v", ec.name, at, fresh.calls, feedErr)
 			}
 			if sess.Done() || sess.NeedBlock() != -1 || c.RAM.InUse() != 0 {
 				t.Fatalf("%s: after the sink's error: done %t, wants block %d, %d bytes of RAM charged",
@@ -255,8 +258,7 @@ func TestSinkErrorAbortsSession(t *testing.T) {
 			if err := sess.Restart(ec.name, "u", ec.query); err != nil {
 				t.Fatal(err)
 			}
-			sink.reset()
-			sameDelivery(t, fmt.Sprintf("%s after the sink refused call %d", ec.name, at), sink, evaluate(t, c, sess, ec), fresh)
+			sameOutcome(t, fmt.Sprintf("%s after the sink refused call %d", ec.name, at), evaluate(t, c, sess, ec, sink), fresh)
 			if t.Failed() {
 				t.FailNow()
 			}

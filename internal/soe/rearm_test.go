@@ -18,11 +18,17 @@ import (
 )
 
 // sameOutcome fails the test when two evaluations of a case differ in
-// anything the outside can see.
+// anything the outside can see, or when either was charged on the link
+// other than what Feed reported and its sink's calls take as records.
 func sameOutcome(t *testing.T, what string, got, want outcome) {
 	t.Helper()
 	if !bytes.Equal(got.records, want.records) {
-		t.Errorf("%s: record stream differs (%d bytes, want %d)", what, len(got.records), len(want.records))
+		t.Errorf("%s: the sink saw other calls (%d bytes as records, want %d)", what, len(got.records), len(want.records))
+	}
+	for _, o := range []outcome{got, want} {
+		if int64(o.link) != o.meter.BytesFromCard || o.records != nil && len(o.records) != o.link {
+			t.Errorf("%s: %d bytes of records, Feed reported %d, %d charged to the link", what, len(o.records), o.link, o.meter.BytesFromCard)
+		}
 	}
 	if got.meter != want.meter {
 		t.Errorf("%s: card meter differs:\ngot:  %+v\nwant: %+v", what, got.meter, want.meter)
@@ -55,7 +61,7 @@ var optionSets = map[string]Options{
 
 // TestRestartMatchesFreshSession: a session re-armed after other
 // evaluations — of other documents, under other rules and queries — is
-// indistinguishable from one built for the case: same records, same
+// indistinguishable from one built for the case: same sink calls, same
 // card work, same statistics, RAM peak included.
 func TestRestartMatchesFreshSession(t *testing.T) {
 	cases := corpus(t)
@@ -64,15 +70,12 @@ func TestRestartMatchesFreshSession(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := standingCard(t, cases)
 			var sess *Session
+			var sink *callLog
 			arm := func(ec *evalCase) {
 				t.Helper()
-				var err error
 				if sess == nil {
-					sess, err = NewSession(c, ec.name, "u", ec.query, opts)
-				} else {
-					err = sess.Restart(ec.name, "u", ec.query)
-				}
-				if err != nil {
+					sess, sink = loggedSession(t, c, ec, opts)
+				} else if err := sess.Restart(ec.name, "u", ec.query); err != nil {
 					t.Fatalf("%s: %v", ec.name, err)
 				}
 			}
@@ -80,10 +83,10 @@ func TestRestartMatchesFreshSession(t *testing.T) {
 				for k := 1; k <= others; k++ {
 					other := cases[(i+k*7)%len(cases)]
 					arm(other)
-					evaluate(t, c, sess, other)
+					evaluate(t, c, sess, other, sink)
 				}
 				arm(ec)
-				sameOutcome(t, ec.name, evaluate(t, c, sess, ec), evaluateFresh(t, ec, opts))
+				sameOutcome(t, ec.name, evaluate(t, c, sess, ec, sink), evaluateFresh(t, ec, opts))
 			}
 		})
 	}
@@ -104,10 +107,7 @@ func TestRestartAfterAbortAtEveryBlock(t *testing.T) {
 	for i, ec := range cases {
 		fresh[i] = evaluateFresh(t, ec, Options{})
 	}
-	sess, err := NewSession(c, cases[0].name, "u", cases[0].query, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, sink := loggedSession(t, c, cases[0], Options{})
 	for i, ec := range cases {
 		for cut, bad := range fresh[i].fed {
 			if err := sess.Restart(ec.name, "u", ec.query); err != nil {
@@ -137,7 +137,7 @@ func TestRestartAfterAbortAtEveryBlock(t *testing.T) {
 			if err := sess.Restart(next.name, "u", next.query); err != nil {
 				t.Fatal(err)
 			}
-			sameOutcome(t, next.name+" after "+ec.name+" aborted", evaluate(t, c, sess, next), fresh[j])
+			sameOutcome(t, next.name+" after "+ec.name+" aborted", evaluate(t, c, sess, next, sink), fresh[j])
 			if t.Failed() {
 				t.FailNow()
 			}
@@ -182,7 +182,7 @@ func shelfDoc(t *testing.T, version int) *xmlstream.Node {
 // document whose dictionary reorders, renames and drops the tags of the
 // version before — after completing that version, or after its
 // evaluation was cut off half way through the dictionary by a tampered
-// block — delivers the records, the view, the card work and the
+// block — delivers the sink calls, the view, the card work and the
 // statistics of a fresh session. Nothing of the dictionary, the
 // automata compiled against it or the view built from it leaks across.
 func TestRestartAcrossDictionaries(t *testing.T) {
@@ -223,41 +223,34 @@ func TestRestartAcrossDictionaries(t *testing.T) {
 		}
 		return c
 	}
-	view := func(o outcome) *xmlstream.Node {
-		sink := newTestSink()
-		if err := DecodeRecords(o.records, sink); err != nil {
-			t.Fatal(err)
-		}
-		v, err := sink.asm.Finish()
+	// viewed evaluates ec on sess, which delivers to log, and assembles
+	// the view from the same calls.
+	viewed := func(c *card.Card, sess *Session, log *callLog, ec *evalCase) (outcome, *xmlstream.Node) {
+		view := newTestSink()
+		log.tee = view
+		o := evaluate(t, c, sess, ec, log)
+		v, err := view.asm.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v.Tree()
+		return o, v.Tree()
 	}
 	for from, to := range []int{1, 0} {
 		before, after := versions[from], versions[to]
-		fresh := func() outcome {
-			c := provisioned()
-			sess, err := NewSession(c, "shelves", "u", nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return evaluate(t, c, sess, after)
-		}()
-		if view(fresh) == nil {
+		c := provisioned()
+		freshSess, freshLog := loggedSession(t, c, after, Options{})
+		fresh, freshView := viewed(c, freshSess, freshLog, after)
+		if freshView == nil {
 			t.Fatalf("version %d delivers nothing under the rules", to+1)
 		}
 
 		completed, aborted := provisioned(), provisioned()
 		sessions := map[string]*Session{}
+		logs := map[string]*callLog{}
 		for what, c := range map[string]*card.Card{"completed": completed, "aborted": aborted} {
-			sess, err := NewSession(c, "shelves", "u", nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sessions[what] = sess
+			sessions[what], logs[what] = loggedSession(t, c, before, Options{})
 		}
-		evaluate(t, completed, sessions["completed"], before)
+		evaluate(t, completed, sessions["completed"], before, logs["completed"])
 
 		sess := sessions["aborted"]
 		if err := sess.LoadHeader(before.header); err != nil {
@@ -280,10 +273,10 @@ func TestRestartAcrossDictionaries(t *testing.T) {
 			if err := sess.Restart("shelves", "u", nil); err != nil {
 				t.Fatal(err)
 			}
-			got := evaluate(t, c, sess, after)
+			got, gotView := viewed(c, sess, logs[what], after)
 			name := fmt.Sprintf("version %d after version %d %s", to+1, from+1, what)
 			sameOutcome(t, name, got, fresh)
-			if g, w := view(got), view(fresh); !g.Equal(w) {
+			if !gotView.Equal(freshView) {
 				t.Errorf("%s: view differs", name)
 			}
 		}

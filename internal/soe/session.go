@@ -4,14 +4,13 @@
 // evaluating the access control policy corresponding to a given
 // (document, subject) pair" — plus the optional query of pull mode.
 //
-// A Session is driven by the terminal proxy: the proxy pushes encrypted
-// blocks one at a time (Feed) and reads back (a) a stream of compact
-// output records carrying the authorized events — or, having told the
-// session where its output goes (DeliverTo), receives those events as
-// calls on its sink, metered as the records they stand for — and (b) the
-// index of the next block the card wants — which jumps forward whenever
-// the evaluator skips a subtree, turning skip decisions into bytes that
-// are neither transmitted nor decrypted.
+// A Session is driven by the terminal proxy: the proxy tells the session
+// where its output goes (DeliverTo), pushes encrypted blocks one at a time
+// (Feed), and receives (a) the authorized events as calls on its sink,
+// metered as the compact records they stand for on the card-to-terminal
+// link, and (b) the index of the next block the card wants — which jumps
+// forward whenever the evaluator skips a subtree, turning skip decisions
+// into bytes that are neither transmitted nor decrypted.
 //
 // Everything the session allocates is charged to the card's secure RAM
 // gauge; exhausting the budget aborts the session exactly as a real
@@ -55,9 +54,9 @@ const (
 
 // Session is one (document, subject[, query]) evaluation at a time. The
 // object outlives the evaluation: Restart re-arms it for the next one in
-// the memory it already owns — source window, record buffer, block
-// buffer, tag dictionary, decoder, and evaluator with its compiled
-// automata and slabs — which is how a terminal that serves query after
+// the memory it already owns — source window, block buffer, tag
+// dictionary, decoder, and evaluator with its compiled automata and
+// slabs — which is how a terminal that serves query after
 // query on one card (proxy.Session, dissem.Subscriber) keeps the
 // evaluation off the allocator: each header's dictionary is decoded and
 // the rules compiled anew, into storage the session already holds.
@@ -106,9 +105,11 @@ type Session struct {
 
 // NewSession opens a session on a provisioned card. The key and the
 // subject's rule set must already be installed (see card.PutKey and
-// card.PutSealedRuleSet).
+// card.PutSealedRuleSet). Until DeliverTo binds a sink, the session's
+// output is charged to the link and dropped.
 func NewSession(c *card.Card, docID, subject string, query *xpath.Path, opts Options) (*Session, error) {
 	s := &Session{card: c, opts: opts, runs: make(chan *PreparedRun, 3)}
+	s.emit.sink = discard{}
 	if err := s.Restart(docID, subject, query); err != nil {
 		return nil, err
 	}
@@ -134,7 +135,7 @@ func (s *Session) Restart(docID, subject string, query *xpath.Path) error {
 	s.ram = mem.Scope{Parent: s.card.RAM}
 	s.evalArmed = false
 	s.lastStats = core.Stats{}
-	s.emit.begin()
+	s.emit.size = 0
 	s.value.active, s.value.chunkable = false, false
 	s.value.buf, s.value.charged = s.value.buf[:0], 0
 	s.phase = phaseHeader
@@ -143,11 +144,10 @@ func (s *Session) Restart(docID, subject string, query *xpath.Path) error {
 
 // DeliverTo tells the session where its output goes, for the rest of its
 // life: from the next evaluation on the evaluator's events reach sink as
-// the calls DecodeRecords would make from the session's records, Feed and
-// FeedPrepared return no records, and an error of the sink aborts the
-// evaluation. The link is charged as if the records had crossed it. This
-// is for an owner whose sink stands as long as the session does (a
-// terminal and its collector); a session never told returns records.
+// calls, one per record on the link, and an error of the sink aborts the
+// evaluation. The link is charged the records' bytes whoever the sink
+// is. This is for an owner whose sink stands as long as the session does
+// (a terminal and its collector); a session never told drops its output.
 func (s *Session) DeliverTo(sink RecordSink) error {
 	if s.phase == phaseDict || s.phase == phaseStream {
 		return fmt.Errorf("soe: output redirected in mid-evaluation")
@@ -235,13 +235,13 @@ func (s *Session) NeedRun() (next, sure int) {
 // Done reports whether the session completed successfully.
 func (s *Session) Done() bool { return s.phase == phaseDone }
 
-// Feed pushes one stored block into the card and returns the output
-// records produced, valid until the next Feed — none when the session
-// delivers to a sink (DeliverTo). The block must be the one NeedBlock
-// asked for.
-func (s *Session) Feed(blockIdx int, stored []byte) ([]byte, error) {
+// Feed pushes one stored block into the card, which delivers the output
+// it completes to the session's sink, and returns the bytes that output
+// was charged on the card-to-terminal link. The block must be the one
+// NeedBlock asked for.
+func (s *Session) Feed(blockIdx int, stored []byte) (int, error) {
 	if err := s.accepts(blockIdx); err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Link accounting: the block crosses the terminal->card link in
@@ -257,7 +257,7 @@ func (s *Session) Feed(blockIdx int, stored []byte) ([]byte, error) {
 	s.block = slices.Grow(s.block[:0], n)[:n]
 	plain := s.block
 	if err := s.ctx.DecryptBlockInto(plain, s.header.DocID, s.header.BlockGen(blockIdx), uint32(blockIdx), stored); err != nil {
-		return nil, s.abort(err)
+		return 0, s.abort(err)
 	}
 	return s.feedPlain(blockIdx, plain)
 }
@@ -277,7 +277,7 @@ func (s *Session) accepts(blockIdx int) error {
 // feedPlain is the part of feeding a block that follows its decryption,
 // by Feed just now or by PrepareRun ahead of demand: charge the card for
 // the crypto, validate the geometry, evaluate what the block completes.
-func (s *Session) feedPlain(blockIdx int, plain []byte) ([]byte, error) {
+func (s *Session) feedPlain(blockIdx int, plain []byte) (int, error) {
 	s.card.Meter.CryptoBytes += int64(len(plain))
 	s.card.Meter.MACBytes += int64(len(plain))
 
@@ -287,23 +287,23 @@ func (s *Session) feedPlain(blockIdx int, plain []byte) ([]byte, error) {
 		expect = int(s.header.PayloadLen) - blockIdx*int(s.header.BlockPlain)
 	}
 	if len(plain) != expect {
-		return nil, s.abort(fmt.Errorf("%w: block %d has %d plaintext bytes, geometry says %d",
+		return 0, s.abort(fmt.Errorf("%w: block %d has %d plaintext bytes, geometry says %d",
 			secure.ErrIntegrity, blockIdx, len(plain), expect))
 	}
 
 	if err := s.src.feed(blockIdx, plain); err != nil {
-		return nil, s.abort(err)
+		return 0, s.abort(err)
 	}
 
-	s.emit.begin()
+	s.emit.size = 0
 	if s.phase == phaseDict {
 		if err := s.tryFinishDict(); err != nil && err != docenc.ErrNeedMore {
-			return nil, s.abort(err)
+			return 0, s.abort(err)
 		}
 	}
 	if s.phase == phaseStream {
 		if err := s.pump(); err != nil && err != docenc.ErrNeedMore {
-			return nil, s.abort(err)
+			return 0, s.abort(err)
 		}
 	}
 	return s.drainOut(), nil
@@ -456,10 +456,11 @@ func (s *Session) pump() error {
 	}
 }
 
-// drainOut returns the output records of this Feed (none when the output
-// went straight to a sink) and accounts for their trip over the link.
-func (s *Session) drainOut() []byte {
-	if n := s.emit.size; n > 0 {
+// drainOut accounts for the trip of this Feed's output over the link and
+// returns the bytes it was charged.
+func (s *Session) drainOut() int {
+	n := s.emit.size
+	if n > 0 {
 		s.card.Meter.BytesFromCard += int64(n)
 		// Responses piggyback on the command APDU; only overflow beyond
 		// one response frame costs extra exchanges.
@@ -468,7 +469,7 @@ func (s *Session) drainOut() []byte {
 			s.card.Meter.APDUs += int64(extra)
 		}
 	}
-	return s.emit.buf
+	return n
 }
 
 // syncMeter folds the evaluator's work counters into the card meter

@@ -1,9 +1,7 @@
 package soe
 
 import (
-	"encoding/binary"
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 
@@ -40,21 +38,20 @@ func runSession(t *testing.T, c *card.Card, container *docenc.Container, subject
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := newTestSink()
+	if err := sess.DeliverTo(sink); err != nil {
+		t.Fatal(err)
+	}
 	hb, _ := container.Header.MarshalBinary()
 	if err := sess.LoadHeader(hb); err != nil {
 		t.Fatal(err)
 	}
-	sink := newTestSink()
 	for !sess.Done() {
 		idx := sess.NeedBlock()
 		if idx < 0 {
 			break
 		}
-		out, err := sess.Feed(idx, container.Blocks[idx])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := DecodeRecords(out, sink); err != nil {
+		if _, err := sess.Feed(idx, container.Blocks[idx]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +69,6 @@ func runSession(t *testing.T, c *card.Card, container *docenc.Container, subject
 type testSink struct {
 	names map[tagdict.Code]string
 	asm   *core.Assembler
-	done  bool
 }
 
 func newTestSink() *testSink {
@@ -98,10 +94,7 @@ func (s *testSink) Close(m core.Mode, g core.GroupID) error {
 func (s *testSink) Resolve(g core.GroupID, d bool) error {
 	return s.asm.ResolveGroup(g, d)
 }
-func (s *testSink) Done() error {
-	s.done = true
-	return nil
-}
+func (s *testSink) Done() error { return nil }
 
 func TestSessionEndToEnd(t *testing.T) {
 	doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 1, Patients: 4, VisitsPerPatient: 2})
@@ -264,85 +257,27 @@ func TestSessionTamperedBlock(t *testing.T) {
 	}
 }
 
-func TestRecordsRoundTrip(t *testing.T) {
-	dict, _ := tagdict.FromTags([]string{"a", "b"})
-	e := &recordEmitter{}
-	e.reset(dict)
-	_ = e.EmitOpen(0, core.ModeDeliver, 0)
-	_ = e.EmitValue([]byte("hello"), core.ModePending, 3)
-	_ = e.EmitClose(core.ModeDeliver, 0)
-	_ = e.ResolveGroup(3, true)
-	_ = e.done()
-	blob := e.buf
-
-	sink := newTestSink()
-	if err := DecodeRecords(blob, sink); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.done {
-		t.Error("done record lost")
-	}
-	if sink.names[0] != "a" {
-		t.Error("lazy binding lost")
-	}
-}
-
-// TestRecordsPartialDecode: a stream cut anywhere but between records is
-// refused, and one cut between records decodes as far as it goes.
-func TestRecordsPartialDecode(t *testing.T) {
-	dict, _ := tagdict.FromTags([]string{"tagname"})
-	e := &recordEmitter{}
-	e.reset(dict)
-	_ = e.EmitOpen(0, core.ModeDeliver, 0)
-	// The open is preceded by the lazy binding of its tag, a record that
-	// ends with the tag's name.
-	ends := []int{strings.Index(string(e.buf), "tagname") + len("tagname"), len(e.buf)}
-	_ = e.EmitValue([]byte("some text content"), core.ModeDeliver, 0)
-	ends = append(ends, len(e.buf))
-	_ = e.EmitClose(core.ModeDeliver, 0)
-	ends = append(ends, len(e.buf))
-	blob := e.buf
-
-	for n := 1; n <= len(blob); n++ {
-		err := DecodeRecords(blob[:n], newTestSink())
-		if whole := slices.Contains(ends, n); whole != (err == nil) {
-			t.Errorf("stream cut at %d of %d bytes (between records: %v): err %v", n, len(blob), whole, err)
-		}
-	}
-}
-
-// TestRecordsHostileLength: a name or text length that as an int is
-// negative (2^63 and up) once passed the bound check and panicked in the
-// slice expression. It is an error, as is a length merely longer than
-// what is left.
-func TestRecordsHostileLength(t *testing.T) {
-	huge := binary.AppendUvarint(nil, 1<<63+5)
-	for name, rec := range map[string][]byte{
-		"value": append([]byte{recValue, byte(core.ModeDeliver), 0}, huge...),
-		"bind":  append([]byte{recBind, 0}, huge...),
-	} {
-		if err := DecodeRecords(append(rec, "payload"...), newTestSink()); err == nil {
-			t.Errorf("%s record with a 2^63+5 byte field accepted", name)
-		}
-	}
-	long := append([]byte{recValue, byte(core.ModeDeliver), 0}, binary.AppendUvarint(nil, 4096)...)
-	if err := DecodeRecords(append(long, "only the start"...), newTestSink()); err == nil {
-		t.Error("value record cut short accepted")
-	}
-}
-
+// TestLazyBindingOncePerCode: a tag's name crosses the link the first
+// time its code is delivered, and never again in the same document.
 func TestLazyBindingOncePerCode(t *testing.T) {
 	dict, _ := tagdict.FromTags([]string{"x"})
-	e := &recordEmitter{}
+	log := &callLog{}
+	e := &recordEmitter{sink: log}
 	e.reset(dict)
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	first := len(e.buf)
-	e.buf = e.buf[:0]
+	first, calls := e.size, log.calls
+	e.size = 0
 	_ = e.EmitOpen(0, core.ModeDeliver, 0)
 	_ = e.EmitClose(core.ModeDeliver, 0)
-	second := len(e.buf)
+	second := e.size
+	if calls != 3 || log.calls != 5 {
+		t.Errorf("the sink took %d calls for the first open and close, %d for both pairs; want 3 (bind, open, close) and 5", calls, log.calls)
+	}
 	if second >= first {
 		t.Errorf("second emission (%dB) must be smaller than the first (%dB): binding must not repeat", second, first)
+	}
+	if len(log.log) != first+second {
+		t.Errorf("%d bytes charged to the link for %d bytes of records", first+second, len(log.log))
 	}
 }

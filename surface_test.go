@@ -36,7 +36,6 @@ var keptUnnamed = map[string]string{
 	"fleet.Gateway.RefreshRules":    roadmapItem + "2, with the fleet's rule epochs",
 	"mem.Tracking.InUse":            keptAsOracle,
 	"proxy.Publisher.PublishStream": roadmapItem + "6, with the staged upload",
-	"soe.DecodeRecords":             keptAsOracle,
 	"workload.GrantAll":             keptAsOracle,
 	"workload.RandomQuery":          keptAsOracle,
 	"xpath.Matches":                 keptAsOracle,
