@@ -37,10 +37,10 @@ test:
 ## (dsp's on its default sendfile path too): the batched decrypt, a
 ## re-armed card evaluation, the card path and a subscriber's reception
 ## across document sizes, the encoder across document sizes, a re-armed
-## dictionary decode, a pooled cold read and its sendfile serve, an open
-## in each of a thousand contexts across collections, a warmed gatewayd
-## query end to end, a released result's storage, and a lookup in a
-## server's table of names
+## dictionary decode, a pooled cold read and its sendfile serve, a
+## one-block read over the wire, an open in each of a thousand contexts
+## across collections, a warmed gatewayd query end to end, a released
+## result's storage, and a lookup in a server's table of names
 test-allocs:
 	$(GO) test -count=1 -run 'TestDecryptAllocsFlatAcrossRunLengths|TestOpenAllocsAcrossContexts' ./internal/secure/
 	$(GO) test -count=1 -run 'TestRestartAllocs' ./internal/soe/
@@ -48,7 +48,7 @@ test-allocs:
 	$(GO) test -count=1 -run 'TestReceptionAllocsFlatAcrossStreamLength' ./internal/dissem/
 	$(GO) test -count=1 -run 'TestEncodeAllocsFlatAcrossDocumentSize' ./internal/docenc/
 	$(GO) test -count=1 -run 'TestDecodeAgainAllocatesNothing' ./internal/tagdict/
-	$(GO) test -count=1 -run 'TestColdReadAllocs|TestSendfileServesColdRun' ./internal/dsp/
+	$(GO) test -count=1 -run 'TestColdReadAllocs|TestSendfileServesColdRun|TestWireReadBlockAllocs' ./internal/dsp/
 	$(GO) test -count=1 -run 'TestGatewayQueryAllocs' ./internal/gateway/
 	$(GO) test -count=1 -run 'TestInternerKeepsNoInputBytes' ./internal/wire/
 
@@ -81,15 +81,19 @@ test-stress:
 ## fresh ones, after other evaluations, after aborts at every block and
 ## across documents whose dictionaries differ; a standing subscriber
 ## whose rules or query changed between two versions against a fresh
-## one holding the new ones; automata compiled into a
-## machine that held another against fresh ones;
+## one holding the new ones; a pooled session that follows a
+## re-publication's rules, on its first query of the new version (also
+## when the re-publication lands between its install and that query, or
+## during its refresh), against a fresh one, and fails when the store
+## withholds them; automata
+## compiled into a machine that held another against fresh ones;
 ## the golden cost-model values; a standing session that delivers to its
 ## owner's sink against a fresh one (and a sink that fails under it); the
 ## prefetch pipeline at every readahead depth against the serial pull,
 ## its run lengths and its check on what a store answers — repeated
 ## under the race detector
 test-rearm:
-	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestRebroadcastFollowsRightsChanges|TestDeltaBroadcast|TestDirectDelivery|TestUnboundSession|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/
+	$(GO) test -race -count=10 -run 'TestRestart|TestOutcomesMatchGolden|TestSessionReuseMatchesFreshSession|TestStandingSubscriberMatchesFresh|TestRebroadcastFollowsRightsChanges|TestDeltaBroadcast|TestDirectDelivery|TestUnboundSession|TestSinkErrorAbortsSession|TestReadahead|TestStoreRunLengthChecked|TestCompileIntoMatchesCompile|TestSessionFollowsRepublishedRules|TestSessionWithheldRefreshFailsClosed|TestSessionRefreshes|TestGatewayDocVersionRefresh|TestGatewayWithheldRefreshFailsClosed|TestGatewayRefreshesRulesLandedAtProvisioning' ./internal/soe/ ./internal/proxy/ ./internal/dissem/ ./internal/automaton/ ./internal/fleet/
 
 ## test-republish: the re-publication path — a long-lived publisher's
 ## retained diff base against a fresh publisher per commit, a foreign

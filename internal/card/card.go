@@ -191,7 +191,7 @@ func (m Meter) Price(p Profile) TimeBreakdown {
 // Card is one simulated device: budgets, meter and provisioned secrets.
 //
 // Provisioning calls (PutKey, PutRuleSet, PutSealedRuleSet, Key,
-// RuleSet, RuleVersion) may race each other from multiple goroutines;
+// RuleSet) may race each other from multiple goroutines;
 // the internal mutex keeps the secret store and their meter/EEPROM
 // accounting consistent. The card still models a single-threaded
 // applet, so nothing may run concurrently with a live session on the
@@ -376,19 +376,4 @@ func (c *Card) RuleSet(subject, docID string) (*accessrule.RuleSet, error) {
 		return s.rs, nil
 	}
 	return nil, fmt.Errorf("card: no rule set installed for subject %q on document %q", subject, docID)
-}
-
-// RuleVersion reports the version of the installed rule set for
-// (subject, doc), or -1 when none is installed — the fleet's cheap
-// freshness check before deciding to re-pull the sealed blob.
-func (c *Card) RuleVersion(subject, docID string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.rulesets[subject+"\x00"+docID]; ok {
-		return int64(s.rs.Version)
-	}
-	if s, ok := c.rulesets[subject+"\x00"]; ok {
-		return int64(s.rs.Version)
-	}
-	return -1
 }

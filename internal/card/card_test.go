@@ -239,17 +239,3 @@ func TestMeterSub(t *testing.T) {
 		t.Fatalf("self-difference must be zero, got %+v", zero)
 	}
 }
-
-func TestRuleVersion(t *testing.T) {
-	c := New(Modern)
-	if got := c.RuleVersion("u", "d"); got != -1 {
-		t.Fatalf("unprovisioned RuleVersion = %d, want -1", got)
-	}
-	rs := ruleSet("u", "d", 3)
-	if err := c.PutRuleSet(rs); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.RuleVersion("u", "d"); got != 3 {
-		t.Fatalf("RuleVersion = %d, want 3", got)
-	}
-}

@@ -94,9 +94,11 @@ func (c *Client) Header(docID string) (docenc.Header, error) {
 	return h, nil
 }
 
-// ReadBlock implements Store as a one-block ReadBlocks.
+// ReadBlock implements Store as a one-block ReadBlocks, decoded into a
+// list on the stack: the block aliases the reply frame.
 func (c *Client) ReadBlock(docID string, idx int) ([]byte, error) {
-	blocks, err := c.ReadBlocks(docID, idx, 1)
+	var one [1][]byte
+	blocks, err := c.readBlocks(docID, idx, 1, one[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -106,6 +108,11 @@ func (c *Client) ReadBlock(docID string, idx int) ([]byte, error) {
 // ReadBlocks implements BlockRangeReader: one round trip for a whole
 // skip-index run instead of count request/response exchanges.
 func (c *Client) ReadBlocks(docID string, start, count int) ([][]byte, error) {
+	return c.readBlocks(docID, start, count, nil)
+}
+
+// readBlocks runs one opReadBlocks exchange and decodes the run into dst.
+func (c *Client) readBlocks(docID string, start, count int, dst [][]byte) ([][]byte, error) {
 	if start < 0 || count < 0 {
 		return nil, errNegativeRange(start, count)
 	}
@@ -116,7 +123,7 @@ func (c *Client) ReadBlocks(docID string, start, count int) ([][]byte, error) {
 	// The frame buffer was allocated for this response alone, so the
 	// blocks can alias it instead of being copied out one by one. (The
 	// pooled variant, ReadBlocksFrame, reuses buffers instead.)
-	return parseBlockRun(resp, count, nil)
+	return parseBlockRun(resp, count, dst)
 }
 
 // readBlocksReq builds the opReadBlocks request frame.

@@ -225,3 +225,51 @@ func TestColdReadAllocs(t *testing.T) {
 		t.Fatalf("a cold read of %d blocks made %.2f allocations, want 0", nBlocks, allocs)
 	}
 }
+
+// TestWireReadBlockAllocs pins the serial pull's remote read of one block
+// (a one-block opReadBlocks) at 2 allocations process-wide: the reply
+// frame the block aliases, and the block list MemStore.ReadBlocks makes
+// on the server. The client decodes the block straight from the reply,
+// with no block list of its own.
+func TestWireReadBlockAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops pooled buffers on purpose")
+	}
+	store := NewMemStore()
+	if err := store.PutDocument(benchContainer("one", 64, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	want, err := store.ReadBlock("one", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		blk, err := c.ReadBlock("one", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blk, want) {
+			t.Fatal("the block read over the wire differs from the store's")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		read() // warm every pool and per-connection buffer
+	}
+	allocs := testing.AllocsPerRun(200, read)
+	t.Logf("%.2f allocs per single-block read", allocs)
+	if allocs > 2 {
+		t.Fatalf("a single-block read made %.2f allocations, want at most 2", allocs)
+	}
+}

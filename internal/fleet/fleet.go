@@ -11,8 +11,8 @@
 // expensive state intact (document keys, amortized cipher contexts,
 // sealed rule sets), and retired on failure or after sitting idle.
 // Admission, per-subject session bounds, rate limits and quotas are
-// pool policy; rule refreshes propagate version-checked at checkout so
-// a revocation reaches every session of a subject without a broadcast.
+// pool policy. The fleet keeps no clock for rules: each proxy.Session
+// refreshes them on its next query of a re-published document.
 package fleet
 
 import (
@@ -120,50 +120,26 @@ type Gateway struct {
 }
 
 // pooledSession is one checkout unit: a proxy.Session (card + pipeline)
-// plus the provisioning bookkeeping that decides what work a checkout
-// still owes before the query can run.
+// plus the record of which documents its card was provisioned for.
 type pooledSession struct {
 	sess *proxy.Session
-	card *card.Card
 	// provisioned records the documents this session's card holds
 	// key+rules for.
 	provisioned map[string]bool
-	// ruleEpochs records, per document, the subject pool's refresh epoch
-	// at which this session last installed rules. A session behind the
-	// pool's epoch re-pulls the sealed rule set at checkout — how a
-	// revocation reaches sessions that were busy when it landed.
-	ruleEpochs map[string]uint64
-	idleSince  time.Time
+	idleSince   time.Time
 }
 
 // subjectPool is one subject's slot in the fleet: the bounded session
-// pool, the shared provisioning/versioning records every session
-// synchronizes against, and the aggregated meters. All mutable state is
-// guarded by mu; stats are written only inside single critical
-// sections, so a snapshot under mu can never tear.
+// pool and the aggregated meters. All mutable state is guarded by mu;
+// stats are written only inside single critical sections, so a snapshot
+// under mu can never tear.
 type subjectPool struct {
 	subject string
 
 	mu   sync.Mutex
 	cond *sync.Cond // signals a session returned to idle
 	idle []*pooledSession
-	all  []*pooledSession // every live session, idle and checked out
-	live int
-
-	// provisionedDocs: documents at least one session was provisioned
-	// for — the set RefreshRules is willing to refresh (a refresh is not
-	// an implicit key grant).
-	provisionedDocs map[string]bool
-	// ruleEpochs is the subject's refresh clock per document, bumped by
-	// RefreshRules and by observed document-version bumps.
-	ruleEpochs map[string]uint64
-	// docVersions records, per document, the latest version a query of
-	// this subject was served from. A served version above the record
-	// means the document was re-published underneath the fleet: the
-	// gateway then refreshes the subject's rules the same way
-	// RefreshRules does, since policy changes typically ride along with
-	// content changes (Section 5's update model).
-	docVersions map[string]uint32
+	live int // sessions held, idle and checked out
 
 	// Token bucket (SubjectRate/SubjectBurst).
 	tokens   float64
@@ -184,8 +160,9 @@ type SubjectStats struct {
 	// BlocksFetched / BlocksWasted aggregate the terminal-side transfer.
 	BlocksFetched int64
 	BlocksWasted  int64
-	// VersionRefreshes counts rule refreshes triggered by an observed
-	// document version bump (delta or full re-publication).
+	// VersionRefreshes counts queries whose session re-installed the
+	// subject's rules first, for a re-published document (see
+	// proxy.Session); every session of the subject makes its own.
 	VersionRefreshes int64
 	// Meter is the summed card work across the subject's queries.
 	Meter card.Meter
@@ -262,7 +239,8 @@ func New(cfg Config) (*Gateway, error) {
 // of the subject's pool (provisioning one on first use). Calls for
 // distinct subjects run in parallel up to the admission bound; calls for
 // one subject run in parallel up to the subject's session bound and
-// wait for a recycled session beyond it.
+// wait for a recycled session beyond it. A rule refresh counts as a
+// VersionRefresh; a failed one, as an error that serves nothing.
 func (g *Gateway) Query(subject, docID, query string) (*proxy.Result, error) {
 	sp, err := g.enter(subject)
 	if err != nil {
@@ -294,37 +272,18 @@ func (g *Gateway) Query(subject, docID, query string) (*proxy.Result, error) {
 		return nil, qerr
 	}
 
-	// One critical section per successful query: stats, version-bump
-	// detection, recycle. A torn read (BlocksWasted > BlocksFetched,
-	// half-added meters) is impossible because this is the only place
-	// query stats are written.
+	// One critical section per successful query's stats. A torn read
+	// (BlocksWasted > BlocksFetched, half-added meters) is impossible
+	// because this is the only place query stats are written.
 	sp.mu.Lock()
 	sp.stats.Queries++
 	sp.stats.BlocksFetched += int64(res.Stats.BlocksFetched)
 	sp.stats.BlocksWasted += int64(res.Stats.BlocksWasted)
 	sp.stats.Meter.Add(res.Stats.Meter)
-	bumped := sp.noteVersionLocked(docID, res.Version)
-	sp.mu.Unlock()
-
-	if bumped {
-		// The document moved underneath the fleet: re-pull this subject's
-		// rules the way RefreshRules does, driven by the document instead
-		// of the operator. The session is still exclusively ours, so the
-		// install needs no lock; other sessions catch up at checkout via
-		// the epoch bump noteVersionLocked performed. A failed refresh is
-		// counted but does not fail the query that observed the bump (the
-		// card keeps filtering under its installed rules, which its own
-		// version check guarantees are not rolled back).
-		err := ses.sess.InstallRules(subject, docID)
-		sp.mu.Lock()
-		if err != nil {
-			sp.stats.Errors++
-		} else {
-			sp.stats.VersionRefreshes++
-			ses.ruleEpochs[docID] = sp.ruleEpochs[docID]
-		}
-		sp.mu.Unlock()
+	if res.Stats.RulesRefreshed {
+		sp.stats.VersionRefreshes++
 	}
+	sp.mu.Unlock()
 
 	sp.recycle(ses)
 	return res, nil
@@ -345,13 +304,10 @@ func (g *Gateway) CountError(subject string) {
 	sp.mu.Unlock()
 }
 
-// runOn provisions the checked-out session for docID if needed, catches
-// it up with any rule refresh it missed, and runs the query.
+// runOn provisions the checked-out session for docID on its first query
+// of the document and runs the query; the session keeps the rules
+// current from then on.
 func (g *Gateway) runOn(sp *subjectPool, ses *pooledSession, subject, docID, query string) (*proxy.Result, error) {
-	sp.mu.Lock()
-	epoch := sp.ruleEpochs[docID]
-	sp.mu.Unlock()
-
 	if !ses.provisioned[docID] {
 		// The session is exclusively ours; provisioning touches only its
 		// card, so no lock is held across the store round trips.
@@ -366,22 +322,9 @@ func (g *Gateway) runOn(sp *subjectPool, ses *pooledSession, subject, docID, que
 			return nil, err
 		}
 		ses.provisioned[docID] = true
-		ses.ruleEpochs[docID] = epoch
 		sp.mu.Lock()
-		sp.provisionedDocs[docID] = true
 		sp.stats.Provisions++
 		sp.mu.Unlock()
-	} else if ses.ruleEpochs[docID] < epoch {
-		// A refresh landed while this session was busy or parked:
-		// re-install before serving. Failure is non-fatal — the card
-		// keeps filtering under the rules it has (never rolled back).
-		if err := ses.sess.InstallRules(subject, docID); err != nil {
-			sp.mu.Lock()
-			sp.stats.Errors++
-			sp.mu.Unlock()
-		} else {
-			ses.ruleEpochs[docID] = epoch
-		}
 	}
 	return ses.sess.Query(subject, docID, query)
 }
@@ -401,12 +344,9 @@ func (g *Gateway) enter(subject string) (*subjectPool, error) {
 			return nil, fmt.Errorf("%w (%d subjects held, subject %q refused)", ErrTooManySubjects, len(g.pools), subject)
 		}
 		sp = &subjectPool{
-			subject:         subject,
-			provisionedDocs: make(map[string]bool),
-			ruleEpochs:      make(map[string]uint64),
-			docVersions:     make(map[string]uint32),
-			tokens:          float64(g.cfg.SubjectBurst),
-			lastFill:        time.Now(),
+			subject:  subject,
+			tokens:   float64(g.cfg.SubjectBurst),
+			lastFill: time.Now(),
 		}
 		sp.cond = sync.NewCond(&sp.mu)
 		sp.stats.Subject = subject
@@ -454,15 +394,11 @@ func (sp *subjectPool) checkout(g *Gateway) (*pooledSession, error) {
 			return ses, nil
 		}
 		if sp.live < g.cfg.MaxSessionsPerSubject {
-			c := card.New(g.cfg.Profile)
 			ses := &pooledSession{
-				sess:        proxy.NewSession(g.cfg.Store, c, g.cfg.Options, g.cfg.Prefetch),
-				card:        c,
+				sess:        proxy.NewSession(g.cfg.Store, card.New(g.cfg.Profile), g.cfg.Options, g.cfg.Prefetch),
 				provisioned: make(map[string]bool),
-				ruleEpochs:  make(map[string]uint64),
 			}
 			sp.live++
-			sp.all = append(sp.all, ses)
 			return ses, nil
 		}
 		if g.isClosed() {
@@ -505,12 +441,6 @@ func (sp *subjectPool) recycle(ses *pooledSession) {
 func (sp *subjectPool) dropLocked(ses *pooledSession) {
 	ses.sess.Close()
 	sp.live--
-	for i, s := range sp.all {
-		if s == ses {
-			sp.all = append(sp.all[:i], sp.all[i+1:]...)
-			break
-		}
-	}
 	// A waiter can now create a replacement session.
 	sp.cond.Signal()
 }
@@ -519,94 +449,6 @@ func (sp *subjectPool) dropLocked(ses *pooledSession) {
 func (sp *subjectPool) retireLocked(ses *pooledSession) {
 	sp.dropLocked(ses)
 	sp.stats.Retires++
-}
-
-// noteVersionLocked records the version a query was served from and
-// reports whether a rule refresh is owed. The caller holds sp.mu.
-func (sp *subjectPool) noteVersionLocked(docID string, version uint32) bool {
-	last, seen := sp.docVersions[docID]
-	if seen && version <= last {
-		// Never regress the record: a stale replica (or a malicious
-		// store) serving an older version must not prime a spurious
-		// "bump" on the next honestly-served query.
-		return false
-	}
-	sp.docVersions[docID] = version
-	if !seen {
-		return false
-	}
-	// Claim the bump: the epoch advance sends every other session of the
-	// subject through the re-install path at its next checkout.
-	sp.ruleEpochs[docID]++
-	return true
-}
-
-// RefreshRules re-pulls the subject's sealed rule set for doc — the
-// access-rights update protocol at fleet scale. Idle sessions are
-// refreshed immediately; checked-out sessions catch up at their next
-// checkout via the epoch bump. The card accepts the blob only if its
-// version is not older than what is installed, so refreshing is always
-// safe to call. An unprovisioned (subject, doc) pair refuses (a refresh
-// is not an implicit grant of a key).
-func (g *Gateway) RefreshRules(subject, docID string) error {
-	g.mu.Lock()
-	sp, ok := g.pools[subject]
-	g.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fleet: subject %q is not provisioned for document %q", subject, docID)
-	}
-
-	sp.mu.Lock()
-	if !sp.provisionedDocs[docID] {
-		sp.mu.Unlock()
-		return fmt.Errorf("fleet: subject %q is not provisioned for document %q", subject, docID)
-	}
-	sp.ruleEpochs[docID]++
-	epoch := sp.ruleEpochs[docID]
-	// Take the idle sessions out of the pool so the installs below run on
-	// exclusively-owned sessions without holding sp.mu across store I/O.
-	idle := sp.idle
-	sp.idle = nil
-	sp.mu.Unlock()
-
-	var firstErr error
-	for _, ses := range idle {
-		if err := ses.sess.InstallRules(subject, docID); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		ses.ruleEpochs[docID] = epoch
-	}
-
-	sp.mu.Lock()
-	sp.idle = append(sp.idle, idle...)
-	sp.mu.Unlock()
-	sp.cond.Broadcast()
-	return firstErr
-}
-
-// RuleVersion reports the newest rule-set version installed for
-// (subject, doc) across the subject's sessions, -1 when the subject has
-// no sessions or rules yet (freshness probes).
-func (g *Gateway) RuleVersion(subject, docID string) int64 {
-	g.mu.Lock()
-	sp, ok := g.pools[subject]
-	g.mu.Unlock()
-	if !ok {
-		return -1
-	}
-	sp.mu.Lock()
-	sessions := append([]*pooledSession(nil), sp.all...)
-	sp.mu.Unlock()
-	best := int64(-1)
-	for _, ses := range sessions {
-		if v := ses.card.RuleVersion(subject, docID); v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // Stats snapshots every subject's aggregated usage, sorted by subject

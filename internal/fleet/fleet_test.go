@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/card"
@@ -194,119 +196,312 @@ func TestGatewayProvisionFailures(t *testing.T) {
 	}
 }
 
-func TestGatewayRefreshRules(t *testing.T) {
-	w := newTestWorld(t)
-	g := w.gateway(t, 0)
-	defer g.Close()
-	docID := w.docs[0]
-
-	if err := g.RefreshRules("nurse", docID); err == nil {
-		t.Error("refresh before provisioning must refuse (no implicit key grant)")
-	}
-	if _, err := g.Query("nurse", docID, ""); err != nil {
-		t.Fatal(err)
-	}
-	v1 := g.RuleVersion("nurse", docID)
-	if v1 < 0 {
-		t.Fatalf("no rule version after provisioning: %d", v1)
-	}
-
-	// The owner revokes: version bumps, the card follows on refresh.
-	pub := &proxy.Publisher{Store: w.store}
-	strict := workload.MustParseRules("subject nurse\ndefault -\n+ //name")
-	strict.DocID = docID
-	strict.Version = uint32(v1) + 1
-	if err := pub.GrantRules(w.keys[docID], strict); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RefreshRules("nurse", docID); err != nil {
-		t.Fatal(err)
-	}
-	if v2 := g.RuleVersion("nurse", docID); v2 != v1+1 {
-		t.Errorf("rule version after refresh = %d, want %d", v2, v1+1)
-	}
-	// Refreshing again with the same stored blob is a no-op, never a
-	// rollback error.
-	if err := g.RefreshRules("nurse", docID); err != nil {
-		t.Errorf("idempotent refresh failed: %v", err)
-	}
-}
-
-// TestGatewayDocVersionRefresh: a delta re-publication bumps the served
-// version; the gateway notices on the next query and refreshes the
-// subject's rules exactly as RefreshRules would.
-func TestGatewayDocVersionRefresh(t *testing.T) {
-	w := newTestWorld(t)
-	g := w.gateway(t, 0)
-	defer g.Close()
-	docID := w.docs[0]
-
-	res, err := g.Query("nurse", docID, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// observed is the latest document version the gateway served the
-	// subject.
-	observed := func() uint32 {
-		g.mu.Lock()
-		sp := g.pools["nurse"]
-		g.mu.Unlock()
-		sp.mu.Lock()
-		defer sp.mu.Unlock()
-		return sp.docVersions[docID]
-	}
-	if got := observed(); got != res.Version {
-		t.Fatalf("observed version %d, served %d", got, res.Version)
-	}
-	v1 := g.RuleVersion("nurse", docID)
-
-	// The owner re-publishes the document (delta) and re-grants tighter
-	// rules alongside, the paper's combined update.
+// revoke re-publishes docID with one more element and grants the nurse
+// a stricter rule set at the next version, the paper's combined update
+// of content and rights, and returns the version it published.
+func (w *testWorld) revoke(t *testing.T, docID string) uint32 {
+	t.Helper()
 	pub := &proxy.Publisher{Store: w.store}
 	doc := workload.MedicalFolder(workload.MedicalConfig{Seed: 40, Patients: 6, VisitsPerPatient: 3})
 	doc.Children = append(doc.Children, &xmlstream.Node{Name: "amendment",
 		Children: []*xmlstream.Node{{Text: "revised after audit"}}})
+	strict := workload.MustParseRules("subject nurse\ndefault -\n+ //name")
+	strict.DocID = docID
+	strict.Version = 1
+	if err := pub.GrantRules(w.keys[docID], strict); err != nil {
+		t.Fatal(err)
+	}
 	ri, err := pub.Republish(doc, docenc.EncodeOptions{DocID: docID, Key: w.keys[docID]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict := workload.MustParseRules("subject nurse\ndefault -\n+ //name")
-	strict.DocID = docID
-	strict.Version = uint32(v1) + 1
-	if err := pub.GrantRules(w.keys[docID], strict); err != nil {
+	return ri.Version
+}
+
+// rendezvousStore holds block reads while armed until n of them wait, so
+// n queries of one subject are in flight at once and its pool has to
+// serve them from n sessions.
+type rendezvousStore struct {
+	dsp.Store
+	mu   sync.Mutex
+	n    int
+	open chan struct{}
+}
+
+func (s *rendezvousStore) arm(n int) {
+	s.mu.Lock()
+	s.n, s.open = n, make(chan struct{})
+	s.mu.Unlock()
+}
+
+func (s *rendezvousStore) wait() {
+	s.mu.Lock()
+	if s.n == 0 {
+		s.mu.Unlock()
+		return
+	}
+	s.n--
+	open := s.open
+	if s.n == 0 {
+		close(open)
+	}
+	s.mu.Unlock()
+	<-open
+}
+
+func (s *rendezvousStore) ReadBlock(docID string, idx int) ([]byte, error) {
+	s.wait()
+	return s.Store.ReadBlock(docID, idx)
+}
+
+func (s *rendezvousStore) ReadBlocks(docID string, start, count int) ([][]byte, error) {
+	s.wait()
+	return s.Store.(dsp.BlockRangeReader).ReadBlocks(docID, start, count)
+}
+
+// TestGatewayDocVersionRefresh: a re-publication that carries a
+// revocation reaches the first query that sees the new version, on every
+// warm session of the subject. Two sessions serve version 1 at once; the
+// owner then re-publishes and re-grants stricter rules, and the next
+// query on each session must equal a fresh session's view under the new
+// rules, each session making one refresh of its own.
+func TestGatewayDocVersionRefresh(t *testing.T) {
+	for _, prefetch := range []int{0, proxy.DefaultPrefetch} {
+		t.Run(fmt.Sprintf("prefetch=%d", prefetch), func(t *testing.T) {
+			w := newTestWorld(t)
+			store := &rendezvousStore{Store: w.store}
+			g, err := New(Config{Store: store, Keys: FixedKeys(w.keys), Prefetch: prefetch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			docID := w.docs[0]
+
+			// pair runs two queries of the nurse at once and returns their
+			// views.
+			pair := func() [2]string {
+				store.arm(2)
+				var (
+					views [2]string
+					errs  [2]error
+					wg    sync.WaitGroup
+				)
+				for i := range views {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						res, err := g.Query("nurse", docID, "")
+						if err == nil {
+							views[i] = res.XML()
+						}
+						errs[i] = err
+					}(i)
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return views
+			}
+
+			before := pair()
+			for _, v := range before {
+				if want := w.oracle["nurse|"+docID+"|"]; v != want {
+					t.Fatalf("version 1 view diverges from the serial terminal:\ngot:  %s\nwant: %s", v, want)
+				}
+			}
+			if st := g.SubjectStats("nurse"); st.SessionsLive != 2 || st.Provisions != 2 {
+				t.Fatalf("%d sessions live, %d provisions, want 2 of each", st.SessionsLive, st.Provisions)
+			}
+
+			version := w.revoke(t, docID)
+			fresh := card.New(card.Modern)
+			if err := fresh.PutKey(docID, w.keys[docID]); err != nil {
+				t.Fatal(err)
+			}
+			want, err := serialQuery(w.store, fresh, "nurse", docID, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == before[0] {
+				t.Fatal("the revocation does not change the nurse's view")
+			}
+
+			for i, v := range pair() {
+				if v != want {
+					t.Fatalf("warm session %d's first query of version %d runs under the revoked rules:\ngot:  %s\nwant: %s", i, version, v, want)
+				}
+			}
+			st := g.SubjectStats("nurse")
+			if st.VersionRefreshes != 2 || st.Provisions != 2 || st.Errors != 0 {
+				t.Fatalf("after the revocation: %d refreshes, %d provisions, %d errors, want 2, 2 and 0",
+					st.VersionRefreshes, st.Provisions, st.Errors)
+			}
+
+			// The version stands still from here on: no more refreshes.
+			res, err := g.Query("nurse", docID, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.XML() != want || res.Version != version {
+				t.Fatalf("steady-state query served version %d and a different view", res.Version)
+			}
+			if st := g.SubjectStats("nurse"); st.VersionRefreshes != 2 {
+				t.Fatalf("steady-state query counted a refresh: %d", st.VersionRefreshes)
+			}
+		})
+	}
+}
+
+// withholdStore fails every rule-set fetch once withhold is set: a store
+// that keeps a revocation from the cards it serves.
+type withholdStore struct {
+	*dsp.MemStore
+	withhold atomic.Bool
+}
+
+func (s *withholdStore) RuleSet(docID, subject string) ([]byte, error) {
+	if s.withhold.Load() {
+		return nil, errors.New("rule set withheld")
+	}
+	return s.MemStore.RuleSet(docID, subject)
+}
+
+// TestGatewayWithheldRefreshFailsClosed: when the store withholds the
+// rule set a re-publication's revocation installed, a warm session must
+// not go on serving under the rules it has: the query fails, with no
+// view.
+func TestGatewayWithheldRefreshFailsClosed(t *testing.T) {
+	w := newTestWorld(t)
+	store := &withholdStore{MemStore: w.store}
+	g, err := New(Config{Store: store, Keys: FixedKeys(w.keys)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	docID := w.docs[0]
+	if _, err := g.Query("nurse", docID, ""); err != nil {
 		t.Fatal(err)
 	}
 
-	res2, err := g.Query("nurse", docID, "")
+	store.withhold.Store(true)
+	w.revoke(t, docID)
+	for i := 0; i < 2; i++ { // the warm session, then its replacement
+		if res, err := g.Query("nurse", docID, ""); err == nil {
+			t.Fatalf("query %d after a withheld revocation served a view:\n%s", i, res.XML())
+		} else if res != nil {
+			t.Fatalf("query %d failed (%v) but returned a result", i, err)
+		}
+	}
+	if st := g.SubjectStats("nurse"); st.Errors != 2 || st.Queries != 1 || st.VersionRefreshes != 0 {
+		t.Fatalf("%d errors, %d queries, %d refreshes, want 2, 1 and 0", st.Errors, st.Queries, st.VersionRefreshes)
+	}
+}
+
+// landingStore lands a write inside a provisioning: once armed, the
+// first rule-set fetch of landDoc runs land after reading its blob, so
+// the write falls between a session's InstallRules and its first query.
+// Block reads of holdDoc wait for release (the first one closes held),
+// which keeps the session running that query checked out.
+type landingStore struct {
+	dsp.Store
+	holdDoc, landDoc string
+	held, release    chan struct{}
+	holding          sync.Once
+	armed            atomic.Bool
+	land             func()
+}
+
+func (s *landingStore) RuleSet(docID, subject string) ([]byte, error) {
+	sealed, err := s.Store.RuleSet(docID, subject)
+	if docID == s.landDoc && s.armed.Swap(false) {
+		s.land()
+	}
+	return sealed, err
+}
+
+func (s *landingStore) hold(docID string) {
+	if docID == s.holdDoc {
+		s.holding.Do(func() { close(s.held) })
+		<-s.release
+	}
+}
+
+func (s *landingStore) ReadBlock(docID string, idx int) ([]byte, error) {
+	s.hold(docID)
+	return s.Store.ReadBlock(docID, idx)
+}
+
+func (s *landingStore) ReadBlocks(docID string, start, count int) ([][]byte, error) {
+	s.hold(docID)
+	return s.Store.(dsp.BlockRangeReader).ReadBlocks(docID, start, count)
+}
+
+// TestGatewayRefreshesRulesLandedAtProvisioning: a session added to a
+// subject pool that already served version 0 is provisioned just before
+// a revocation and re-publication land; its first query sees the new
+// header and must run under the new rules, as a fresh session would.
+func TestGatewayRefreshesRulesLandedAtProvisioning(t *testing.T) {
+	w := newTestWorld(t)
+	docID, other := w.docs[0], w.docs[1]
+	store := &landingStore{Store: w.store, holdDoc: other,
+		held: make(chan struct{}), release: make(chan struct{})}
+	g, err := New(Config{Store: store, Keys: FixedKeys(w.keys)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Version != ri.Version {
-		t.Fatalf("served version %d after republish to %d", res2.Version, ri.Version)
+	defer g.Close()
+	if _, err := g.Query("nurse", docID, ""); err != nil {
+		t.Fatal(err)
 	}
-	st := g.SubjectStats("nurse")
-	if st.VersionRefreshes != 1 {
-		t.Fatalf("version refreshes = %d, want 1", st.VersionRefreshes)
-	}
-	if v2 := g.RuleVersion("nurse", docID); v2 != v1+1 {
-		t.Fatalf("rule version %d after version-bump refresh, want %d", v2, v1+1)
-	}
-	if got := observed(); got != ri.Version {
-		t.Fatalf("observed version %d, want %d", got, ri.Version)
-	}
-	// Note: the refreshed (stricter) rules apply from the NEXT session;
-	// the query that observed the bump ran under the rules installed at
-	// its start. A follow-up query filters under the new policy.
-	res3, err := g.Query("nurse", docID, "")
+
+	// The warm session is kept busy on the other document, so the next
+	// query of docID provisions a second session.
+	var released sync.Once
+	release := func() { released.Do(func() { close(store.release) }) }
+	defer release()
+	busy := make(chan error, 1)
+	go func() {
+		res, err := g.Query("nurse", other, "")
+		if err == nil && res.XML() != w.oracle["nurse|"+other+"|"] {
+			err = errors.New("the held query's view diverges from the serial terminal")
+		}
+		busy <- err
+	}()
+	<-store.held
+
+	var version uint32
+	store.landDoc, store.land = docID, func() { version = w.revoke(t, docID) }
+	store.armed.Store(true)
+	res, err := g.Query("nurse", docID, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.XML() == res2.XML() {
-		t.Fatal("stricter refreshed rules did not change the delivered view")
+	if version == 0 {
+		t.Fatal("the revocation did not land during the provisioning")
 	}
-	st = g.SubjectStats("nurse")
-	if st.VersionRefreshes != 1 {
-		t.Fatalf("steady-state query counted a refresh: %d", st.VersionRefreshes)
+	fresh := card.New(card.Modern)
+	if err := fresh.PutKey(docID, w.keys[docID]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := serialQuery(w.store, fresh, "nurse", docID, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != version || res.XML() != want {
+		t.Fatalf("the new session's first query of version %d (served %d) runs under the revoked rules:\ngot:  %s\nwant: %s",
+			version, res.Version, res.XML(), want)
+	}
+
+	release()
+	if err := <-busy; err != nil {
+		t.Fatal(err)
+	}
+	if st := g.SubjectStats("nurse"); st.SessionsLive != 2 || st.Provisions != 3 || st.VersionRefreshes != 1 {
+		t.Fatalf("%d sessions live, %d provisions, %d refreshes, want 2, 3 and 1",
+			st.SessionsLive, st.Provisions, st.VersionRefreshes)
 	}
 }
 

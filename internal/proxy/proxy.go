@@ -56,6 +56,9 @@ type ResultStats struct {
 	// caused by pending rules (delivered only after resolution).
 	PendingEvents int
 	PendingBytes  int64
+	// RulesRefreshed reports that the query re-installed the subject's
+	// rules first, for a newer header (see Session).
+	RulesRefreshed bool
 }
 
 // Result is the outcome of a pull query. Its storage comes from a pool:

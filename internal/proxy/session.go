@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/card"
+	"repro/internal/docenc"
 	"repro/internal/dsp"
 	"repro/internal/secure"
 	"repro/internal/soe"
@@ -17,6 +18,12 @@ import (
 // recycle it with the expensive state intact — the installed document
 // keys, the card's amortized cipher contexts, and the sealed rule sets
 // all survive across queries.
+//
+// A Session keeps its rules current itself: a query that fetches a
+// header newer than the version the rules were installed for re-installs
+// them before the card evaluates anything, so rights that changed with a
+// re-publication govern the first query that sees it, and a store that
+// withholds the new rule set gets an error, not a view.
 //
 // A Session models the card's single-threaded applet: exactly one query
 // runs at a time (a concurrent Query refuses instead of corrupting card
@@ -50,16 +57,22 @@ type Session struct {
 	pipe *pipeline
 	// hdrBuf holds the header a query hands the card.
 	hdrBuf []byte
+	// served holds, per (subject, document), the header version the
+	// card's rules are current for.
+	served map[servedKey]uint32
 }
+
+type servedKey struct{ subject, docID string }
 
 // NewSession builds a reusable session over a store lease and a card;
 // opts passes through to the SOE session (ablation switches). prefetch
 // > 0 selects the two-stage prefetching pipeline, whose first run is
 // prefetch blocks (see pipeline.go); speculative blocks the card never
 // asks for are counted in ResultStats.BlocksWasted. 0 keeps the serial
-// one-block-per-round-trip loop.
+// one-block-per-round-trip loop. The caller provisions the card
+// (Provision, InstallRules) before a first query of a document.
 func NewSession(store dsp.Store, c *card.Card, opts soe.Options, prefetch int) *Session {
-	return &Session{store: store, card: c, opts: opts, prefetch: prefetch}
+	return &Session{store: store, card: c, opts: opts, prefetch: prefetch, served: make(map[servedKey]uint32)}
 }
 
 // acquire takes single-session ownership for one query.
@@ -95,13 +108,45 @@ func (s *Session) Provision(docID string, key secure.DocKey) error {
 
 // InstallRules pulls the subject's sealed rule set from the store and
 // installs it on the card. The card's version monotonicity rejects
-// rollbacks, so re-installing is always safe.
+// rollbacks, so re-installing is always safe. The header read before
+// the fetch dates the rules: a query of a newer one refreshes them.
 func (s *Session) InstallRules(subject, docID string) error {
+	if err := s.acquire(); err != nil {
+		return err
+	}
+	defer s.release()
+	header, err := s.store.Header(docID)
+	if err != nil {
+		return err
+	}
+	if err := s.installRuleSet(subject, docID); err != nil {
+		return err
+	}
+	s.served[servedKey{subject, docID}] = header.Version
+	return nil
+}
+
+func (s *Session) installRuleSet(subject, docID string) error {
 	sealed, err := s.store.RuleSet(docID, subject)
 	if err != nil {
 		return err
 	}
 	return s.card.PutSealedRuleSet(docID, subject, sealed)
+}
+
+// refreshRules re-installs the rules, fetched after header and so at
+// least as new, and returns the header the query runs: fetched again, so
+// that a commit landing during the refresh gets one more refresh instead
+// of tearing the query's block reads.
+func (s *Session) refreshRules(subject, docID string, header docenc.Header) (docenc.Header, error) {
+	if err := s.installRuleSet(subject, docID); err != nil {
+		return header, err
+	}
+	next, err := s.store.Header(docID)
+	if err != nil || next.Version <= header.Version {
+		return header, err
+	}
+	return next, s.installRuleSet(subject, docID)
 }
 
 // Reset returns the session to a reusable state between checkouts. Card
@@ -129,6 +174,10 @@ func (s *Session) Close() {
 
 // Query runs a pull request: fetch, decrypt-on-card, filter, reassemble.
 // query is an XP{[],*,//} expression, or "" for the full authorized view.
+//
+// A rule refresh (see Session) is reported in ResultStats.RulesRefreshed
+// and, like any provisioning, charged to the card's meter but not to
+// ResultStats.Meter.
 func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	if err := s.acquire(); err != nil {
 		return nil, err
@@ -144,6 +193,19 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 		}
 	}
 
+	header, err := s.store.Header(docID)
+	if err != nil {
+		return nil, err
+	}
+	key := servedKey{subject, docID}
+	last, seen := s.served[key]
+	refresh := seen && header.Version > last
+	if refresh { // rights may move with the document (Section 5's update model)
+		if header, err = s.refreshRules(subject, docID, header); err != nil {
+			return nil, fmt.Errorf("proxy: refreshing %q's rules for version %d of %q: %w", subject, header.Version, docID, err)
+		}
+	}
+
 	meterBefore := s.card.Meter
 
 	sess, err := s.cardSession(docID, subject, q)
@@ -152,20 +214,20 @@ func (s *Session) Query(subject, docID, query string) (*Result, error) {
 	}
 	defer sess.Abort()
 
-	header, err := s.store.Header(docID)
-	if err != nil {
-		return nil, err
-	}
 	// The card authenticates the header's bytes as the store sent them,
 	// framed in the session's buffer.
 	s.hdrBuf, _ = header.AppendBinary(s.hdrBuf[:0])
 	if err := sess.LoadHeader(s.hdrBuf); err != nil {
 		return nil, err
 	}
+	// A query moves the record only to an authenticated version.
+	if !seen || refresh {
+		s.served[key] = header.Version
+	}
 
 	col := s.col
 	col.Reset()
-	stats := ResultStats{BlocksTotal: header.NumBlocks()}
+	stats := ResultStats{BlocksTotal: header.NumBlocks(), RulesRefreshed: refresh}
 	if s.prefetch > 0 {
 		err = s.runPipelined(sess, docID, header.NumBlocks(), int(header.BlockPlain), &stats)
 	} else {

@@ -33,7 +33,6 @@ var keptUnnamed = map[string]string{
 	"dsp.BlockFrame.CopyOut":        keptAsAPI,
 	"dsp.MemStore.SwapBlocks":       roadmapItem + "7, with the hostile store that replaces it",
 	"dsp.MemStore.Tamper":           roadmapItem + "7, with the hostile store that replaces it",
-	"fleet.Gateway.RefreshRules":    roadmapItem + "2, with the fleet's rule epochs",
 	"mem.Tracking.InUse":            keptAsOracle,
 	"proxy.Publisher.PublishStream": roadmapItem + "6, with the staged upload",
 	"workload.GrantAll":             keptAsOracle,
